@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -17,13 +16,13 @@ import numpy as np
 
 from . import __version__
 from .config import extract_params, load_document, params_from_config, sweep_from_config
-from .constants import CODATA_VERSION
-from .dynamics import auxiliary_block, phase_noise_spectrum
+from .dynamics import auxiliary_block, build_model, phase_noise_spectrum
 from .errors import ConfigError, OptomechError
 from .lyapunov import solve_lyapunov
+from .output import tool_metadata, write_document, write_table
 from .parameters import solve_steady_state
-from .simulate import (TrajectoryConfig, estimate_stationary_covariance,
-                       simulate_phase_noise)
+from .simulate import (BURN_IN_DECAY, TrajectoryConfig,
+                       estimate_stationary_covariance, simulate_phase_noise)
 from .spectral import effective_response, laser_correlation
 from .sweep import emit_figure_data, evaluate_point, figure_recipe, run_sweep
 
@@ -33,52 +32,16 @@ EXIT_PARTIAL = 2
 EXIT_INTERNAL = 3
 
 
-def _metadata(params) -> dict:
-    return {
-        "tool": "optomech",
-        "version": __version__,
-        "constants_codata": CODATA_VERSION,
-        "internal_params": dataclasses.asdict(params),
-    }
-
-
-def _write_csv(path: str, header: list[str], rows, meta: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("# config: " + json.dumps(meta, sort_keys=True) + "\r\n")
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\r\n")
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.16e}"
-
-
 def _cmd_point(args) -> int:
     doc, src = load_document(args.config)
     params = params_from_config(doc, src)
     result = evaluate_point(params)
     if args.dump_model:
-        from .dynamics import build_model
-        from .parameters import solve_steady_state as _solve
-        model = build_model(params, _solve(params))
-        with open(args.dump_model, "w") as fh:
-            json.dump(model.to_document(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    out = {"metadata": _metadata(params),
-           "result": dataclasses.asdict(result)}
-    text = json.dumps(out, indent=1, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        model = build_model(params, solve_steady_state(params))
+        write_document(args.dump_model, model.to_document())
+    meta = tool_metadata(internal_params=dataclasses.asdict(params))
+    write_document(args.out,
+                   {"metadata": meta, "result": dataclasses.asdict(result)})
     return EXIT_OK
 
 
@@ -116,25 +79,24 @@ def _cmd_spectrum(args) -> int:
     gamma_l = params.phase_noise.gamma_l
     tau_max = float(doc.get("tau_max_s", 5.0 / gamma_l if gamma_l else 1e-3))
     os.makedirs(args.out_dir, exist_ok=True)
-    meta = _metadata(params)
+    meta = tool_metadata(internal_params=dataclasses.asdict(params))
 
     omegas = np.linspace(0.0, omega_max, n_omega)
     s_vals = phase_noise_spectrum(params.phase_noise, omegas)
-    _write_csv(os.path.join(args.out_dir, "frequency_noise_spectrum.csv"),
-               ["omega_rad_s", "s_phidot_rad_s"],
-               zip(omegas, np.atleast_1d(s_vals)), meta)
+    write_table(os.path.join(args.out_dir, "frequency_noise_spectrum.csv"),
+                meta, "omega_rad_s,s_phidot_rad_s",
+                zip(omegas, np.atleast_1d(s_vals)))
 
     ss = solve_steady_state(params)
     response = effective_response(params, ss)
     chi2 = np.abs(response.chi_eff(omegas)) ** 2
-    _write_csv(os.path.join(args.out_dir, "effective_susceptibility.csv"),
-               ["omega_rad_s", "abs_chi_eff_squared"],
-               zip(omegas, chi2), meta)
+    write_table(os.path.join(args.out_dir, "effective_susceptibility.csv"),
+                meta, "omega_rad_s,abs_chi_eff_squared", zip(omegas, chi2))
 
     taus = np.linspace(0.0, tau_max, n_tau)
     corr = [laser_correlation(params.phase_noise, t) for t in taus]
-    _write_csv(os.path.join(args.out_dir, "laser_correlation.csv"),
-               ["tau_s", "correlation"], zip(taus, corr), meta)
+    write_table(os.path.join(args.out_dir, "laser_correlation.csv"),
+                meta, "tau_s,correlation", zip(taus, corr))
     print(f"wrote spectrum tables in {args.out_dir}")
     return EXIT_OK
 
@@ -150,7 +112,7 @@ def _cmd_validate(args) -> int:
     speed = float(np.max(np.abs(np.linalg.eigvals(a))))
     slowest = float(np.min(-np.linalg.eigvals(a).real))
     dt = float(doc.get("dt_s", 0.09 / speed))
-    burn = int(doc.get("burn_in", math.ceil(5.0 / slowest / dt)))
+    burn = int(doc.get("burn_in", math.ceil(BURN_IN_DECAY / slowest / dt)))
     cfg = TrajectoryConfig(
         dt=dt,
         n_steps=int(doc.get("n_steps", 500_000)),
@@ -181,10 +143,10 @@ def _cmd_validate(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "validation.csv")
-    meta = _metadata(params)
-    meta["trajectory"] = dataclasses.asdict(cfg)
-    _write_csv(path, ["quantity", "estimate", "standard_error", "analytic",
-                      "z_score", "pass"], rows, meta)
+    meta = tool_metadata(internal_params=dataclasses.asdict(params),
+                         trajectory=dataclasses.asdict(cfg))
+    write_table(path, meta,
+                "quantity,estimate,standard_error,analytic,z_score,pass", rows)
     n_fail = sum(1 for r in rows if not r[-1])
     print(f"wrote {path}: {len(rows) - n_fail}/{len(rows)} checks passed")
     return EXIT_PARTIAL if n_fail else EXIT_OK

@@ -102,14 +102,6 @@ def stability_margin(params: SystemParams, ss: SteadyState) -> float:
     return ss.g_eff / g_threshold
 
 
-def mechanical_block(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """Decoupled mechanical 2x2 drift/diffusion (thermal contact only)."""
-    n = params.thermal_phonons()
-    a = np.array([[0.0, params.omega_m], [-params.omega_m, -params.gamma_m]])
-    d = np.diag([0.0, params.gamma_m * (2.0 * n + 1.0)])
-    return a, d
-
-
 def auxiliary_block(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     """Drift/diffusion of the (psi, theta) pair realizing bandpass noise."""
     if spec.kind != "bandpass":
@@ -118,6 +110,13 @@ def auxiliary_block(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
                   [-spec.omega_band, -spec.gamma_tilde]])
     d = np.diag([0.0, 2.0 * spec.gamma_l * spec.omega_band ** 2])
     return a, d
+
+
+def vacuum_diffusion(params: SystemParams) -> np.ndarray:
+    """Thermal/vacuum diffusion diagonal of (dq, dp, dX, dY), phase noise excluded."""
+    n = params.thermal_phonons()
+    k2n1 = params.kappa * (2.0 * params.cavity_thermal_occupancy + 1.0)
+    return np.array([0.0, params.gamma_m * (2.0 * n + 1.0), k2n1, k2n1])
 
 
 def optomechanical_block(params: SystemParams, ss: SteadyState) -> np.ndarray:
@@ -144,10 +143,8 @@ def build_model(params: SystemParams, ss: SteadyState) -> LinearModel:
     S = 2*gamma_l is the flat spectrum value.
     """
     spec = params.phase_noise
-    k2n1 = params.kappa * (2.0 * params.cavity_thermal_occupancy + 1.0)
-    n = params.thermal_phonons()
     a4 = optomechanical_block(params, ss)
-    d4 = np.diag([0.0, params.gamma_m * (2.0 * n + 1.0), k2n1, k2n1])
+    d4 = np.diag(vacuum_diffusion(params))
 
     if spec.kind == "bandpass":
         a_aux, d_aux = auxiliary_block(spec)

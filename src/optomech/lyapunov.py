@@ -67,12 +67,13 @@ def symplectic_eigenvalues(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
     return vals[::2]  # eigenvalues of i*Omega*V come in +/- pairs
 
 
-def check_physical(cov: CovarianceMatrix, slack: float = PHYSICALITY_SLACK) -> None:
-    """Raise UnphysicalState if any symplectic eigenvalue dips below 1/2 - slack."""
+def check_physical(cov: CovarianceMatrix, slack: float = PHYSICALITY_SLACK) -> float:
+    """Smallest symplectic eigenvalue; UnphysicalState if below 1/2 - slack."""
     low = float(np.min(symplectic_eigenvalues(cov.matrix)))
     if low < 0.5 - slack:
         raise UnphysicalState(
             f"smallest symplectic eigenvalue {low:.12g} violates the 1/2 bound")
+    return low
 
 
 def _solve_vectorized(a: np.ndarray, d: np.ndarray) -> np.ndarray:

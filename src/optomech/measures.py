@@ -18,12 +18,15 @@ class EntanglementResult:
 
     ``raw_log_negativity`` is -ln(2*eta_minus) before clamping at zero, so
     barely separable and deeply separable states stay distinguishable.
+    ``heisenberg_min`` is the smallest symplectic eigenvalue of the state
+    itself (>= 1/2 up to slack).
     """
 
     eta_minus: float
     log_negativity: float
     raw_log_negativity: float
     entangled: bool
+    heisenberg_min: float
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ def log_negativity(v4: CovarianceMatrix) -> EntanglementResult:
     """
     if v4.order != 4:
         raise ValueError("log_negativity expects the reduced 4x4 covariance")
-    check_physical(v4)
+    heisenberg_min = check_physical(v4)
     eta = _eta_minus_formula(v4.matrix)
     raw = -math.log(2.0 * eta)
     return EntanglementResult(
@@ -79,6 +82,7 @@ def log_negativity(v4: CovarianceMatrix) -> EntanglementResult:
         log_negativity=max(0.0, raw),
         raw_log_negativity=raw,
         entangled=eta < 0.5,
+        heisenberg_min=heisenberg_min,
     )
 
 

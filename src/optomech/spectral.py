@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 import scipy.integrate
 
-from .dynamics import REDUCED_BASIS, optomechanical_block, phase_noise_spectrum
+from .dynamics import (REDUCED_BASIS, optomechanical_block, phase_noise_spectrum,
+                       vacuum_diffusion)
 from .errors import ImaginaryFrequency, QuadratureNotConverged, UnstableDrift
 from .lyapunov import CovarianceMatrix
 from .parameters import NoiseSpec, SteadyState, SystemParams
@@ -108,20 +109,15 @@ def _noise_free_integrand(a4: np.ndarray, d4_diag: np.ndarray,
     return (t * d4_diag[None, None, :]) @ t.conj().transpose(0, 2, 1)
 
 
-def _vacuum_diffusion_diag(params: SystemParams) -> np.ndarray:
-    """Thermal/vacuum diffusion of (dq, dp, dX, dY), phase noise excluded."""
-    n = params.thermal_phonons()
-    k2n1 = params.kappa * (2.0 * params.cavity_thermal_occupancy + 1.0)
-    return np.array([0.0, params.gamma_m * (2.0 * n + 1.0), k2n1, k2n1])
-
-
-def _feature_breakpoints(params: SystemParams, ss: SteadyState,
+def _feature_breakpoints(params: SystemParams, drift_eigs: np.ndarray,
                          cutoff: float, extra=()) -> np.ndarray:
-    """Quadrature seeds: windows around every resonance at its own width."""
+    """Quadrature seeds: windows around every resonance at its own width.
+
+    ``drift_eigs`` are the eigenvalues of the 4x4 optomechanical drift.
+    """
     pts = {0.0, cutoff}
     features = []
-    a4 = optomechanical_block(params, ss)
-    for lam in np.linalg.eigvals(a4):
+    for lam in drift_eigs:
         features.append((abs(lam.imag), max(abs(lam.real), 1e-9 * params.omega_m)))
     spec = params.phase_noise
     if spec.kind == "bandpass":
@@ -145,9 +141,10 @@ def _integrate_cm(params: SystemParams, ss: SteadyState,
                   atol: float, max_segments: int) -> tuple[np.ndarray, np.ndarray]:
     """Shared spectral integration; returns (complex CM integral, error)."""
     a4 = optomechanical_block(params, ss)
-    if np.max(np.linalg.eigvals(a4).real) >= 0:
+    eigs = np.linalg.eigvals(a4)
+    if np.max(eigs.real) >= 0:
         raise UnstableDrift("spectral oracle needs a stable working point")
-    d4 = _vacuum_diffusion_diag(params)
+    d4 = vacuum_diffusion(params)
     k, delta = params.kappa, ss.delta_eff
     scale = max(params.omega_m, abs(delta), k,
                 params.phase_noise.omega_band, params.phase_noise.gamma_tilde)
@@ -173,7 +170,7 @@ def _integrate_cm(params: SystemParams, ss: SteadyState,
         # smooth and tends to the diffusion matrix as u -> 0
         return integrand(1.0 / u_flat) / u_flat[:, None, None] ** 2
 
-    pts = _feature_breakpoints(params, ss, cutoff, extra=quadrature_points or ())
+    pts = _feature_breakpoints(params, eigs, cutoff, extra=quadrature_points or ())
     value, err = integrate_adaptive(integrand, pts, rtol=rtol, atol=atol,
                                     max_segments=max_segments)
     tail, tail_err = integrate_adaptive(tail_integrand,

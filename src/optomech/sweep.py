@@ -10,20 +10,17 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
-from .constants import CODATA_VERSION
 from .dynamics import build_model, stability_margin
 from .errors import NonpositiveDetuning, PointEvaluationError
-from .lyapunov import (reduce_to_optomechanical, solve_lyapunov,
-                       symplectic_eigenvalues)
+from .lyapunov import reduce_to_optomechanical, solve_lyapunov
 from .measures import log_negativity, occupancy
+from .output import tool_metadata, write_document, write_table
 from .parameters import EFFECTIVE, NoiseSpec, SystemParams, solve_steady_state
 from .spectral import approx_n_eff
 
@@ -158,7 +155,7 @@ def evaluate_point(params: SystemParams) -> PointResult:
         n_eff=occ.n_eff,
         n_eff_approx=approx,
         energy_j=occ.energy,
-        heisenberg_min=float(np.min(symplectic_eigenvalues(cov.matrix))),
+        heisenberg_min=ent.heisenberg_min,
     )
 
 
@@ -183,58 +180,38 @@ class SweepResult:
         return np.array(vals).reshape(len(self.x_values), len(self.y_values))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("# config: " + json.dumps(self.metadata, sort_keys=True)
-                     + "\r\n")
-            header = ([self.spec.axis_x.name, self.spec.axis_y.name]
-                      + list(self.spec.outputs) + ["stable", "branch", "error"])
-            fh.write(",".join(header) + "\r\n")
-            for (x, y), p in zip(self._xy_pairs(), self.points):
-                cells = [_fmt(x), _fmt(y)]
-                cells += [_fmt(p.output(name)) for name in self.spec.outputs]
-                cells += ["true" if p.stable else "false", p.branch,
-                          p.error or ""]
-                fh.write(",".join(cells) + "\r\n")
+        header = ([self.spec.axis_x.name, self.spec.axis_y.name]
+                  + list(self.spec.outputs) + ["stable", "branch", "error"])
+        rows = ([x, y, *(p.output(name) for name in self.spec.outputs),
+                 p.stable, p.branch, p.error]
+                for (x, y), p in zip(self._xy_pairs(), self.points))
+        write_table(path, self.metadata, ",".join(header), rows)
 
     def write_json(self, path) -> None:
-        doc = {
+        write_document(path, {
             "metadata": self.metadata,
             "x_values": [float(v) for v in self.x_values],
             "y_values": [float(v) for v in self.y_values],
             "rows": [dataclasses.asdict(p) for p in self.points],
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        })
 
     def write_grid(self, path, output: str) -> None:
         """Gnuplot-style matrix: x y z rows, blank line between x-blocks."""
         if output not in self.spec.outputs:
             raise ValueError(f"output {output!r} not in {self.spec.outputs}")
-        with open(path, "w") as fh:
-            fh.write("# config: " + json.dumps(self.metadata, sort_keys=True)
-                     + "\n")
-            fh.write(f"# columns: {self.spec.axis_x.name} "
-                     f"{self.spec.axis_y.name} {output}\n")
-            grid = self.grid(output)
-            for i, x in enumerate(self.x_values):
-                for j, y in enumerate(self.y_values):
-                    fh.write(f"{_fmt(x)} {_fmt(y)} {_fmt(grid[i, j])}\n")
-                fh.write("\n")
+        rows = []
+        for x, column in zip(self.x_values, self.grid(output)):
+            rows += [(x, y, z) for y, z in zip(self.y_values, column)]
+            rows.append(())  # blank line closes the x-block
+        write_table(path, self.metadata,
+                    f"# columns: {self.spec.axis_x.name} "
+                    f"{self.spec.axis_y.name} {output}",
+                    rows, sep=" ", eol="\n")
 
     def _xy_pairs(self):
         for x in self.x_values:
             for y in self.y_values:
                 yield x, y
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.16e}"
 
 
 def _evaluate_column(args) -> list[PointResult]:
@@ -267,17 +244,14 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
     else:
         columns = [_evaluate_column(t) for t in tasks]
     points = tuple(p for col in columns for p in col)
-    metadata = {
-        "tool": "optomech",
-        "version": __version__,
-        "constants_codata": CODATA_VERSION,
-        "recipe": spec.recipe,
-        "branch_policy": "lower",
-        "axis_x": dataclasses.asdict(spec.axis_x),
-        "axis_y": dataclasses.asdict(spec.axis_y),
-        "outputs": list(spec.outputs),
-        "fixed_params": dataclasses.asdict(spec.fixed),
-    }
+    metadata = tool_metadata(
+        recipe=spec.recipe,
+        branch_policy="lower",
+        axis_x=dataclasses.asdict(spec.axis_x),
+        axis_y=dataclasses.asdict(spec.axis_y),
+        outputs=list(spec.outputs),
+        fixed_params=dataclasses.asdict(spec.fixed),
+    )
     return SweepResult(spec=spec, x_values=xs, y_values=ys, points=points,
                        metadata=metadata)
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from optomech import NoiseSpec, SystemParams
@@ -28,6 +29,19 @@ def make_params(**overrides) -> SystemParams:
 def bandpass_100hz(omega_band=2.0 * math.pi * 5e4) -> NoiseSpec:
     """The reference noise setting: 0.1 kHz linewidth, band width = center/2."""
     return NoiseSpec.bandpass(2.0 * math.pi * 100.0, omega_band, omega_band / 2.0)
+
+
+def relative_gap(a, b, floor=1e-6):
+    """Largest entrywise gap of ``a`` to ``b``, relative to max(|b|, floor*max|b|).
+
+    Entries of ``b`` above ``floor`` times its largest entry are compared
+    relative to themselves; smaller ones, including entries that are zero
+    by symmetry such as the stationary <dq dp>, relative to that floor. A
+    fixed absolute floor would ask those entries for a precision below
+    machine epsilon of max|b| once the covariance grows large.
+    """
+    scale = floor * np.max(np.abs(b))
+    return np.max(np.abs(a - b) / np.maximum(np.abs(b), scale))
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from optomech import (NoiseSpec, approx_cm_phase_correction, approx_n_eff,
 from optomech.errors import (ImaginaryFrequency, QuadratureNotConverged,
                              UnstableDrift)
 
-from conftest import OMEGA_M, bandpass_100hz, make_params
+from conftest import OMEGA_M, bandpass_100hz, make_params, relative_gap
 
 GAMMA_EFF_ADD_REF = 0.012468827930174564  # at delta=wm=1, kappa=0.1, G=0.05
 A_MINUS_REF = 0.0125  # at delta=wm, kappa=0.1wm, G=0.05wm, units of wm
@@ -29,19 +29,6 @@ def _point_with_coupling(g_over_wm, **overrides):
     power = power_for_coupling(p, g_over_wm * OMEGA_M)
     p = p.with_(laser_power=power)
     return p, solve_steady_state(p)
-
-
-def relative_gap(a, b, floor=1e-6):
-    """Largest entrywise gap of ``a`` to ``b``, relative to max(|b|, floor*max|b|).
-
-    Entries of ``b`` above ``floor`` times its largest entry are compared
-    relative to themselves; smaller ones, including entries that are zero
-    by symmetry such as the stationary <dq dp>, relative to that floor. A
-    fixed absolute floor would ask those entries for a precision below
-    machine epsilon of max|b| once the covariance grows large.
-    """
-    scale = floor * np.max(np.abs(b))
-    return np.max(np.abs(a - b) / np.maximum(np.abs(b), scale))
 
 
 class TestEffectiveResponse:

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from optomech import (SweepAxis, SweepSpec, apply_axis, emit_figure_data,
-                      evaluate_point, figure_recipe, power_for_coupling,
-                      run_sweep, thermal_occupancy)
+from optomech import (SweepAxis, SweepSpec, apply_axis, build_model,
+                      emit_figure_data, evaluate_point, figure_recipe,
+                      log_negativity, power_for_coupling, run_sweep,
+                      solve_lyapunov, solve_steady_state, symplectic_eigenvalues,
+                      thermal_occupancy)
 from optomech.errors import PointEvaluationError
+from optomech.output import _cell
 
 from conftest import OMEGA_M, bandpass_100hz, make_params
 
@@ -41,6 +44,12 @@ class TestEvaluatePoint:
         assert result.stability_margin < 1.0
         assert result.e_n > 0.0
         assert result.heisenberg_min >= 0.5 - 1e-9
+        p = make_params()
+        model = build_model(p, solve_steady_state(p))
+        cov = solve_lyapunov(model.drift, model.diffusion)  # 4x4: no noise
+        assert result.heisenberg_min == float(
+            np.min(symplectic_eigenvalues(cov.matrix)))
+        assert result.heisenberg_min == log_negativity(cov).heisenberg_min
 
     def test_unstable_point_has_null_measures(self):
         p = make_params()
@@ -226,3 +235,13 @@ class TestEmittedFiles:
         first = line.split(",")[0]
         mantissa = first.split("e")[0].replace(".", "").lstrip("-")
         assert len(mantissa) == 17
+
+    def test_cell_format(self):
+        assert _cell(None) == ""
+        assert _cell(True) == "true"
+        assert _cell(np.True_) == "true"
+        assert _cell(np.False_) == "false"
+        assert _cell("monostable") == "monostable"
+        assert _cell(float("nan")) == "nan"
+        assert _cell(np.float64("nan")) == "nan"
+        assert _cell(1.0) == "1.0000000000000000e+00"
