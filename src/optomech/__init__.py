@@ -11,17 +11,21 @@ against the full pipeline, and stochastic trajectories against both.
 __version__ = "0.1.0"
 
 from .constants import CODATA_VERSION, C_LIGHT, HBAR, K_B
-from .dynamics import (LinearModel, auxiliary_block, build_model, is_stable,
-                       optomechanical_block, phase_noise_spectrum,
+from .dynamics import (LinearModel, auxiliary_block, build_model,
+                       build_model_batch, drift_abscissa, is_stable,
+                       model_order, optomechanical_block, phase_noise_spectrum,
                        stability_margin)
-from .lyapunov import (CovarianceMatrix, check_physical,
+from .lyapunov import (CovarianceMatrix, check_physical, check_physical_batch,
                        reduce_to_optomechanical, solve_lyapunov,
-                       symplectic_eigenvalues, symplectic_form)
+                       solve_lyapunov_batch, symplectic_eigenvalues,
+                       symplectic_form)
 from .measures import (EntanglementResult, OccupancyResult,
-                       eta_minus_partial_transpose, log_negativity, occupancy)
+                       eta_minus_partial_transpose, log_negativity,
+                       log_negativity_batch, occupancy, occupancy_batch)
 from .parameters import (NoiseSpec, SteadyState, SystemParams,
                          drive_amplitude, power_for_coupling,
-                         solve_steady_state, thermal_occupancy)
+                         solve_steady_state, solve_steady_state_batch,
+                         thermal_occupancy)
 from .simulate import (CovarianceEstimate, SpectrumEstimate, TrajectoryConfig,
                        estimate_stationary_covariance, exact_discretization,
                        simulate_linear_system, simulate_phase_noise)
@@ -31,9 +35,9 @@ from .spectral import (EffectiveResponse, ScatteringRates,
                        laser_correlation, optimal_detuning_and_max_en,
                        scattering_rates, static_phase_noise_heating,
                        threshold_eta_minus)
-from .sweep import (OUTPUT_NAMES, PointResult, SweepAxis, SweepResult,
-                    SweepSpec, apply_axis, default_fixed_params,
-                    emit_figure_data, evaluate_point, figure_recipe,
-                    run_sweep)
+from .sweep import (OUTPUT_NAMES, PointEvaluation, PointResult, SweepAxis,
+                    SweepResult, SweepSpec, apply_axis, default_fixed_params,
+                    emit_figure_data, evaluate_batch, evaluate_point,
+                    figure_recipe, run_pipeline, run_sweep)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

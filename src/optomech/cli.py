@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .config import extract_params, load_document, params_from_config, sweep_from_config
-from .dynamics import auxiliary_block, build_model, phase_noise_spectrum
+from .dynamics import auxiliary_block, phase_noise_spectrum
 from .errors import ConfigError, OptomechError
 from .lyapunov import solve_lyapunov
 from .output import tool_metadata, write_document, write_table
@@ -24,7 +24,7 @@ from .parameters import solve_steady_state
 from .simulate import (BURN_IN_DECAY, TrajectoryConfig,
                        estimate_stationary_covariance, simulate_phase_noise)
 from .spectral import effective_response, laser_correlation
-from .sweep import emit_figure_data, evaluate_point, figure_recipe, run_sweep
+from .sweep import emit_figure_data, figure_recipe, run_pipeline, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -35,13 +35,12 @@ EXIT_INTERNAL = 3
 def _cmd_point(args) -> int:
     doc, src = load_document(args.config)
     params = params_from_config(doc, src)
-    result = evaluate_point(params)
+    evaluation = run_pipeline([params])[0]
     if args.dump_model:
-        model = build_model(params, solve_steady_state(params))
-        write_document(args.dump_model, model.to_document())
+        write_document(args.dump_model, evaluation.model.to_document())
     meta = tool_metadata(internal_params=dataclasses.asdict(params))
-    write_document(args.out,
-                   {"metadata": meta, "result": dataclasses.asdict(result)})
+    write_document(args.out, {"metadata": meta,
+                              "result": dataclasses.asdict(evaluation.result)})
     return EXIT_OK
 
 

@@ -20,6 +20,7 @@ from .parameters import NoiseSpec, SteadyState, SystemParams
 FULL_BASIS = ("dq", "dp", "dX", "dY", "psi", "theta")
 REDUCED_BASIS = ("dq", "dp", "dX", "dY")
 AUX_BASIS = ("psi", "theta")
+MODEL_DIMS = {6: FULL_BASIS, 4: REDUCED_BASIS}  # basis by model order
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,17 @@ def phase_noise_spectrum(spec: NoiseSpec, omega):
     return out if out.ndim else float(out)
 
 
+def drift_abscissa(drift: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Largest real part of the drift eigenvalues, per matrix of an (..., n, n) stack.
+
+    Negative means Hurwitz: the fluctuations relax to a stationary state.
+    """
+    return np.linalg.eigvals(np.asarray(drift)).real.max(axis=-1)
+
+
 def is_stable(drift: NDArray[np.float64]) -> bool:
     """True iff every eigenvalue of the drift matrix has Re < 0 (strict)."""
-    return bool(np.max(np.linalg.eigvals(np.asarray(drift)).real) < 0.0)
+    return bool(drift_abscissa(drift) < 0.0)
 
 
 def stability_margin(params: SystemParams, ss: SteadyState) -> float:
@@ -119,48 +128,70 @@ def vacuum_diffusion(params: SystemParams) -> np.ndarray:
     return np.array([0.0, params.gamma_m * (2.0 * n + 1.0), k2n1, k2n1])
 
 
-def optomechanical_block(params: SystemParams, ss: SteadyState) -> np.ndarray:
-    """4x4 drift of (dq, dp, dX, dY); phase noise enters only the diffusion."""
-    wm, gm, k = params.omega_m, params.gamma_m, params.kappa
-    g, delta = ss.g_eff, ss.delta_eff
+def _optomechanical_drift(params_seq, states, order: int) -> np.ndarray:
+    """(N, order, order) drifts whose (dq, dp, dX, dY) block is filled in."""
+    cols = np.array([(p.omega_m, p.gamma_m, p.kappa, ss.g_eff, ss.delta_eff)
+                     for p, ss in zip(params_seq, states)]).reshape(-1, 5)
+    wm, gm, k, g, delta = cols.T
+    a = np.zeros((len(cols), order, order))
+    a[:, 0, 1] = wm
+    a[:, 1, 0] = -wm
+    a[:, 1, 1] = -gm
+    a[:, 1, 2] = g
+    a[:, 2, 2] = -k
     # The Y quadrature carries the detuning rotation from X (-delta on dX);
     # writing the detuning term on dY instead would destroy the rotational
     # structure of the cavity block.
-    return np.array([
-        [0.0, wm, 0.0, 0.0],
-        [-wm, -gm, g, 0.0],
-        [0.0, 0.0, -k, delta],
-        [g, 0.0, -delta, -k],
-    ])
+    a[:, 2, 3] = delta
+    a[:, 3, 0] = g
+    a[:, 3, 2] = -delta
+    a[:, 3, 3] = -k
+    return a
 
 
-def build_model(params: SystemParams, ss: SteadyState) -> LinearModel:
-    """Assemble the linear fluctuation model around a working point.
+def optomechanical_block(params: SystemParams, ss: SteadyState) -> np.ndarray:
+    """4x4 drift of (dq, dp, dX, dY); phase noise enters only the diffusion."""
+    return _optomechanical_drift([params], [ss], 4)[0]
+
+
+def model_order(spec: NoiseSpec) -> int:
+    """Size of the fluctuation model: 6 with the bandpass pair attached, else 4."""
+    return 6 if spec.kind == "bandpass" else 4
+
+
+def build_model_batch(params_seq, states) -> tuple[np.ndarray, np.ndarray]:
+    """Drift and diffusion of points sharing one model order, as (N, n, n) stacks.
 
     Bandpass noise yields the 6x6 system with the auxiliary pair attached;
     white or absent noise yields the 4x4 system, with the flat frequency
     noise folded into the Y-quadrature diffusion as 2*|alpha_s|^2*S, where
     S = 2*gamma_l is the flat spectrum value.
     """
-    spec = params.phase_noise
-    a4 = optomechanical_block(params, ss)
-    d4 = np.diag(vacuum_diffusion(params))
+    params_seq = list(params_seq)
+    orders = {model_order(p.phase_noise) for p in params_seq}
+    if len(orders) > 1:
+        raise ValueError("a model batch must share one noise model order")
+    order = orders.pop() if orders else 4
+    a = _optomechanical_drift(params_seq, states, order)
+    d = np.zeros_like(a)
+    diag = np.array([vacuum_diffusion(p) for p in params_seq]).reshape(-1, 4)
+    for i in range(4):
+        d[:, i, i] = diag[:, i]
+    for i, (p, ss) in enumerate(zip(params_seq, states)):
+        spec = p.phase_noise
+        if spec.kind == "bandpass":
+            a[i, 4:, 4:], d[i, 4:, 4:] = auxiliary_block(spec)
+            a[i, 3, 4] = math.sqrt(2.0) * ss.alpha_abs
+        elif spec.kind == "white":
+            d[i, 3, 3] += 2.0 * ss.photon_number * 2.0 * spec.gamma_l
+    return a, d
 
-    if spec.kind == "bandpass":
-        a_aux, d_aux = auxiliary_block(spec)
-        a = np.zeros((6, 6))
-        a[:4, :4] = a4
-        a[4:, 4:] = a_aux
-        a[3, 4] = math.sqrt(2.0) * ss.alpha_abs
-        d = np.zeros((6, 6))
-        d[:4, :4] = d4
-        d[4:, 4:] = d_aux
-        dims = FULL_BASIS
-    else:
-        a = a4
-        d = d4.copy()
-        if spec.kind == "white":
-            d[3, 3] += 2.0 * ss.photon_number * 2.0 * spec.gamma_l
-        dims = REDUCED_BASIS
 
-    return LinearModel(drift=a, diffusion=d, stable=is_stable(a), dims=dims)
+def build_model(params: SystemParams, ss: SteadyState) -> LinearModel:
+    """Assemble the linear fluctuation model around a working point.
+
+    See ``build_model_batch``; stability is decided by the drift eigenvalues.
+    """
+    a, d = build_model_batch([params], [ss])
+    return LinearModel(drift=a[0], diffusion=d[0], stable=is_stable(a[0]),
+                       dims=MODEL_DIMS[len(a[0])])

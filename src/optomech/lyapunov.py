@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .dynamics import FULL_BASIS, REDUCED_BASIS
+from .dynamics import MODEL_DIMS, REDUCED_BASIS, drift_abscissa
 from .errors import SolverSingular, UnphysicalState, UnstableDrift
 
 RESIDUAL_TOL = 1e-10  # on ||A V + V A^T + D||_F relative to max(||D||_F, 1)
@@ -52,82 +53,129 @@ class CovarianceMatrix:
                    basis=tuple(doc["basis"]))
 
 
+@functools.lru_cache(maxsize=None)
 def symplectic_form(n_modes: int) -> NDArray[np.float64]:
-    """Block-diagonal symplectic form for n quadrature-ordered modes."""
+    """Block-diagonal symplectic form for n quadrature-ordered modes (read-only)."""
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return scipy.linalg.block_diag(*([j] * n_modes))
+    form = scipy.linalg.block_diag(*([j] * n_modes))
+    form.setflags(write=False)
+    return form
 
 
 def symplectic_eigenvalues(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Symplectic spectrum of a (2n x 2n) covariance matrix, ascending."""
+    """Symplectic spectrum, ascending, of each covariance of an (..., 2n, 2n) stack."""
     m = np.asarray(matrix, dtype=float)
-    n_modes = m.shape[0] // 2
-    eig = np.linalg.eigvals(1j * symplectic_form(n_modes) @ m)
-    vals = np.sort(np.abs(eig))
-    return vals[::2]  # eigenvalues of i*Omega*V come in +/- pairs
+    eig = np.linalg.eigvals(1j * symplectic_form(m.shape[-1] // 2) @ m)
+    vals = np.sort(np.abs(eig), axis=-1)
+    return vals[..., ::2]  # eigenvalues of i*Omega*V come in +/- pairs
+
+
+def check_physical_batch(matrices: NDArray[np.float64],
+                         slack: float = PHYSICALITY_SLACK) -> NDArray[np.float64]:
+    """Smallest symplectic eigenvalue of each covariance of an (N, 2n, 2n) stack.
+
+    Raises UnphysicalState if any of them is below 1/2 - slack.
+    """
+    low = symplectic_eigenvalues(matrices).min(axis=-1)
+    bad = np.flatnonzero(low < 0.5 - slack)
+    if bad.size:
+        raise UnphysicalState(
+            f"smallest symplectic eigenvalue {low[bad[0]]:.12g} violates the 1/2 bound")
+    return low
 
 
 def check_physical(cov: CovarianceMatrix, slack: float = PHYSICALITY_SLACK) -> float:
     """Smallest symplectic eigenvalue; UnphysicalState if below 1/2 - slack."""
-    low = float(np.min(symplectic_eigenvalues(cov.matrix)))
-    if low < 0.5 - slack:
-        raise UnphysicalState(
-            f"smallest symplectic eigenvalue {low:.12g} violates the 1/2 bound")
-    return low
+    return float(check_physical_batch(cov.matrix[None], slack)[0])
 
 
-def _solve_vectorized(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Reference path: dense solve of the n^2 x n^2 vectorized system."""
-    n = a.shape[0]
+def _lyapunov_operator(a: np.ndarray) -> np.ndarray:
+    """kron(I, A) + kron(A, I) of each A of an (N, n, n) stack, as (N, n^2, n^2).
+
+    Acting on column-stacked V, it gives the column-stacked A V + V A^T.
+    """
+    count, n, _ = a.shape
     eye = np.eye(n)
-    system = np.kron(eye, a) + np.kron(a, eye)
-    try:
-        v = np.linalg.solve(system, -d.flatten(order="F"))
-    except np.linalg.LinAlgError as err:
-        raise SolverSingular("vectorized Lyapunov system is singular",
-                             condition=float(np.linalg.cond(system))) from err
-    return v.reshape((n, n), order="F")
+    # axes (point, i, k, j, l) address row i*n + k, column j*n + l
+    system = (eye[:, None, :, None] * a[:, None, :, None, :]
+              + a[:, :, None, :, None] * eye[:, None, :])
+    return system.reshape(count, n * n, n * n)
+
+
+def solve_lyapunov_batch(a: NDArray[np.float64], d: NDArray[np.float64],
+                         method: str = "vectorized",
+                         abscissa: NDArray[np.float64] | None = None
+                         ) -> NDArray[np.float64]:
+    """Solve A V + V A^T = -D for every pair of the (N, n, n) stacks ``a``, ``d``.
+
+    ``method`` is "vectorized" (dense solve of the n^2 x n^2 system, the
+    default) or "schur" (Bartels-Stewart via scipy, the independent
+    reference route). Every drift must be Hurwitz and every D symmetric
+    positive semidefinite; each V is symmetrized and its residual is
+    required to satisfy ``RESIDUAL_TOL``. ``abscissa`` is the largest real
+    part of each drift's eigenvalues when the caller has them already.
+    """
+    a = np.asarray(a, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or d.shape != a.shape:
+        raise ValueError("A and D must be square matrices of equal size")
+    if method not in ("vectorized", "schur"):
+        raise ValueError(f"unknown method {method!r}")
+    d_scale = np.maximum(np.abs(d).max(axis=(1, 2), initial=0.0), 1.0)
+    if not np.all(np.abs(d - d.transpose(0, 2, 1)) <= 1e-12 * d_scale[:, None, None]):
+        raise ValueError("D must be symmetric")
+    if np.any(np.linalg.eigvalsh(0.5 * (d + d.transpose(0, 2, 1))).min(
+            axis=-1, initial=np.inf) < -1e-12 * d_scale):
+        raise ValueError("D must be positive semidefinite")
+    if abscissa is None:
+        abscissa = drift_abscissa(a)
+    unstable = np.flatnonzero(np.asarray(abscissa) >= 0.0)
+    if unstable.size:
+        raise UnstableDrift("drift is not Hurwitz (max Re eigenvalue "
+                            f"{abscissa[unstable[0]]:.3e})")
+
+    if method == "vectorized":
+        count, n, _ = a.shape
+        system = _lyapunov_operator(a)
+        rhs = -d.transpose(0, 2, 1).reshape(count, n * n, 1)  # column-stacked
+        try:
+            v = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError as err:
+            raise SolverSingular(
+                "vectorized Lyapunov system is singular",
+                condition=float(np.max(np.linalg.cond(system)))) from err
+        v = v.reshape(count, n, n).transpose(0, 2, 1)
+    else:
+        v = np.array([scipy.linalg.solve_continuous_lyapunov(ai, -di)
+                      for ai, di in zip(a, d)]).reshape(a.shape)
+
+    v = 0.5 * (v + v.transpose(0, 2, 1))
+    residual = np.linalg.norm(a @ v + v @ a.transpose(0, 2, 1) + d, "fro",
+                              axis=(1, 2))
+    bound = RESIDUAL_TOL * np.maximum(np.linalg.norm(d, "fro", axis=(1, 2)), 1.0)
+    bad = np.flatnonzero(residual > bound)
+    if bad.size:
+        i = bad[0]
+        cond = float(np.linalg.cond(_lyapunov_operator(a[i:i + 1])[0]))
+        raise SolverSingular(f"Lyapunov residual {residual[i]:.3e} exceeds "
+                             f"{bound[i]:.3e}", condition=cond)
+    return v
 
 
 def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
                    method: str = "vectorized") -> CovarianceMatrix:
     """Solve A V + V A^T = -D for the stationary covariance V.
 
-    ``method`` is "vectorized" (reference dense solve, default) or "schur"
-    (Bartels-Stewart via scipy). The drift must be Hurwitz and D symmetric
-    positive semidefinite; the result is symmetrized and its residual is
-    required to satisfy ``RESIDUAL_TOL``.
+    The single-pair case of ``solve_lyapunov_batch``; ``method`` is
+    "vectorized" (reference dense solve, default) or "schur".
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or d.shape != (n, n):
         raise ValueError("A and D must be square matrices of equal size")
-    if not np.allclose(d, d.T, rtol=0.0, atol=1e-12 * max(np.abs(d).max(), 1.0)):
-        raise ValueError("D must be symmetric")
-    if np.min(np.linalg.eigvalsh(0.5 * (d + d.T))) < -1e-12 * max(np.abs(d).max(), 1.0):
-        raise ValueError("D must be positive semidefinite")
-    max_re = float(np.max(np.linalg.eigvals(a).real))
-    if max_re >= 0.0:
-        raise UnstableDrift(f"drift is not Hurwitz (max Re eigenvalue {max_re:.3e})")
-
-    if method == "vectorized":
-        v = _solve_vectorized(a, d)
-    elif method == "schur":
-        v = scipy.linalg.solve_continuous_lyapunov(a, -d)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    v = 0.5 * (v + v.T)
-    residual = np.linalg.norm(a @ v + v @ a.T + d, "fro")
-    bound = RESIDUAL_TOL * max(np.linalg.norm(d, "fro"), 1.0)
-    if residual > bound:
-        eye = np.eye(n)
-        cond = float(np.linalg.cond(np.kron(eye, a) + np.kron(a, eye)))
-        raise SolverSingular(
-            f"Lyapunov residual {residual:.3e} exceeds {bound:.3e}", condition=cond)
-
-    basis = {6: FULL_BASIS, 4: REDUCED_BASIS}.get(n, tuple(f"x{i}" for i in range(n)))
+    v = solve_lyapunov_batch(a[None], d[None], method=method)[0]
+    basis = MODEL_DIMS.get(n, tuple(f"x{i}" for i in range(n)))
     return CovarianceMatrix(matrix=v, basis=basis)
 
 

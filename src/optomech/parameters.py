@@ -169,85 +169,138 @@ def drive_amplitude(params: SystemParams) -> float:
                      / (HBAR * params.omega_laser))
 
 
-def _steady_cubic_coeffs(params: SystemParams, e0_sq: float) -> np.ndarray:
-    """Coefficients of the intensity cubic in I = |alpha_s|^2 (highest first).
+def _horner(coeffs, x: np.ndarray) -> np.ndarray:
+    """The polynomial with coefficients ``coeffs`` (highest first) at ``x``.
 
-    beta^2 I^3 - 2*delta0*beta I^2 + (kappa^2 + delta0^2) I - E0^2 = 0,
-    with beta = g0^2/omega_m and delta0 the bare detuning.
+    The multiply-add sequence of ``np.polyval``, less its first step
+    0*x + c0, which is c0 for every finite x. Coefficients may be arrays
+    of x's shape.
     """
-    beta = params.g0 ** 2 / params.omega_m
-    delta0 = params.detuning
-    return np.array([beta ** 2, -2.0 * delta0 * beta,
-                     params.kappa ** 2 + delta0 ** 2, -e0_sq])
+    y = coeffs[0]
+    for c in coeffs[1:]:
+        y = y * x + c
+    return y
 
 
-def _cubic_residual(params: SystemParams, intensity: float, e0_sq: float) -> float:
-    beta = params.g0 ** 2 / params.omega_m
-    delta = params.detuning - beta * intensity
-    return intensity * (params.kappa ** 2 + delta ** 2) - e0_sq
+def _cubic_roots(coeffs: np.ndarray) -> np.ndarray:
+    """``np.roots`` of every row of an (N, 4) coefficient stack, NaN-padded to (N, 3).
+
+    Rows whose leading and trailing coefficients are nonzero share one
+    ``eigvals`` call on the companion matrices that ``np.roots`` builds, so
+    their roots are the same to the bit; the rest go through ``np.roots``,
+    which strips those zeros.
+    """
+    regular = (coeffs[:, 0] != 0.0) & (coeffs[:, 3] != 0.0)
+    companion = np.zeros((len(coeffs), 3, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    irregular = np.flatnonzero(~regular)
+    companion[irregular] = 0.0
+    roots = np.linalg.eigvals(companion).astype(complex)
+    for i in irregular:
+        r = np.roots(coeffs[i])
+        roots[i] = np.nan
+        roots[i, :r.size] = r
+    return roots
 
 
-def _polish_root(params: SystemParams, intensity: float, e0_sq: float) -> float:
-    """A few Newton steps on the cubic residual; keeps the best iterate."""
-    coeffs = _steady_cubic_coeffs(params, e0_sq)
-    deriv = np.polyder(coeffs)
-    best, best_res = intensity, abs(_cubic_residual(params, intensity, e0_sq))
-    x = intensity
-    for _ in range(3):
-        slope = np.polyval(deriv, x)
-        if slope == 0.0:
-            break
-        x = x - np.polyval(coeffs, x) / slope
-        res = abs(_cubic_residual(params, x, e0_sq))
-        if res < best_res and x >= 0:
-            best, best_res = x, res
-    return float(best)
+def _admissible_intensities(cubic: np.ndarray) -> np.ndarray:
+    """Nonnegative real roots of each point's intensity cubic, ascending.
+
+    ``cubic`` has one row per point: beta^2, beta, delta0, kappa^2,
+    kappa^2 + delta0^2 and E0^2, where beta = g0^2/omega_m and delta0 is
+    the bare detuning. The cubic is
+    beta^2 I^3 - 2*delta0*beta I^2 + (kappa^2 + delta0^2) I - E0^2 = 0.
+    Each admissible root gets up to three Newton steps on the residual
+    I*(kappa^2 + (delta0 - beta*I)^2) - E0^2, keeping the best nonnegative
+    iterate. Rows are NaN-padded to three roots.
+    """
+    beta_sq, beta, delta0, kappa_sq, linear, e0_sq = cubic.T
+    coeffs = np.array([beta_sq, -2.0 * delta0 * beta, linear, -e0_sq])
+    roots = _cubic_roots(coeffs.T).ravel()
+    # one entry per root from here on: same-shape operands keep the small
+    # arrays of a single point cheap
+    beta, delta0, kappa_sq, e0_sq = np.repeat([beta, delta0, kappa_sq, e0_sq],
+                                              3, axis=1)
+    coeffs = np.repeat(coeffs, 3, axis=1)
+    scale = np.maximum(e0_sq / coeffs[2], 1.0)
+    # NaN padding compares false, so it is never admissible
+    admissible = ((np.abs(roots.imag)
+                   <= 1e-8 * np.maximum(np.hypot(roots.real, roots.imag), scale))
+                  & (roots.real >= -1e-8 * scale))
+
+    def residual(x):
+        # float_power is libm's pow, like a scalar ``delta ** 2``; squaring
+        # differs from it in the last bit for about one value in a thousand
+        delta = delta0 - beta * x
+        return np.abs(x * (kappa_sq + np.float_power(delta, 2)) - e0_sq)
+
+    deriv = coeffs[:-1] * np.arange(3.0, 0.0, -1.0)[:, None]
+    x = np.maximum(roots.real, 0.0)
+    best, best_res = np.where(admissible, x, np.nan), residual(x)
+    active = admissible
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            slope = _horner(deriv, x)
+            active &= slope != 0.0
+            # a root that stopped keeps its best iterate: x no longer matters
+            x = x - _horner(coeffs, x) / slope
+            res = residual(x)
+            better = active & (res < best_res) & (x >= 0)
+            np.copyto(best, x, where=better)
+            np.copyto(best_res, res, where=better)
+    return np.sort(best.reshape(-1, 3), axis=1)
 
 
-def _admissible_intensities(params: SystemParams, e0_sq: float) -> list[float]:
-    """Nonnegative real roots of the intensity cubic, ascending."""
-    if params.g0 == 0.0:
-        return [e0_sq / (params.kappa ** 2 + params.detuning ** 2)]
-    coeffs = _steady_cubic_coeffs(params, e0_sq)
-    scale = max(e0_sq / (params.kappa ** 2 + params.detuning ** 2), 1.0)
-    roots = np.roots(coeffs)
-    out = []
-    for r in roots:
-        if abs(r.imag) > 1e-8 * max(abs(r), scale):
-            continue
-        x = max(r.real, 0.0)
-        if r.real < -1e-8 * scale:
-            continue
-        out.append(_polish_root(params, x, e0_sq))
-    out.sort()
-    return out
+def solve_steady_state_batch(params_seq, branch: str = "lower") -> list[SteadyState]:
+    """``solve_steady_state`` for a sequence of points, the cubics solved together.
 
-
-def solve_steady_state(params: SystemParams, branch: str = "lower") -> SteadyState:
-    """Solve the classical steady state of the driven cavity.
-
-    In "effective" detuning mode the intensity follows in closed form and
-    the bare detuning is backed out; in "bare" mode the static cubic is
-    solved and a root is selected by ``branch`` ("lower", "middle", or
-    "upper"; ignored when the cubic is monostable).
+    One ``eigvals`` call finds the roots of every point's intensity cubic
+    and the Newton polish runs on all of them at once; each point's result
+    is the one ``solve_steady_state`` gives it alone.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}")
-    e0 = drive_amplitude(params)
-    e0_sq = e0 * e0
-    beta = params.g0 ** 2 / params.omega_m
+    points = []
+    for p in params_seq:
+        e0 = drive_amplitude(p)
+        e0_sq = e0 * e0
+        beta = p.g0 ** 2 / p.omega_m
+        if p.detuning_mode == EFFECTIVE:
+            intensity = e0_sq / (p.kappa ** 2 + p.detuning ** 2)
+            delta0 = p.detuning + beta * intensity
+        else:
+            intensity, delta0 = None, p.detuning
+        points.append((p, e0_sq, beta, delta0, intensity))
+    cubic = np.array([(beta ** 2, beta, delta0, p.kappa ** 2,
+                       p.kappa ** 2 + delta0 ** 2, e0_sq)
+                      for p, e0_sq, beta, delta0, _ in points]).reshape(-1, 6)
+    coupled = np.array([p.g0 != 0.0 for p, *_ in points], dtype=bool)
+    roots = np.full((len(points), 3), np.nan)
+    roots[coupled] = _admissible_intensities(cubic[coupled])
+    # without coupling the cubic degenerates to its linear term
+    roots[~coupled, 0] = cubic[~coupled, 5] / cubic[~coupled, 4]
+    return [_steady_state(p, e0_sq, beta, delta0, intensity,
+                          [r for r in row if r == r], branch)
+            for (p, e0_sq, beta, delta0, intensity), row
+            in zip(points, roots.tolist())]
 
-    if params.detuning_mode == EFFECTIVE:
+
+def _steady_state(params: SystemParams, e0_sq: float, beta: float,
+                  delta0: float, intensity: float | None, roots: list[float],
+                  branch: str) -> SteadyState:
+    """The working point on ``branch`` of the cubic with admissible ``roots``.
+
+    ``intensity`` is the closed-form intensity in effective-detuning mode,
+    where the roots only tag the branch, and None in bare mode.
+    """
+    if intensity is not None:
         delta = params.detuning
-        intensity = e0_sq / (params.kappa ** 2 + delta ** 2)
-        delta0 = delta + beta * intensity
-        bare = params.with_(detuning=delta0, detuning_mode=BARE)
-        roots = _admissible_intensities(bare, e0_sq)
         # classify which branch of the recovered cubic the point sits on
-        idx = int(np.argmin([abs(r - intensity) for r in roots])) if roots else 0
+        idx = min(range(len(roots)), key=lambda i: abs(roots[i] - intensity),
+                  default=0)
     else:
-        delta0 = params.detuning
-        roots = _admissible_intensities(params, e0_sq)
         if not roots:
             # cannot occur for a real nonnegative drive: the cubic is
             # negative at I=0 and grows without bound
@@ -271,6 +324,17 @@ def solve_steady_state(params: SystemParams, branch: str = "lower") -> SteadySta
         branch=tag,
         all_roots=tuple(roots),
     )
+
+
+def solve_steady_state(params: SystemParams, branch: str = "lower") -> SteadyState:
+    """Solve the classical steady state of the driven cavity.
+
+    In "effective" detuning mode the intensity follows in closed form and
+    the bare detuning is backed out; in "bare" mode the static cubic is
+    solved and a root is selected by ``branch`` ("lower", "middle", or
+    "upper"; ignored when the cubic is monostable).
+    """
+    return solve_steady_state_batch([params], branch)[0]
 
 
 def power_for_coupling(params: SystemParams, g_target: float) -> float:

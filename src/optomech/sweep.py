@@ -16,12 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import build_model, stability_margin
+from .dynamics import (MODEL_DIMS, LinearModel, build_model_batch,
+                       drift_abscissa, model_order, stability_margin)
 from .errors import NonpositiveDetuning, PointEvaluationError
-from .lyapunov import reduce_to_optomechanical, solve_lyapunov
-from .measures import log_negativity, occupancy
+from .lyapunov import solve_lyapunov_batch
+from .measures import log_negativity_batch, occupancy_batch
 from .output import tool_metadata, write_document, write_table
-from .parameters import EFFECTIVE, NoiseSpec, SystemParams, solve_steady_state
+from .parameters import (EFFECTIVE, NoiseSpec, SteadyState, SystemParams,
+                         solve_steady_state_batch)
 from .spectral import approx_n_eff
 
 AXIS_NAMES = ("power_mw", "delta_over_omega_m", "kappa_over_omega_m")
@@ -115,48 +117,121 @@ def apply_axis(params: SystemParams, name: str, value: float) -> SystemParams:
     raise ValueError(f"unknown axis {name!r}")
 
 
-def _stage(name: str, func, *args):
+def _stage(name: str, func, *args, **kwargs):
     try:
-        return func(*args)
+        return func(*args, **kwargs)
     except Exception as err:
         raise PointEvaluationError(name, str(err)) from err
 
 
-def evaluate_point(params: SystemParams) -> PointResult:
-    """Full pipeline at one working point.
+@dataclass(frozen=True)
+class PointEvaluation:
+    """One point's result with the working point and linear model behind it."""
 
-    Unstable points return stability data only, with null measures.
+    result: PointResult
+    steady_state: SteadyState
+    model: LinearModel
+
+
+def run_pipeline(params_seq) -> list[PointEvaluation]:
+    """The point pipeline over a sequence of points, each stage run once on the stack.
+
+    Points are grouped by model order (6 with bandpass noise, else 4); each
+    group's drifts, diffusions and covariances are (N, n, n) stacks, and
+    one eigenvalue solve per drift decides stability and serves as the
+    Hurwitz guard of the Lyapunov solve. Unstable points carry stability
+    data only, with null measures. A failing stage raises
+    PointEvaluationError for the whole sequence; ``evaluate_batch`` isolates
+    the failing point.
     """
-    ss = _stage("steady-state", solve_steady_state, params)
-    model = _stage("linear-model", build_model, params, ss)
-    try:
-        margin = stability_margin(params, ss)
-    except NonpositiveDetuning:
-        margin = None
-    base = dict(stable=model.stable, stability_margin=margin,
-                alpha_abs=ss.alpha_abs, photon_number=ss.photon_number,
-                g_eff=ss.g_eff, branch=ss.branch)
-    if not model.stable:
-        return PointResult(**base)
+    params_seq = list(params_seq)
+    states = _stage("steady-state", solve_steady_state_batch, params_seq)
+    models = [None] * len(params_seq)
+    measured = {}
+    orders = [model_order(p.phase_noise) for p in params_seq]
+    for order in MODEL_DIMS:
+        idx = [i for i, o in enumerate(orders) if o == order]
+        if not idx:
+            continue
+        group = [params_seq[i] for i in idx]
+        a, d = _stage("linear-model", build_model_batch, group,
+                      [states[i] for i in idx])
+        abscissa = _stage("linear-model", drift_abscissa, a)
+        stable = abscissa < 0.0
+        for j, i in enumerate(idx):
+            models[i] = LinearModel(drift=a[j], diffusion=d[j],
+                                    stable=bool(stable[j]),
+                                    dims=MODEL_DIMS[order])
+        if not stable.any():
+            continue
+        cov = _stage("lyapunov", solve_lyapunov_batch, a[stable], d[stable],
+                     abscissa=abscissa[stable])
+        v4 = cov[:, :4, :4]
+        ent = _stage("log-negativity", log_negativity_batch, v4)
+        occ = _stage("occupancy", occupancy_batch, v4,
+                     [p.omega_m for p, s in zip(group, stable) if s])
+        stable_idx = [i for i, s in zip(idx, stable) if s]
+        measured.update(zip(stable_idx, zip(ent, occ)))
 
-    cov = _stage("lyapunov", solve_lyapunov, model.drift, model.diffusion)
-    if cov.order == 6:
-        cov = reduce_to_optomechanical(cov)
-    ent = _stage("log-negativity", log_negativity, cov)
-    occ = _stage("occupancy", occupancy, cov, params.omega_m)
+    out = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        approx = _stage("approx-occupancy", approx_n_eff, params, ss)
-    return PointResult(
-        **base,
-        e_n=ent.log_negativity,
-        eta_minus=ent.eta_minus,
-        raw_log_negativity=ent.raw_log_negativity,
-        n_eff=occ.n_eff,
-        n_eff_approx=approx,
-        energy_j=occ.energy,
-        heisenberg_min=ent.heisenberg_min,
-    )
+        for i, (params, ss, model) in enumerate(zip(params_seq, states, models)):
+            try:
+                margin = stability_margin(params, ss)
+            except NonpositiveDetuning:
+                margin = None
+            fields = dict(stable=model.stable, stability_margin=margin,
+                          alpha_abs=ss.alpha_abs,
+                          photon_number=ss.photon_number, g_eff=ss.g_eff,
+                          branch=ss.branch)
+            if i in measured:
+                ent, occ = measured[i]
+                fields.update(
+                    e_n=ent.log_negativity,
+                    eta_minus=ent.eta_minus,
+                    raw_log_negativity=ent.raw_log_negativity,
+                    n_eff=occ.n_eff,
+                    n_eff_approx=_stage("approx-occupancy", approx_n_eff,
+                                        params, ss),
+                    energy_j=occ.energy,
+                    heisenberg_min=ent.heisenberg_min,
+                )
+            out.append(PointEvaluation(PointResult(**fields), ss, model))
+    return out
+
+
+def evaluate_point(params: SystemParams) -> PointResult:
+    """Full pipeline at one working point: a batch of one.
+
+    Unstable points return stability data only, with null measures; a
+    failing stage raises PointEvaluationError naming it.
+    """
+    return run_pipeline([params])[0].result
+
+
+def evaluate_batch(params_seq) -> list[PointResult]:
+    """Results of many points, with a failing point isolated to its own row.
+
+    The points run through the pipeline as one stack. If a stage fails,
+    they are run again one at a time, so only the point that fails gets
+    an error row, which names the failing stage.
+    """
+    params_seq = list(params_seq)
+    try:
+        return [e.result for e in run_pipeline(params_seq)]
+    except PointEvaluationError:
+        pass
+    out = []
+    for params in params_seq:
+        try:
+            out.append(evaluate_point(params))
+        except PointEvaluationError as err:
+            out.append(PointResult(stable=False, stability_margin=None,
+                                   alpha_abs=np.nan, photon_number=np.nan,
+                                   g_eff=np.nan, branch="error",
+                                   error=str(err)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -192,7 +267,8 @@ class SweepResult:
             "metadata": self.metadata,
             "x_values": [float(v) for v in self.x_values],
             "y_values": [float(v) for v in self.y_values],
-            "rows": [dataclasses.asdict(p) for p in self.points],
+            # the fields are flat, so asdict's recursive copy is not needed
+            "rows": [vars(p) for p in self.points],
         })
 
     def write_grid(self, path, output: str) -> None:
@@ -216,18 +292,9 @@ class SweepResult:
 
 def _evaluate_column(args) -> list[PointResult]:
     spec, x = args
-    out = []
-    for y in spec.axis_y.values():
-        params = apply_axis(apply_axis(spec.fixed, spec.axis_x.name, x),
-                            spec.axis_y.name, y)
-        try:
-            out.append(evaluate_point(params))
-        except PointEvaluationError as err:
-            out.append(PointResult(stable=False, stability_margin=None,
-                                   alpha_abs=np.nan, photon_number=np.nan,
-                                   g_eff=np.nan, branch="error",
-                                   error=str(err)))
-    return out
+    column = apply_axis(spec.fixed, spec.axis_x.name, x)
+    return evaluate_batch(apply_axis(column, spec.axis_y.name, y)
+                          for y in spec.axis_y.values())
 
 
 def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:

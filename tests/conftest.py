@@ -44,6 +44,24 @@ def relative_gap(a, b, floor=1e-6):
     return np.max(np.abs(a - b) / np.maximum(np.abs(b), scale))
 
 
+def poison_nth(stage, nth):
+    """Wrap a batched stage so the ``nth`` distinct point to reach it fails.
+
+    Points are told apart by the bytes of their stage input, so the point
+    fails again, and alone, when it is re-run as a batch of one.
+    """
+    seen = []
+
+    def poisoned(stack, *args, **kwargs):
+        keys = [m.tobytes() for m in np.asarray(stack)]
+        seen.extend(k for k in dict.fromkeys(keys) if k not in seen)
+        if len(seen) >= nth and seen[nth - 1] in keys:
+            raise RuntimeError("synthetic failure")
+        return stage(stack, *args, **kwargs)
+
+    return poisoned
+
+
 @pytest.fixture
 def paper_point() -> SystemParams:
     return make_params(phase_noise=bandpass_100hz())

@@ -8,6 +8,8 @@ from optomech.config import (extract_params, load_document,
                              params_from_config, sweep_from_config)
 from optomech.errors import ConfigError
 
+from conftest import poison_nth
+
 GOOD_PARAMS = {
     "omega_m_over_2pi_hz": 1.0e7,
     "quality_factor": 2.0e6,
@@ -221,16 +223,8 @@ class TestCli:
                                                     monkeypatch):
         import optomech.sweep as sweep_mod
 
-        calls = {"n": 0}
-        original = sweep_mod.log_negativity
-
-        def flaky(cov):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise RuntimeError("synthetic failure")
-            return original(cov)
-
-        monkeypatch.setattr(sweep_mod, "log_negativity", flaky)
+        monkeypatch.setattr(sweep_mod, "log_negativity_batch",
+                            poison_nth(sweep_mod.log_negativity_batch, 2))
         code = cli.main(["sweep", "--recipe", "fig2b", "--grid", "3x2",
                          "--out-dir", str(tmp_path)])
         assert code == 2

@@ -1,18 +1,22 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from optomech import (SweepAxis, SweepSpec, apply_axis, build_model,
-                      emit_figure_data, evaluate_point, figure_recipe,
-                      log_negativity, power_for_coupling, run_sweep,
+from optomech import (NoiseSpec, SweepAxis, SweepSpec, apply_axis, build_model,
+                      emit_figure_data, evaluate_batch, evaluate_point,
+                      figure_recipe, log_negativity, power_for_coupling,
+                      run_pipeline, run_sweep,
                       solve_lyapunov, solve_steady_state, symplectic_eigenvalues,
                       thermal_occupancy)
 from optomech.errors import PointEvaluationError
 from optomech.output import _cell
 
-from conftest import OMEGA_M, bandpass_100hz, make_params
+from conftest import OMEGA_M, bandpass_100hz, make_params, poison_nth
 
 G_THRESHOLD = math.sqrt(1.25) * OMEGA_M  # at delta = omega_m, kappa = omega_m/2
 
@@ -66,7 +70,7 @@ class TestEvaluatePoint:
         def broken(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(sweep_mod, "log_negativity", broken)
+        monkeypatch.setattr(sweep_mod, "log_negativity_batch", broken)
         with pytest.raises(PointEvaluationError) as err:
             evaluate_point(make_params())
         assert err.value.stage == "log-negativity"
@@ -116,30 +120,47 @@ class TestRunSweep:
         for p1, p2 in zip(r1.points, r2.points):
             assert p1 == p2
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, tmp_path):
         r1 = run_sweep(small_spec(), n_jobs=1)
         r2 = run_sweep(small_spec(), n_jobs=2)
+        assert len(r1.points) == len(r2.points)
         for p1, p2 in zip(r1.points, r2.points):
             assert p1 == p2
+        for stem, res in (("serial", r1), ("pooled", r2)):
+            emit_figure_data(res, tmp_path, stem=stem)
+            res.write_json(tmp_path / f"{stem}.json")
+        for ext in (".csv", ".grid.txt", ".json"):
+            assert (tmp_path / f"serial{ext}").read_bytes() == \
+                (tmp_path / f"pooled{ext}").read_bytes()
 
     def test_partial_failures_recorded(self, monkeypatch):
         import optomech.sweep as sweep_mod
 
-        calls = {"n": 0}
-        original = sweep_mod.log_negativity
-
-        def flaky(cov):
-            calls["n"] += 1
-            if calls["n"] == 3:
-                raise RuntimeError("synthetic failure")
-            return original(cov)
-
-        monkeypatch.setattr(sweep_mod, "log_negativity", flaky)
+        monkeypatch.setattr(sweep_mod, "log_negativity_batch",
+                            poison_nth(sweep_mod.log_negativity_batch, 3))
         res = run_sweep(small_spec())
         assert res.n_failures == 1
         failed = [p for p in res.points if p.error is not None]
         assert "log-negativity" in failed[0].error
         assert sum(p.error is None for p in res.points) == 5
+
+    def test_failing_point_is_isolated_within_its_column(self, monkeypatch):
+        import optomech.sweep as sweep_mod
+
+        spec = small_spec(axis_y=SweepAxis("delta_over_omega_m", 0.8, 1.2, 4))
+        clean = run_sweep(spec)
+        assert all(p.stable for p in clean.points)
+        # the sixth point is the second row of the second column
+        monkeypatch.setattr(sweep_mod, "solve_lyapunov_batch",
+                            poison_nth(sweep_mod.solve_lyapunov_batch, 6))
+        res = run_sweep(spec)
+        assert [i for i, p in enumerate(res.points) if p.error] == [5]
+        assert "stage 'lyapunov' failed" in res.points[5].error
+        assert "synthetic failure" in res.points[5].error
+        assert res.points[5].branch == "error"
+        for i, (p, q) in enumerate(zip(res.points, clean.points)):
+            if i != 5:
+                assert p == q
 
     def test_apply_axis_mapping(self):
         p = make_params()
@@ -245,3 +266,81 @@ class TestEmittedFiles:
         assert _cell(float("nan")) == "nan"
         assert _cell(np.float64("nan")) == "nan"
         assert _cell(1.0) == "1.0000000000000000e+00"
+
+
+def _bits(evaluation):
+    """Every field of a pipeline result, with floats to the last bit."""
+    model = evaluation.model
+    return (repr(dataclasses.astuple(evaluation.result)),
+            repr(dataclasses.astuple(evaluation.steady_state)),
+            model.drift.tobytes(), model.diffusion.tobytes(), model.stable)
+
+
+def _run_or_none(points):
+    try:
+        return [_bits(e) for e in run_pipeline(points)]
+    except PointEvaluationError:
+        return None
+
+
+@st.composite
+def working_points(draw):
+    """Working points mixing noise kinds, detuning modes and stability."""
+    kind = draw(st.sampled_from(("none", "white", "bandpass")))
+    gamma_l = 2 * math.pi * draw(st.floats(10.0, 1e4))
+    band = 2 * math.pi * draw(st.floats(2e4, 2e5))
+    noise = {"none": NoiseSpec.none(), "white": NoiseSpec.white(gamma_l),
+             "bandpass": NoiseSpec.bandpass(gamma_l, band, band / 2.0)}[kind]
+    return make_params(
+        kappa=OMEGA_M * draw(st.floats(0.05, 2.0)),
+        detuning=OMEGA_M * draw(st.floats(-1.0, 4.0)),
+        laser_power=draw(st.floats(0.0, 0.1)),
+        detuning_mode=draw(st.sampled_from(("effective", "bare"))),
+        phase_noise=noise)
+
+
+# a bistable bare point on its lower branch, an unstable effective point,
+# and a decoupled one, mixed with stable points of every noise kind
+_MIXED = [
+    make_params(detuning=2.5 * OMEGA_M, laser_power=45e-3,
+                detuning_mode="bare", phase_noise=bandpass_100hz()),
+    make_params(laser_power=0.1, phase_noise=NoiseSpec.white(600.0)),
+    make_params(phase_noise=bandpass_100hz()),
+    make_params(laser_power=0.0),
+    make_params(detuning=3.0 * OMEGA_M, laser_power=0.08,
+                detuning_mode="bare"),
+    make_params(kappa=0.2 * OMEGA_M, phase_noise=NoiseSpec.white(600.0)),
+]
+
+
+class TestStackedPipeline:
+    @settings(max_examples=40, deadline=None)
+    @example(points=_MIXED)
+    @given(points=st.lists(working_points(), min_size=1, max_size=8))
+    def test_batch_equals_batches_of_one(self, points):
+        batch = _run_or_none(points)
+        singles = [_run_or_none([p]) for p in points]
+        if batch is None:
+            # a stage fails for the stack only if it fails for some point
+            assert None in singles
+        else:
+            assert batch == [s[0] for s in singles]
+
+    def test_mixed_example_covers_its_cases(self):
+        results = [e.result for e in run_pipeline(_MIXED)]
+        assert results[0].branch == "lower"
+        assert any(not r.stable for r in results)
+        assert {r.branch for r in results} >= {"lower", "monostable"}
+
+    def test_evaluate_batch_isolates_failures(self, monkeypatch):
+        import optomech.sweep as sweep_mod
+
+        clean = evaluate_batch(_MIXED)
+        monkeypatch.setattr(sweep_mod, "log_negativity_batch",
+                            poison_nth(sweep_mod.log_negativity_batch, 2))
+        res = evaluate_batch(_MIXED)
+        failed = [i for i, r in enumerate(res) if r.error]
+        assert len(failed) == 1
+        assert "stage 'log-negativity' failed" in res[failed[0]].error
+        assert [r for i, r in enumerate(res) if i not in failed] == \
+            [r for i, r in enumerate(clean) if i not in failed]
