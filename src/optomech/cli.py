@@ -108,8 +108,9 @@ def _cmd_validate(args) -> int:
         raise ConfigError(f"{args.config}: validation drives the bandpass "
                           "noise generator; set phase_noise.kind = 'bandpass'")
     a, d = auxiliary_block(spec)
-    speed = float(np.max(np.abs(np.linalg.eigvals(a))))
-    slowest = float(np.min(-np.linalg.eigvals(a).real))
+    eigs = np.linalg.eigvals(a)
+    speed = float(np.max(np.abs(eigs)))
+    slowest = float(np.min(-eigs.real))
     dt = float(doc.get("dt_s", 0.09 / speed))
     burn = int(doc.get("burn_in", math.ceil(BURN_IN_DECAY / slowest / dt)))
     cfg = TrajectoryConfig(

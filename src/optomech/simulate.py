@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 from numpy.typing import NDArray
 
@@ -23,6 +24,7 @@ from .parameters import NoiseSpec
 
 DT_EIGENVALUE_GUARD = 0.1  # dt * max|eigenvalue| must stay below this
 BURN_IN_DECAY = 5.0  # required burn-in in units of the slowest decay time
+BLOCK_STEPS = 4096  # time steps drawn and propagated per block
 
 
 @dataclass(frozen=True)
@@ -101,60 +103,51 @@ def _noise_factor(q: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-class _KahanAccumulator:
-    """Compensated summation so ensemble merges stay order-independent."""
-
-    def __init__(self, shape):
-        self.total = np.zeros(shape)
-        self._carry = np.zeros(shape)
-
-    def add(self, value: np.ndarray) -> None:
-        y = value - self._carry
-        t = self.total + y
-        self._carry = (t - self.total) - y
-        self.total = t
-
-
 def _propagate(a: np.ndarray, d: np.ndarray, cfg: TrajectoryConfig,
                record: int | None = None):
-    """Run the ensemble; returns (second-moment sums per member, recordings).
+    """Run the ensemble; returns (second moments per member, recordings).
 
     ``record`` selects one state component to store post-burn-in for
     spectral estimation (None stores nothing). Members evolve side by side
-    from the zero state with per-member spawned generators.
+    from the zero state with per-member spawned generators. Each block of
+    BLOCK_STEPS steps is propagated by a log-step scan: after the pass with
+    shift s = 2^p, sample t holds the noise of samples t-2s+1..t carried
+    forward by the powers of Phi, so log2(BLOCK_STEPS) passes give the
+    recursion x_t = Phi x_(t-1) + w_t for any drift.
     """
     _check_timestep(a, cfg)
     n = a.shape[0]
     phi, q = exact_discretization(a, d, cfg.dt)
-    phi_t = phi.T
-    noise_l = _noise_factor(q)
+    noise_l_t = _noise_factor(q).T
+    powers = [phi.T]  # (Phi^T)^(2^p) for shifts 2^p below BLOCK_STEPS
+    while 2 ** len(powers) < BLOCK_STEPS:
+        powers.append(powers[-1] @ powers[-1])
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_ensemble)]
     state = np.zeros((cfg.n_ensemble, n))
     kept = cfg.n_steps - cfg.burn_in
     recording = (np.empty((cfg.n_ensemble, kept)) if record is not None else None)
-    moments = _KahanAccumulator((cfg.n_ensemble, n, n))
+    moments = np.zeros((cfg.n_ensemble, n, n))
 
-    block_len = 4096
-    buffer = np.empty((block_len, cfg.n_ensemble, n))
-    step = 0
-    while step < cfg.n_steps:
-        m = min(block_len, cfg.n_steps - step)
-        noise = np.stack([r.standard_normal((m, n)) for r in rngs], axis=1)
-        noise = noise @ noise_l.T
-        for j in range(m):
-            state = state @ phi_t + noise[j]
-            buffer[j] = state
+    for step in range(0, cfg.n_steps, BLOCK_STEPS):
+        m = min(BLOCK_STEPS, cfg.n_steps - step)
+        x = np.stack([r.standard_normal((m, n)) for r in rngs]) @ noise_l_t
+        x[:, 0] += state @ powers[0]
+        for p, power in enumerate(powers):
+            shift = 2 ** p
+            if shift >= m:
+                break
+            x[:, shift:] += x[:, :-shift] @ power
+        state = x[:, -1]
         lo = max(cfg.burn_in - step, 0)
         if lo < m:
-            kept_block = buffer[lo:m]
-            moments.add(np.einsum("tbi,tbj->bij", kept_block, kept_block))
+            kept_block = x[:, lo:]
+            moments += kept_block.transpose(0, 2, 1) @ kept_block
             if recording is not None:
                 pos = step + lo - cfg.burn_in
-                recording[:, pos:pos + m - lo] = kept_block[:, :, record].T
-        step += m
+                recording[:, pos:pos + m - lo] = kept_block[:, :, record]
 
-    return moments.total / kept, recording
+    return moments / kept, recording
 
 
 def estimate_stationary_covariance(a: np.ndarray, d: np.ndarray,
@@ -179,6 +172,15 @@ def simulate_linear_system(model: LinearModel,
     return estimate_stationary_covariance(model.drift, model.diffusion, cfg)
 
 
+def _segment_length(n_kept: int, segments_per_member: int) -> int:
+    """Even Welch segment length giving the segment count at 50% overlap."""
+    seg_len = int(2 * n_kept // (segments_per_member + 1))
+    seg_len -= seg_len % 2
+    if seg_len < 8:
+        raise ValueError("series too short for the requested segment count")
+    return seg_len
+
+
 def _welch_segments(series: np.ndarray, dt: float,
                     segments_per_member: int) -> tuple[np.ndarray, np.ndarray]:
     """Hann-windowed averaged periodograms per ensemble member.
@@ -187,27 +189,20 @@ def _welch_segments(series: np.ndarray, dt: float,
     is the two-sided density reported on the nonnegative grid.
     """
     n_members, n_kept = series.shape
-    seg_len = int(2 * n_kept // (segments_per_member + 1))
-    seg_len -= seg_len % 2
-    if seg_len < 8:
-        raise ValueError("series too short for the requested segment count")
+    seg_len = _segment_length(n_kept, segments_per_member)
     hop = seg_len // 2
     window = np.hanning(seg_len)
     norm = dt / np.sum(window ** 2)
     starts = range(0, n_kept - seg_len + 1, hop)
-    member_means = []
+    member_means = np.zeros((n_members, seg_len // 2 + 1))
     for i in range(n_members):
-        acc = None
-        count = 0
         for s in starts:
             chunk = series[i, s:s + seg_len]
             chunk = (chunk - chunk.mean()) * window
-            p = norm * np.abs(np.fft.rfft(chunk)) ** 2
-            acc = p if acc is None else acc + p
-            count += 1
-        member_means.append(acc / count)
-    omega = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)
-    return omega, np.stack(member_means)
+            member_means[i] += norm * np.abs(scipy.fft.rfft(chunk)) ** 2
+    member_means /= len(starts)
+    omega = 2.0 * math.pi * scipy.fft.rfftfreq(seg_len, d=dt)
+    return omega, member_means
 
 
 def simulate_phase_noise(spec: NoiseSpec, cfg: TrajectoryConfig,
@@ -225,10 +220,9 @@ def simulate_phase_noise(spec: NoiseSpec, cfg: TrajectoryConfig,
     if spec.gamma_l == 0.0:
         # no drive: trajectories are identically zero
         _check_timestep(a, cfg)
-        kept = cfg.n_steps - cfg.burn_in
-        seg_len = int(2 * kept // (segments_per_member + 1))
-        seg_len -= seg_len % 2
-        omega = 2.0 * math.pi * np.fft.rfftfreq(max(seg_len, 8), d=cfg.dt)
+        seg_len = _segment_length(cfg.n_steps - cfg.burn_in,
+                                  segments_per_member)
+        omega = 2.0 * math.pi * scipy.fft.rfftfreq(seg_len, d=cfg.dt)
         zero = np.zeros_like(omega)
         return SpectrumEstimate(frequencies=omega, values=zero,
                                 standard_errors=zero)

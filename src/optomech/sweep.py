@@ -18,7 +18,8 @@ import numpy as np
 
 from .dynamics import (MODEL_DIMS, LinearModel, build_model_batch,
                        drift_abscissa, model_order, stability_margin)
-from .errors import NonpositiveDetuning, PointEvaluationError
+from .errors import (ImaginaryFrequency, NonpositiveDetuning,
+                     PointEvaluationError, UnstableDrift)
 from .lyapunov import solve_lyapunov_batch
 from .measures import log_negativity_batch, occupancy_batch
 from .output import tool_metadata, write_document, write_table
@@ -124,6 +125,19 @@ def _stage(name: str, func, *args, **kwargs):
         raise PointEvaluationError(name, str(err)) from err
 
 
+def _closed_form_n_eff(params: SystemParams, ss: SteadyState) -> float | None:
+    """The weak-coupling occupancy, or None where the closed form fails.
+
+    It is a cross-check of the exact n_eff: a drift-stable point beyond its
+    reach (e.g. an imaginary effective mechanical frequency) keeps its exact
+    measures and gets a null here instead of an error row.
+    """
+    try:
+        return approx_n_eff(params, ss)
+    except (ImaginaryFrequency, UnstableDrift):
+        return None
+
+
 @dataclass(frozen=True)
 class PointEvaluation:
     """One point's result with the working point and linear model behind it."""
@@ -140,7 +154,8 @@ def run_pipeline(params_seq) -> list[PointEvaluation]:
     group's drifts, diffusions and covariances are (N, n, n) stacks, and
     one eigenvalue solve per drift decides stability and serves as the
     Hurwitz guard of the Lyapunov solve. Unstable points carry stability
-    data only, with null measures. A failing stage raises
+    data only, with null measures; a stable point whose weak-coupling
+    closed form fails has a null ``n_eff_approx``. A failing stage raises
     PointEvaluationError for the whole sequence; ``evaluate_batch`` isolates
     the failing point.
     """
@@ -192,8 +207,7 @@ def run_pipeline(params_seq) -> list[PointEvaluation]:
                     eta_minus=ent.eta_minus,
                     raw_log_negativity=ent.raw_log_negativity,
                     n_eff=occ.n_eff,
-                    n_eff_approx=_stage("approx-occupancy", approx_n_eff,
-                                        params, ss),
+                    n_eff_approx=_closed_form_n_eff(params, ss),
                     energy_j=occ.energy,
                     heisenberg_min=ent.heisenberg_min,
                 )

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
 
+import optomech
 from optomech import (NoiseSpec, TrajectoryConfig, build_model,
                       estimate_stationary_covariance, exact_discretization,
                       phase_noise_spectrum, simulate_linear_system,
@@ -12,6 +16,7 @@ from optomech import (NoiseSpec, TrajectoryConfig, build_model,
                       thermal_occupancy)
 from optomech.dynamics import auxiliary_block
 from optomech.errors import UnstableTimestep
+from optomech.simulate import BLOCK_STEPS, _noise_factor, _propagate
 
 from conftest import OMEGA_M, bandpass_100hz, make_params
 
@@ -23,6 +28,73 @@ def aux_config(spec, n_steps=200_000, n_ensemble=8, seed=20240811):
     burn = math.ceil(5.0 / float(np.min(-eigs.real)) / dt)
     return TrajectoryConfig(dt=dt, n_steps=n_steps, n_ensemble=n_ensemble,
                             seed=seed, burn_in=burn)
+
+
+def scan_test_drift(name):
+    """(drift, diffusion, dt) of the systems the block scan is pinned on."""
+    if name == "ornstein-uhlenbeck":
+        return np.array([[-1.0]]), np.array([[4.0]]), 0.05
+    if name == "bandpass-pair":
+        a, d = auxiliary_block(bandpass_100hz())
+    elif name == "critically-damped-pair":
+        # band width twice the center: a double eigenvalue with one
+        # eigenvector, so the drift has no eigenbasis
+        band = 2.0 * math.pi * 5e4
+        a, d = auxiliary_block(NoiseSpec.bandpass(2.0 * math.pi * 100.0,
+                                                  band, 2.0 * band))
+    else:  # 6x6 optomechanical model with a noise band at omega_m
+        p = make_params(quality_factor=50.0, phase_noise=NoiseSpec.bandpass(
+            2.0 * math.pi * 1e3, OMEGA_M, OMEGA_M / 2.0))
+        model = build_model(p, solve_steady_state(p))
+        a, d = model.drift, model.diffusion
+    return a, d, 0.09 / float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def per_step_reference(a, d, cfg, record):
+    """The recursion x_t = Phi x_(t-1) + w_t one step at a time.
+
+    Each member's whole noise record comes from one draw of its generator,
+    so agreement with the block scan also shows that the per-block draws
+    concatenate to the same realisation.
+    """
+    phi, q = exact_discretization(a, d, cfg.dt)
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_ensemble)]
+    noise = np.stack([r.standard_normal((cfg.n_steps, a.shape[0]))
+                      for r in rngs], axis=1) @ _noise_factor(q).T
+    state = np.zeros((cfg.n_ensemble, a.shape[0]))
+    path = np.empty_like(noise)
+    for j in range(cfg.n_steps):
+        state = state @ phi.T + noise[j]
+        path[j] = state
+    kept = path[cfg.burn_in:]
+    moments = np.einsum("tbi,tbj->bij", kept, kept) / len(kept)
+    return moments, kept[:, :, record].T
+
+
+class TestBlockScan:
+    @pytest.mark.parametrize("layout", ["ragged-last-block", "one-short-block",
+                                        "whole-blocks"])
+    @pytest.mark.parametrize("drift", ["bandpass-pair", "critically-damped-pair",
+                                       "ornstein-uhlenbeck", "optomechanical-6x6"])
+    def test_matches_per_step_recursion(self, drift, layout):
+        n_steps, burn_in = {
+            # burn-in ends inside the second block; the last block is short
+            "ragged-last-block": (2 * BLOCK_STEPS + 123, BLOCK_STEPS + 1000),
+            "one-short-block": (1500, 700),
+            "whole-blocks": (3 * BLOCK_STEPS, BLOCK_STEPS),
+        }[layout]
+        a, d, dt = scan_test_drift(drift)
+        cfg = TrajectoryConfig(dt=dt, n_steps=n_steps, n_ensemble=3,
+                               seed=97, burn_in=burn_in)
+        record = a.shape[0] - 1
+        moments, recording = _propagate(a, d, cfg, record=record)
+        ref_moments, ref_recording = per_step_reference(a, d, cfg, record)
+        assert recording.shape == (3, n_steps - burn_in)
+        assert (np.max(np.abs(moments - ref_moments))
+                <= 1e-11 * np.max(np.abs(ref_moments)))
+        assert (np.max(np.abs(recording - ref_recording))
+                <= 1e-11 * np.max(np.abs(ref_recording)))
 
 
 class TestExactDiscretization:
@@ -74,6 +146,29 @@ class TestTrajectoryContract:
         cfg = aux_config(spec, n_steps=20_000)
         est = simulate_phase_noise(spec, cfg)
         assert np.all(est.values == 0.0)
+
+    def test_zero_drive_checks_the_segment_length(self):
+        band = 2.0 * math.pi * 5e4
+        short = TrajectoryConfig(dt=1e-7, n_steps=660, n_ensemble=2, seed=1,
+                                 burn_in=640)
+        for gamma_l in (0.0, 2.0 * math.pi * 100.0):
+            spec = NoiseSpec.bandpass(gamma_l, band, band / 2.0)
+            with pytest.raises(ValueError, match="series too short"):
+                simulate_phase_noise(spec, short)
+        cfg = aux_config(bandpass_100hz(), n_steps=20_000, n_ensemble=2)
+        silent = simulate_phase_noise(NoiseSpec.bandpass(0.0, band, band / 2.0),
+                                      cfg)
+        driven = simulate_phase_noise(bandpass_100hz(), cfg)
+        np.testing.assert_array_equal(silent.frequencies, driven.frequencies)
+
+    def test_cli_import_leaves_scipy_signal_out(self):
+        # importing scipy.signal costs most of a second in a fresh process
+        src = os.path.dirname(os.path.dirname(optomech.__file__))
+        code = "import sys, optomech.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False"
 
     def test_timestep_guard(self):
         spec = bandpass_100hz()

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from optomech import (NoiseSpec, SweepAxis, SweepSpec, apply_axis, build_model,
-                      emit_figure_data, evaluate_batch, evaluate_point,
-                      figure_recipe, log_negativity, power_for_coupling,
-                      run_pipeline, run_sweep,
-                      solve_lyapunov, solve_steady_state, symplectic_eigenvalues,
-                      thermal_occupancy)
-from optomech.errors import PointEvaluationError
+from optomech import (NoiseSpec, SweepAxis, SweepSpec, apply_axis,
+                      approx_n_eff, build_model, emit_figure_data,
+                      evaluate_batch, evaluate_point, figure_recipe,
+                      log_negativity, power_for_coupling, run_pipeline,
+                      run_sweep, solve_lyapunov, solve_steady_state,
+                      symplectic_eigenvalues, thermal_occupancy)
+from optomech.errors import ImaginaryFrequency, PointEvaluationError
 from optomech.output import _cell
 
 from conftest import OMEGA_M, bandpass_100hz, make_params, poison_nth
@@ -63,6 +63,25 @@ class TestEvaluatePoint:
         assert result.stability_margin > 1.0
         assert result.e_n is None and result.n_eff is None
         assert result.eta_minus is None
+
+    @pytest.mark.filterwarnings("ignore:occupancy formula assumes")
+    def test_closed_form_failure_keeps_exact_measures(self):
+        # bare detuning 2 omega_m, 300 mW, kappa 0.12 omega_m, white noise:
+        # the drift is stable, but the weak-coupling effective mechanical
+        # frequency is imaginary
+        p = make_params(laser_power=0.3, kappa=0.12 * OMEGA_M,
+                        detuning=2.0 * OMEGA_M, detuning_mode="bare",
+                        phase_noise=NoiseSpec.white(2.0 * math.pi * 100.0))
+        with pytest.raises(ImaginaryFrequency):
+            approx_n_eff(p, solve_steady_state(p))
+        result = evaluate_point(p)
+        assert result.stable and result.error is None
+        assert result.n_eff_approx is None
+        model = build_model(p, solve_steady_state(p))
+        cov = solve_lyapunov(model.drift, model.diffusion)
+        assert result.e_n == log_negativity(cov).log_negativity
+        assert result.n_eff is not None and result.n_eff > 0.0
+        assert evaluate_batch([p, make_params()])[0] == result
 
     def test_stage_context_on_failure(self, monkeypatch):
         import optomech.sweep as sweep_mod
