@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 from .constants import CODATA_VERSION, C_LIGHT, HBAR, K_B
 from .dynamics import (LinearModel, auxiliary_block, build_model,
                        build_model_batch, drift_abscissa, is_stable,
-                       model_order, optomechanical_block, phase_noise_spectrum,
-                       stability_margin)
+                       optomechanical_block, phase_noise_spectrum,
+                       stability_margin, stability_margin_batch)
 from .lyapunov import (CovarianceMatrix, check_physical, check_physical_batch,
                        reduce_to_optomechanical, solve_lyapunov,
                        solve_lyapunov_batch, symplectic_eigenvalues,
@@ -22,7 +22,8 @@ from .lyapunov import (CovarianceMatrix, check_physical, check_physical_batch,
 from .measures import (EntanglementResult, OccupancyResult,
                        eta_minus_partial_transpose, log_negativity,
                        log_negativity_batch, occupancy, occupancy_batch)
-from .parameters import (NoiseSpec, SteadyState, SystemParams,
+from .parameters import (NoiseSpec, ParamColumns, SteadyState,
+                         SteadyStateColumns, SystemParams,
                          drive_amplitude, power_for_coupling,
                          solve_steady_state, solve_steady_state_batch,
                          thermal_occupancy)
@@ -31,12 +32,14 @@ from .simulate import (CovarianceEstimate, SpectrumEstimate, TrajectoryConfig,
                        simulate_linear_system, simulate_phase_noise)
 from .spectral import (EffectiveResponse, ScatteringRates,
                        approx_cm_phase_correction, approx_n_eff,
-                       cm_spectral_oracle, effective_response,
-                       laser_correlation, optimal_detuning_and_max_en,
-                       scattering_rates, static_phase_noise_heating,
-                       threshold_eta_minus)
-from .sweep import (OUTPUT_NAMES, PointEvaluation, PointResult, SweepAxis,
-                    SweepResult, SweepSpec, apply_axis, default_fixed_params,
+                       approx_n_eff_batch, cm_spectral_oracle,
+                       effective_response, laser_correlation,
+                       optimal_detuning_and_max_en, scattering_rates,
+                       scattering_rates_batch, static_phase_noise_heating,
+                       static_phase_noise_heating_batch, threshold_eta_minus)
+from .sweep import (OUTPUT_NAMES, PipelineColumns, PointColumns,
+                    PointEvaluation, PointResult, SweepAxis, SweepResult,
+                    SweepSpec, apply_axis, default_fixed_params,
                     emit_figure_data, evaluate_batch, evaluate_point,
                     figure_recipe, run_pipeline, run_sweep)
 

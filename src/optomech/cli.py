@@ -19,10 +19,9 @@ from .config import extract_params, load_document, params_from_config, sweep_fro
 from .dynamics import auxiliary_block, phase_noise_spectrum
 from .errors import ConfigError, OptomechError
 from .lyapunov import solve_lyapunov
-from .output import tool_metadata, write_document, write_table
+from .output import format_column, tool_metadata, write_document, write_table
 from .parameters import solve_steady_state
-from .simulate import (BURN_IN_DECAY, TrajectoryConfig,
-                       estimate_stationary_covariance, simulate_phase_noise)
+from .simulate import BURN_IN_DECAY, TrajectoryConfig, simulate_phase_noise
 from .spectral import effective_response, laser_correlation
 from .sweep import emit_figure_data, figure_recipe, run_pipeline, run_sweep
 
@@ -84,18 +83,20 @@ def _cmd_spectrum(args) -> int:
     s_vals = phase_noise_spectrum(params.phase_noise, omegas)
     write_table(os.path.join(args.out_dir, "frequency_noise_spectrum.csv"),
                 meta, "omega_rad_s,s_phidot_rad_s",
-                zip(omegas, np.atleast_1d(s_vals)))
+                [format_column(omegas), format_column(np.atleast_1d(s_vals))])
 
     ss = solve_steady_state(params)
     response = effective_response(params, ss)
     chi2 = np.abs(response.chi_eff(omegas)) ** 2
     write_table(os.path.join(args.out_dir, "effective_susceptibility.csv"),
-                meta, "omega_rad_s,abs_chi_eff_squared", zip(omegas, chi2))
+                meta, "omega_rad_s,abs_chi_eff_squared",
+                [format_column(omegas), format_column(chi2)])
 
     taus = np.linspace(0.0, tau_max, n_tau)
     corr = [laser_correlation(params.phase_noise, t) for t in taus]
     write_table(os.path.join(args.out_dir, "laser_correlation.csv"),
-                meta, "tau_s,correlation", zip(taus, corr))
+                meta, "tau_s,correlation",
+                [format_column(taus), format_column(corr)])
     print(f"wrote spectrum tables in {args.out_dir}")
     return EXIT_OK
 
@@ -120,10 +121,11 @@ def _cmd_validate(args) -> int:
         seed=int(doc.get("seed", 20240811)),
         burn_in=burn,
     )
-    est = estimate_stationary_covariance(a, d, cfg)
-    analytic = solve_lyapunov(a, d).matrix
+    # one ensemble gives both the spectrum of psi and the pair's covariance
     spectrum = simulate_phase_noise(
         spec, cfg, segments_per_member=int(doc.get("segments_per_member", 8)))
+    est = spectrum.covariance
+    analytic = solve_lyapunov(a, d).matrix
 
     rows = []
     for label, i, j in (("var_psi", 0, 0), ("var_theta", 1, 1),
@@ -146,7 +148,8 @@ def _cmd_validate(args) -> int:
     meta = tool_metadata(internal_params=dataclasses.asdict(params),
                          trajectory=dataclasses.asdict(cfg))
     write_table(path, meta,
-                "quantity,estimate,standard_error,analytic,z_score,pass", rows)
+                "quantity,estimate,standard_error,analytic,z_score,pass",
+                [format_column(column) for column in zip(*rows)])
     n_fail = sum(1 for r in rows if not r[-1])
     print(f"wrote {path}: {len(rows) - n_fail}/{len(rows)} checks passed")
     return EXIT_PARTIAL if n_fail else EXIT_OK

@@ -15,12 +15,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import NonpositiveDetuning
-from .parameters import NoiseSpec, SteadyState, SystemParams
+from .parameters import NoiseSpec, ParamColumns, SteadyState, SystemParams
 
 FULL_BASIS = ("dq", "dp", "dX", "dY", "psi", "theta")
 REDUCED_BASIS = ("dq", "dp", "dX", "dY")
 AUX_BASIS = ("psi", "theta")
 MODEL_DIMS = {6: FULL_BASIS, 4: REDUCED_BASIS}  # basis by model order
+_DIAG4 = np.arange(4)
 
 
 @dataclass(frozen=True)
@@ -97,18 +98,30 @@ def is_stable(drift: NDArray[np.float64]) -> bool:
     return bool(drift_abscissa(drift) < 0.0)
 
 
+def stability_margin_batch(params, ss) -> np.ndarray:
+    """``stability_margin`` of many points (ParamColumns, SteadyStateColumns).
+
+    NaN where delta_eff <= 0, where the analytic threshold does not apply.
+    """
+    delta = ss.delta_eff
+    # float_power is libm's pow, like a scalar ``x ** 2``
+    with np.errstate(all="ignore"):
+        g_threshold = np.sqrt((np.float_power(delta, 2)
+                               + np.float_power(params.kappa, 2))
+                              * params.omega_m / delta)
+        return np.where(delta <= 0, np.nan, ss.g_eff / g_threshold)
+
+
 def stability_margin(params: SystemParams, ss: SteadyState) -> float:
     """Coupling relative to the static instability threshold, G/G_threshold.
 
     The threshold sqrt((delta^2 + kappa^2)*omega_m/delta) is the analytic
     stability boundary for a red-detuned drive; values below 1 are stable.
     """
-    delta = ss.delta_eff
-    if delta <= 0:
+    if ss.delta_eff <= 0:
         raise NonpositiveDetuning(
             "analytic threshold needs delta > 0; use the eigenvalue test instead")
-    g_threshold = math.sqrt((delta ** 2 + params.kappa ** 2) * params.omega_m / delta)
-    return ss.g_eff / g_threshold
+    return stability_margin_batch(ParamColumns.stack([params]), ss).item()
 
 
 def auxiliary_block(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -121,69 +134,69 @@ def auxiliary_block(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     return a, d
 
 
-def vacuum_diffusion(params: SystemParams) -> np.ndarray:
-    """Thermal/vacuum diffusion diagonal of (dq, dp, dX, dY), phase noise excluded."""
+def vacuum_diffusion(params) -> np.ndarray:
+    """Thermal/vacuum diffusion diagonal of (dq, dp, dX, dY), phase noise excluded.
+
+    ``params`` is one SystemParams (giving shape (4,)) or ParamColumns
+    (giving (N, 4)).
+    """
     n = params.thermal_phonons()
     k2n1 = params.kappa * (2.0 * params.cavity_thermal_occupancy + 1.0)
-    return np.array([0.0, params.gamma_m * (2.0 * n + 1.0), k2n1, k2n1])
+    return np.array([np.zeros_like(k2n1), params.gamma_m * (2.0 * n + 1.0),
+                     k2n1, k2n1]).T
 
 
-def _optomechanical_drift(params_seq, states, order: int) -> np.ndarray:
+def _optomechanical_drift(params: ParamColumns, ss, order: int) -> np.ndarray:
     """(N, order, order) drifts whose (dq, dp, dX, dY) block is filled in."""
-    cols = np.array([(p.omega_m, p.gamma_m, p.kappa, ss.g_eff, ss.delta_eff)
-                     for p, ss in zip(params_seq, states)]).reshape(-1, 5)
-    wm, gm, k, g, delta = cols.T
-    a = np.zeros((len(cols), order, order))
+    wm, g, delta = params.omega_m, ss.g_eff, ss.delta_eff
+    a = np.zeros((len(wm), order, order))
     a[:, 0, 1] = wm
     a[:, 1, 0] = -wm
-    a[:, 1, 1] = -gm
+    a[:, 1, 1] = -params.gamma_m
     a[:, 1, 2] = g
-    a[:, 2, 2] = -k
+    a[:, 2, 2] = -params.kappa
     # The Y quadrature carries the detuning rotation from X (-delta on dX);
     # writing the detuning term on dY instead would destroy the rotational
     # structure of the cavity block.
     a[:, 2, 3] = delta
     a[:, 3, 0] = g
     a[:, 3, 2] = -delta
-    a[:, 3, 3] = -k
+    a[:, 3, 3] = -params.kappa
     return a
 
 
 def optomechanical_block(params: SystemParams, ss: SteadyState) -> np.ndarray:
     """4x4 drift of (dq, dp, dX, dY); phase noise enters only the diffusion."""
-    return _optomechanical_drift([params], [ss], 4)[0]
+    return _optomechanical_drift(ParamColumns.stack([params]), ss, 4)[0]
 
 
-def model_order(spec: NoiseSpec) -> int:
-    """Size of the fluctuation model: 6 with the bandpass pair attached, else 4."""
-    return 6 if spec.kind == "bandpass" else 4
-
-
-def build_model_batch(params_seq, states) -> tuple[np.ndarray, np.ndarray]:
+def build_model_batch(params, ss) -> tuple[np.ndarray, np.ndarray]:
     """Drift and diffusion of points sharing one model order, as (N, n, n) stacks.
 
-    Bandpass noise yields the 6x6 system with the auxiliary pair attached;
-    white or absent noise yields the 4x4 system, with the flat frequency
-    noise folded into the Y-quadrature diffusion as 2*|alpha_s|^2*S, where
-    S = 2*gamma_l is the flat spectrum value.
+    ``params`` and ``ss`` are ParamColumns and SteadyStateColumns. Bandpass
+    noise yields the 6x6 system with the auxiliary pair attached; white or
+    absent noise yields the 4x4 system, with the flat frequency noise folded
+    into the Y-quadrature diffusion as 2*|alpha_s|^2*S, where S = 2*gamma_l
+    is the flat spectrum value.
     """
-    params_seq = list(params_seq)
-    orders = {model_order(p.phase_noise) for p in params_seq}
-    if len(orders) > 1:
+    bands = np.count_nonzero(params.noise_kind == "bandpass")
+    if 0 < bands < len(params.noise_kind):
         raise ValueError("a model batch must share one noise model order")
-    order = orders.pop() if orders else 4
-    a = _optomechanical_drift(params_seq, states, order)
+    order = 6 if bands else 4
+    a = _optomechanical_drift(params, ss, order)
     d = np.zeros_like(a)
-    diag = np.array([vacuum_diffusion(p) for p in params_seq]).reshape(-1, 4)
-    for i in range(4):
-        d[:, i, i] = diag[:, i]
-    for i, (p, ss) in enumerate(zip(params_seq, states)):
-        spec = p.phase_noise
-        if spec.kind == "bandpass":
-            a[i, 4:, 4:], d[i, 4:, 4:] = auxiliary_block(spec)
-            a[i, 3, 4] = math.sqrt(2.0) * ss.alpha_abs
-        elif spec.kind == "white":
-            d[i, 3, 3] += 2.0 * ss.photon_number * 2.0 * spec.gamma_l
+    d[:, _DIAG4, _DIAG4] = vacuum_diffusion(params)
+    if order == 6:
+        # the (psi, theta) pair of auxiliary_block, driving dY through psi
+        a[:, 4, 5] = params.omega_band
+        a[:, 5, 4] = -params.omega_band
+        a[:, 5, 5] = -params.gamma_tilde
+        d[:, 5, 5] = 2.0 * params.gamma_l * np.float_power(params.omega_band, 2)
+        a[:, 3, 4] = math.sqrt(2.0) * ss.alpha_abs
+    else:
+        white = params.noise_kind == "white"
+        if white.any():
+            d[white, 3, 3] += (2.0 * ss.photon_number * 2.0 * params.gamma_l)[white]
     return a, d
 
 
@@ -192,6 +205,6 @@ def build_model(params: SystemParams, ss: SteadyState) -> LinearModel:
 
     See ``build_model_batch``; stability is decided by the drift eigenvalues.
     """
-    a, d = build_model_batch([params], [ss])
+    a, d = build_model_batch(ParamColumns.stack([params]), ss)
     return LinearModel(drift=a[0], diffusion=d[0], stable=is_stable(a[0]),
                        dims=MODEL_DIMS[len(a[0])])

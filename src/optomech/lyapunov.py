@@ -6,7 +6,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .dynamics import MODEL_DIMS, REDUCED_BASIS, drift_abscissa
@@ -56,8 +55,10 @@ class CovarianceMatrix:
 @functools.lru_cache(maxsize=None)
 def symplectic_form(n_modes: int) -> NDArray[np.float64]:
     """Block-diagonal symplectic form for n quadrature-ordered modes (read-only)."""
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    form = scipy.linalg.block_diag(*([j] * n_modes))
+    form = np.zeros((2 * n_modes, 2 * n_modes))
+    q = np.arange(0, 2 * n_modes, 2)
+    form[q, q + 1] = 1.0
+    form[q + 1, q] = -1.0
     form.setflags(write=False)
     return form
 
@@ -77,16 +78,21 @@ def check_physical_batch(matrices: NDArray[np.float64],
     Raises UnphysicalState if any of them is below 1/2 - slack.
     """
     low = symplectic_eigenvalues(matrices).min(axis=-1)
-    bad = np.flatnonzero(low < 0.5 - slack)
-    if bad.size:
+    if (low < 0.5 - slack).any():
+        worst = low[np.flatnonzero(low < 0.5 - slack)[0]]
         raise UnphysicalState(
-            f"smallest symplectic eigenvalue {low[bad[0]]:.12g} violates the 1/2 bound")
+            f"smallest symplectic eigenvalue {worst:.12g} violates the 1/2 bound")
     return low
 
 
 def check_physical(cov: CovarianceMatrix, slack: float = PHYSICALITY_SLACK) -> float:
     """Smallest symplectic eigenvalue; UnphysicalState if below 1/2 - slack."""
     return float(check_physical_batch(cov.matrix[None], slack)[0])
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each (n, n) of a stack, as np.linalg.norm sums it."""
+    return np.sqrt(np.add.reduce(m * m, axis=(1, 2)))
 
 
 def _lyapunov_operator(a: np.ndarray) -> np.ndarray:
@@ -122,17 +128,17 @@ def solve_lyapunov_batch(a: NDArray[np.float64], d: NDArray[np.float64],
     if method not in ("vectorized", "schur"):
         raise ValueError(f"unknown method {method!r}")
     d_scale = np.maximum(np.abs(d).max(axis=(1, 2), initial=0.0), 1.0)
-    if not np.all(np.abs(d - d.transpose(0, 2, 1)) <= 1e-12 * d_scale[:, None, None]):
+    if not (np.abs(d - d.transpose(0, 2, 1)) <= 1e-12 * d_scale[:, None, None]).all():
         raise ValueError("D must be symmetric")
-    if np.any(np.linalg.eigvalsh(0.5 * (d + d.transpose(0, 2, 1))).min(
-            axis=-1, initial=np.inf) < -1e-12 * d_scale):
+    if (np.linalg.eigvalsh(0.5 * (d + d.transpose(0, 2, 1))).min(
+            axis=-1, initial=np.inf) < -1e-12 * d_scale).any():
         raise ValueError("D must be positive semidefinite")
     if abscissa is None:
         abscissa = drift_abscissa(a)
-    unstable = np.flatnonzero(np.asarray(abscissa) >= 0.0)
-    if unstable.size:
-        raise UnstableDrift("drift is not Hurwitz (max Re eigenvalue "
-                            f"{abscissa[unstable[0]]:.3e})")
+    abscissa = np.asarray(abscissa)
+    if (abscissa >= 0.0).any():
+        first = abscissa[np.flatnonzero(abscissa >= 0.0)[0]]
+        raise UnstableDrift(f"drift is not Hurwitz (max Re eigenvalue {first:.3e})")
 
     if method == "vectorized":
         count, n, _ = a.shape
@@ -146,16 +152,16 @@ def solve_lyapunov_batch(a: NDArray[np.float64], d: NDArray[np.float64],
                 condition=float(np.max(np.linalg.cond(system)))) from err
         v = v.reshape(count, n, n).transpose(0, 2, 1)
     else:
-        v = np.array([scipy.linalg.solve_continuous_lyapunov(ai, -di)
+        from scipy.linalg import solve_continuous_lyapunov
+
+        v = np.array([solve_continuous_lyapunov(ai, -di)
                       for ai, di in zip(a, d)]).reshape(a.shape)
 
     v = 0.5 * (v + v.transpose(0, 2, 1))
-    residual = np.linalg.norm(a @ v + v @ a.transpose(0, 2, 1) + d, "fro",
-                              axis=(1, 2))
-    bound = RESIDUAL_TOL * np.maximum(np.linalg.norm(d, "fro", axis=(1, 2)), 1.0)
-    bad = np.flatnonzero(residual > bound)
-    if bad.size:
-        i = bad[0]
+    residual = _frobenius(a @ v + v @ a.transpose(0, 2, 1) + d)
+    bound = RESIDUAL_TOL * np.maximum(_frobenius(d), 1.0)
+    if (residual > bound).any():
+        i = np.flatnonzero(residual > bound)[0]
         cond = float(np.linalg.cond(_lyapunov_operator(a[i:i + 1])[0]))
         raise SolverSingular(f"Lyapunov residual {residual[i]:.3e} exceeds "
                              f"{bound[i]:.3e}", condition=cond)

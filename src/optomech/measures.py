@@ -51,9 +51,9 @@ def _eta_minus_formula(v4: np.ndarray) -> np.ndarray:
     # differs from it in the last bit for about one value in a thousand
     sigma_sq = np.float_power(sigma, 2)
     disc = sigma_sq - 4.0 * det_v
-    bad = np.flatnonzero(disc < -1e-12 * np.maximum(sigma_sq, 1.0))
-    if bad.size:
-        i = bad[0]
+    bad = disc < -1e-12 * np.maximum(sigma_sq, 1.0)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
         raise NegativeDiscriminant(
             f"discriminant {disc[i]:.6e} < 0 for sigma^2 = {sigma_sq[i]:.6e}")
     disc = np.maximum(disc, 0.0)
@@ -72,23 +72,25 @@ def eta_minus_partial_transpose(v4: CovarianceMatrix | np.ndarray) -> float:
     return float(np.min(symplectic_eigenvalues(flip @ m @ flip)))
 
 
-def log_negativity_batch(v4: np.ndarray) -> list[EntanglementResult]:
-    """``log_negativity`` of every reduced covariance of an (N, 4, 4) stack."""
+def log_negativity_batch(v4: np.ndarray) -> dict[str, np.ndarray]:
+    """``log_negativity`` of every reduced covariance of an (N, 4, 4) stack.
+
+    Returns one array per EntanglementResult field.
+    """
     v4 = np.asarray(v4, dtype=float)
     if v4.ndim != 3 or v4.shape[1:] != (4, 4):
         raise ValueError("log_negativity expects reduced 4x4 covariances")
     heisenberg_min = check_physical_batch(v4)
-    out = []
-    for eta, low in zip(_eta_minus_formula(v4).tolist(), heisenberg_min.tolist()):
-        raw = -math.log(2.0 * eta)
-        out.append(EntanglementResult(
-            eta_minus=eta,
-            log_negativity=max(0.0, raw),
-            raw_log_negativity=raw,
-            entangled=eta < 0.5,
-            heisenberg_min=low,
-        ))
-    return out
+    eta = _eta_minus_formula(v4)
+    # math.log: numpy's vectorised log differs from it in the last bit
+    raw = np.array([-math.log(x) for x in (2.0 * eta).tolist()])
+    return {
+        "eta_minus": eta,
+        "log_negativity": np.where(raw > 0.0, raw, 0.0),
+        "raw_log_negativity": raw,
+        "entangled": eta < 0.5,
+        "heisenberg_min": heisenberg_min,
+    }
 
 
 def log_negativity(v4: CovarianceMatrix) -> EntanglementResult:
@@ -101,25 +103,27 @@ def log_negativity(v4: CovarianceMatrix) -> EntanglementResult:
     """
     if v4.order != 4:
         raise ValueError("log_negativity expects the reduced 4x4 covariance")
-    return log_negativity_batch(v4.matrix[None])[0]
+    columns = log_negativity_batch(v4.matrix[None])
+    return EntanglementResult(**{k: v.item() for k, v in columns.items()})
 
 
-def occupancy_batch(v4: np.ndarray, omega_m) -> list[OccupancyResult]:
+def occupancy_batch(v4: np.ndarray, omega_m) -> dict[str, np.ndarray]:
     """``occupancy`` of every reduced covariance of an (N, 4, 4) stack.
 
-    ``omega_m`` is one mechanical frequency or one per covariance.
+    ``omega_m`` is one mechanical frequency or one per covariance. Returns
+    one array per OccupancyResult field.
     """
     v4 = np.asarray(v4, dtype=float)
     if v4.ndim != 3 or v4.shape[1:] != (4, 4):
         raise ValueError("occupancy expects reduced 4x4 covariances")
     n_eff = 0.5 * (v4[:, 0, 0] + v4[:, 1, 1] - 1.0)
-    energy = HBAR * np.asarray(omega_m, dtype=float) * (n_eff + 0.5)
-    return [OccupancyResult(n_eff=n, energy=e)
-            for n, e in zip(n_eff.tolist(), energy.tolist())]
+    return {"n_eff": n_eff,
+            "energy": HBAR * np.asarray(omega_m, dtype=float) * (n_eff + 0.5)}
 
 
 def occupancy(v4: CovarianceMatrix, omega_m: float) -> OccupancyResult:
     """Effective phonon number (<dq^2> + <dp^2> - 1)/2 and mean energy."""
     if v4.order != 4:
         raise ValueError("occupancy expects the reduced 4x4 covariance")
-    return occupancy_batch(v4.matrix[None], omega_m)[0]
+    columns = occupancy_batch(v4.matrix[None], omega_m)
+    return OccupancyResult(**{k: v.item() for k, v in columns.items()})

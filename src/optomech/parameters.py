@@ -7,7 +7,7 @@ All frequencies and rates are stored as angular quantities (rad/s); any
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -18,6 +18,7 @@ EFFECTIVE = "effective"
 BARE = "bare"
 
 _BRANCHES = ("lower", "middle", "upper")
+_BRANCH_TAGS = np.array(("monostable",) + _BRANCHES)  # by 1 + root index
 
 
 @dataclass(frozen=True)
@@ -163,10 +164,13 @@ def thermal_occupancy(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def drive_amplitude(params: SystemParams) -> float:
-    """Coherent drive amplitude sqrt(2*kappa*P/(hbar*omega_laser)), 1/s."""
-    return math.sqrt(2.0 * params.kappa * params.laser_power
-                     / (HBAR * params.omega_laser))
+def drive_amplitude(params):
+    """Coherent drive amplitude sqrt(2*kappa*P/(hbar*omega_laser)), 1/s.
+
+    Of one SystemParams, or of each point of ParamColumns.
+    """
+    return np.sqrt(2.0 * params.kappa * params.laser_power
+                   / (HBAR * params.omega_laser))
 
 
 def _horner(coeffs, x: np.ndarray) -> np.ndarray:
@@ -208,7 +212,7 @@ def _cubic_roots(coeffs: np.ndarray) -> np.ndarray:
 def _admissible_intensities(cubic: np.ndarray) -> np.ndarray:
     """Nonnegative real roots of each point's intensity cubic, ascending.
 
-    ``cubic`` has one row per point: beta^2, beta, delta0, kappa^2,
+    ``cubic`` has one column per point: beta, delta0, kappa^2,
     kappa^2 + delta0^2 and E0^2, where beta = g0^2/omega_m and delta0 is
     the bare detuning. The cubic is
     beta^2 I^3 - 2*delta0*beta I^2 + (kappa^2 + delta0^2) I - E0^2 = 0.
@@ -216,13 +220,12 @@ def _admissible_intensities(cubic: np.ndarray) -> np.ndarray:
     I*(kappa^2 + (delta0 - beta*I)^2) - E0^2, keeping the best nonnegative
     iterate. Rows are NaN-padded to three roots.
     """
-    beta_sq, beta, delta0, kappa_sq, linear, e0_sq = cubic.T
-    coeffs = np.array([beta_sq, -2.0 * delta0 * beta, linear, -e0_sq])
+    beta, delta0, kappa_sq, linear, e0_sq = cubic
+    coeffs = np.array([np.float_power(beta, 2), -2.0 * delta0 * beta, linear, -e0_sq])
     roots = _cubic_roots(coeffs.T).ravel()
     # one entry per root from here on: same-shape operands keep the small
     # arrays of a single point cheap
-    beta, delta0, kappa_sq, e0_sq = np.repeat([beta, delta0, kappa_sq, e0_sq],
-                                              3, axis=1)
+    beta, delta0, kappa_sq, e0_sq = np.repeat(cubic[[0, 1, 2, 4]], 3, axis=1)
     coeffs = np.repeat(coeffs, 3, axis=1)
     scale = np.maximum(e0_sq / coeffs[2], 1.0)
     # NaN padding compares false, so it is never admissible
@@ -253,76 +256,192 @@ def _admissible_intensities(cubic: np.ndarray) -> np.ndarray:
     return np.sort(best.reshape(-1, 3), axis=1)
 
 
-def solve_steady_state_batch(params_seq, branch: str = "lower") -> list[SteadyState]:
-    """``solve_steady_state`` for a sequence of points, the cubics solved together.
+_POSITIVE_FIELDS = ("omega_m", "quality_factor", "kappa", "laser_wavelength")
+_NONNEGATIVE_FIELDS = ("g0", "laser_power", "bath_temperature",
+                       "cavity_thermal_occupancy")
+
+
+@dataclass(frozen=True)
+class ParamColumns:
+    """The SystemParams of many points, one array per field.
+
+    The noise spec is split into ``noise_kind`` and its three rates; every
+    other field keeps its SystemParams name and meaning.
+    """
+
+    omega_m: np.ndarray
+    quality_factor: np.ndarray
+    kappa: np.ndarray
+    detuning: np.ndarray
+    g0: np.ndarray
+    laser_power: np.ndarray
+    laser_wavelength: np.ndarray
+    bath_temperature: np.ndarray
+    cavity_thermal_occupancy: np.ndarray
+    gamma_l: np.ndarray
+    omega_band: np.ndarray
+    gamma_tilde: np.ndarray
+    noise_kind: np.ndarray
+    detuning_mode: np.ndarray
+
+    @classmethod
+    def stack(cls, params_seq) -> "ParamColumns":
+        """Columns of a sequence of SystemParams."""
+        rows = [(p.omega_m, p.quality_factor, p.kappa, p.detuning, p.g0,
+                 p.laser_power, p.laser_wavelength, p.bath_temperature,
+                 p.cavity_thermal_occupancy, p.phase_noise.gamma_l,
+                 p.phase_noise.omega_band, p.phase_noise.gamma_tilde,
+                 p.phase_noise.kind, p.detuning_mode) for p in params_seq]
+        numbers = np.array([r[:12] for r in rows], dtype=float).reshape(-1, 12)
+        return cls(*numbers.T,
+                   noise_kind=np.array([r[12] for r in rows], dtype="U8"),
+                   detuning_mode=np.array([r[13] for r in rows], dtype="U9"))
+
+    @classmethod
+    def repeat(cls, params: SystemParams, count: int) -> "ParamColumns":
+        """``count`` copies of one point."""
+        return cls.stack([params]).take(np.zeros(count, dtype=int))
+
+    def __len__(self) -> int:
+        return len(self.omega_m)
+
+    def take(self, idx) -> "ParamColumns":
+        """The points at the indices ``idx``."""
+        return ParamColumns(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    def with_(self, **changes) -> "ParamColumns":
+        """Return a copy with the given fields replaced, each by a value or a column.
+
+        The new values are checked as SystemParams checks them.
+        """
+        columns = {name: np.broadcast_to(value, self.omega_m.shape)
+                   for name, value in changes.items()}
+        for name, column in columns.items():
+            if name in _POSITIVE_FIELDS and np.any(column <= 0):
+                raise ValueError(f"{name} must be > 0")
+            if name in _NONNEGATIVE_FIELDS and np.any(column < 0):
+                raise ValueError(f"{name} must be >= 0")
+            if name == "detuning_mode" and not np.all(
+                    (column == EFFECTIVE) | (column == BARE)):
+                raise ValueError(f"detuning_mode must be '{EFFECTIVE}' or '{BARE}'")
+        return replace(self, **columns)
+
+    @property
+    def gamma_m(self) -> np.ndarray:
+        """Mechanical damping rate omega_m / Q, rad/s."""
+        return self.omega_m / self.quality_factor
+
+    @property
+    def omega_laser(self) -> np.ndarray:
+        """Drive angular frequency 2*pi*c / wavelength, rad/s."""
+        return 2.0 * math.pi * C_LIGHT / self.laser_wavelength
+
+    def thermal_phonons(self) -> np.ndarray:
+        """Mean bath phonon number at each mechanical frequency.
+
+        Taken point by point with ``math.expm1``, whose last bit numpy's
+        vectorised expm1 does not always reproduce.
+        """
+        return np.array([thermal_occupancy(w, t) for w, t in
+                         zip(self.omega_m.tolist(), self.bath_temperature.tolist())])
+
+
+@dataclass(frozen=True)
+class SteadyStateColumns:
+    """The SteadyState of many points, one array per field.
+
+    ``all_roots`` is (N, 3), each row's admissible intensities ascending and
+    NaN-padded.
+    """
+
+    alpha_abs: np.ndarray
+    photon_number: np.ndarray
+    delta_eff: np.ndarray
+    delta_bare: np.ndarray
+    q_static: np.ndarray
+    g_eff: np.ndarray
+    branch: np.ndarray
+    all_roots: np.ndarray
+
+    @classmethod
+    def stack(cls, states) -> "SteadyStateColumns":
+        """Columns of a sequence of SteadyState."""
+        states = list(states)
+        roots = np.full((len(states), 3), np.nan)
+        for row, ss in zip(roots, states):
+            row[:len(ss.all_roots)] = ss.all_roots
+        return cls(*(np.array([getattr(ss, f.name) for ss in states])
+                     for f in fields(cls)[:-1]), all_roots=roots)
+
+    def __len__(self) -> int:
+        return len(self.alpha_abs)
+
+    def __getitem__(self, i: int) -> SteadyState:
+        """The one-row view of point ``i``."""
+        roots = self.all_roots[i].tolist()
+        return SteadyState(
+            *(getattr(self, f.name)[i].item() for f in fields(self)[:-1]),
+            all_roots=tuple(r for r in roots if r == r))
+
+    def take(self, idx) -> "SteadyStateColumns":
+        """The points at the indices ``idx``."""
+        return SteadyStateColumns(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+
+def solve_steady_state_batch(params, branch: str = "lower") -> SteadyStateColumns:
+    """``solve_steady_state`` of many points (ParamColumns or a sequence), as columns.
 
     One ``eigvals`` call finds the roots of every point's intensity cubic
-    and the Newton polish runs on all of them at once; each point's result
-    is the one ``solve_steady_state`` gives it alone.
+    and the Newton polish runs on all of them at once; each point's row is
+    the one ``solve_steady_state`` gives it alone. Raises NoPhysicalRoot if
+    a bare-detuning point has no admissible root.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}")
-    points = []
-    for p in params_seq:
-        e0 = drive_amplitude(p)
-        e0_sq = e0 * e0
-        beta = p.g0 ** 2 / p.omega_m
-        if p.detuning_mode == EFFECTIVE:
-            intensity = e0_sq / (p.kappa ** 2 + p.detuning ** 2)
-            delta0 = p.detuning + beta * intensity
-        else:
-            intensity, delta0 = None, p.detuning
-        points.append((p, e0_sq, beta, delta0, intensity))
-    cubic = np.array([(beta ** 2, beta, delta0, p.kappa ** 2,
-                       p.kappa ** 2 + delta0 ** 2, e0_sq)
-                      for p, e0_sq, beta, delta0, _ in points]).reshape(-1, 6)
-    coupled = np.array([p.g0 != 0.0 for p, *_ in points], dtype=bool)
-    roots = np.full((len(points), 3), np.nan)
-    roots[coupled] = _admissible_intensities(cubic[coupled])
-    # without coupling the cubic degenerates to its linear term
-    roots[~coupled, 0] = cubic[~coupled, 5] / cubic[~coupled, 4]
-    return [_steady_state(p, e0_sq, beta, delta0, intensity,
-                          [r for r in row if r == r], branch)
-            for (p, e0_sq, beta, delta0, intensity), row
-            in zip(points, roots.tolist())]
-
-
-def _steady_state(params: SystemParams, e0_sq: float, beta: float,
-                  delta0: float, intensity: float | None, roots: list[float],
-                  branch: str) -> SteadyState:
-    """The working point on ``branch`` of the cubic with admissible ``roots``.
-
-    ``intensity`` is the closed-form intensity in effective-detuning mode,
-    where the roots only tag the branch, and None in bare mode.
-    """
-    if intensity is not None:
-        delta = params.detuning
-        # classify which branch of the recovered cubic the point sits on
-        idx = min(range(len(roots)), key=lambda i: abs(roots[i] - intensity),
-                  default=0)
+    p = params if isinstance(params, ParamColumns) else ParamColumns.stack(params)
+    # float_power is libm's pow, like a scalar ``x ** 2``; squaring differs
+    # from it in the last bit for about one value in a thousand
+    e0 = drive_amplitude(p)
+    e0_sq = e0 * e0
+    beta = np.float_power(p.g0, 2) / p.omega_m
+    kappa_sq = np.float_power(p.kappa, 2)
+    effective = p.detuning_mode == EFFECTIVE
+    closed_form = e0_sq / (kappa_sq + np.float_power(p.detuning, 2))
+    delta0 = np.where(effective, p.detuning + beta * closed_form, p.detuning)
+    linear = kappa_sq + np.float_power(delta0, 2)
+    cubic = np.array([beta, delta0, kappa_sq, linear, e0_sq])
+    coupled = p.g0 != 0.0
+    if coupled.all():
+        roots = _admissible_intensities(cubic)
     else:
-        if not roots:
-            # cannot occur for a real nonnegative drive: the cubic is
-            # negative at I=0 and grows without bound
-            raise NoPhysicalRoot("intensity cubic produced no admissible root")
-        if len(roots) >= 3:
-            idx = {"lower": 0, "middle": 1, "upper": len(roots) - 1}[branch]
-        else:
-            idx = 0
-        intensity = roots[idx]
-        delta = delta0 - beta * intensity
+        roots = np.full((len(p), 3), np.nan)
+        roots[coupled] = _admissible_intensities(cubic[:, coupled])
+        # without coupling the cubic degenerates to its linear term
+        roots[~coupled, 0] = (e0_sq / linear)[~coupled]
 
-    tag = "monostable" if len(roots) <= 1 else _BRANCHES[min(idx, 2)]
-    alpha_abs = math.sqrt(intensity)
-    return SteadyState(
+    admissible = roots == roots
+    count = admissible.sum(axis=1)
+    if (count[~effective] == 0).any():
+        # cannot occur for a real nonnegative drive: the cubic is negative
+        # at I=0 and grows without bound
+        raise NoPhysicalRoot("intensity cubic produced no admissible root")
+    # effective mode: the closed-form intensity, tagged by the nearest root;
+    # bare mode: the root the branch policy picks among three, else the one
+    # fmin turns the NaN padding into inf, so it is never the nearest
+    distance = np.fmin(np.abs(roots - closed_form[:, None]), np.inf)
+    idx = np.where(effective, distance.argmin(axis=1),
+                   (count == 3) * _BRANCHES.index(branch))
+    intensity = np.where(effective, closed_form, roots[np.arange(len(p)), idx])
+    alpha_abs = np.sqrt(intensity)
+    return SteadyStateColumns(
         alpha_abs=alpha_abs,
         photon_number=intensity,
-        delta_eff=delta,
+        delta_eff=np.where(effective, p.detuning, delta0 - beta * intensity),
         delta_bare=delta0,
-        q_static=params.g0 * intensity / params.omega_m,
-        g_eff=params.g0 * math.sqrt(2.0) * alpha_abs,
-        branch=tag,
-        all_roots=tuple(roots),
+        q_static=p.g0 * intensity / p.omega_m,
+        g_eff=p.g0 * math.sqrt(2.0) * alpha_abs,
+        branch=_BRANCH_TAGS[(count > 1) * (idx + 1)],
+        all_roots=roots,
     )
 
 

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .dynamics import LinearModel, auxiliary_block
@@ -45,21 +43,26 @@ class TrajectoryConfig:
 
 
 @dataclass(frozen=True)
-class SpectrumEstimate:
-    """One-sided grid of a two-sided spectral density, with standard errors."""
-
-    frequencies: NDArray[np.float64]  # rad/s, omega >= 0
-    values: NDArray[np.float64]
-    standard_errors: NDArray[np.float64]
-
-
-@dataclass(frozen=True)
 class CovarianceEstimate:
     """Ensemble estimate of a stationary covariance with per-entry errors."""
 
     matrix: NDArray[np.float64]
     standard_errors: NDArray[np.float64]
     n_ensemble: int
+
+
+@dataclass(frozen=True)
+class SpectrumEstimate:
+    """One-sided grid of a two-sided spectral density, with standard errors.
+
+    ``covariance`` is the stationary covariance estimated from the same
+    trajectories.
+    """
+
+    frequencies: NDArray[np.float64]  # rad/s, omega >= 0
+    values: NDArray[np.float64]
+    standard_errors: NDArray[np.float64]
+    covariance: CovarianceEstimate
 
 
 def _check_timestep(a: np.ndarray, cfg: TrajectoryConfig) -> None:
@@ -86,12 +89,14 @@ def exact_discretization(a: np.ndarray, d: np.ndarray,
     (Phi, Q) with Phi = exp(A dt) and Q = int_0^dt exp(A s) D exp(A^T s) ds,
     evaluated with the block matrix-exponential construction.
     """
+    from scipy.linalg import expm
+
     n = a.shape[0]
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -a
     block[:n, n:] = d
     block[n:, n:] = a.T
-    exp_block = scipy.linalg.expm(block * dt)
+    exp_block = expm(block * dt)
     phi = exp_block[n:, n:].T
     q = phi @ exp_block[:n, n:]
     return phi, 0.5 * (q + q.T)
@@ -150,15 +155,21 @@ def _propagate(a: np.ndarray, d: np.ndarray, cfg: TrajectoryConfig,
     return moments / kept, recording
 
 
+def _ensemble_mean(per_member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over the members and its standard error (NaN for one member)."""
+    mean = per_member.mean(axis=0)
+    if len(per_member) > 1:
+        se = per_member.std(axis=0, ddof=1) / math.sqrt(len(per_member))
+    else:
+        se = np.full_like(mean, np.nan)
+    return mean, se
+
+
 def estimate_stationary_covariance(a: np.ndarray, d: np.ndarray,
                                    cfg: TrajectoryConfig) -> CovarianceEstimate:
     """Time/ensemble-averaged second moments with member-scatter errors."""
     per_member, _ = _propagate(np.asarray(a, float), np.asarray(d, float), cfg)
-    mean = per_member.mean(axis=0)
-    if cfg.n_ensemble > 1:
-        se = per_member.std(axis=0, ddof=1) / math.sqrt(cfg.n_ensemble)
-    else:
-        se = np.full_like(mean, np.nan)
+    mean, se = _ensemble_mean(per_member)
     return CovarianceEstimate(matrix=mean, standard_errors=se,
                               n_ensemble=cfg.n_ensemble)
 
@@ -188,6 +199,8 @@ def _welch_segments(series: np.ndarray, dt: float,
     Returns (omega grid, per-member mean spectra). 50% overlap; the estimate
     is the two-sided density reported on the nonnegative grid.
     """
+    from scipy.fft import rfft, rfftfreq
+
     n_members, n_kept = series.shape
     seg_len = _segment_length(n_kept, segments_per_member)
     hop = seg_len // 2
@@ -199,9 +212,9 @@ def _welch_segments(series: np.ndarray, dt: float,
         for s in starts:
             chunk = series[i, s:s + seg_len]
             chunk = (chunk - chunk.mean()) * window
-            member_means[i] += norm * np.abs(scipy.fft.rfft(chunk)) ** 2
+            member_means[i] += norm * np.abs(rfft(chunk)) ** 2
     member_means /= len(starts)
-    omega = 2.0 * math.pi * scipy.fft.rfftfreq(seg_len, d=dt)
+    omega = 2.0 * math.pi * rfftfreq(seg_len, d=dt)
     return omega, member_means
 
 
@@ -212,27 +225,30 @@ def simulate_phase_noise(spec: NoiseSpec, cfg: TrajectoryConfig,
     Integrates the two-variable realization of the bandpass frequency noise
     with the exact Gaussian propagator and returns the Welch-averaged
     periodogram of the frequency-noise variable, with standard errors from
-    the independent-member scatter.
+    the independent-member scatter, and the stationary covariance of the
+    pair from the same trajectories (as ``estimate_stationary_covariance``
+    gives it).
     """
     if spec.kind != "bandpass":
         raise ValueError("the trajectory generator realizes bandpass noise")
     a, d = auxiliary_block(spec)
     if spec.gamma_l == 0.0:
         # no drive: trajectories are identically zero
+        from scipy.fft import rfftfreq
+
         _check_timestep(a, cfg)
         seg_len = _segment_length(cfg.n_steps - cfg.burn_in,
                                   segments_per_member)
-        omega = 2.0 * math.pi * scipy.fft.rfftfreq(seg_len, d=cfg.dt)
-        zero = np.zeros_like(omega)
-        return SpectrumEstimate(frequencies=omega, values=zero,
-                                standard_errors=zero)
-    _, recording = _propagate(a, d, cfg, record=0)
-    omega, member_spectra = _welch_segments(recording, cfg.dt,
-                                            segments_per_member)
-    values = member_spectra.mean(axis=0)
-    if cfg.n_ensemble > 1:
-        se = member_spectra.std(axis=0, ddof=1) / math.sqrt(cfg.n_ensemble)
+        omega = 2.0 * math.pi * rfftfreq(seg_len, d=cfg.dt)
+        values = se = np.zeros_like(omega)
+        per_member = np.zeros((cfg.n_ensemble, 2, 2))
     else:
-        se = np.full_like(values, np.nan)
-    return SpectrumEstimate(frequencies=omega, values=values,
-                            standard_errors=se)
+        per_member, recording = _propagate(a, d, cfg, record=0)
+        omega, member_spectra = _welch_segments(recording, cfg.dt,
+                                                segments_per_member)
+        values, se = _ensemble_mean(member_spectra)
+    mean, mean_se = _ensemble_mean(per_member)
+    return SpectrumEstimate(
+        frequencies=omega, values=values, standard_errors=se,
+        covariance=CovarianceEstimate(matrix=mean, standard_errors=mean_se,
+                                      n_ensemble=cfg.n_ensemble))

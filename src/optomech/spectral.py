@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 
 from .dynamics import (REDUCED_BASIS, optomechanical_block, phase_noise_spectrum,
                        vacuum_diffusion)
 from .errors import ImaginaryFrequency, QuadratureNotConverged, UnstableDrift
 from .lyapunov import CovarianceMatrix
-from .parameters import NoiseSpec, SteadyState, SystemParams
+from .parameters import (NoiseSpec, ParamColumns, SteadyState,
+                         SteadyStateColumns, SystemParams)
 from .quadrature import integrate_adaptive
 
 
@@ -47,19 +47,47 @@ class ScatteringRates:
     gamma_op: float
 
 
-def _sideband_denominators(params: SystemParams, ss: SteadyState) -> tuple[float, float]:
-    k2 = params.kappa ** 2
-    return (k2 + (ss.delta_eff - params.omega_m) ** 2,
-            k2 + (ss.delta_eff + params.omega_m) ** 2)
+# The closed forms below take one point (SystemParams, SteadyState) or many
+# (ParamColumns, SteadyStateColumns) alike. Each scalar ``x ** 2`` of the
+# one-point forms is np.float_power(x, 2): libm's pow, which squaring
+# differs from in the last bit for about one value in a thousand. The
+# squares of a form are taken in one call: at a single point the number of
+# numpy calls, not their arithmetic, sets the cost.
+
+
+def _response_terms(params, ss) -> dict:
+    """Scattering rates and omega_eff^2 of the radiation-pressure response.
+
+    Also returns the squares kappa^2, omega_m^2 and delta^2, the spring
+    term G^2*delta*omega_m and the sideband product
+    (kappa^2 + (delta - omega_m)^2)(kappa^2 + (delta + omega_m)^2), which
+    gamma_eff and the static channel share.
+    """
+    wm, k, g, delta = params.omega_m, params.kappa, ss.g_eff, ss.delta_eff
+    k2, wm2, g2, delta2, minus2, plus2 = np.float_power(
+        [k, wm, g, delta, delta - wm, delta + wm], 2)
+    d_minus, d_plus = k2 + minus2, k2 + plus2
+    half = 0.5 * k * g2
+    a_minus, a_plus = half / d_minus, half / d_plus
+    spring = g2 * delta * wm
+    sidebands = d_minus * d_plus
+    return {"a_plus": a_plus, "a_minus": a_minus, "gamma_op": a_minus - a_plus,
+            "omega_eff_sq": wm2 - (spring * (k2 - wm2 + delta2) / sidebands),
+            "k2": k2, "wm2": wm2, "delta2": delta2, "spring": spring,
+            "sidebands": sidebands}
+
+
+def scattering_rates_batch(params, ss) -> dict[str, np.ndarray]:
+    """``scattering_rates`` of many points: one array per ScatteringRates field."""
+    with np.errstate(all="ignore"):
+        terms = _response_terms(params, ss)
+    return {name: terms[name] for name in ("a_plus", "a_minus", "gamma_op")}
 
 
 def scattering_rates(params: SystemParams, ss: SteadyState) -> ScatteringRates:
     """Rates kappa*G^2/2 / (kappa^2 + (delta +/- omega_m)^2)."""
-    d_minus, d_plus = _sideband_denominators(params, ss)
-    half = 0.5 * params.kappa * ss.g_eff ** 2
-    a_minus = half / d_minus
-    a_plus = half / d_plus
-    return ScatteringRates(a_plus=a_plus, a_minus=a_minus, gamma_op=a_minus - a_plus)
+    rates = scattering_rates_batch(params, ss)
+    return ScatteringRates(**{k: float(v) for k, v in rates.items()})
 
 
 def effective_response(params: SystemParams, ss: SteadyState) -> EffectiveResponse:
@@ -70,12 +98,11 @@ def effective_response(params: SystemParams, ss: SteadyState) -> EffectiveRespon
     """
     wm, gm, k = params.omega_m, params.gamma_m, params.kappa
     g, delta = ss.g_eff, ss.delta_eff
-    d_minus, d_plus = _sideband_denominators(params, ss)
-    radicand = wm ** 2 - (g ** 2 * delta * wm * (k ** 2 - wm ** 2 + delta ** 2)
-                          / (d_minus * d_plus))
+    with np.errstate(all="ignore"):
+        terms = _response_terms(params, ss)
+    radicand = float(terms["omega_eff_sq"])
     if radicand < 0:
         raise ImaginaryFrequency(radicand)
-    gamma_eff = gm + 2.0 * g ** 2 * delta * wm * k / (d_minus * d_plus)
 
     def chi_eff(omega):
         w = np.asarray(omega, dtype=complex)
@@ -83,6 +110,7 @@ def effective_response(params: SystemParams, ss: SteadyState) -> EffectiveRespon
                      - g ** 2 * delta * wm / ((k - 1j * w) ** 2 + delta ** 2))
         return out if out.ndim else complex(out)
 
+    gamma_eff = gm + 2.0 * float(terms["spring"]) * k / float(terms["sidebands"])
     return EffectiveResponse(omega_eff=math.sqrt(radicand), gamma_eff=gamma_eff,
                              chi_eff=chi_eff)
 
@@ -274,6 +302,60 @@ def optimal_detuning_and_max_en(kappa_over_omega_m: float) -> tuple[float, float
 STATIC_BAND_LIMIT = 0.1
 
 
+def _static_stiffness(terms: dict):
+    """(kappa^2 + delta^2, 1/chi0) of the static radiation-pressure response."""
+    cavity = terms["k2"] + terms["delta2"]
+    return cavity, terms["wm2"] - terms["spring"] / cavity
+
+
+def _static_heating(params: ParamColumns, ss, terms: dict):
+    """``static_phase_noise_heating_batch`` from the response terms,
+    floating-point errors unchecked."""
+    applies = (params.noise_kind == "bandpass") & (ss.delta_eff != 0.0)
+    if not applies.any():
+        return np.zeros(len(applies)), {name: applies for name in (
+            "undamped_band", "imaginary_static", "static_band")}
+    delta, band, width = ss.delta_eff, params.omega_band, params.gamma_tilde
+    cavity, stiffness = _static_stiffness(terms)
+    shift2, band2, cavity2 = np.float_power(
+        [ss.g_eff * delta * params.omega_m / stiffness, band, cavity], 2)
+    dn = ss.photon_number * shift2 * params.gamma_l * band2 / (width * cavity2)
+    scale = np.minimum(np.minimum(np.sqrt(stiffness), params.kappa), np.abs(delta))
+    valid = applies & (width != 0.0)
+    imaginary = valid & (stiffness < 0)
+    flags = {"undamped_band": applies & ~valid, "imaginary_static": imaginary,
+             "static_band": valid & (band > STATIC_BAND_LIMIT * scale)}
+    return np.where(applies, np.where(valid & ~imaginary, dn, np.nan), 0.0), flags
+
+
+def static_phase_noise_heating_batch(params: ParamColumns, ss
+                                     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """``static_phase_noise_heating`` of many points, with its validity flags.
+
+    Returns ``(dn, flags)``. ``dn`` is 0 where no noise band applies (no
+    bandpass noise, or delta_eff = 0) and NaN where the one-point form
+    raises: ``flags["undamped_band"]`` (gamma_tilde = 0) and
+    ``flags["imaginary_static"]`` (1/chi0 < 0) mark those points.
+    ``flags["static_band"]`` marks where it warns that the band is not far
+    below min(sqrt(1/chi0), kappa, |delta|).
+    """
+    with np.errstate(all="ignore"):
+        return _static_heating(params, ss, _response_terms(params, ss))
+
+
+def _raise_or_warn_static(params, ss, flags) -> None:
+    """The errors and the warning of the one-point static channel."""
+    if flags["undamped_band"][0]:
+        raise UnstableDrift("undamped noise band (gamma_tilde = 0) has no "
+                            "stationary state")
+    if flags["imaginary_static"][0]:
+        stiffness = _static_stiffness(_response_terms(params, ss))[1]
+        raise ImaginaryFrequency(float(stiffness))
+    if flags["static_band"][0]:
+        warnings.warn("static phase-noise heating assumes the noise band far "
+                      "below omega_m, kappa and |delta|", stacklevel=3)
+
+
 def static_phase_noise_heating(params: SystemParams, ss: SteadyState) -> float:
     """Occupancy added by the noise band through the static mirror response.
 
@@ -292,24 +374,59 @@ def static_phase_noise_heating(params: SystemParams, ss: SteadyState) -> float:
     static instability (1/chi0 < 0) and UnstableDrift for an undamped band
     (gt = 0), whose noise has no stationary state.
     """
-    spec = params.phase_noise
-    if spec.kind != "bandpass" or ss.delta_eff == 0.0:
-        return 0.0
-    if spec.gamma_tilde == 0.0:
-        raise UnstableDrift("undamped noise band (gamma_tilde = 0) has no "
-                            "stationary state")
-    wm, k = params.omega_m, params.kappa
-    g, delta = ss.g_eff, ss.delta_eff
-    cavity = k ** 2 + delta ** 2
-    stiffness = wm ** 2 - g ** 2 * delta * wm / cavity  # 1/chi0
-    if stiffness < 0:
-        raise ImaginaryFrequency(stiffness)
-    if spec.omega_band > STATIC_BAND_LIMIT * min(math.sqrt(stiffness), k, abs(delta)):
-        warnings.warn("static phase-noise heating assumes the noise band far "
-                      "below omega_m, kappa and |delta|", stacklevel=2)
-    return (ss.photon_number * (g * delta * wm / stiffness) ** 2
-            * spec.gamma_l * spec.omega_band ** 2
-            / (spec.gamma_tilde * cavity ** 2))
+    dn, flags = static_phase_noise_heating_batch(
+        ParamColumns.stack([params]), SteadyStateColumns.stack([ss]))
+    _raise_or_warn_static(params, ss, flags)
+    return dn.item()
+
+
+def _peak_spectrum(params: ParamColumns, omega: np.ndarray) -> np.ndarray:
+    """phase_noise_spectrum of each point at its own frequency ``omega``.
+
+    Rounded as phase_noise_spectrum rounds a scalar omega: omega^2 squared,
+    the outer square of the bandpass denominator through pow.
+    """
+    flat = np.where(params.noise_kind == "white", 2.0 * params.gamma_l, 0.0)
+    bandpass = params.noise_kind == "bandpass"
+    if not bandpass.any():
+        return flat
+    band = params.omega_band
+    w2 = omega * omega
+    band2, width2, band4 = np.float_power([band, params.gamma_tilde, band],
+                                          [[2], [2], [4]])
+    band_value = (2.0 * params.gamma_l * band4
+                  / (np.float_power(band2 - w2, 2) + w2 * width2))
+    return np.where(bandpass, band_value, flat)
+
+
+def approx_n_eff_batch(params: ParamColumns, ss
+                       ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """``approx_n_eff`` of many points, with its regime flags.
+
+    Returns ``(n_eff, flags)``. ``n_eff`` is NaN where the one-point form
+    raises: ``flags["imaginary_spring"]`` (omega_eff^2 < 0) and the failure
+    flags of ``static_phase_noise_heating_batch`` mark those points. The
+    flags ``kappa_regime`` (G > kappa/2 or gamma_m > kappa/10),
+    ``omega_m_regime`` (n*gamma_m > omega_m/10 or G > omega_m/2) and
+    ``static_band`` mark the points where it warns.
+    """
+    n = params.thermal_phonons()
+    gm, wm, k, g = params.gamma_m, params.omega_m, params.kappa, ss.g_eff
+    with np.errstate(all="ignore"):
+        terms = _response_terms(params, ss)
+        radicand, gamma_op = terms["omega_eff_sq"], terms["gamma_op"]
+        static, flags = _static_heating(params, ss, terms)
+        s_peak = _peak_spectrum(params, np.sqrt(radicand))
+        heating = ss.photon_number * ss.delta_eff * gamma_op * s_peak / (2.0 * k * wm)
+        n_eff = (n * gm + terms["a_plus"] + heating) / (gm + gamma_op) + static
+    spring = radicand < 0
+    flags = {"kappa_regime": (g > 0.5 * k) | (gm > 0.1 * k),
+             "omega_m_regime": (n * gm > 0.1 * wm) | (g > 0.5 * wm),
+             "imaginary_spring": spring,
+             "undamped_band": flags["undamped_band"],
+             "imaginary_static": flags["imaginary_static"],
+             "static_band": flags["static_band"] & ~spring}
+    return np.where(spring, np.nan, n_eff), flags
 
 
 def approx_n_eff(params: SystemParams, ss: SteadyState) -> float:
@@ -324,24 +441,23 @@ def approx_n_eff(params: SystemParams, ss: SteadyState) -> float:
     (static_phase_noise_heating). Warns outside the weak-coupling regime
     it is calibrated for and where the band is not that far below.
     """
-    n = params.thermal_phonons()
-    gm, wm, k = params.gamma_m, params.omega_m, params.kappa
-    if ss.g_eff > 0.5 * k or gm > 0.1 * k:
+    n_eff, flags = approx_n_eff_batch(ParamColumns.stack([params]),
+                                      SteadyStateColumns.stack([ss]))
+    if flags["kappa_regime"][0]:
         warnings.warn("occupancy formula assumes kappa >> gamma_m, G", stacklevel=2)
-    if n * gm > 0.1 * wm or ss.g_eff > 0.5 * wm:
+    if flags["omega_m_regime"][0]:
         warnings.warn("occupancy formula assumes omega_m >> n*gamma_m, G",
                       stacklevel=2)
-    rates = scattering_rates(params, ss)
-    omega_eff = effective_response(params, ss).omega_eff
-    s_peak = float(phase_noise_spectrum(params.phase_noise, omega_eff))
-    heating = (ss.photon_number * ss.delta_eff * rates.gamma_op * s_peak
-               / (2.0 * k * wm))
-    return ((n * gm + rates.a_plus + heating) / (gm + rates.gamma_op)
-            + static_phase_noise_heating(params, ss))
+    if flags["imaginary_spring"][0]:
+        raise ImaginaryFrequency(float(_response_terms(params, ss)["omega_eff_sq"]))
+    _raise_or_warn_static(params, ss, flags)
+    return n_eff.item()
 
 
 def _quad_checked(func, a, b, what: str, **kwargs) -> float:
-    out = scipy.integrate.quad(func, a, b, full_output=1, **kwargs)
+    from scipy.integrate import quad
+
+    out = quad(func, a, b, full_output=1, **kwargs)
     value, abserr = out[0], out[1]
     if len(out) > 3:  # warning message appended on trouble
         raise QuadratureNotConverged(f"{what}: {out[3].splitlines()[0]}",

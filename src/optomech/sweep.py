@@ -11,26 +11,25 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import (MODEL_DIMS, LinearModel, build_model_batch,
-                       drift_abscissa, model_order, stability_margin)
-from .errors import (ImaginaryFrequency, NonpositiveDetuning,
-                     PointEvaluationError, UnstableDrift)
+                       drift_abscissa, stability_margin_batch)
+from .errors import PointEvaluationError
 from .lyapunov import solve_lyapunov_batch
 from .measures import log_negativity_batch, occupancy_batch
-from .output import tool_metadata, write_document, write_table
-from .parameters import (EFFECTIVE, NoiseSpec, SteadyState, SystemParams,
+from .output import (Columns, format_column, tool_metadata, write_document,
+                     write_table)
+from .parameters import (EFFECTIVE, NoiseSpec, ParamColumns, SteadyState,
+                         SteadyStateColumns, SystemParams,
                          solve_steady_state_batch)
-from .spectral import approx_n_eff
+from .spectral import approx_n_eff_batch
 
 AXIS_NAMES = ("power_mw", "delta_over_omega_m", "kappa_over_omega_m")
 OUTPUT_NAMES = ("e_n", "n_eff", "eta_minus", "stability_margin", "g_eff",
                 "alpha_abs")
-_NULLABLE = ("e_n", "n_eff", "eta_minus")
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,65 @@ class PointResult:
         return getattr(self, name)
 
 
-def apply_axis(params: SystemParams, name: str, value: float) -> SystemParams:
-    """Return the parameter set with one sweep knob applied."""
+_FIELDS = tuple(f.name for f in dataclasses.fields(PointResult))
+# PointResult fields taken from the measures of a stable point, by source key
+_MEASURED = {"e_n": "log_negativity", "eta_minus": "eta_minus",
+             "raw_log_negativity": "raw_log_negativity", "n_eff": "n_eff",
+             "energy_j": "energy", "heisenberg_min": "heisenberg_min"}
+_NULLABLE = ("stability_margin", "n_eff_approx", "error", *_MEASURED)
+
+
+class PointColumns(Columns):
+    """Results of many points: one array per PointResult field, row-aligned.
+
+    It is also the sequence of its rows, each a PointResult view.
+    """
+
+    def __getitem__(self, i: int) -> PointResult:
+        null = self.null
+        return PointResult(*(None if name in null and null[name][i]
+                             else self.values[name].item(i) for name in _FIELDS))
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def rows(self) -> tuple[PointResult, ...]:
+        """Every row as a PointResult, None where a field is null."""
+        lists = []
+        for name in _FIELDS:
+            items = self.values[name].tolist()
+            if name in self.null:
+                items = [None if n else v
+                         for v, n in zip(items, self.null[name].tolist())]
+            lists.append(items)
+        return tuple(PointResult(*row) for row in zip(*lists))
+
+    @classmethod
+    def concatenate(cls, parts) -> "PointColumns":
+        parts = list(parts)
+        return cls(values={name: np.concatenate([p.values[name] for p in parts])
+                           for name in _FIELDS},
+                   null={name: np.concatenate([p.null[name] for p in parts])
+                         for name in parts[0].null})
+
+    @classmethod
+    def error_row(cls, message: str) -> "PointColumns":
+        """The row of a point whose evaluation failed with ``message``."""
+        values = dict(stable=np.zeros(1, dtype=bool), branch=np.array(["error"]),
+                      error=np.array([message], dtype=object))
+        values.update((name, np.full(1, np.nan)) for name in _FIELDS
+                      if name not in values)
+        null = {name: np.ones(1, dtype=bool) for name in _NULLABLE}
+        null["error"] = np.zeros(1, dtype=bool)
+        return cls(values=values, null=null)
+
+
+def apply_axis(params, name: str, value):
+    """Return the parameters with one sweep knob applied.
+
+    ``params`` is one SystemParams with a scalar ``value``, or ParamColumns
+    with a value or one value per point.
+    """
     if name == "power_mw":
         return params.with_(laser_power=value * 1e-3)
     if name == "delta_over_omega_m":
@@ -125,19 +181,6 @@ def _stage(name: str, func, *args, **kwargs):
         raise PointEvaluationError(name, str(err)) from err
 
 
-def _closed_form_n_eff(params: SystemParams, ss: SteadyState) -> float | None:
-    """The weak-coupling occupancy, or None where the closed form fails.
-
-    It is a cross-check of the exact n_eff: a drift-stable point beyond its
-    reach (e.g. an imaginary effective mechanical frequency) keeps its exact
-    measures and gets a null here instead of an error row.
-    """
-    try:
-        return approx_n_eff(params, ss)
-    except (ImaginaryFrequency, UnstableDrift):
-        return None
-
-
 @dataclass(frozen=True)
 class PointEvaluation:
     """One point's result with the working point and linear model behind it."""
@@ -147,72 +190,94 @@ class PointEvaluation:
     model: LinearModel
 
 
-def run_pipeline(params_seq) -> list[PointEvaluation]:
-    """The point pipeline over a sequence of points, each stage run once on the stack.
+@dataclass(frozen=True)
+class PipelineColumns:
+    """What the point pipeline knows about many points, column by column.
 
-    Points are grouped by model order (6 with bandpass noise, else 4); each
-    group's drifts, diffusions and covariances are (N, n, n) stacks, and
-    one eigenvalue solve per drift decides stability and serves as the
-    Hurwitz guard of the Lyapunov solve. Unstable points carry stability
-    data only, with null measures; a stable point whose weak-coupling
-    closed form fails has a null ``n_eff_approx``. A failing stage raises
-    PointEvaluationError for the whole sequence; ``evaluate_batch`` isolates
-    the failing point.
+    ``models`` holds one ``(indices, drifts, diffusions)`` stack per model
+    order. It is also the sequence of its rows, each a PointEvaluation view.
     """
-    params_seq = list(params_seq)
-    states = _stage("steady-state", solve_steady_state_batch, params_seq)
-    models = [None] * len(params_seq)
-    measured = {}
-    orders = [model_order(p.phase_noise) for p in params_seq]
-    for order in MODEL_DIMS:
-        idx = [i for i, o in enumerate(orders) if o == order]
-        if not idx:
+
+    results: PointColumns
+    steady_states: SteadyStateColumns
+    models: tuple
+
+    def __len__(self) -> int:
+        return len(self.results)
+
+    def __getitem__(self, i: int) -> PointEvaluation:
+        i = range(len(self))[i]
+        a, d, j = next((a, d, np.flatnonzero(idx == i)[0])
+                       for idx, a, d in self.models if i in idx)
+        model = LinearModel(drift=a[j], diffusion=d[j],
+                            stable=self.results.values["stable"].item(i),
+                            dims=MODEL_DIMS[a.shape[1]])
+        return PointEvaluation(self.results[i], self.steady_states[i], model)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def run_pipeline(params) -> PipelineColumns:
+    """The point pipeline over many points, each stage run once on the stack.
+
+    ``params`` is ParamColumns or a sequence of SystemParams. Points are
+    grouped by model order (6 with bandpass noise, else 4); each group's
+    drifts, diffusions and covariances are (N, n, n) stacks, and one
+    eigenvalue solve per drift decides stability and serves as the Hurwitz
+    guard of the Lyapunov solve. Unstable points carry stability data
+    only, with null measures; a stable point whose weak-coupling closed
+    form fails keeps its exact measures with a null ``n_eff_approx``. A
+    failing stage raises PointEvaluationError for the whole stack;
+    ``evaluate_batch`` isolates the failing point.
+    """
+    if not isinstance(params, ParamColumns):
+        params = ParamColumns.stack(params)
+    count = len(params)
+    ss = _stage("steady-state", solve_steady_state_batch, params)
+    bandpass = params.noise_kind == "bandpass"
+    stable = np.zeros(count, dtype=bool)
+    measured = np.full((len(_MEASURED), count), np.nan)
+    models = []
+    for idx in (np.flatnonzero(bandpass), np.flatnonzero(~bandpass)):
+        if not idx.size:
             continue
-        group = [params_seq[i] for i in idx]
-        a, d = _stage("linear-model", build_model_batch, group,
-                      [states[i] for i in idx])
+        group = (params, ss) if idx.size == count else (params.take(idx),
+                                                       ss.take(idx))
+        a, d = _stage("linear-model", build_model_batch, *group)
         abscissa = _stage("linear-model", drift_abscissa, a)
-        stable = abscissa < 0.0
-        for j, i in enumerate(idx):
-            models[i] = LinearModel(drift=a[j], diffusion=d[j],
-                                    stable=bool(stable[j]),
-                                    dims=MODEL_DIMS[order])
-        if not stable.any():
+        models.append((idx, a, d))
+        group_stable = abscissa < 0.0
+        stable[idx] = group_stable
+        if not group_stable.any():
             continue
-        cov = _stage("lyapunov", solve_lyapunov_batch, a[stable], d[stable],
-                     abscissa=abscissa[stable])
+        cov = _stage("lyapunov", solve_lyapunov_batch, a[group_stable],
+                     d[group_stable], abscissa=abscissa[group_stable])
         v4 = cov[:, :4, :4]
         ent = _stage("log-negativity", log_negativity_batch, v4)
         occ = _stage("occupancy", occupancy_batch, v4,
-                     [p.omega_m for p, s in zip(group, stable) if s])
-        stable_idx = [i for i, s in zip(idx, stable) if s]
-        measured.update(zip(stable_idx, zip(ent, occ)))
+                     group[0].omega_m[group_stable])
+        ent.update(occ)
+        measured[:, idx[group_stable]] = [ent[key] for key in _MEASURED.values()]
+    measured = dict(zip(_MEASURED, measured))
 
-    out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for i, (params, ss, model) in enumerate(zip(params_seq, states, models)):
-            try:
-                margin = stability_margin(params, ss)
-            except NonpositiveDetuning:
-                margin = None
-            fields = dict(stable=model.stable, stability_margin=margin,
-                          alpha_abs=ss.alpha_abs,
-                          photon_number=ss.photon_number, g_eff=ss.g_eff,
-                          branch=ss.branch)
-            if i in measured:
-                ent, occ = measured[i]
-                fields.update(
-                    e_n=ent.log_negativity,
-                    eta_minus=ent.eta_minus,
-                    raw_log_negativity=ent.raw_log_negativity,
-                    n_eff=occ.n_eff,
-                    n_eff_approx=_closed_form_n_eff(params, ss),
-                    energy_j=occ.energy,
-                    heisenberg_min=ent.heisenberg_min,
-                )
-            out.append(PointEvaluation(PointResult(**fields), ss, model))
-    return out
+    # the closed form is a cross-check of the measured points: one outside
+    # its reach gets a null, not an error row
+    approx, approx_null = np.full(count, np.nan), ~stable
+    if stable.any():
+        approx, flags = approx_n_eff_batch(params, ss)
+        approx_null = (approx_null | flags["imaginary_spring"]
+                       | flags["undamped_band"] | flags["imaginary_static"])
+    values = dict(
+        stable=stable, stability_margin=stability_margin_batch(params, ss),
+        alpha_abs=ss.alpha_abs, photon_number=ss.photon_number, g_eff=ss.g_eff,
+        branch=ss.branch, **measured, n_eff_approx=approx,
+        error=np.full(count, None, dtype=object))
+    null = dict(stability_margin=ss.delta_eff <= 0,
+                error=np.ones(count, dtype=bool), n_eff_approx=approx_null,
+                **dict.fromkeys(_MEASURED, ~stable))
+    return PipelineColumns(PointColumns(values=values, null=null), ss,
+                           tuple(models))
 
 
 def evaluate_point(params: SystemParams) -> PointResult:
@@ -221,82 +286,93 @@ def evaluate_point(params: SystemParams) -> PointResult:
     Unstable points return stability data only, with null measures; a
     failing stage raises PointEvaluationError naming it.
     """
-    return run_pipeline([params])[0].result
+    return run_pipeline([params]).results[0]
 
 
-def evaluate_batch(params_seq) -> list[PointResult]:
+def evaluate_batch(params) -> PointColumns:
     """Results of many points, with a failing point isolated to its own row.
 
-    The points run through the pipeline as one stack. If a stage fails,
-    they are run again one at a time, so only the point that fails gets
-    an error row, which names the failing stage.
+    ``params`` is ParamColumns or a sequence of SystemParams. The points
+    run through the pipeline as one stack. If a stage fails, they are run
+    again one at a time, so only the point that fails gets an error row,
+    which names the failing stage.
     """
-    params_seq = list(params_seq)
+    if not isinstance(params, ParamColumns):
+        params = ParamColumns.stack(params)
     try:
-        return [e.result for e in run_pipeline(params_seq)]
+        return run_pipeline(params).results
     except PointEvaluationError:
         pass
-    out = []
-    for params in params_seq:
+    rows = []
+    for i in range(len(params)):
         try:
-            out.append(evaluate_point(params))
+            rows.append(run_pipeline(params.take([i])).results)
         except PointEvaluationError as err:
-            out.append(PointResult(stable=False, stability_margin=None,
-                                   alpha_abs=np.nan, photon_number=np.nan,
-                                   g_eff=np.nan, branch="error",
-                                   error=str(err)))
-    return out
+            rows.append(PointColumns.error_row(str(err)))
+    return PointColumns.concatenate(rows)
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Row-major (x outer, y inner) grid of point results plus metadata."""
+    """Row-major (x outer, y inner) grid of point results plus metadata.
+
+    ``columns`` holds one array per PointResult field; ``points`` gives the
+    rows as PointResult views.
+    """
 
     spec: SweepSpec
     x_values: np.ndarray
     y_values: np.ndarray
-    points: tuple[PointResult, ...]
+    columns: PointColumns
     metadata: dict
 
     @property
+    def points(self) -> tuple[PointResult, ...]:
+        return self.columns.rows()
+
+    @property
     def n_failures(self) -> int:
-        return sum(1 for p in self.points if p.error is not None)
+        return int(np.count_nonzero(~self.columns.null["error"]))
 
     def grid(self, output: str) -> np.ndarray:
         """Output as a (count_x, count_y) float array, NaN where null."""
-        vals = [np.nan if p.output(output) is None else p.output(output)
-                for p in self.points]
-        return np.array(vals).reshape(len(self.x_values), len(self.y_values))
+        if output not in OUTPUT_NAMES:
+            raise ValueError(f"unknown output {output!r}")
+        values = self.columns.values[output]
+        null = self.columns.null.get(output)
+        if null is not None:
+            values = np.where(null, np.nan, values)
+        return values.reshape(len(self.x_values), len(self.y_values))
+
+    def _axis_cells(self) -> list[list[str]]:
+        """The x and y cells of every row, each axis value formatted once."""
+        ny = len(self.y_values)
+        return [[c for c in format_column(self.x_values) for _ in range(ny)],
+                format_column(self.y_values) * len(self.x_values)]
 
     def write_csv(self, path) -> None:
-        header = ([self.spec.axis_x.name, self.spec.axis_y.name]
-                  + list(self.spec.outputs) + ["stable", "branch", "error"])
-        rows = ([x, y, *(p.output(name) for name in self.spec.outputs),
-                 p.stable, p.branch, p.error]
-                for (x, y), p in zip(self._xy_pairs(), self.points))
-        write_table(path, self.metadata, ",".join(header), rows)
+        names = [*self.spec.outputs, "stable", "branch", "error"]
+        header = [self.spec.axis_x.name, self.spec.axis_y.name, *names]
+        write_table(path, self.metadata, ",".join(header),
+                    self._axis_cells() + [self.columns.cells(n) for n in names])
 
     def write_json(self, path) -> None:
         write_document(path, {
             "metadata": self.metadata,
             "x_values": [float(v) for v in self.x_values],
             "y_values": [float(v) for v in self.y_values],
-            # the fields are flat, so asdict's recursive copy is not needed
-            "rows": [vars(p) for p in self.points],
+            "rows": self.columns,
         })
 
     def write_grid(self, path, output: str) -> None:
         """Gnuplot-style matrix: x y z rows, blank line between x-blocks."""
         if output not in self.spec.outputs:
             raise ValueError(f"output {output!r} not in {self.spec.outputs}")
-        rows = []
-        for x, column in zip(self.x_values, self.grid(output)):
-            rows += [(x, y, z) for y, z in zip(self.y_values, column)]
-            rows.append(())  # blank line closes the x-block
         write_table(path, self.metadata,
                     f"# columns: {self.spec.axis_x.name} "
                     f"{self.spec.axis_y.name} {output}",
-                    rows, sep=" ", eol="\n")
+                    self._axis_cells() + [format_column(self.grid(output).ravel())],
+                    sep=" ", eol="\n", block=len(self.y_values))
 
     def _xy_pairs(self):
         for x in self.x_values:
@@ -304,11 +380,13 @@ class SweepResult:
                 yield x, y
 
 
-def _evaluate_column(args) -> list[PointResult]:
+def _evaluate_column(args) -> PointColumns:
+    """One sweep column: the y axis goes in as an array, as one batch."""
     spec, x = args
-    column = apply_axis(spec.fixed, spec.axis_x.name, x)
-    return evaluate_batch(apply_axis(column, spec.axis_y.name, y)
-                          for y in spec.axis_y.values())
+    ys = spec.axis_y.values()
+    column = apply_axis(ParamColumns.repeat(spec.fixed, len(ys)),
+                        spec.axis_x.name, x)
+    return evaluate_batch(apply_axis(column, spec.axis_y.name, ys))
 
 
 def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
@@ -324,7 +402,6 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
             columns = list(pool.map(_evaluate_column, tasks))
     else:
         columns = [_evaluate_column(t) for t in tasks]
-    points = tuple(p for col in columns for p in col)
     metadata = tool_metadata(
         recipe=spec.recipe,
         branch_policy="lower",
@@ -333,7 +410,8 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
         outputs=list(spec.outputs),
         fixed_params=dataclasses.asdict(spec.fixed),
     )
-    return SweepResult(spec=spec, x_values=xs, y_values=ys, points=points,
+    return SweepResult(spec=spec, x_values=xs, y_values=ys,
+                       columns=PointColumns.concatenate(columns),
                        metadata=metadata)
 
 

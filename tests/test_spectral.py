@@ -4,15 +4,19 @@ import warnings
 import numpy as np
 import pytest
 
-from optomech import (NoiseSpec, approx_cm_phase_correction, approx_n_eff,
-                      build_model, cm_spectral_oracle, effective_response,
-                      laser_correlation, log_negativity, occupancy,
-                      optimal_detuning_and_max_en, phase_noise_spectrum,
-                      power_for_coupling, reduce_to_optomechanical,
-                      scattering_rates, solve_lyapunov, solve_steady_state,
-                      static_phase_noise_heating, threshold_eta_minus)
+from optomech import (NoiseSpec, ParamColumns, SteadyStateColumns,
+                      approx_cm_phase_correction, approx_n_eff,
+                      approx_n_eff_batch, build_model, cm_spectral_oracle,
+                      effective_response, laser_correlation, log_negativity,
+                      occupancy, optimal_detuning_and_max_en,
+                      phase_noise_spectrum, power_for_coupling,
+                      reduce_to_optomechanical, scattering_rates,
+                      solve_lyapunov, solve_steady_state,
+                      static_phase_noise_heating,
+                      static_phase_noise_heating_batch, threshold_eta_minus)
 from optomech.errors import (ImaginaryFrequency, QuadratureNotConverged,
                              UnstableDrift)
+from optomech.spectral import STATIC_BAND_LIMIT
 
 from conftest import OMEGA_M, bandpass_100hz, make_params, relative_gap
 
@@ -207,6 +211,116 @@ class TestApproxOccupancy:
             2 * math.pi * 100, 2 * math.pi * 5e4, 0.0))
         with pytest.raises(UnstableDrift):
             static_phase_noise_heating(p, ss)
+
+
+def _random_working_points(rng, count):
+    """Working points over every noise kind, detuning mode and regime."""
+    points = []
+    for _ in range(count):
+        band = 2 * math.pi * 10 ** rng.uniform(3.5, 6.5)
+        width = 0.0 if rng.uniform() < 0.05 else band * 10 ** rng.uniform(-2, 1)
+        gamma_l = 2 * math.pi * 10 ** rng.uniform(0, 4)
+        noise = [NoiseSpec.none(), NoiseSpec.white(gamma_l),
+                 NoiseSpec.bandpass(gamma_l, band, width)][rng.integers(3)]
+        p = make_params(
+            kappa=OMEGA_M * 10 ** rng.uniform(-1.5, 0.5),
+            detuning=OMEGA_M * rng.uniform(-0.5, 3.0),
+            laser_power=rng.uniform(0.0, 0.15),
+            quality_factor=10 ** rng.uniform(3, 7),
+            bath_temperature=rng.choice([0.0, 10 ** rng.uniform(-2, 1)]),
+            detuning_mode=str(rng.choice(["effective", "bare"])),
+            phase_noise=noise)
+        points.append((p, solve_steady_state(p)))
+    return points
+
+
+def _outcome(func, *args):
+    """(value or raised type, the set of warning messages) of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = func(*args)
+        except (ImaginaryFrequency, UnstableDrift) as err:
+            value = type(err)
+    return value, {str(w.message) for w in caught}
+
+
+def _scalar_conditions(p, ss) -> dict:
+    """Where the one-point closed forms warn and raise, in scalar arithmetic.
+
+    These are the conditions approx_n_eff and static_phase_noise_heating
+    tested point by point before they became batches of one.
+    """
+    n, gm, wm, k = p.thermal_phonons(), p.gamma_m, p.omega_m, p.kappa
+    g, delta, spec = ss.g_eff, ss.delta_eff, p.phase_noise
+    sidebands = (k ** 2 + (delta - wm) ** 2) * (k ** 2 + (delta + wm) ** 2)
+    spring = wm ** 2 - g ** 2 * delta * wm * (k ** 2 - wm ** 2 + delta ** 2) / sidebands
+    stiffness = wm ** 2 - g ** 2 * delta * wm / (k ** 2 + delta ** 2)
+    applies = spec.kind == "bandpass" and delta != 0.0
+    undamped = applies and spec.gamma_tilde == 0.0
+    imaginary = applies and not undamped and stiffness < 0
+    band = (applies and not undamped and not imaginary and spec.omega_band
+            > STATIC_BAND_LIMIT * min(math.sqrt(stiffness), k, abs(delta)))
+    return {"kappa_regime": g > 0.5 * k or gm > 0.1 * k,
+            "omega_m_regime": n * gm > 0.1 * wm or g > 0.5 * wm,
+            "imaginary_spring": spring < 0, "undamped_band": undamped,
+            "imaginary_static": imaginary, "static_band": band}
+
+
+class TestRegimeFlags:
+    KAPPA = "occupancy formula assumes kappa >> gamma_m, G"
+    OMEGA = "occupancy formula assumes omega_m >> n*gamma_m, G"
+    BAND = ("static phase-noise heating assumes the noise band far below "
+            "omega_m, kappa and |delta|")
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        points = _random_working_points(np.random.default_rng(20240811), 400)
+        params = ParamColumns.stack([p for p, _ in points])
+        states = SteadyStateColumns.stack([ss for _, ss in points])
+        return points, params, states
+
+    def test_approx_flags_are_the_scalar_conditions(self, sample):
+        points, params, states = sample
+        n_eff, flags = approx_n_eff_batch(params, states)
+        for name, mask in flags.items():
+            assert mask.any() and not mask.all(), name
+        for i, (p, ss) in enumerate(points):
+            expected = _scalar_conditions(p, ss)
+            # past an imaginary spring frequency the scalar form raised
+            # before it reached the static channel's warning
+            expected["static_band"] &= not expected["imaginary_spring"]
+            assert {name: bool(mask[i]) for name, mask in flags.items()} == expected
+            value, messages = _outcome(approx_n_eff, p, ss)
+            assert (self.KAPPA in messages) == flags["kappa_regime"][i]
+            assert (self.OMEGA in messages) == flags["omega_m_regime"][i]
+            assert (self.BAND in messages) == flags["static_band"][i]
+            if flags["imaginary_spring"][i]:
+                assert value is ImaginaryFrequency
+            elif flags["undamped_band"][i]:
+                assert value is UnstableDrift
+            elif flags["imaginary_static"][i]:
+                assert value is ImaginaryFrequency
+            else:
+                assert value == n_eff[i]
+
+    def test_static_flags_are_the_scalar_conditions(self, sample):
+        points, params, states = sample
+        dn, flags = static_phase_noise_heating_batch(params, states)
+        for name, mask in flags.items():
+            assert mask.any() and not mask.all(), name
+        for i, (p, ss) in enumerate(points):
+            expected = _scalar_conditions(p, ss)
+            assert {name: bool(mask[i]) for name, mask in flags.items()} == \
+                {name: expected[name] for name in flags}
+            value, messages = _outcome(static_phase_noise_heating, p, ss)
+            assert messages == ({self.BAND} if flags["static_band"][i] else set())
+            if flags["undamped_band"][i]:
+                assert value is UnstableDrift
+            elif flags["imaginary_static"][i]:
+                assert value is ImaginaryFrequency
+            else:
+                assert value == dn[i]
 
 
 class TestLaserCorrelation:

@@ -287,19 +287,32 @@ class TestEmittedFiles:
         assert _cell(1.0) == "1.0000000000000000e+00"
 
 
-def _bits(evaluation):
-    """Every field of a pipeline result, with floats to the last bit."""
+def _bits(pipeline, i):
+    """Point ``i`` of a pipeline run: every column and matrix to the last bit.
+
+    A result cell counts only where it is not null; the one-row views
+    (result, steady state, linear model) are compared as well.
+    """
+    results = pipeline.results
+    cells = tuple(
+        None if name in results.null and results.null[name][i]
+        else column[i] if column.dtype == object else column[i:i + 1].tobytes()
+        for name, column in sorted(results.values.items()))
+    states = tuple(getattr(pipeline.steady_states, f.name)[i:i + 1].tobytes()
+                   for f in dataclasses.fields(pipeline.steady_states))
+    evaluation = pipeline[i]
     model = evaluation.model
-    return (repr(dataclasses.astuple(evaluation.result)),
+    return (cells, states, repr(dataclasses.astuple(evaluation.result)),
             repr(dataclasses.astuple(evaluation.steady_state)),
             model.drift.tobytes(), model.diffusion.tobytes(), model.stable)
 
 
 def _run_or_none(points):
     try:
-        return [_bits(e) for e in run_pipeline(points)]
+        pipeline = run_pipeline(points)
     except PointEvaluationError:
         return None
+    return [_bits(pipeline, i) for i in range(len(points))]
 
 
 @st.composite
@@ -346,7 +359,7 @@ class TestStackedPipeline:
             assert batch == [s[0] for s in singles]
 
     def test_mixed_example_covers_its_cases(self):
-        results = [e.result for e in run_pipeline(_MIXED)]
+        results = run_pipeline(_MIXED).results.rows()
         assert results[0].branch == "lower"
         assert any(not r.stable for r in results)
         assert {r.branch for r in results} >= {"lower", "monostable"}
