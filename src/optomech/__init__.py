@@ -35,7 +35,7 @@ from .spectral import (EffectiveResponse, ScatteringRates,
                        approx_n_eff_batch, cm_spectral_oracle,
                        effective_response, laser_correlation,
                        optimal_detuning_and_max_en, scattering_rates,
-                       scattering_rates_batch, static_phase_noise_heating,
+                       static_phase_noise_heating,
                        static_phase_noise_heating_batch, threshold_eta_minus)
 from .sweep import (OUTPUT_NAMES, PipelineColumns, PointColumns,
                     PointEvaluation, PointResult, SweepAxis, SweepResult,

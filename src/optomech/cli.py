@@ -45,8 +45,14 @@ def _cmd_point(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.recipe:
-        grid = tuple(int(g) for g in args.grid.split("x")) if args.grid else (80, 80)
-        spec = figure_recipe(args.recipe, grid=grid)
+        counts = (args.grid or "80x80").split("x")
+        if len(counts) != 2 or not all(c.isdecimal() and int(c) >= 2 for c in counts):
+            raise ConfigError(f"--grid: expected COUNTxCOUNT with counts >= 2, "
+                              f"got {args.grid!r}")
+        try:
+            spec = figure_recipe(args.recipe, grid=(int(counts[0]), int(counts[1])))
+        except ValueError as err:
+            raise ConfigError(f"--recipe: {err}") from err
     elif args.config:
         doc, src = load_document(args.config)
         spec = sweep_from_config(doc, src)
@@ -62,6 +68,19 @@ def _cmd_sweep(args) -> int:
     return EXIT_PARTIAL if result.n_failures else EXIT_OK
 
 
+def _setting(doc: dict, src, key: str, default, kind=int, minimum=None):
+    """Field ``key`` as ``kind``, else ``default``; ConfigError names it if invalid."""
+    value = doc.get(key, default)
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        expected = "an integer" if kind is int else "a number"
+        raise src.error(key, f"expected {expected}, got {value!r}") from None
+    if minimum is not None and not number >= minimum:
+        raise src.error(key, f"must be >= {minimum}, got {value!r}")
+    return number
+
+
 SPECTRUM_KEYS = ("omega_count", "omega_max_over_omega_m", "tau_count",
                  "tau_max_s")
 VALIDATE_KEYS = ("dt_s", "n_steps", "n_ensemble", "seed", "burn_in",
@@ -71,11 +90,13 @@ VALIDATE_KEYS = ("dt_s", "n_steps", "n_ensemble", "seed", "burn_in",
 def _cmd_spectrum(args) -> int:
     doc, src = load_document(args.config)
     params = extract_params(doc, src, allowed_extra=SPECTRUM_KEYS)
-    n_omega = int(doc.get("omega_count", 1000))
-    omega_max = float(doc.get("omega_max_over_omega_m", 3.0)) * params.omega_m
-    n_tau = int(doc.get("tau_count", 101))
+    n_omega = _setting(doc, src, "omega_count", 1000, minimum=0)
+    omega_max = (_setting(doc, src, "omega_max_over_omega_m", 3.0, float)
+                 * params.omega_m)
+    n_tau = _setting(doc, src, "tau_count", 101, minimum=0)
     gamma_l = params.phase_noise.gamma_l
-    tau_max = float(doc.get("tau_max_s", 5.0 / gamma_l if gamma_l else 1e-3))
+    tau_max = _setting(doc, src, "tau_max_s", 5.0 / gamma_l if gamma_l else 1e-3,
+                       float)
     os.makedirs(args.out_dir, exist_ok=True)
     meta = tool_metadata(internal_params=dataclasses.asdict(params))
 
@@ -112,18 +133,25 @@ def _cmd_validate(args) -> int:
     eigs = np.linalg.eigvals(a)
     speed = float(np.max(np.abs(eigs)))
     slowest = float(np.min(-eigs.real))
-    dt = float(doc.get("dt_s", 0.09 / speed))
-    burn = int(doc.get("burn_in", math.ceil(BURN_IN_DECAY / slowest / dt)))
+    dt = _setting(doc, src, "dt_s", 0.09 / speed, float)
+    if not dt > 0:
+        raise src.error("dt_s", f"must be > 0, got {dt!r}")
+    min_burn = math.ceil(BURN_IN_DECAY / slowest / dt)
+    burn = _setting(doc, src, "burn_in", min_burn)
+    if burn < min_burn:
+        raise src.error("burn_in", f"{burn} steps is shorter than {BURN_IN_DECAY:g} "
+                                   f"decay times ({min_burn} steps)")
     cfg = TrajectoryConfig(
         dt=dt,
-        n_steps=int(doc.get("n_steps", 500_000)),
-        n_ensemble=int(doc.get("n_ensemble", 16)),
-        seed=int(doc.get("seed", 20240811)),
+        n_steps=_setting(doc, src, "n_steps", 500_000, minimum=burn + 1),
+        n_ensemble=_setting(doc, src, "n_ensemble", 16, minimum=1),
+        seed=_setting(doc, src, "seed", 20240811, minimum=0),
         burn_in=burn,
     )
     # one ensemble gives both the spectrum of psi and the pair's covariance
     spectrum = simulate_phase_noise(
-        spec, cfg, segments_per_member=int(doc.get("segments_per_member", 8)))
+        spec, cfg,
+        segments_per_member=_setting(doc, src, "segments_per_member", 8, minimum=1))
     est = spectrum.covariance
     analytic = solve_lyapunov(a, d).matrix
 

@@ -65,12 +65,28 @@ class LinearModel:
                    dims=tuple(doc["dims"]))
 
 
+def _bandpass_spectrum(gamma_l, band, width, omega):
+    """2*gamma_l*W^4 / ((W^2 - omega^2)^2 + omega^2*gt^2), elementwise.
+
+    The rates are scalars or one value per point of ``omega``. omega^2 is a
+    product; W^2, gt^2, W^4 and the outer square go through libm's pow
+    (np.float_power), so a frequency gives the same bits whether it comes
+    alone or in an array.
+    """
+    w2 = omega * omega
+    # the points' axis last, so scalar and column rates share one pow call
+    band2, width2, band4 = np.float_power(np.array([band, width, band]).T,
+                                          (2, 2, 4)).T
+    return 2.0 * gamma_l * band4 / (np.float_power(band2 - w2, 2) + w2 * width2)
+
+
 def phase_noise_spectrum(spec: NoiseSpec, omega):
     """Frequency-noise spectrum S(omega) of the laser, rad/s.
 
     Flat 2*gamma_l for white noise; the bandpass form
     2*gamma_l*W^4 / ((W^2 - omega^2)^2 + omega^2*gt^2) otherwise.
-    Accepts scalar or array ``omega``.
+    Accepts scalar or array ``omega``; each frequency gets the same bits
+    either way.
     """
     w = np.asarray(omega, dtype=float)
     if spec.kind == "none":
@@ -78,10 +94,8 @@ def phase_noise_spectrum(spec: NoiseSpec, omega):
     elif spec.kind == "white":
         out = np.full_like(w, 2.0 * spec.gamma_l)
     else:
-        band4 = spec.omega_band ** 4
-        out = (2.0 * spec.gamma_l * band4
-               / ((spec.omega_band ** 2 - w ** 2) ** 2
-                  + w ** 2 * spec.gamma_tilde ** 2))
+        out = _bandpass_spectrum(spec.gamma_l, spec.omega_band,
+                                 spec.gamma_tilde, w)
     return out if out.ndim else float(out)
 
 

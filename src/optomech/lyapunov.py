@@ -71,23 +71,22 @@ def symplectic_eigenvalues(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
     return vals[..., ::2]  # eigenvalues of i*Omega*V come in +/- pairs
 
 
-def check_physical_batch(matrices: NDArray[np.float64],
-                         slack: float = PHYSICALITY_SLACK) -> NDArray[np.float64]:
+def check_physical_batch(matrices: NDArray[np.float64]) -> NDArray[np.float64]:
     """Smallest symplectic eigenvalue of each covariance of an (N, 2n, 2n) stack.
 
-    Raises UnphysicalState if any of them is below 1/2 - slack.
+    Raises UnphysicalState if any of them is below 1/2 - PHYSICALITY_SLACK.
     """
     low = symplectic_eigenvalues(matrices).min(axis=-1)
-    if (low < 0.5 - slack).any():
-        worst = low[np.flatnonzero(low < 0.5 - slack)[0]]
+    if (low < 0.5 - PHYSICALITY_SLACK).any():
+        worst = low[np.flatnonzero(low < 0.5 - PHYSICALITY_SLACK)[0]]
         raise UnphysicalState(
             f"smallest symplectic eigenvalue {worst:.12g} violates the 1/2 bound")
     return low
 
 
-def check_physical(cov: CovarianceMatrix, slack: float = PHYSICALITY_SLACK) -> float:
-    """Smallest symplectic eigenvalue; UnphysicalState if below 1/2 - slack."""
-    return float(check_physical_batch(cov.matrix[None], slack)[0])
+def check_physical(cov: CovarianceMatrix) -> float:
+    """Smallest symplectic eigenvalue; UnphysicalState below 1/2 - PHYSICALITY_SLACK."""
+    return float(check_physical_batch(cov.matrix[None])[0])
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:

@@ -60,6 +60,30 @@ class NoiseSpec:
                    gamma_tilde=gamma_tilde)
 
 
+_POSITIVE_FIELDS = ("omega_m", "quality_factor", "kappa", "laser_wavelength")
+_NONNEGATIVE_FIELDS = ("g0", "laser_power", "bath_temperature",
+                       "cavity_thermal_occupancy")
+
+
+def _any(condition) -> bool:
+    """Whether a condition holds for one value or anywhere in a column."""
+    # one value stays plain Python: SystemParams is built point by point
+    return condition.any() if isinstance(condition, np.ndarray) else condition
+
+
+def _check_fields(values: dict) -> None:
+    """ValueError for a SystemParams field (a value or a column) out of range."""
+    for name in _POSITIVE_FIELDS:
+        if name in values and _any(values[name] <= 0):
+            raise ValueError(f"{name} must be > 0")
+    for name in _NONNEGATIVE_FIELDS:
+        if name in values and _any(values[name] < 0):
+            raise ValueError(f"{name} must be >= 0")
+    mode = values.get("detuning_mode", EFFECTIVE)
+    if _any((mode != EFFECTIVE) & (mode != BARE)):
+        raise ValueError(f"detuning_mode must be '{EFFECTIVE}' or '{BARE}'")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """All physical inputs of the driven cavity, in coherent internal units.
@@ -103,14 +127,7 @@ class SystemParams:
     detuning_mode: str = EFFECTIVE
 
     def __post_init__(self):
-        for name in ("omega_m", "quality_factor", "kappa", "laser_wavelength"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("g0", "laser_power", "bath_temperature", "cavity_thermal_occupancy"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.detuning_mode not in (EFFECTIVE, BARE):
-            raise ValueError(f"detuning_mode must be '{EFFECTIVE}' or '{BARE}'")
+        _check_fields(vars(self))
 
     @property
     def gamma_m(self) -> float:
@@ -256,11 +273,6 @@ def _admissible_intensities(cubic: np.ndarray) -> np.ndarray:
     return np.sort(best.reshape(-1, 3), axis=1)
 
 
-_POSITIVE_FIELDS = ("omega_m", "quality_factor", "kappa", "laser_wavelength")
-_NONNEGATIVE_FIELDS = ("g0", "laser_power", "bath_temperature",
-                       "cavity_thermal_occupancy")
-
-
 @dataclass(frozen=True)
 class ParamColumns:
     """The SystemParams of many points, one array per field.
@@ -316,14 +328,7 @@ class ParamColumns:
         """
         columns = {name: np.broadcast_to(value, self.omega_m.shape)
                    for name, value in changes.items()}
-        for name, column in columns.items():
-            if name in _POSITIVE_FIELDS and np.any(column <= 0):
-                raise ValueError(f"{name} must be > 0")
-            if name in _NONNEGATIVE_FIELDS and np.any(column < 0):
-                raise ValueError(f"{name} must be >= 0")
-            if name == "detuning_mode" and not np.all(
-                    (column == EFFECTIVE) | (column == BARE)):
-                raise ValueError(f"detuning_mode must be '{EFFECTIVE}' or '{BARE}'")
+        _check_fields(columns)
         return replace(self, **columns)
 
     @property

@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .dynamics import (REDUCED_BASIS, optomechanical_block, phase_noise_spectrum,
-                       vacuum_diffusion)
+from .dynamics import (REDUCED_BASIS, _bandpass_spectrum, optomechanical_block,
+                       phase_noise_spectrum, vacuum_diffusion)
 from .errors import ImaginaryFrequency, QuadratureNotConverged, UnstableDrift
 from .lyapunov import CovarianceMatrix
 from .parameters import (NoiseSpec, ParamColumns, SteadyState,
@@ -77,17 +78,12 @@ def _response_terms(params, ss) -> dict:
             "sidebands": sidebands}
 
 
-def scattering_rates_batch(params, ss) -> dict[str, np.ndarray]:
-    """``scattering_rates`` of many points: one array per ScatteringRates field."""
-    with np.errstate(all="ignore"):
-        terms = _response_terms(params, ss)
-    return {name: terms[name] for name in ("a_plus", "a_minus", "gamma_op")}
-
-
 def scattering_rates(params: SystemParams, ss: SteadyState) -> ScatteringRates:
     """Rates kappa*G^2/2 / (kappa^2 + (delta +/- omega_m)^2)."""
-    rates = scattering_rates_batch(params, ss)
-    return ScatteringRates(**{k: float(v) for k, v in rates.items()})
+    with np.errstate(all="ignore"):
+        terms = _response_terms(params, ss)
+    return ScatteringRates(**{name: float(terms[name])
+                              for name in ("a_plus", "a_minus", "gamma_op")})
 
 
 def effective_response(params: SystemParams, ss: SteadyState) -> EffectiveResponse:
@@ -115,30 +111,31 @@ def effective_response(params: SystemParams, ss: SteadyState) -> EffectiveRespon
                              chi_eff=chi_eff)
 
 
-def _phase_coupling_vector(params: SystemParams, ss: SteadyState,
-                           omega: np.ndarray) -> np.ndarray:
-    """Response vector of (dq, dp, dX, dY) to the frequency-noise drive."""
-    wm, gm, k = params.omega_m, params.gamma_m, params.kappa
-    g, delta = ss.g_eff, ss.delta_eff
-    bare = wm ** 2 - omega ** 2 - 1j * gm * omega
-    return np.stack([
-        np.full_like(bare, g * delta * wm),
-        -1j * omega * g * delta,
-        delta * bare,
-        (k - 1j * omega) * bare,
-    ], axis=-1)
+def _resolvent_integrand(a4: np.ndarray, d4: np.ndarray, photon_number: float,
+                         spectrum_at: Callable[[np.ndarray], np.ndarray]
+                         ) -> Callable[[np.ndarray], np.ndarray]:
+    """Spectral density of (dq, dp, dX, dY), summed over +omega and -omega.
 
-
-def _noise_free_integrand(a4: np.ndarray, d4_diag: np.ndarray,
-                          omega: np.ndarray) -> np.ndarray:
-    """Resolvent spectrum T(w) D T(w)^dag with T = (i w I - A)^-1."""
+    T(w) D(w) T(w)^dag with T = (i w I - A)^-1 and the diagonal
+    D(w) = D4 + 2*|alpha_s|^2 S(w) e_Y e_Y^T: the flat-noise term that
+    build_model_batch adds to D[3,3], at each frequency's own S(w).
+    """
     eye = np.eye(4)
-    t = np.linalg.inv(1j * omega[:, None, None] * eye - a4[None, :, :])
-    return (t * d4_diag[None, None, :]) @ t.conj().transpose(0, 2, 1)
+
+    def integrand(omega: np.ndarray) -> np.ndarray:
+        # evaluate at +w and -w so hermitian symmetry cancels pointwise
+        w = np.concatenate([omega, -omega])
+        d = np.tile(d4, (len(w), 1))
+        d[:, 3] += 2.0 * photon_number * spectrum_at(w)
+        t = np.linalg.inv(1j * w[:, None, None] * eye - a4)
+        density = (t * d[:, None, :]) @ t.conj().transpose(0, 2, 1)
+        return density[:len(omega)] + density[len(omega):]
+
+    return integrand
 
 
 def _feature_breakpoints(params: SystemParams, drift_eigs: np.ndarray,
-                         cutoff: float, extra=()) -> np.ndarray:
+                         cutoff: float) -> np.ndarray:
     """Quadrature seeds: windows around every resonance at its own width.
 
     ``drift_eigs`` are the eigenvalues of the 4x4 optomechanical drift.
@@ -157,74 +154,47 @@ def _feature_breakpoints(params: SystemParams, drift_eigs: np.ndarray,
             for side in (center - k * width, center + k * width):
                 if 0.0 < side < cutoff:
                     pts.add(side)
-    for p in extra:
-        if 0.0 <= p < cutoff:
-            pts.add(float(p))
     return np.array(sorted(pts))
 
 
 def _integrate_cm(params: SystemParams, ss: SteadyState,
                   spectrum_at: Callable[[np.ndarray], np.ndarray],
-                  quadrature_points, rtol: float,
-                  atol: float, max_segments: int) -> tuple[np.ndarray, np.ndarray]:
+                  max_segments: int) -> tuple[np.ndarray, np.ndarray]:
     """Shared spectral integration; returns (complex CM integral, error)."""
     a4 = optomechanical_block(params, ss)
     eigs = np.linalg.eigvals(a4)
     if np.max(eigs.real) >= 0:
         raise UnstableDrift("spectral oracle needs a stable working point")
-    d4 = vacuum_diffusion(params)
-    k, delta = params.kappa, ss.delta_eff
-    scale = max(params.omega_m, abs(delta), k,
+    scale = max(params.omega_m, abs(ss.delta_eff), params.kappa,
                 params.phase_noise.omega_band, params.phase_noise.gamma_tilde)
     cutoff = 50.0 * scale
-    chi = effective_response(params, ss).chi_eff
-    photon = ss.photon_number
-
-    def integrand(omega_flat: np.ndarray) -> np.ndarray:
-        # evaluate at +w and -w so hermitian symmetry cancels pointwise
-        total = None
-        for w in (omega_flat, -omega_flat):
-            main = _noise_free_integrand(a4, d4, w)
-            s_val = spectrum_at(w)
-            c = _phase_coupling_vector(params, ss, w)
-            denom = (k ** 2 + (w - delta) ** 2) * (k ** 2 + (w + delta) ** 2)
-            coef = 2.0 * photon * np.abs(chi(w)) ** 2 * s_val / denom
-            phase = coef[:, None, None] * (c[:, :, None] * c.conj()[:, None, :])
-            total = main + phase if total is None else total + main + phase
-        return total
+    integrand = _resolvent_integrand(a4, vacuum_diffusion(params),
+                                     ss.photon_number, spectrum_at)
 
     def tail_integrand(u_flat: np.ndarray) -> np.ndarray:
         # |omega| > cutoff via u = 1/omega; the transformed integrand is
         # smooth and tends to the diffusion matrix as u -> 0
         return integrand(1.0 / u_flat) / u_flat[:, None, None] ** 2
 
-    pts = _feature_breakpoints(params, eigs, cutoff, extra=quadrature_points or ())
-    value, err = integrate_adaptive(integrand, pts, rtol=rtol, atol=atol,
-                                    max_segments=max_segments)
+    pts = _feature_breakpoints(params, eigs, cutoff)
+    value, err = integrate_adaptive(integrand, pts, max_segments=max_segments)
     tail, tail_err = integrate_adaptive(tail_integrand,
                                         np.linspace(0.0, 1.0 / cutoff, 9),
-                                        rtol=rtol, atol=atol,
                                         max_segments=max_segments)
     return (value + tail) / (2.0 * math.pi), (err + tail_err) / (2.0 * math.pi)
 
 
-def cm_spectral_oracle(params: SystemParams, ss: SteadyState,
-                       quadrature_points=None, *, rtol: float = 1e-9,
-                       atol: float = 1e-9,
+def cm_spectral_oracle(params: SystemParams, ss: SteadyState, *,
                        max_segments: int = 20000) -> CovarianceMatrix:
     """Stationary 4x4 covariance by frequency integration.
 
-    Integrates the resolvent spectrum of the vacuum/thermal noises plus the
-    frequency-noise correction (full spectrum S(omega)); independent of the
-    Lyapunov route. ``quadrature_points`` seeds extra subdivision points.
+    Integrates the resolvent spectrum T(w) D(w) T(w)^dag of the
+    vacuum/thermal noises plus the frequency noise at its full spectrum
+    S(omega); independent of the Lyapunov route.
     """
-    spec = params.phase_noise
-
-    def s_of(w):
-        return np.asarray(phase_noise_spectrum(spec, w), dtype=float)
-
-    value, _ = _integrate_cm(params, ss, s_of, quadrature_points,
-                             rtol, atol, max_segments)
+    value, _ = _integrate_cm(params, ss,
+                             partial(phase_noise_spectrum, params.phase_noise),
+                             max_segments)
     imag_ratio = np.abs(value.imag).max() / max(np.abs(value.real).max(), 1e-300)
     if imag_ratio > 1e-10:
         raise QuadratureNotConverged(
@@ -233,29 +203,22 @@ def cm_spectral_oracle(params: SystemParams, ss: SteadyState,
     return CovarianceMatrix(matrix=value.real, basis=REDUCED_BASIS)
 
 
-def approx_cm_phase_correction(params: SystemParams, ss: SteadyState,
-                               quadrature_points=None, *, rtol: float = 1e-9,
-                               atol: float = 1e-9,
+def approx_cm_phase_correction(params: SystemParams, ss: SteadyState, *,
                                max_segments: int = 20000) -> CovarianceMatrix:
     """Covariance with the noise spectrum frozen at its resonance value.
 
     Same integral as the oracle but with S(omega) replaced by the constant
-    S(omega_eff) inside the phase-noise correction; exact for flat spectra,
-    accurate in the resolved-sideband regime (warns when kappa > omega_m).
+    S(omega_eff); exact for flat spectra, accurate in the resolved-sideband
+    regime (warns when kappa > omega_m).
     """
     if params.kappa > params.omega_m:
         warnings.warn("peak-spectrum approximation is calibrated for the "
                       "resolved-sideband regime (kappa < omega_m)",
                       stacklevel=2)
-    spec = params.phase_noise
     omega_eff = effective_response(params, ss).omega_eff
-    s_peak = float(phase_noise_spectrum(spec, omega_eff))
-
-    def s_of(w):
-        return np.full_like(np.asarray(w, dtype=float), s_peak)
-
-    value, _ = _integrate_cm(params, ss, s_of, quadrature_points,
-                             rtol, atol, max_segments)
+    s_peak = phase_noise_spectrum(params.phase_noise, omega_eff)
+    value, _ = _integrate_cm(params, ss, lambda w: np.full_like(w, s_peak),
+                             max_segments)
     return CovarianceMatrix(matrix=value.real, basis=REDUCED_BASIS)
 
 
@@ -381,21 +344,13 @@ def static_phase_noise_heating(params: SystemParams, ss: SteadyState) -> float:
 
 
 def _peak_spectrum(params: ParamColumns, omega: np.ndarray) -> np.ndarray:
-    """phase_noise_spectrum of each point at its own frequency ``omega``.
-
-    Rounded as phase_noise_spectrum rounds a scalar omega: omega^2 squared,
-    the outer square of the bandpass denominator through pow.
-    """
+    """phase_noise_spectrum of each point at its own frequency ``omega``."""
     flat = np.where(params.noise_kind == "white", 2.0 * params.gamma_l, 0.0)
     bandpass = params.noise_kind == "bandpass"
     if not bandpass.any():
         return flat
-    band = params.omega_band
-    w2 = omega * omega
-    band2, width2, band4 = np.float_power([band, params.gamma_tilde, band],
-                                          [[2], [2], [4]])
-    band_value = (2.0 * params.gamma_l * band4
-                  / (np.float_power(band2 - w2, 2) + w2 * width2))
+    band_value = _bandpass_spectrum(params.gamma_l, params.omega_band,
+                                    params.gamma_tilde, omega)
     return np.where(bandpass, band_value, flat)
 
 

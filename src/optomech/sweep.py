@@ -374,11 +374,6 @@ class SweepResult:
                     self._axis_cells() + [format_column(self.grid(output).ravel())],
                     sep=" ", eol="\n", block=len(self.y_values))
 
-    def _xy_pairs(self):
-        for x in self.x_values:
-            for y in self.y_values:
-                yield x, y
-
 
 def _evaluate_column(args) -> PointColumns:
     """One sweep column: the y axis goes in as an array, as one batch."""

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -189,6 +190,35 @@ class TestCli:
         path = write_json(tmp_path, "bad.json", doc)
         assert cli.main(["point", "--config", str(path)]) == 1
         assert "unknown_knob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, fields, name", [
+        pytest.param(["sweep", "--recipe", "fig2z"], None, "--recipe",
+                     id="recipe-fig2z"),
+        pytest.param(["sweep", "--recipe", "fig2b", "--grid", "40x"], None,
+                     "--grid", id="grid-40x"),
+        pytest.param(["sweep", "--recipe", "fig2b", "--grid", "1x5"], None,
+                     "--grid", id="grid-1x5"),
+        pytest.param(["validate"], {"n_steps": 0}, "n_steps", id="n_steps-0"),
+        pytest.param(["validate"], {"n_steps": "many"}, "n_steps",
+                     id="n_steps-many"),
+        pytest.param(["validate"], {"burn_in": 10}, "burn_in", id="burn_in-10"),
+        pytest.param(["spectrum"], {"omega_count": "x"}, "omega_count",
+                     id="omega_count-x"),
+        pytest.param(["spectrum"], {"tau_count": -3}, "tau_count",
+                     id="tau_count-neg"),
+    ])
+    def test_bad_run_value_exits_1_naming_it(self, tmp_path, capsys, argv,
+                                             fields, name):
+        if fields is not None:
+            path = write_json(tmp_path, "run.json", {**GOOD_PARAMS, **fields})
+            argv = argv + ["--config", str(path)]
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        if fields is not None:
+            where = re.search(rf'{re.escape(str(path))}:(\d+): field "{name}"', err)
+            line = path.read_text().splitlines()[int(where.group(1)) - 1]
+            assert f'"{name}"' in line
 
     def test_spectrum_command(self, tmp_path):
         doc = dict(GOOD_PARAMS)

@@ -142,6 +142,12 @@ class TestPhaseNoiseSpectrum:
                                       2 * gl)
         np.testing.assert_array_equal(phase_noise_spectrum(NoiseSpec.none(), w), 0.0)
 
+    def test_scalar_and_array_give_the_same_bits(self):
+        spec = bandpass_100hz()
+        w = spec.omega_band * np.random.default_rng(7).uniform(0.0, 4.0, 20000)
+        scalar = [phase_noise_spectrum(spec, x) for x in w.tolist()]
+        np.testing.assert_array_equal(phase_noise_spectrum(spec, w), scalar)
+
     def test_symmetry_and_positivity(self):
         spec = bandpass_100hz()
         w = np.geomspace(1.0, 10 * OMEGA_M, 50)

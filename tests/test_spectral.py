@@ -14,6 +14,8 @@ from optomech import (NoiseSpec, ParamColumns, SteadyStateColumns,
                       solve_lyapunov, solve_steady_state,
                       static_phase_noise_heating,
                       static_phase_noise_heating_batch, threshold_eta_minus)
+from optomech import spectral
+from optomech.dynamics import optomechanical_block, vacuum_diffusion
 from optomech.errors import (ImaginaryFrequency, QuadratureNotConverged,
                              UnstableDrift)
 from optomech.spectral import STATIC_BAND_LIMIT
@@ -304,6 +306,23 @@ class TestRegimeFlags:
             else:
                 assert value == n_eff[i]
 
+    def test_peak_spectrum_is_phase_noise_spectrum(self, sample, monkeypatch):
+        points, params, states = sample
+        peak_spectrum, seen = spectral._peak_spectrum, []
+
+        def record(params, omega):
+            out = peak_spectrum(params, omega)
+            seen.append((omega, out))
+            return out
+
+        monkeypatch.setattr(spectral, "_peak_spectrum", record)
+        approx_n_eff_batch(params, states)
+        (omega, s_peak), = seen
+        assert np.count_nonzero(omega == omega) > 300
+        for (p, _), w, s in zip(points, omega.tolist(), s_peak.tolist()):
+            if w == w:  # NaN past an imaginary spring frequency
+                assert s == phase_noise_spectrum(p.phase_noise, w)
+
     def test_static_flags_are_the_scalar_conditions(self, sample):
         points, params, states = sample
         dn, flags = static_phase_noise_heating_batch(params, states)
@@ -393,9 +412,31 @@ class TestSpectralOracle:
         def s_of(w):
             return np.asarray(phase_noise_spectrum(spec, w), dtype=float)
 
-        value, _ = _integrate_cm(paper_point, ss, s_of, None, 1e-9, 1e-9, 20000)
+        value, _ = _integrate_cm(paper_point, ss, s_of, 20000)
         residue = np.abs(value.imag) / np.maximum(np.abs(value.real), 1e-300)
         assert np.max(residue[np.abs(value.real) > 1e-12]) <= 1e-12
+
+    @pytest.mark.parametrize("noise", [
+        bandpass_100hz(), NoiseSpec.white(2 * math.pi * 100), NoiseSpec.none()],
+        ids=["bandpass", "white", "none"])
+    def test_integrand_is_the_model_resolvent_spectrum(self, noise):
+        # the oracle's noise term is the frequency-dependent form of the
+        # model's: the (dq, dp, dX, dY) block of the 6x6 model's resolvent
+        # spectrum for a noise band, the 4x4 model's for flat noise
+        p, ss = _point_with_coupling(0.3, phase_noise=noise)
+        integrand = spectral._resolvent_integrand(
+            optomechanical_block(p, ss), vacuum_diffusion(p), ss.photon_number,
+            lambda w: phase_noise_spectrum(noise, w))
+        model = build_model(p, ss)
+        eye = np.eye(model.order)
+        w = OMEGA_M * 10 ** np.random.default_rng(12).uniform(-4.0, 1.0, 200)
+        expected = 0.0
+        for sign in (1.0, -1.0):
+            t = np.linalg.inv(1j * sign * w[:, None, None] * eye - model.drift)
+            spectrum = t @ model.diffusion @ t.conj().transpose(0, 2, 1)
+            expected = expected + spectrum[:, :4, :4]
+        gap = np.abs(integrand(w) - expected).max(axis=(1, 2))
+        assert np.all(gap <= 1e-12 * np.abs(expected).max(axis=(1, 2)))
 
     def test_white_spectrum_makes_approximation_exact(self):
         p, ss = _point_with_coupling(

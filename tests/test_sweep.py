@@ -123,11 +123,14 @@ class TestSweepSpecValidation:
 
 
 class TestRunSweep:
-    def test_grid_shape_and_order(self):
+    def test_grid_shape_and_order(self, tmp_path):
         res = run_sweep(small_spec())
         assert len(res.points) == 6
-        xs = [x for x, _ in res._xy_pairs()]
-        ys = [y for _, y in res._xy_pairs()]
+        res.write_csv(tmp_path / "grid.csv")
+        rows = [line.split(",") for line in
+                (tmp_path / "grid.csv").read_text().splitlines()[2:]]
+        xs = [float(row[0]) for row in rows]
+        ys = [float(row[1]) for row in rows]
         assert xs == sorted(xs)  # x outer
         assert ys[:2] == [0.8, 1.2]  # y inner, row-major
         assert res.metadata["outputs"][0] == "e_n"
