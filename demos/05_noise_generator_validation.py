@@ -10,10 +10,10 @@ import math
 
 import numpy as np
 
-from optomech import (NoiseSpec, TrajectoryConfig,
-                      estimate_stationary_covariance, phase_noise_spectrum,
+from optomech import (NoiseSpec, TrajectoryConfig, phase_noise_spectrum,
                       simulate_phase_noise, solve_lyapunov)
 from optomech.dynamics import auxiliary_block
+from optomech.simulate import BURN_IN_DECAY, drift_rates
 
 spec = NoiseSpec.bandpass(
     gamma_l=2 * math.pi * 100.0,        # 0.1 kHz laser linewidth
@@ -22,16 +22,19 @@ spec = NoiseSpec.bandpass(
 )
 
 a, d = auxiliary_block(spec)
-eigs = np.linalg.eigvals(a)
-dt = 0.09 / float(np.max(np.abs(eigs)))
-burn_in = math.ceil(5.0 / float(np.min(-eigs.real)) / dt)
+speed, slowest = drift_rates(a)
+dt = 0.09 / speed
+burn_in = math.ceil(BURN_IN_DECAY / slowest / dt)
 cfg = TrajectoryConfig(dt=dt, n_steps=400_000, n_ensemble=12,
                        seed=20240811, burn_in=burn_in)
 print(f"dt = {dt:.3e} s, {cfg.n_steps} steps x {cfg.n_ensemble} members, "
       f"burn-in {burn_in} steps")
 
+# one ensemble gives both the spectrum of psi and the pair's covariance
+estimate = simulate_phase_noise(spec, cfg, segments_per_member=8)
+
 # --- stationary variances -------------------------------------------------------
-est = estimate_stationary_covariance(a, d, cfg)
+est = estimate.covariance
 analytic = solve_lyapunov(a, d).matrix
 print("\nstationary second moments (estimate / analytic / z):")
 labels = ("psi^2", "psi*theta", "theta^2")
@@ -43,7 +46,6 @@ print(f"(analytic variance Gamma_l*Omega^2/gamma_tilde = "
       f"{spec.gamma_l * spec.omega_band ** 2 / spec.gamma_tilde:.4e})")
 
 # --- spectrum ---------------------------------------------------------------------
-estimate = simulate_phase_noise(spec, cfg, segments_per_member=8)
 grid = estimate.frequencies
 print("\nWelch spectrum vs closed form (flat value 2*Gamma_l = "
       f"{2 * spec.gamma_l:.1f}, peak value 8*Gamma_l = {8 * spec.gamma_l:.1f}):")

@@ -21,7 +21,8 @@ from .errors import ConfigError, OptomechError
 from .lyapunov import solve_lyapunov
 from .output import format_column, tool_metadata, write_document, write_table
 from .parameters import solve_steady_state
-from .simulate import BURN_IN_DECAY, TrajectoryConfig, simulate_phase_noise
+from .simulate import (BURN_IN_DECAY, DT_EIGENVALUE_GUARD, TrajectoryConfig,
+                       _segment_length, drift_rates, simulate_phase_noise)
 from .spectral import effective_response, laser_correlation
 from .sweep import emit_figure_data, figure_recipe, run_pipeline, run_sweep
 
@@ -68,35 +69,15 @@ def _cmd_sweep(args) -> int:
     return EXIT_PARTIAL if result.n_failures else EXIT_OK
 
 
-def _setting(doc: dict, src, key: str, default, kind=int, minimum=None):
-    """Field ``key`` as ``kind``, else ``default``; ConfigError names it if invalid."""
-    value = doc.get(key, default)
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        expected = "an integer" if kind is int else "a number"
-        raise src.error(key, f"expected {expected}, got {value!r}") from None
-    if minimum is not None and not number >= minimum:
-        raise src.error(key, f"must be >= {minimum}, got {value!r}")
-    return number
-
-
-SPECTRUM_KEYS = ("omega_count", "omega_max_over_omega_m", "tau_count",
-                 "tau_max_s")
-VALIDATE_KEYS = ("dt_s", "n_steps", "n_ensemble", "seed", "burn_in",
-                 "segments_per_member")
-
-
 def _cmd_spectrum(args) -> int:
     doc, src = load_document(args.config)
-    params = extract_params(doc, src, allowed_extra=SPECTRUM_KEYS)
-    n_omega = _setting(doc, src, "omega_count", 1000, minimum=0)
-    omega_max = (_setting(doc, src, "omega_max_over_omega_m", 3.0, float)
-                 * params.omega_m)
-    n_tau = _setting(doc, src, "tau_count", 101, minimum=0)
+    params, fields = extract_params(doc, src)
+    n_omega = fields.number("omega_count", 1000, integer=True, minimum=0)
+    omega_max = fields.number("omega_max_over_omega_m", 3.0) * params.omega_m
+    n_tau = fields.number("tau_count", 101, integer=True, minimum=0)
     gamma_l = params.phase_noise.gamma_l
-    tau_max = _setting(doc, src, "tau_max_s", 5.0 / gamma_l if gamma_l else 1e-3,
-                       float)
+    tau_max = fields.number("tau_max_s", 5.0 / gamma_l if gamma_l else 1e-3)
+    fields.close()
     os.makedirs(args.out_dir, exist_ok=True)
     meta = tool_metadata(internal_params=dataclasses.asdict(params))
 
@@ -124,52 +105,50 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_validate(args) -> int:
     doc, src = load_document(args.config)
-    params = extract_params(doc, src, allowed_extra=VALIDATE_KEYS)
+    params, fields = extract_params(doc, src)
     spec = params.phase_noise
     if spec.kind != "bandpass":
         raise ConfigError(f"{args.config}: validation drives the bandpass "
                           "noise generator; set phase_noise.kind = 'bandpass'")
     a, d = auxiliary_block(spec)
-    eigs = np.linalg.eigvals(a)
-    speed = float(np.max(np.abs(eigs)))
-    slowest = float(np.min(-eigs.real))
-    dt = _setting(doc, src, "dt_s", 0.09 / speed, float)
-    if not dt > 0:
-        raise src.error("dt_s", f"must be > 0, got {dt!r}")
+    speed, slowest = drift_rates(a)
+    dt = fields.number("dt_s", 0.09 / speed)
+    if not dt > 0 or dt * speed >= DT_EIGENVALUE_GUARD:
+        raise src.error("dt_s", f"must be > 0 with dt*max|eig| < {DT_EIGENVALUE_GUARD} "
+                                f"(max|eig| = {speed:.6e} rad/s), got {dt!r}")
+    # the burn-in must span BURN_IN_DECAY decay times of the slower mode
     min_burn = math.ceil(BURN_IN_DECAY / slowest / dt)
-    burn = _setting(doc, src, "burn_in", min_burn)
-    if burn < min_burn:
-        raise src.error("burn_in", f"{burn} steps is shorter than {BURN_IN_DECAY:g} "
-                                   f"decay times ({min_burn} steps)")
+    burn = fields.number("burn_in", min_burn, integer=True, minimum=min_burn)
     cfg = TrajectoryConfig(
         dt=dt,
-        n_steps=_setting(doc, src, "n_steps", 500_000, minimum=burn + 1),
-        n_ensemble=_setting(doc, src, "n_ensemble", 16, minimum=1),
-        seed=_setting(doc, src, "seed", 20240811, minimum=0),
+        n_steps=fields.number("n_steps", 500_000, integer=True, minimum=burn + 1),
+        n_ensemble=fields.number("n_ensemble", 16, integer=True, minimum=1),
+        seed=fields.number("seed", 20240811, integer=True, minimum=0),
         burn_in=burn,
     )
+    segments = fields.number("segments_per_member", 8, integer=True, minimum=1)
+    fields.close()
+    try:
+        _segment_length(cfg.n_steps - burn, segments)
+    except ValueError as err:
+        raise src.error("segments_per_member", str(err)) from None
     # one ensemble gives both the spectrum of psi and the pair's covariance
-    spectrum = simulate_phase_noise(
-        spec, cfg,
-        segments_per_member=_setting(doc, src, "segments_per_member", 8, minimum=1))
+    spectrum = simulate_phase_noise(spec, cfg, segments_per_member=segments)
     est = spectrum.covariance
     analytic = solve_lyapunov(a, d).matrix
 
-    rows = []
-    for label, i, j in (("var_psi", 0, 0), ("var_theta", 1, 1),
-                        ("cov_psi_theta", 0, 1)):
-        e, se, ref = est.matrix[i, j], est.standard_errors[i, j], analytic[i, j]
-        ok = abs(e - ref) <= 3.0 * se
-        rows.append([label, e, se, ref, (e - ref) / se if se else None, ok])
-    grid = spectrum.frequencies
+    checks = [(label, est.matrix[i, j], est.standard_errors[i, j], analytic[i, j])
+              for label, i, j in (("var_psi", 0, 0), ("var_theta", 1, 1),
+                                  ("cov_psi_theta", 0, 1))]
     width = spec.gamma_tilde
     for label, lo, hi in (
             ("spectrum_low_band", spec.omega_band / 50.0, spec.omega_band / 10.0),
             ("spectrum_band_center", spec.omega_band - width / 4.0,
              spec.omega_band + width / 4.0)):
-        e, se, ref = _band_average(spectrum, spec, grid, lo, hi)
-        ok = abs(e - ref) <= 3.0 * se
-        rows.append([label, e, se, ref, (e - ref) / se if se else None, ok])
+        checks.append((label, *_band_average(spectrum, spec, lo, hi)))
+    # each estimate must lie within 3 standard errors of its analytic value
+    rows = [[label, e, se, ref, (e - ref) / se if se else None,
+             abs(e - ref) <= 3.0 * se] for label, e, se, ref in checks]
 
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "validation.csv")
@@ -183,13 +162,14 @@ def _cmd_validate(args) -> int:
     return EXIT_PARTIAL if n_fail else EXIT_OK
 
 
-def _band_average(spectrum, spec, grid, lo: float, hi: float):
+def _band_average(spectrum, spec, lo: float, hi: float):
     """Estimate/error/analytic triple averaged over every other bin in a band.
 
     The stride keeps the averaged bins nearly independent (the window main
     lobe spans two bins); the first two bins are excluded because segment
     detrending suppresses them.
     """
+    grid = spectrum.frequencies
     idx = np.where((grid >= lo) & (grid <= hi))[0]
     idx = idx[idx >= 2][::2]
     if idx.size == 0:

@@ -2,8 +2,10 @@
 
 Inputs carry their unit in the key (``omega_m_over_2pi_hz``,
 ``laser_power_mw``); everything is converted to angular internal units at
-this boundary. Validation errors cite the file and line of the offending
-key where it can be located.
+this boundary. Every field of every document is read once through
+``Fields``, with one type rule for numbers, and a field that no reader
+takes is rejected. Validation errors cite the file and line of the
+offending key where it can be located.
 """
 
 from __future__ import annotations
@@ -14,57 +16,76 @@ import re
 
 from .errors import ConfigError
 from .parameters import BARE, EFFECTIVE, NoiseSpec, SystemParams
-from .sweep import OUTPUT_NAMES, SweepAxis, SweepSpec
+from .sweep import OUTPUT_NAMES, SweepAxis, SweepSpec, figure_recipe
 
 TWO_PI = 2.0 * math.pi
 
-_PARAM_KEYS = {
-    "omega_m_over_2pi_hz", "omega_m_rad_s",
-    "quality_factor",
-    "kappa_over_2pi_hz", "kappa_over_omega_m", "kappa_rad_s",
-    "detuning_mode",
-    "delta_over_omega_m", "delta_over_2pi_hz", "delta_rad_s",
-    "g0_rad_s",
-    "laser_power_mw", "laser_power_w",
-    "laser_wavelength_nm", "laser_wavelength_m",
-    "bath_temperature_k",
-    "cavity_thermal_occupancy",
-    "phase_noise",
-}
+# (quantity, {spelling: factor}, default): the internal value is the given
+# value times the factor, a number or the quantity it is relative to; a
+# quantity without a default is required.
+PARAMETER_SPELLINGS = (
+    ("omega_m", {"omega_m_over_2pi_hz": TWO_PI, "omega_m_rad_s": 1.0}, None),
+    ("quality_factor", {"quality_factor": 1.0}, None),
+    ("kappa", {"kappa_over_2pi_hz": TWO_PI, "kappa_over_omega_m": "omega_m",
+               "kappa_rad_s": 1.0}, None),
+    ("detuning", {"delta_over_omega_m": "omega_m", "delta_over_2pi_hz": TWO_PI,
+                  "delta_rad_s": 1.0}, None),
+    ("g0", {"g0_rad_s": 1.0}, None),
+    ("laser_power", {"laser_power_mw": 1e-3, "laser_power_w": 1.0}, None),
+    ("laser_wavelength", {"laser_wavelength_nm": 1e-9,
+                          "laser_wavelength_m": 1.0}, 810e-9),
+    ("bath_temperature", {"bath_temperature_k": 1.0}, None),
+    ("cavity_thermal_occupancy", {"cavity_thermal_occupancy": 1.0}, 0.0),
+)
+NOISE_SPELLINGS = (
+    ("gamma_l", {"linewidth_over_2pi_hz": TWO_PI, "linewidth_rad_s": 1.0}, None),
+    ("omega_band", {"band_center_over_2pi_hz": TWO_PI,
+                    "band_center_rad_s": 1.0}, None),
+    ("gamma_tilde", {"bandwidth_over_2pi_hz": TWO_PI, "bandwidth_rad_s": 1.0,
+                     "bandwidth_over_band_center": "omega_band"}, None),
+)
+_NOISE_QUANTITIES = {"none": 0, "white": 1, "bandpass": 3}  # leading entries taken
 
-_NOISE_KEYS = {
-    "kind", "linewidth_over_2pi_hz", "linewidth_rad_s",
-    "band_center_over_2pi_hz", "band_center_rad_s",
-    "bandwidth_over_2pi_hz", "bandwidth_rad_s", "bandwidth_over_band_center",
-}
+_ABSENT = object()
 
 
 class _Source:
-    """Locates keys in the raw document text for error messages."""
+    """Locates keys in the raw document text for error messages.
 
-    def __init__(self, text: str, name: str):
+    Lookups start at offset ``start``, the key of the object being read.
+    """
+
+    def __init__(self, text: str, name: str, start: int = 0):
         self.text = text
         self.name = name
+        self.start = start
 
-    def line_of(self, key: str) -> int | None:
-        match = re.search(rf'"{re.escape(key)}"\s*:', self.text)
-        if match is None:
-            return None
-        return self.text.count("\n", 0, match.start()) + 1
+    def _find(self, key: str):
+        return re.compile(rf'"{re.escape(key)}"\s*:').search(self.text, self.start)
+
+    def within(self, key: str) -> "_Source":
+        """The source of the object under ``key``."""
+        match = self._find(key)
+        return _Source(self.text, self.name,
+                       self.start if match is None else match.start())
 
     def error(self, key: str | None, message: str) -> ConfigError:
         where = self.name
         if key is not None:
-            line = self.line_of(key)
-            if line is not None:
+            match = self._find(key)
+            if match is not None:
+                line = self.text.count("\n", 0, match.start()) + 1
                 where = f"{self.name}:{line}"
             message = f'field "{key}": {message}'
         return ConfigError(f"{where}: {message}")
 
 
 def load_document(path) -> tuple[dict, _Source]:
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as err:
+        raise ConfigError(f"{path}: cannot read: {err.strerror}") from err
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -74,116 +95,113 @@ def load_document(path) -> tuple[dict, _Source]:
     return doc, _Source(text, str(path))
 
 
-def _number(doc: dict, src: _Source, key: str) -> float:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise src.error(key, f"expected a number, got {value!r}")
-    return float(value)
+class Fields:
+    """The fields of one JSON object that no reader has taken yet.
+
+    Each field is taken once; ``close`` rejects whatever is left.
+    """
+
+    def __init__(self, doc: dict, src: _Source):
+        self.rest = dict(doc)
+        self.src = src
+
+    def take(self, key: str, default=None):
+        """Field ``key`` as given, else ``default``."""
+        return self.rest.pop(key, default)
+
+    def number(self, key: str, default=None, integer: bool = False,
+               minimum=None):
+        """Field ``key`` as a float (an int if ``integer``), else ``default``.
+
+        The value must be a JSON number and not a bool, integral if
+        ``integer``, and at least ``minimum`` if one is given; a default
+        is held to the same minimum. None if absent without a default.
+        """
+        value = self.take(key, _ABSENT)
+        if value is _ABSENT:
+            if default is None:
+                return None
+            value = default
+        expected = "an integer" if integer else "a number"
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or integer and isinstance(value, float) and not value.is_integer()):
+            raise self.src.error(key, f"expected {expected}, got {value!r}")
+        try:
+            number = int(value) if integer else float(value)
+        except OverflowError:
+            raise self.src.error(key, f"expected {expected}, got {value!r}") from None
+        if minimum is not None and not number >= minimum:
+            raise self.src.error(key, f"must be >= {minimum}, got {value!r}")
+        return number
+
+    def object(self, key: str) -> tuple[dict, _Source] | None:
+        """Field ``key``, which must be a JSON object, with its source."""
+        value = self.take(key, _ABSENT)
+        if value is _ABSENT:
+            return None
+        if not isinstance(value, dict):
+            raise self.src.error(key, "must be an object")
+        return value, self.src.within(key)
+
+    def quantities(self, table) -> dict:
+        """Each quantity of ``table`` in internal units, from its one spelling."""
+        values = {}
+        for name, spellings, default in table:
+            given = [(key, value) for key in spellings
+                     if (value := self.number(key)) is not None]
+            if len(given) > 1:
+                raise self.src.error(given[1][0],
+                                     f"conflicts with {given[0][0]!r}")
+            if given:
+                key, value = given[0]
+                factor = spellings[key]
+                values[name] = value * (values[factor] if isinstance(factor, str)
+                                        else factor)
+            elif default is not None:
+                values[name] = default
+            else:
+                raise self.src.error(None, f"one of {list(spellings)} is required")
+        return values
+
+    def close(self, what: str = "field") -> None:
+        """Reject the first field that no reader took."""
+        if self.rest:
+            raise self.src.error(next(iter(self.rest)), f"unknown {what}")
 
 
-def _pick(doc: dict, src: _Source, keys: list[str], required: bool = True):
-    present = [k for k in keys if k in doc]
-    if len(present) > 1:
-        raise src.error(present[1], f"conflicts with {present[0]!r}")
-    if not present:
-        if required:
-            raise src.error(None, f"one of {keys} is required")
-        return None, None
-    return present[0], _number(doc, src, present[0])
+def _noise(fields: Fields) -> NoiseSpec:
+    kind = fields.take("kind")
+    if kind not in _NOISE_QUANTITIES:
+        raise fields.src.error("kind", "must be 'none', 'white' or 'bandpass'")
+    values = fields.quantities(NOISE_SPELLINGS[:_NOISE_QUANTITIES[kind]])
+    fields.close(f"phase_noise field for kind {kind!r}")
+    return getattr(NoiseSpec, kind)(**values)
 
 
-def _noise_from_dict(doc: dict, src: _Source) -> NoiseSpec:
-    for key in doc:
-        if key not in _NOISE_KEYS:
-            raise src.error(key, "unknown phase_noise field")
-    kind = doc.get("kind")
-    if kind not in ("none", "white", "bandpass"):
-        raise src.error("kind", "must be 'none', 'white' or 'bandpass'")
-    if kind == "none":
-        return NoiseSpec.none()
-    key, value = _pick(doc, src, ["linewidth_over_2pi_hz", "linewidth_rad_s"])
-    gamma_l = value * TWO_PI if key.endswith("2pi_hz") else value
-    if kind == "white":
-        return NoiseSpec.white(gamma_l)
-    key, value = _pick(doc, src, ["band_center_over_2pi_hz", "band_center_rad_s"])
-    band = value * TWO_PI if key.endswith("2pi_hz") else value
-    key, value = _pick(doc, src, ["bandwidth_over_2pi_hz", "bandwidth_rad_s",
-                                  "bandwidth_over_band_center"])
-    if key == "bandwidth_over_band_center":
-        width = value * band
-    elif key.endswith("2pi_hz"):
-        width = value * TWO_PI
-    else:
-        width = value
-    return NoiseSpec.bandpass(gamma_l, band, width)
+def _params(fields: Fields) -> SystemParams:
+    """Take the parameter fields, or ``internal_params``, out of ``fields``."""
+    src = fields.src
+    internal = fields.take("internal_params")
+    if internal is not None:
+        return params_from_internal(internal, src)
+    values = fields.quantities(PARAMETER_SPELLINGS)
+    mode = fields.take("detuning_mode", EFFECTIVE)
+    if mode not in (EFFECTIVE, BARE):
+        raise src.error("detuning_mode", f"must be '{EFFECTIVE}' or '{BARE}'")
+    noise = fields.object("phase_noise")
+    noise = NoiseSpec.none() if noise is None else _noise(Fields(*noise))
+    try:
+        return SystemParams(**values, phase_noise=noise, detuning_mode=mode)
+    except ValueError as err:
+        raise src.error(None, str(err)) from err
 
 
 def params_from_config(doc: dict, src: _Source) -> SystemParams:
     """Build SystemParams from a unit-suffixed document."""
-    if "internal_params" in doc:
-        return params_from_internal(doc["internal_params"], src)
-    for key in doc:
-        if key not in _PARAM_KEYS:
-            raise src.error(key, "unknown parameter field")
-
-    key, value = _pick(doc, src, ["omega_m_over_2pi_hz", "omega_m_rad_s"])
-    omega_m = value * TWO_PI if key.endswith("2pi_hz") else value
-
-    if "quality_factor" not in doc:
-        raise src.error(None, 'field "quality_factor" is required')
-    quality = _number(doc, src, "quality_factor")
-
-    key, value = _pick(doc, src, ["kappa_over_2pi_hz", "kappa_over_omega_m",
-                                  "kappa_rad_s"])
-    kappa = {"kappa_over_2pi_hz": value * TWO_PI,
-             "kappa_over_omega_m": value * omega_m,
-             "kappa_rad_s": value}[key]
-
-    mode = doc.get("detuning_mode", EFFECTIVE)
-    if mode not in (EFFECTIVE, BARE):
-        raise src.error("detuning_mode", f"must be '{EFFECTIVE}' or '{BARE}'")
-    key, value = _pick(doc, src, ["delta_over_omega_m", "delta_over_2pi_hz",
-                                  "delta_rad_s"])
-    detuning = {"delta_over_omega_m": value * omega_m,
-                "delta_over_2pi_hz": value * TWO_PI,
-                "delta_rad_s": value}[key]
-
-    if "g0_rad_s" not in doc:
-        raise src.error(None, 'field "g0_rad_s" is required')
-    g0 = _number(doc, src, "g0_rad_s")
-
-    key, value = _pick(doc, src, ["laser_power_mw", "laser_power_w"])
-    power = value * 1e-3 if key == "laser_power_mw" else value
-
-    key, value = _pick(doc, src, ["laser_wavelength_nm", "laser_wavelength_m"],
-                       required=False)
-    if key is None:
-        wavelength = 810e-9
-    else:
-        wavelength = value * 1e-9 if key == "laser_wavelength_nm" else value
-
-    if "bath_temperature_k" not in doc:
-        raise src.error(None, 'field "bath_temperature_k" is required')
-    temperature = _number(doc, src, "bath_temperature_k")
-
-    noise_doc = doc.get("phase_noise", {"kind": "none"})
-    if not isinstance(noise_doc, dict):
-        raise src.error("phase_noise", "must be an object")
-    noise = _noise_from_dict(noise_doc, src)
-
-    occupancy = doc.get("cavity_thermal_occupancy", 0.0)
-    if "cavity_thermal_occupancy" in doc:
-        occupancy = _number(doc, src, "cavity_thermal_occupancy")
-
-    try:
-        return SystemParams(
-            omega_m=omega_m, quality_factor=quality, kappa=kappa,
-            detuning=detuning, g0=g0, laser_power=power,
-            laser_wavelength=wavelength, bath_temperature=temperature,
-            phase_noise=noise, cavity_thermal_occupancy=occupancy,
-            detuning_mode=mode)
-    except ValueError as err:
-        raise src.error(None, str(err)) from err
+    fields = Fields(doc, src)
+    params = _params(fields)
+    fields.close("parameter field")
+    return params
 
 
 def params_from_internal(doc: dict, src: _Source) -> SystemParams:
@@ -196,65 +214,64 @@ def params_from_internal(doc: dict, src: _Source) -> SystemParams:
         raise src.error("internal_params", str(err)) from err
 
 
-def extract_params(doc: dict, src: _Source, allowed_extra=()) -> SystemParams:
+def extract_params(doc: dict, src: _Source) -> tuple[SystemParams, Fields]:
     """Parameters from a document that may also carry run-control fields.
 
-    Accepts either a nested "params" object or parameter keys at top level
-    alongside the ``allowed_extra`` keys of the surrounding command.
+    Accepts either a nested "params" object or parameter keys at top level.
+    Returns the parameters and the fields they left, which the command
+    reads its own fields from and then closes.
     """
-    if "params" in doc:
-        sub = doc["params"]
-        if not isinstance(sub, dict):
-            raise src.error("params", "must be an object")
-        extra = set(doc) - {"params"} - set(allowed_extra)
-        if extra:
-            raise src.error(sorted(extra)[0], "unknown field")
-        return params_from_config(sub, src)
-    sub = {k: v for k, v in doc.items()
-           if k in _PARAM_KEYS or k == "internal_params"}
-    extra = set(doc) - set(sub) - set(allowed_extra)
-    if extra:
-        raise src.error(sorted(extra)[0], "unknown field")
-    return params_from_config(sub, src)
+    fields = Fields(doc, src)
+    nested = fields.object("params")
+    params = _params(fields) if nested is None else params_from_config(*nested)
+    return params, fields
 
 
 def sweep_from_config(doc: dict, src: _Source) -> SweepSpec:
     """Sweep specification: a named recipe or explicit axes over fixed params."""
-    from .sweep import figure_recipe
-
-    if "recipe" in doc:
-        grid = doc.get("grid", [80, 80])
+    fields = Fields(doc, src)
+    recipe = fields.take("recipe")
+    if recipe is not None:
+        grid = fields.take("grid", [80, 80])
         if (not isinstance(grid, list) or len(grid) != 2
                 or not all(isinstance(g, int) and g >= 2 for g in grid)):
             raise src.error("grid", "must be a [count_x, count_y] pair of ints >= 2")
+        if not isinstance(recipe, str):
+            raise src.error("recipe", f"expected a recipe name, got {recipe!r}")
+        fields.close("sweep field")
         try:
-            return figure_recipe(doc["recipe"], grid=tuple(grid))
+            return figure_recipe(recipe, grid=tuple(grid))
         except ValueError as err:
             raise src.error("recipe", str(err)) from err
 
+    parts = {}
     for key in ("axis_x", "axis_y", "fixed"):
-        if key not in doc:
+        parts[key] = fields.object(key)
+        if parts[key] is None:
             raise src.error(None, f'field "{key}" is required (or use "recipe")')
-    axes = []
-    for key in ("axis_x", "axis_y"):
-        axis_doc = doc[key]
-        if not isinstance(axis_doc, dict):
-            raise src.error(key, "must be an object")
-        unknown = set(axis_doc) - {"name", "min", "max", "count", "scale"}
-        if unknown:
-            raise src.error(sorted(unknown)[0], "unknown axis field")
-        try:
-            axes.append(SweepAxis(
-                name=axis_doc.get("name"),
-                minimum=float(axis_doc["min"]), maximum=float(axis_doc["max"]),
-                count=int(axis_doc["count"]),
-                scale=axis_doc.get("scale", "linear")))
-        except (KeyError, TypeError, ValueError) as err:
-            raise src.error(key, str(err)) from err
-    fixed = params_from_config(doc["fixed"], src)
-    outputs = tuple(doc.get("outputs", OUTPUT_NAMES))
+    outputs = fields.take("outputs", list(OUTPUT_NAMES))
+    if not isinstance(outputs, list):
+        raise src.error("outputs", f"expected a list of output names, got {outputs!r}")
+    fields.close("sweep field")
+    axes = [_axis(Fields(*parts[key]), key) for key in ("axis_x", "axis_y")]
     try:
-        return SweepSpec(axis_x=axes[0], axis_y=axes[1], fixed=fixed,
-                         outputs=outputs)
+        return SweepSpec(axis_x=axes[0], axis_y=axes[1],
+                         fixed=params_from_config(*parts["fixed"]),
+                         outputs=tuple(outputs))
     except ValueError as err:
         raise src.error(None, str(err)) from err
+
+
+def _axis(fields: Fields, key: str) -> SweepAxis:
+    name = fields.take("name")
+    bounds = fields.number("min"), fields.number("max")
+    count = fields.number("count", integer=True)
+    scale = fields.take("scale", "linear")
+    fields.close("axis field")
+    if None in (*bounds, count):
+        raise fields.src.error(key, "min, max and count are required")
+    try:
+        return SweepAxis(name=name, minimum=bounds[0], maximum=bounds[1],
+                         count=count, scale=scale)
+    except ValueError as err:
+        raise fields.src.error(key, str(err)) from err

@@ -19,7 +19,6 @@ from .parameters import NoiseSpec, ParamColumns, SteadyState, SystemParams
 
 FULL_BASIS = ("dq", "dp", "dX", "dY", "psi", "theta")
 REDUCED_BASIS = ("dq", "dp", "dX", "dY")
-AUX_BASIS = ("psi", "theta")
 MODEL_DIMS = {6: FULL_BASIS, 4: REDUCED_BASIS}  # basis by model order
 _DIAG4 = np.arange(4)
 

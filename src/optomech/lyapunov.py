@@ -36,9 +36,6 @@ class CovarianceMatrix:
     def order(self) -> int:
         return self.matrix.shape[0]
 
-    def block(self, rows: slice, cols: slice) -> NDArray[np.float64]:
-        return self.matrix[rows, cols]
-
     def to_document(self) -> dict:
         """JSON-ready matrix document for fixtures."""
         return {"kind": "covariance", "basis": list(self.basis),

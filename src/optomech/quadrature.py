@@ -14,6 +14,10 @@ import numpy as np
 
 from .errors import QuadratureNotConverged
 
+RTOL = 1e-9  # componentwise: summed error <= ATOL + RTOL * |integral|
+ATOL = 1e-9
+MAX_SEGMENTS = 20000  # default segment budget
+
 # (7, 15) Gauss-Kronrod nodes and weights on [-1, 1]
 _XGK = np.array([
     -0.991455371120813, -0.949107912342759, -0.864864423359769,
@@ -54,9 +58,7 @@ def _evaluate_segments(f: Callable, lo: np.ndarray, hi: np.ndarray):
 def integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
     breakpoints,
-    rtol: float = 1e-9,
-    atol: float = 1e-9,
-    max_segments: int = 20000,
+    max_segments: int = MAX_SEGMENTS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate an array-valued ``f`` over the span of ``breakpoints``.
 
@@ -64,7 +66,7 @@ def integrate_adaptive(
     ``(n_points, *component_shape)``. Initial segments are the intervals
     between consecutive breakpoints; segments are bisected (worst first)
     until, componentwise, the summed error satisfies
-    ``err <= atol + rtol * |integral|``.
+    ``err <= ATOL + RTOL * |integral|``.
 
     Returns ``(integral, error_estimate)``; raises QuadratureNotConverged
     with the achieved error if the segment budget runs out.
@@ -78,7 +80,7 @@ def integrate_adaptive(
     while True:
         total = vals.sum(axis=0)
         toterr = errs.sum(axis=0)
-        tol = atol + rtol * np.abs(total)
+        tol = ATOL + RTOL * np.abs(total)
         ratio = toterr / tol
         worst = float(ratio.max())
         if worst <= 1.0:

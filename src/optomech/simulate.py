@@ -65,13 +65,17 @@ class SpectrumEstimate:
     covariance: CovarianceEstimate
 
 
-def _check_timestep(a: np.ndarray, cfg: TrajectoryConfig) -> None:
+def drift_rates(a: np.ndarray) -> tuple[float, float]:
+    """Largest eigenvalue modulus and slowest decay rate of a drift matrix."""
     eigs = np.linalg.eigvals(a)
-    speed = float(np.max(np.abs(eigs)))
+    return float(np.max(np.abs(eigs))), float(np.min(-eigs.real))
+
+
+def _check_timestep(a: np.ndarray, cfg: TrajectoryConfig) -> None:
+    speed, slowest = drift_rates(a)
     if cfg.dt * speed >= DT_EIGENVALUE_GUARD:
         raise UnstableTimestep(
             f"dt*max|eig| = {cfg.dt * speed:.3e} exceeds {DT_EIGENVALUE_GUARD}")
-    slowest = float(np.min(-eigs.real))
     if slowest <= 0:
         raise UnstableTimestep("drift must be Hurwitz for stationary sampling")
     needed = BURN_IN_DECAY / slowest
@@ -232,13 +236,13 @@ def simulate_phase_noise(spec: NoiseSpec, cfg: TrajectoryConfig,
     if spec.kind != "bandpass":
         raise ValueError("the trajectory generator realizes bandpass noise")
     a, d = auxiliary_block(spec)
+    # checked before anything is propagated
+    seg_len = _segment_length(cfg.n_steps - cfg.burn_in, segments_per_member)
     if spec.gamma_l == 0.0:
         # no drive: trajectories are identically zero
         from scipy.fft import rfftfreq
 
         _check_timestep(a, cfg)
-        seg_len = _segment_length(cfg.n_steps - cfg.burn_in,
-                                  segments_per_member)
         omega = 2.0 * math.pi * rfftfreq(seg_len, d=cfg.dt)
         values = se = np.zeros_like(omega)
         per_member = np.zeros((cfg.n_ensemble, 2, 2))

@@ -22,7 +22,7 @@ from .errors import ImaginaryFrequency, QuadratureNotConverged, UnstableDrift
 from .lyapunov import CovarianceMatrix
 from .parameters import (NoiseSpec, ParamColumns, SteadyState,
                          SteadyStateColumns, SystemParams)
-from .quadrature import integrate_adaptive
+from .quadrature import MAX_SEGMENTS, integrate_adaptive
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def _integrate_cm(params: SystemParams, ss: SteadyState,
 
 
 def cm_spectral_oracle(params: SystemParams, ss: SteadyState, *,
-                       max_segments: int = 20000) -> CovarianceMatrix:
+                       max_segments: int = MAX_SEGMENTS) -> CovarianceMatrix:
     """Stationary 4x4 covariance by frequency integration.
 
     Integrates the resolvent spectrum T(w) D(w) T(w)^dag of the
@@ -203,8 +203,8 @@ def cm_spectral_oracle(params: SystemParams, ss: SteadyState, *,
     return CovarianceMatrix(matrix=value.real, basis=REDUCED_BASIS)
 
 
-def approx_cm_phase_correction(params: SystemParams, ss: SteadyState, *,
-                               max_segments: int = 20000) -> CovarianceMatrix:
+def approx_cm_phase_correction(params: SystemParams,
+                               ss: SteadyState) -> CovarianceMatrix:
     """Covariance with the noise spectrum frozen at its resonance value.
 
     Same integral as the oracle but with S(omega) replaced by the constant
@@ -218,7 +218,7 @@ def approx_cm_phase_correction(params: SystemParams, ss: SteadyState, *,
     omega_eff = effective_response(params, ss).omega_eff
     s_peak = phase_noise_spectrum(params.phase_noise, omega_eff)
     value, _ = _integrate_cm(params, ss, lambda w: np.full_like(w, s_peak),
-                             max_segments)
+                             MAX_SEGMENTS)
     return CovarianceMatrix(matrix=value.real, basis=REDUCED_BASIS)
 
 

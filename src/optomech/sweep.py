@@ -483,8 +483,8 @@ def figure_recipe(fig_id: str, grid: tuple[int, int] = (80, 80)) -> SweepSpec:
     )
 
 
-def emit_figure_data(result: SweepResult, out_dir, stem: str | None = None,
-                     output: str | None = None) -> list[str]:
+def emit_figure_data(result: SweepResult, out_dir,
+                     stem: str | None = None) -> list[str]:
     """Write the long CSV and the gnuplot grid file for one sweep.
 
     Returns the written paths; identical inputs produce byte-identical files.
@@ -492,10 +492,9 @@ def emit_figure_data(result: SweepResult, out_dir, stem: str | None = None,
     import os
 
     stem = stem or result.spec.recipe or "sweep"
-    output = output or result.spec.outputs[0]
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{stem}.csv")
     grid_path = os.path.join(out_dir, f"{stem}.grid.txt")
     result.write_csv(csv_path)
-    result.write_grid(grid_path, output)
+    result.write_grid(grid_path, result.spec.outputs[0])
     return [csv_path, grid_path]

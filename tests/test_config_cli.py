@@ -1,10 +1,11 @@
 import json
 import math
+import pathlib
 import re
 
 import pytest
 
-from optomech import cli
+from optomech import cli, config, simulate
 from optomech.config import (extract_params, load_document,
                              params_from_config, sweep_from_config)
 from optomech.errors import ConfigError
@@ -27,6 +28,36 @@ GOOD_PARAMS = {
         "band_center_over_2pi_hz": 5.0e4,
         "bandwidth_over_band_center": 0.5,
     },
+}
+
+
+SWEEP_DOC = {
+    "axis_x": {"name": "power_mw", "min": 1, "max": 10, "count": 2},
+    "axis_y": {"name": "kappa_over_omega_m", "min": 0.2, "max": 1.0,
+               "count": 2, "scale": "log"},
+    "fixed": GOOD_PARAMS,
+    "outputs": ["e_n", "n_eff"],
+}
+
+# The conversion the README schema states for each spelling: the value in
+# the file times a number, or times the named internal quantity.
+README_FACTORS = {
+    "omega_m": {"omega_m_over_2pi_hz": 2 * math.pi, "omega_m_rad_s": 1.0},
+    "quality_factor": {"quality_factor": 1.0},
+    "kappa": {"kappa_over_2pi_hz": 2 * math.pi, "kappa_over_omega_m": "omega_m",
+              "kappa_rad_s": 1.0},
+    "detuning": {"delta_over_omega_m": "omega_m",
+                 "delta_over_2pi_hz": 2 * math.pi, "delta_rad_s": 1.0},
+    "g0": {"g0_rad_s": 1.0},
+    "laser_power": {"laser_power_mw": 1e-3, "laser_power_w": 1.0},
+    "laser_wavelength": {"laser_wavelength_nm": 1e-9, "laser_wavelength_m": 1.0},
+    "bath_temperature": {"bath_temperature_k": 1.0},
+    "cavity_thermal_occupancy": {"cavity_thermal_occupancy": 1.0},
+    "gamma_l": {"linewidth_over_2pi_hz": 2 * math.pi, "linewidth_rad_s": 1.0},
+    "omega_band": {"band_center_over_2pi_hz": 2 * math.pi,
+                   "band_center_rad_s": 1.0},
+    "gamma_tilde": {"bandwidth_over_2pi_hz": 2 * math.pi, "bandwidth_rad_s": 1.0,
+                    "bandwidth_over_band_center": "omega_band"},
 }
 
 
@@ -110,10 +141,38 @@ class TestParamsDocument:
         doc = dict(GOOD_PARAMS)
         doc["n_steps"] = 1000
         loaded, src = load_document(write_json(tmp_path, "v.json", doc))
-        p = extract_params(loaded, src, allowed_extra=("n_steps",))
+        p, rest = extract_params(loaded, src)
         assert p.laser_power == pytest.approx(0.02)
+        assert rest.number("n_steps", integer=True) == 1000
+        rest.close()
+        _, rest = extract_params(loaded, src)
         with pytest.raises(ConfigError, match="n_steps"):
-            extract_params(loaded, src)
+            rest.close()
+
+
+    @pytest.mark.parametrize("quantity", sorted(README_FACTORS))
+    def test_every_spelling_converts_by_the_readme_factor(self, tmp_path,
+                                                          quantity):
+        x = 0.75
+        spellings = README_FACTORS[quantity]
+        for spelling, factor in spellings.items():
+            doc = json.loads(json.dumps(GOOD_PARAMS))
+            noise = doc["phase_noise"]
+            target = noise if quantity in ("gamma_l", "omega_band",
+                                           "gamma_tilde") else doc
+            for key in spellings:
+                target.pop(key, None)
+            target[spelling] = x
+            loaded, src = load_document(write_json(tmp_path, "p.json", doc))
+            p = params_from_config(loaded, src)
+            holder = p.phase_noise if target is noise else p
+            scale = getattr(holder, factor) if isinstance(factor, str) else factor
+            assert getattr(holder, quantity) == x * scale, spelling
+
+    def test_factor_table_covers_every_spelling(self):
+        table = {name: set(spellings) for name, spellings, _ in
+                 config.PARAMETER_SPELLINGS + config.NOISE_SPELLINGS}
+        assert table == {name: set(s) for name, s in README_FACTORS.items()}
 
 
 class TestSweepDocument:
@@ -206,11 +265,39 @@ class TestCli:
                      id="omega_count-x"),
         pytest.param(["spectrum"], {"tau_count": -3}, "tau_count",
                      id="tau_count-neg"),
+        pytest.param(["sweep"], {"outputs": 5}, "outputs", id="sweep-outputs-5"),
+        pytest.param(["sweep"], {"fixed": 5}, "fixed", id="sweep-fixed-5"),
+        pytest.param(["sweep"], {"recipe": 5}, "recipe", id="sweep-recipe-5"),
+        pytest.param(["sweep"], {"output": ["e_n"]}, "output",
+                     id="sweep-unknown-key"),
+        pytest.param(["sweep"], {"recipe": "fig2b", "grid": [2, 2]}, "axis_x",
+                     id="sweep-keys-next-to-recipe"),
+        pytest.param(["sweep"], {"axis_x": {**SWEEP_DOC["axis_x"], "count": 2.7}},
+                     "count", id="axis-count-2.7"),
+        pytest.param(["sweep"], {"axis_x": {**SWEEP_DOC["axis_x"], "min": "0.25"}},
+                     "min", id="axis-min-string"),
+        pytest.param(["spectrum"], {"omega_count": True}, "omega_count",
+                     id="omega_count-true"),
+        pytest.param(["spectrum"], {"tau_count": 2.9}, "tau_count",
+                     id="tau_count-2.9"),
+        pytest.param(["validate"], {"n_steps": "40000"}, "n_steps",
+                     id="n_steps-numeric-string"),
+        pytest.param(["validate"], {"dt_s": 1e-5}, "dt_s", id="dt_s-above-guard"),
+        pytest.param(["validate"], {"n_steps": 1000, "segments_per_member": 1000},
+                     "segments_per_member", id="segments-too-many"),
+        pytest.param(["spectrum", "--config", "absent.json"], None, "absent.json",
+                     id="config-unreadable"),
     ])
-    def test_bad_run_value_exits_1_naming_it(self, tmp_path, capsys, argv,
-                                             fields, name):
+    def test_bad_run_value_exits_1_naming_it(self, tmp_path, capsys, monkeypatch,
+                                             argv, fields, name):
+        def propagate(*args, **kwargs):
+            pytest.fail("an invalid run was propagated")
+
+        monkeypatch.setattr(simulate, "_propagate", propagate)
+        monkeypatch.chdir(tmp_path)
         if fields is not None:
-            path = write_json(tmp_path, "run.json", {**GOOD_PARAMS, **fields})
+            base = SWEEP_DOC if argv[0] == "sweep" else GOOD_PARAMS
+            path = write_json(tmp_path, "run.json", {**base, **fields})
             argv = argv + ["--config", str(path)]
         assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -219,6 +306,47 @@ class TestCli:
             where = re.search(rf'{re.escape(str(path))}:(\d+): field "{name}"', err)
             line = path.read_text().splitlines()[int(where.group(1)) - 1]
             assert f'"{name}"' in line
+
+    def test_every_accepted_key_is_in_the_readme_schema(self, tmp_path,
+                                                        monkeypatch):
+        taken = set()
+        take = config.Fields.take
+
+        def spy(self, key, default=None):
+            taken.add(key)
+            return take(self, key, default)
+
+        class Stop(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr(config.Fields, "take", spy)
+        monkeypatch.setattr(cli, "simulate_phase_noise", stop)
+        for doc in (GOOD_PARAMS, {"params": GOOD_PARAMS}):
+            extract_params(*load_document(write_json(tmp_path, "p.json", doc)))
+        for doc in (SWEEP_DOC, {"recipe": "fig2b", "grid": [2, 2]}):
+            sweep_from_config(*load_document(write_json(tmp_path, "s.json", doc)))
+        path = write_json(tmp_path, "sp.json",
+                          dict(GOOD_PARAMS, omega_count=2, tau_count=2))
+        assert cli.main(["spectrum", "--config", str(path),
+                         "--out-dir", str(tmp_path)]) == 0
+        path = write_json(tmp_path, "v.json", GOOD_PARAMS)
+        with pytest.raises(Stop):
+            cli.main(["validate", "--config", str(path),
+                      "--out-dir", str(tmp_path)])
+        # one key of each reader, so a spy that missed one fails here
+        assert {"kappa_rad_s", "bandwidth_over_band_center", "internal_params",
+                "params", "count", "grid", "outputs", "tau_max_s",
+                "segments_per_member"} <= taken
+
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        schema = readme.split("### Parameter file schema")[1].split("\n## ")[0]
+        undocumented = sorted(key for key in taken
+                              if f"`{key}`" not in schema
+                              and f'"{key}"' not in schema)
+        assert not undocumented
 
     def test_spectrum_command(self, tmp_path):
         doc = dict(GOOD_PARAMS)

@@ -161,6 +161,18 @@ class TestTrajectoryContract:
         driven = simulate_phase_noise(bandpass_100hz(), cfg)
         np.testing.assert_array_equal(silent.frequencies, driven.frequencies)
 
+    def test_segment_count_checked_before_propagating(self, monkeypatch):
+        import optomech.simulate as simulate
+
+        def propagate(*args, **kwargs):
+            pytest.fail("propagated before checking the segment length")
+
+        monkeypatch.setattr(simulate, "_propagate", propagate)
+        spec = bandpass_100hz()
+        with pytest.raises(ValueError, match="series too short"):
+            simulate_phase_noise(spec, aux_config(spec, n_steps=20_000),
+                                 segments_per_member=20_000)
+
     def test_cli_import_leaves_scipy_signal_out(self):
         # importing scipy.signal costs most of a second in a fresh process,
         # and scipy as a whole most of the CLI's start-up: only the routes
