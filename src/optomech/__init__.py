@@ -22,8 +22,7 @@ from .lyapunov import (CovarianceMatrix, check_physical, check_physical_batch,
 from .measures import (EntanglementResult, OccupancyResult,
                        eta_minus_partial_transpose, log_negativity,
                        log_negativity_batch, occupancy, occupancy_batch)
-from .parameters import (NoiseSpec, ParamColumns, SteadyState,
-                         SteadyStateColumns, SystemParams,
+from .parameters import (NoiseSpec, SteadyState, SystemParams,
                          drive_amplitude, power_for_coupling,
                          solve_steady_state, solve_steady_state_batch,
                          thermal_occupancy)

@@ -45,7 +45,9 @@ def _cmd_point(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.recipe:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs: expected a count >= 1, got {args.jobs}")
+    if args.recipe is not None:
         counts = (args.grid or "80x80").split("x")
         if len(counts) != 2 or not all(c.isdecimal() and int(c) >= 2 for c in counts):
             raise ConfigError(f"--grid: expected COUNTxCOUNT with counts >= 2, "

@@ -82,10 +82,13 @@ class _Source:
 
 def load_document(path) -> tuple[dict, _Source]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
         raise ConfigError(f"{path}: cannot read: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err.reason} at byte "
+                          f"{err.start}") from err
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import NonpositiveDetuning
-from .parameters import NoiseSpec, ParamColumns, SteadyState, SystemParams
+from .parameters import NoiseSpec, SteadyState, SystemParams
 
 FULL_BASIS = ("dq", "dp", "dX", "dY", "psi", "theta")
 REDUCED_BASIS = ("dq", "dp", "dX", "dY")
@@ -64,37 +64,30 @@ class LinearModel:
                    dims=tuple(doc["dims"]))
 
 
-def _bandpass_spectrum(gamma_l, band, width, omega):
-    """2*gamma_l*W^4 / ((W^2 - omega^2)^2 + omega^2*gt^2), elementwise.
-
-    The rates are scalars or one value per point of ``omega``. omega^2 is a
-    product; W^2, gt^2, W^4 and the outer square go through libm's pow
-    (np.float_power), so a frequency gives the same bits whether it comes
-    alone or in an array.
-    """
-    w2 = omega * omega
-    # the points' axis last, so scalar and column rates share one pow call
-    band2, width2, band4 = np.float_power(np.array([band, width, band]).T,
-                                          (2, 2, 4)).T
-    return 2.0 * gamma_l * band4 / (np.float_power(band2 - w2, 2) + w2 * width2)
-
-
 def phase_noise_spectrum(spec: NoiseSpec, omega):
     """Frequency-noise spectrum S(omega) of the laser, rad/s.
 
     Flat 2*gamma_l for white noise; the bandpass form
     2*gamma_l*W^4 / ((W^2 - omega^2)^2 + omega^2*gt^2) otherwise.
-    Accepts scalar or array ``omega``; each frequency gets the same bits
-    either way.
+    ``spec`` is one noise spec with scalar or array ``omega``, or the noise
+    of a stack with one frequency per point. omega^2 is a product; W^2,
+    gt^2, W^4 and the outer square go through libm's pow (np.float_power),
+    so each frequency gets the same bits alone, in an array or in a stack.
     """
     w = np.asarray(omega, dtype=float)
-    if spec.kind == "none":
-        out = np.zeros_like(w)
-    elif spec.kind == "white":
-        out = np.full_like(w, 2.0 * spec.gamma_l)
-    else:
-        out = _bandpass_spectrum(spec.gamma_l, spec.omega_band,
-                                 spec.gamma_tilde, w)
+    out = np.where(spec.kind == "white", 2.0 * spec.gamma_l, np.zeros_like(w))
+    bandpass = spec.kind == "bandpass"
+    if np.any(bandpass):
+        w2 = w * w
+        # the points' axis last, so a spec and a stack share one pow call
+        band2, width2, band4 = np.float_power(
+            np.array([spec.omega_band, spec.gamma_tilde, spec.omega_band]).T,
+            (2, 2, 4)).T
+        # divided only at bandpass points: the others keep their flat value
+        # and never take the 0/0 of a missing band at omega = 0
+        np.divide(2.0 * spec.gamma_l * band4,
+                  np.float_power(band2 - w2, 2) + w2 * width2,
+                  out=out, where=bandpass)
     return out if out.ndim else float(out)
 
 
@@ -112,7 +105,7 @@ def is_stable(drift: NDArray[np.float64]) -> bool:
 
 
 def stability_margin_batch(params, ss) -> np.ndarray:
-    """``stability_margin`` of many points (ParamColumns, SteadyStateColumns).
+    """``stability_margin`` of one point or of each point of a stack.
 
     NaN where delta_eff <= 0, where the analytic threshold does not apply.
     """
@@ -134,24 +127,31 @@ def stability_margin(params: SystemParams, ss: SteadyState) -> float:
     if ss.delta_eff <= 0:
         raise NonpositiveDetuning(
             "analytic threshold needs delta > 0; use the eigenvalue test instead")
-    return stability_margin_batch(ParamColumns.stack([params]), ss).item()
+    return stability_margin_batch(params, ss).item()
 
 
 def auxiliary_block(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Drift/diffusion of the (psi, theta) pair realizing bandpass noise."""
-    if spec.kind != "bandpass":
+    """Drift/diffusion of the (psi, theta) pair realizing bandpass noise.
+
+    2x2 matrices for one noise spec, (N, 2, 2) stacks for the noise of a
+    stack, whose points must all be bandpass.
+    """
+    if not np.all(spec.kind == "bandpass"):
         raise ValueError("auxiliary block exists only for bandpass noise")
-    a = np.array([[0.0, spec.omega_band],
-                  [-spec.omega_band, -spec.gamma_tilde]])
-    d = np.diag([0.0, 2.0 * spec.gamma_l * spec.omega_band ** 2])
+    band = spec.omega_band
+    a = np.zeros(np.shape(band) + (2, 2))
+    d = np.zeros_like(a)
+    a[..., 0, 1] = band
+    a[..., 1, 0] = -band
+    a[..., 1, 1] = -spec.gamma_tilde
+    d[..., 1, 1] = 2.0 * spec.gamma_l * np.float_power(band, 2)
     return a, d
 
 
 def vacuum_diffusion(params) -> np.ndarray:
     """Thermal/vacuum diffusion diagonal of (dq, dp, dX, dY), phase noise excluded.
 
-    ``params`` is one SystemParams (giving shape (4,)) or ParamColumns
-    (giving (N, 4)).
+    ``params`` is one point (giving shape (4,)) or a stack (giving (N, 4)).
     """
     n = params.thermal_phonons()
     k2n1 = params.kappa * (2.0 * params.cavity_thermal_occupancy + 1.0)
@@ -159,57 +159,60 @@ def vacuum_diffusion(params) -> np.ndarray:
                      k2n1, k2n1]).T
 
 
-def _optomechanical_drift(params: ParamColumns, ss, order: int) -> np.ndarray:
-    """(N, order, order) drifts whose (dq, dp, dX, dY) block is filled in."""
+def _optomechanical_drift(params: SystemParams, ss: SteadyState,
+                          order: int) -> np.ndarray:
+    """(..., order, order) drifts whose (dq, dp, dX, dY) block is filled in.
+
+    (order, order) for one point, (N, order, order) for a stack.
+    """
     wm, g, delta = params.omega_m, ss.g_eff, ss.delta_eff
-    a = np.zeros((len(wm), order, order))
-    a[:, 0, 1] = wm
-    a[:, 1, 0] = -wm
-    a[:, 1, 1] = -params.gamma_m
-    a[:, 1, 2] = g
-    a[:, 2, 2] = -params.kappa
+    a = np.zeros(np.shape(wm) + (order, order))
+    a[..., 0, 1] = wm
+    a[..., 1, 0] = -wm
+    a[..., 1, 1] = -params.gamma_m
+    a[..., 1, 2] = g
+    a[..., 2, 2] = -params.kappa
     # The Y quadrature carries the detuning rotation from X (-delta on dX);
     # writing the detuning term on dY instead would destroy the rotational
     # structure of the cavity block.
-    a[:, 2, 3] = delta
-    a[:, 3, 0] = g
-    a[:, 3, 2] = -delta
-    a[:, 3, 3] = -params.kappa
+    a[..., 2, 3] = delta
+    a[..., 3, 0] = g
+    a[..., 3, 2] = -delta
+    a[..., 3, 3] = -params.kappa
     return a
 
 
 def optomechanical_block(params: SystemParams, ss: SteadyState) -> np.ndarray:
     """4x4 drift of (dq, dp, dX, dY); phase noise enters only the diffusion."""
-    return _optomechanical_drift(ParamColumns.stack([params]), ss, 4)[0]
+    return _optomechanical_drift(params, ss, 4)
 
 
 def build_model_batch(params, ss) -> tuple[np.ndarray, np.ndarray]:
-    """Drift and diffusion of points sharing one model order, as (N, n, n) stacks.
+    """Drift and diffusion of points sharing one model order.
 
-    ``params`` and ``ss`` are ParamColumns and SteadyStateColumns. Bandpass
+    (n, n) matrices for one point, (N, n, n) stacks for a stack. Bandpass
     noise yields the 6x6 system with the auxiliary pair attached; white or
     absent noise yields the 4x4 system, with the flat frequency noise folded
     into the Y-quadrature diffusion as 2*|alpha_s|^2*S, where S = 2*gamma_l
     is the flat spectrum value.
     """
-    bands = np.count_nonzero(params.noise_kind == "bandpass")
-    if 0 < bands < len(params.noise_kind):
+    kind = params.phase_noise.kind
+    bands = np.count_nonzero(kind == "bandpass")
+    if 0 < bands < np.size(kind):
         raise ValueError("a model batch must share one noise model order")
     order = 6 if bands else 4
     a = _optomechanical_drift(params, ss, order)
     d = np.zeros_like(a)
-    d[:, _DIAG4, _DIAG4] = vacuum_diffusion(params)
+    d[..., _DIAG4, _DIAG4] = vacuum_diffusion(params)
     if order == 6:
-        # the (psi, theta) pair of auxiliary_block, driving dY through psi
-        a[:, 4, 5] = params.omega_band
-        a[:, 5, 4] = -params.omega_band
-        a[:, 5, 5] = -params.gamma_tilde
-        d[:, 5, 5] = 2.0 * params.gamma_l * np.float_power(params.omega_band, 2)
-        a[:, 3, 4] = math.sqrt(2.0) * ss.alpha_abs
+        # the (psi, theta) pair, driving dY through psi
+        a[..., 4:, 4:], d[..., 4:, 4:] = auxiliary_block(params.phase_noise)
+        a[..., 3, 4] = math.sqrt(2.0) * ss.alpha_abs
     else:
-        white = params.noise_kind == "white"
-        if white.any():
-            d[white, 3, 3] += (2.0 * ss.photon_number * 2.0 * params.gamma_l)[white]
+        white = kind == "white"
+        if np.any(white):
+            d[..., 3, 3] += np.where(
+                white, 2.0 * ss.photon_number * 2.0 * params.phase_noise.gamma_l, 0.0)
     return a, d
 
 
@@ -218,6 +221,6 @@ def build_model(params: SystemParams, ss: SteadyState) -> LinearModel:
 
     See ``build_model_batch``; stability is decided by the drift eigenvalues.
     """
-    a, d = build_model_batch(ParamColumns.stack([params]), ss)
-    return LinearModel(drift=a[0], diffusion=d[0], stable=is_stable(a[0]),
-                       dims=MODEL_DIMS[len(a[0])])
+    a, d = build_model_batch(params, ss)
+    return LinearModel(drift=a, diffusion=d, stable=is_stable(a),
+                       dims=MODEL_DIMS[len(a)])

@@ -84,9 +84,39 @@ def _check_fields(values: dict) -> None:
         raise ValueError(f"detuning_mode must be '{EFFECTIVE}' or '{BARE}'")
 
 
+def _unchecked(cls, values: dict):
+    """A record of the frozen dataclass ``cls`` holding ``values``, unchecked.
+
+    Stacks are built this way: each of their points was checked when it
+    was built.
+    """
+    record = object.__new__(cls)
+    record.__dict__.update(values)
+    return record
+
+
+def _take(record, idx):
+    """The points ``idx`` of a stacked record, its noise spec included."""
+    return _unchecked(type(record), {
+        name: _take(value, idx) if isinstance(value, NoiseSpec) else value[idx]
+        for name, value in vars(record).items()})
+
+
+def _broadcast(value, shape):
+    """One value, or one per point, as a field of a stack of ``shape``."""
+    if isinstance(value, NoiseSpec):
+        return _unchecked(NoiseSpec, {name: np.broadcast_to(v, shape)
+                                      for name, v in vars(value).items()})
+    return np.broadcast_to(value, shape)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """All physical inputs of the driven cavity, in coherent internal units.
+
+    A point holds one value per field. A stack of N points (``stack``) is
+    the same record with one array item per point in every field, its
+    noise spec included; every formula reads both alike.
 
     Parameters
     ----------
@@ -139,13 +169,60 @@ class SystemParams:
         """Drive angular frequency 2*pi*c / wavelength, rad/s."""
         return 2.0 * math.pi * C_LIGHT / self.laser_wavelength
 
-    def thermal_phonons(self) -> float:
-        """Mean bath phonon number at the mechanical frequency."""
+    def thermal_phonons(self):
+        """Mean bath phonon number at the mechanical frequency of each point.
+
+        A stack takes it point by point with ``math.expm1``, whose last bit
+        numpy's vectorised expm1 does not always reproduce.
+        """
+        if isinstance(self.omega_m, np.ndarray):
+            return np.array([thermal_occupancy(w, t) for w, t in zip(
+                self.omega_m.tolist(), self.bath_temperature.tolist())])
         return thermal_occupancy(self.omega_m, self.bath_temperature)
 
     def with_(self, **changes) -> "SystemParams":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
+        """Return a copy with the given fields replaced.
+
+        On a stack each new value is one value or one per point; it is
+        broadcast over the stack and checked as a point's value is.
+        """
+        if not isinstance(self.omega_m, np.ndarray):
+            return replace(self, **changes)
+        shape = self.omega_m.shape
+        columns = {name: _broadcast(value, shape) for name, value in changes.items()}
+        _check_fields(columns)
+        return _unchecked(SystemParams, {**vars(self), **columns})
+
+    @classmethod
+    def stack(cls, points) -> "SystemParams":
+        """The stack of a sequence of points, which are not checked again."""
+        rows = [(p.omega_m, p.quality_factor, p.kappa, p.detuning, p.g0,
+                 p.laser_power, p.laser_wavelength, p.bath_temperature,
+                 p.cavity_thermal_occupancy, p.phase_noise.gamma_l,
+                 p.phase_noise.omega_band, p.phase_noise.gamma_tilde,
+                 p.phase_noise.kind, p.detuning_mode) for p in points]
+        numbers = np.array([r[:12] for r in rows], dtype=float).reshape(-1, 12).T
+        noise = _unchecked(NoiseSpec, dict(
+            kind=np.array([r[12] for r in rows], dtype="U8"),
+            gamma_l=numbers[9], omega_band=numbers[10], gamma_tilde=numbers[11]))
+        return _unchecked(cls, dict(
+            zip(("omega_m", "quality_factor", "kappa", "detuning", "g0",
+                 "laser_power", "laser_wavelength", "bath_temperature",
+                 "cavity_thermal_occupancy"), numbers[:9]),
+            phase_noise=noise,
+            detuning_mode=np.array([r[13] for r in rows], dtype="U9")))
+
+    @classmethod
+    def repeat(cls, point: "SystemParams", count: int) -> "SystemParams":
+        """The stack of ``count`` copies of one point."""
+        return cls.stack([point]).take(np.zeros(count, dtype=int))
+
+    def __len__(self) -> int:
+        return len(self.omega_m)
+
+    def take(self, idx) -> "SystemParams":
+        """The stack of the points at the indices ``idx``."""
+        return _take(self, idx)
 
 
 @dataclass(frozen=True)
@@ -154,6 +231,9 @@ class SteadyState:
 
     ``all_roots`` lists every admissible intracavity intensity |alpha_s|^2
     of the static cubic (ascending); ``branch`` records which one was taken.
+    The working points of a stack are the same record with one array item
+    per point in every field; there ``all_roots`` is (N, 3), each row
+    NaN-padded.
     """
 
     alpha_abs: float  # |alpha_s|
@@ -164,6 +244,20 @@ class SteadyState:
     g_eff: float  # field-enhanced coupling G = g0*sqrt(2)*|alpha_s|, rad/s
     branch: str  # "monostable" | "lower" | "middle" | "upper"
     all_roots: tuple[float, ...]
+
+    def __len__(self) -> int:
+        return len(self.alpha_abs)
+
+    def __getitem__(self, i: int) -> "SteadyState":
+        """The working point ``i`` of a stack."""
+        roots = self.all_roots[i].tolist()
+        return SteadyState(
+            *(getattr(self, f.name)[i].item() for f in fields(self)[:-1]),
+            all_roots=tuple(r for r in roots if r == r))
+
+    def take(self, idx) -> "SteadyState":
+        """The stack of the working points at the indices ``idx``."""
+        return _take(self, idx)
 
 
 def thermal_occupancy(omega: float, temperature: float) -> float:
@@ -184,7 +278,7 @@ def thermal_occupancy(omega: float, temperature: float) -> float:
 def drive_amplitude(params):
     """Coherent drive amplitude sqrt(2*kappa*P/(hbar*omega_laser)), 1/s.
 
-    Of one SystemParams, or of each point of ParamColumns.
+    Of one point, or of each point of a stack.
     """
     return np.sqrt(2.0 * params.kappa * params.laser_power
                    / (HBAR * params.omega_laser))
@@ -273,128 +367,8 @@ def _admissible_intensities(cubic: np.ndarray) -> np.ndarray:
     return np.sort(best.reshape(-1, 3), axis=1)
 
 
-@dataclass(frozen=True)
-class ParamColumns:
-    """The SystemParams of many points, one array per field.
-
-    The noise spec is split into ``noise_kind`` and its three rates; every
-    other field keeps its SystemParams name and meaning.
-    """
-
-    omega_m: np.ndarray
-    quality_factor: np.ndarray
-    kappa: np.ndarray
-    detuning: np.ndarray
-    g0: np.ndarray
-    laser_power: np.ndarray
-    laser_wavelength: np.ndarray
-    bath_temperature: np.ndarray
-    cavity_thermal_occupancy: np.ndarray
-    gamma_l: np.ndarray
-    omega_band: np.ndarray
-    gamma_tilde: np.ndarray
-    noise_kind: np.ndarray
-    detuning_mode: np.ndarray
-
-    @classmethod
-    def stack(cls, params_seq) -> "ParamColumns":
-        """Columns of a sequence of SystemParams."""
-        rows = [(p.omega_m, p.quality_factor, p.kappa, p.detuning, p.g0,
-                 p.laser_power, p.laser_wavelength, p.bath_temperature,
-                 p.cavity_thermal_occupancy, p.phase_noise.gamma_l,
-                 p.phase_noise.omega_band, p.phase_noise.gamma_tilde,
-                 p.phase_noise.kind, p.detuning_mode) for p in params_seq]
-        numbers = np.array([r[:12] for r in rows], dtype=float).reshape(-1, 12)
-        return cls(*numbers.T,
-                   noise_kind=np.array([r[12] for r in rows], dtype="U8"),
-                   detuning_mode=np.array([r[13] for r in rows], dtype="U9"))
-
-    @classmethod
-    def repeat(cls, params: SystemParams, count: int) -> "ParamColumns":
-        """``count`` copies of one point."""
-        return cls.stack([params]).take(np.zeros(count, dtype=int))
-
-    def __len__(self) -> int:
-        return len(self.omega_m)
-
-    def take(self, idx) -> "ParamColumns":
-        """The points at the indices ``idx``."""
-        return ParamColumns(*(getattr(self, f.name)[idx] for f in fields(self)))
-
-    def with_(self, **changes) -> "ParamColumns":
-        """Return a copy with the given fields replaced, each by a value or a column.
-
-        The new values are checked as SystemParams checks them.
-        """
-        columns = {name: np.broadcast_to(value, self.omega_m.shape)
-                   for name, value in changes.items()}
-        _check_fields(columns)
-        return replace(self, **columns)
-
-    @property
-    def gamma_m(self) -> np.ndarray:
-        """Mechanical damping rate omega_m / Q, rad/s."""
-        return self.omega_m / self.quality_factor
-
-    @property
-    def omega_laser(self) -> np.ndarray:
-        """Drive angular frequency 2*pi*c / wavelength, rad/s."""
-        return 2.0 * math.pi * C_LIGHT / self.laser_wavelength
-
-    def thermal_phonons(self) -> np.ndarray:
-        """Mean bath phonon number at each mechanical frequency.
-
-        Taken point by point with ``math.expm1``, whose last bit numpy's
-        vectorised expm1 does not always reproduce.
-        """
-        return np.array([thermal_occupancy(w, t) for w, t in
-                         zip(self.omega_m.tolist(), self.bath_temperature.tolist())])
-
-
-@dataclass(frozen=True)
-class SteadyStateColumns:
-    """The SteadyState of many points, one array per field.
-
-    ``all_roots`` is (N, 3), each row's admissible intensities ascending and
-    NaN-padded.
-    """
-
-    alpha_abs: np.ndarray
-    photon_number: np.ndarray
-    delta_eff: np.ndarray
-    delta_bare: np.ndarray
-    q_static: np.ndarray
-    g_eff: np.ndarray
-    branch: np.ndarray
-    all_roots: np.ndarray
-
-    @classmethod
-    def stack(cls, states) -> "SteadyStateColumns":
-        """Columns of a sequence of SteadyState."""
-        states = list(states)
-        roots = np.full((len(states), 3), np.nan)
-        for row, ss in zip(roots, states):
-            row[:len(ss.all_roots)] = ss.all_roots
-        return cls(*(np.array([getattr(ss, f.name) for ss in states])
-                     for f in fields(cls)[:-1]), all_roots=roots)
-
-    def __len__(self) -> int:
-        return len(self.alpha_abs)
-
-    def __getitem__(self, i: int) -> SteadyState:
-        """The one-row view of point ``i``."""
-        roots = self.all_roots[i].tolist()
-        return SteadyState(
-            *(getattr(self, f.name)[i].item() for f in fields(self)[:-1]),
-            all_roots=tuple(r for r in roots if r == r))
-
-    def take(self, idx) -> "SteadyStateColumns":
-        """The points at the indices ``idx``."""
-        return SteadyStateColumns(*(getattr(self, f.name)[idx] for f in fields(self)))
-
-
-def solve_steady_state_batch(params, branch: str = "lower") -> SteadyStateColumns:
-    """``solve_steady_state`` of many points (ParamColumns or a sequence), as columns.
+def solve_steady_state_batch(params, branch: str = "lower") -> SteadyState:
+    """``solve_steady_state`` of many points (a stack or a sequence), as a stack.
 
     One ``eigvals`` call finds the roots of every point's intensity cubic
     and the Newton polish runs on all of them at once; each point's row is
@@ -403,7 +377,7 @@ def solve_steady_state_batch(params, branch: str = "lower") -> SteadyStateColumn
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}")
-    p = params if isinstance(params, ParamColumns) else ParamColumns.stack(params)
+    p = params if isinstance(params, SystemParams) else SystemParams.stack(params)
     # float_power is libm's pow, like a scalar ``x ** 2``; squaring differs
     # from it in the last bit for about one value in a thousand
     e0 = drive_amplitude(p)
@@ -438,7 +412,7 @@ def solve_steady_state_batch(params, branch: str = "lower") -> SteadyStateColumn
                    (count == 3) * _BRANCHES.index(branch))
     intensity = np.where(effective, closed_form, roots[np.arange(len(p)), idx])
     alpha_abs = np.sqrt(intensity)
-    return SteadyStateColumns(
+    return SteadyState(
         alpha_abs=alpha_abs,
         photon_number=intensity,
         delta_eff=np.where(effective, p.detuning, delta0 - beta * intensity),

@@ -16,12 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (REDUCED_BASIS, _bandpass_spectrum, optomechanical_block,
+from .dynamics import (REDUCED_BASIS, optomechanical_block,
                        phase_noise_spectrum, vacuum_diffusion)
 from .errors import ImaginaryFrequency, QuadratureNotConverged, UnstableDrift
 from .lyapunov import CovarianceMatrix
-from .parameters import (NoiseSpec, ParamColumns, SteadyState,
-                         SteadyStateColumns, SystemParams)
+from .parameters import NoiseSpec, SteadyState, SystemParams
 from .quadrature import MAX_SEGMENTS, integrate_adaptive
 
 
@@ -48,12 +47,12 @@ class ScatteringRates:
     gamma_op: float
 
 
-# The closed forms below take one point (SystemParams, SteadyState) or many
-# (ParamColumns, SteadyStateColumns) alike. Each scalar ``x ** 2`` of the
-# one-point forms is np.float_power(x, 2): libm's pow, which squaring
-# differs from in the last bit for about one value in a thousand. The
-# squares of a form are taken in one call: at a single point the number of
-# numpy calls, not their arithmetic, sets the cost.
+# The closed forms below take one point (SystemParams, SteadyState) or a
+# stack of many alike. Each scalar ``x ** 2`` of the one-point forms is
+# np.float_power(x, 2): libm's pow, which squaring differs from in the
+# last bit for about one value in a thousand. The squares of a form are
+# taken in one call: at a single point the number of numpy calls, not
+# their arithmetic, sets the cost.
 
 
 def _response_terms(params, ss) -> dict:
@@ -271,18 +270,19 @@ def _static_stiffness(terms: dict):
     return cavity, terms["wm2"] - terms["spring"] / cavity
 
 
-def _static_heating(params: ParamColumns, ss, terms: dict):
+def _static_heating(params: SystemParams, ss: SteadyState, terms: dict):
     """``static_phase_noise_heating_batch`` from the response terms,
     floating-point errors unchecked."""
-    applies = (params.noise_kind == "bandpass") & (ss.delta_eff != 0.0)
+    spec = params.phase_noise
+    applies = np.logical_and(spec.kind == "bandpass", ss.delta_eff != 0.0)
     if not applies.any():
-        return np.zeros(len(applies)), {name: applies for name in (
+        return np.zeros(applies.shape), {name: applies for name in (
             "undamped_band", "imaginary_static", "static_band")}
-    delta, band, width = ss.delta_eff, params.omega_band, params.gamma_tilde
+    delta, band, width = ss.delta_eff, spec.omega_band, spec.gamma_tilde
     cavity, stiffness = _static_stiffness(terms)
     shift2, band2, cavity2 = np.float_power(
         [ss.g_eff * delta * params.omega_m / stiffness, band, cavity], 2)
-    dn = ss.photon_number * shift2 * params.gamma_l * band2 / (width * cavity2)
+    dn = ss.photon_number * shift2 * spec.gamma_l * band2 / (width * cavity2)
     scale = np.minimum(np.minimum(np.sqrt(stiffness), params.kappa), np.abs(delta))
     valid = applies & (width != 0.0)
     imaginary = valid & (stiffness < 0)
@@ -291,9 +291,9 @@ def _static_heating(params: ParamColumns, ss, terms: dict):
     return np.where(applies, np.where(valid & ~imaginary, dn, np.nan), 0.0), flags
 
 
-def static_phase_noise_heating_batch(params: ParamColumns, ss
+def static_phase_noise_heating_batch(params: SystemParams, ss: SteadyState
                                      ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """``static_phase_noise_heating`` of many points, with its validity flags.
+    """``static_phase_noise_heating`` of a point or a stack, with its validity flags.
 
     Returns ``(dn, flags)``. ``dn`` is 0 where no noise band applies (no
     bandpass noise, or delta_eff = 0) and NaN where the one-point form
@@ -308,13 +308,13 @@ def static_phase_noise_heating_batch(params: ParamColumns, ss
 
 def _raise_or_warn_static(params, ss, flags) -> None:
     """The errors and the warning of the one-point static channel."""
-    if flags["undamped_band"][0]:
+    if flags["undamped_band"]:
         raise UnstableDrift("undamped noise band (gamma_tilde = 0) has no "
                             "stationary state")
-    if flags["imaginary_static"][0]:
+    if flags["imaginary_static"]:
         stiffness = _static_stiffness(_response_terms(params, ss))[1]
         raise ImaginaryFrequency(float(stiffness))
-    if flags["static_band"][0]:
+    if flags["static_band"]:
         warnings.warn("static phase-noise heating assumes the noise band far "
                       "below omega_m, kappa and |delta|", stacklevel=3)
 
@@ -337,26 +337,14 @@ def static_phase_noise_heating(params: SystemParams, ss: SteadyState) -> float:
     static instability (1/chi0 < 0) and UnstableDrift for an undamped band
     (gt = 0), whose noise has no stationary state.
     """
-    dn, flags = static_phase_noise_heating_batch(
-        ParamColumns.stack([params]), SteadyStateColumns.stack([ss]))
+    dn, flags = static_phase_noise_heating_batch(params, ss)
     _raise_or_warn_static(params, ss, flags)
     return dn.item()
 
 
-def _peak_spectrum(params: ParamColumns, omega: np.ndarray) -> np.ndarray:
-    """phase_noise_spectrum of each point at its own frequency ``omega``."""
-    flat = np.where(params.noise_kind == "white", 2.0 * params.gamma_l, 0.0)
-    bandpass = params.noise_kind == "bandpass"
-    if not bandpass.any():
-        return flat
-    band_value = _bandpass_spectrum(params.gamma_l, params.omega_band,
-                                    params.gamma_tilde, omega)
-    return np.where(bandpass, band_value, flat)
-
-
-def approx_n_eff_batch(params: ParamColumns, ss
+def approx_n_eff_batch(params: SystemParams, ss: SteadyState
                        ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """``approx_n_eff`` of many points, with its regime flags.
+    """``approx_n_eff`` of a point or a stack, with its regime flags.
 
     Returns ``(n_eff, flags)``. ``n_eff`` is NaN where the one-point form
     raises: ``flags["imaginary_spring"]`` (omega_eff^2 < 0) and the failure
@@ -371,7 +359,7 @@ def approx_n_eff_batch(params: ParamColumns, ss
         terms = _response_terms(params, ss)
         radicand, gamma_op = terms["omega_eff_sq"], terms["gamma_op"]
         static, flags = _static_heating(params, ss, terms)
-        s_peak = _peak_spectrum(params, np.sqrt(radicand))
+        s_peak = phase_noise_spectrum(params.phase_noise, np.sqrt(radicand))
         heating = ss.photon_number * ss.delta_eff * gamma_op * s_peak / (2.0 * k * wm)
         n_eff = (n * gm + terms["a_plus"] + heating) / (gm + gamma_op) + static
     spring = radicand < 0
@@ -396,14 +384,13 @@ def approx_n_eff(params: SystemParams, ss: SteadyState) -> float:
     (static_phase_noise_heating). Warns outside the weak-coupling regime
     it is calibrated for and where the band is not that far below.
     """
-    n_eff, flags = approx_n_eff_batch(ParamColumns.stack([params]),
-                                      SteadyStateColumns.stack([ss]))
-    if flags["kappa_regime"][0]:
+    n_eff, flags = approx_n_eff_batch(params, ss)
+    if flags["kappa_regime"]:
         warnings.warn("occupancy formula assumes kappa >> gamma_m, G", stacklevel=2)
-    if flags["omega_m_regime"][0]:
+    if flags["omega_m_regime"]:
         warnings.warn("occupancy formula assumes omega_m >> n*gamma_m, G",
                       stacklevel=2)
-    if flags["imaginary_spring"][0]:
+    if flags["imaginary_spring"]:
         raise ImaginaryFrequency(float(_response_terms(params, ss)["omega_eff_sq"]))
     _raise_or_warn_static(params, ss, flags)
     return n_eff.item()

@@ -22,8 +22,7 @@ from .lyapunov import solve_lyapunov_batch
 from .measures import log_negativity_batch, occupancy_batch
 from .output import (Columns, format_column, tool_metadata, write_document,
                      write_table)
-from .parameters import (EFFECTIVE, NoiseSpec, ParamColumns, SteadyState,
-                         SteadyStateColumns, SystemParams,
+from .parameters import (EFFECTIVE, NoiseSpec, SteadyState, SystemParams,
                          solve_steady_state_batch)
 from .spectral import approx_n_eff_batch
 
@@ -161,8 +160,8 @@ class PointColumns(Columns):
 def apply_axis(params, name: str, value):
     """Return the parameters with one sweep knob applied.
 
-    ``params`` is one SystemParams with a scalar ``value``, or ParamColumns
-    with a value or one value per point.
+    ``params`` is one point with a scalar ``value``, or a stack with a value
+    or one value per point.
     """
     if name == "power_mw":
         return params.with_(laser_power=value * 1e-3)
@@ -199,7 +198,7 @@ class PipelineColumns:
     """
 
     results: PointColumns
-    steady_states: SteadyStateColumns
+    steady_states: SteadyState
     models: tuple
 
     def __len__(self) -> int:
@@ -221,7 +220,7 @@ class PipelineColumns:
 def run_pipeline(params) -> PipelineColumns:
     """The point pipeline over many points, each stage run once on the stack.
 
-    ``params`` is ParamColumns or a sequence of SystemParams. Points are
+    ``params`` is a stack or a sequence of points. Points are
     grouped by model order (6 with bandpass noise, else 4); each group's
     drifts, diffusions and covariances are (N, n, n) stacks, and one
     eigenvalue solve per drift decides stability and serves as the Hurwitz
@@ -231,11 +230,11 @@ def run_pipeline(params) -> PipelineColumns:
     failing stage raises PointEvaluationError for the whole stack;
     ``evaluate_batch`` isolates the failing point.
     """
-    if not isinstance(params, ParamColumns):
-        params = ParamColumns.stack(params)
+    if not isinstance(params, SystemParams):
+        params = SystemParams.stack(params)
     count = len(params)
     ss = _stage("steady-state", solve_steady_state_batch, params)
-    bandpass = params.noise_kind == "bandpass"
+    bandpass = params.phase_noise.kind == "bandpass"
     stable = np.zeros(count, dtype=bool)
     measured = np.full((len(_MEASURED), count), np.nan)
     models = []
@@ -292,13 +291,13 @@ def evaluate_point(params: SystemParams) -> PointResult:
 def evaluate_batch(params) -> PointColumns:
     """Results of many points, with a failing point isolated to its own row.
 
-    ``params`` is ParamColumns or a sequence of SystemParams. The points
+    ``params`` is a stack or a sequence of points. The points
     run through the pipeline as one stack. If a stage fails, they are run
     again one at a time, so only the point that fails gets an error row,
     which names the failing stage.
     """
-    if not isinstance(params, ParamColumns):
-        params = ParamColumns.stack(params)
+    if not isinstance(params, SystemParams):
+        params = SystemParams.stack(params)
     try:
         return run_pipeline(params).results
     except PointEvaluationError:
@@ -379,7 +378,7 @@ def _evaluate_column(args) -> PointColumns:
     """One sweep column: the y axis goes in as an array, as one batch."""
     spec, x = args
     ys = spec.axis_y.values()
-    column = apply_axis(ParamColumns.repeat(spec.fixed, len(ys)),
+    column = apply_axis(SystemParams.repeat(spec.fixed, len(ys)),
                         spec.axis_x.name, x)
     return evaluate_batch(apply_axis(column, spec.axis_y.name, ys))
 
@@ -392,8 +391,10 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
     xs = spec.axis_x.values()
     ys = spec.axis_y.values()
     tasks = [(spec, float(x)) for x in xs]
-    if n_jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    # a worker per column at most: each worker process starts up front
+    workers = min(n_jobs, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             columns = list(pool.map(_evaluate_column, tasks))
     else:
         columns = [_evaluate_column(t) for t in tasks]
@@ -458,10 +459,10 @@ def figure_recipe(fig_id: str, grid: tuple[int, int] = (80, 80)) -> SweepSpec:
     figures 2/3/6/7 and the noise band center (30, 80, 140 kHz cyclic) for
     figures 4/5/8/9; ``grid`` overrides the (count_x, count_y) resolution.
     """
+    valid = [f"{f}{c}" for f in _FIGURES for c in "abc"]
+    if fig_id not in valid:
+        raise ValueError(f"unknown recipe {fig_id!r}; valid: " + ", ".join(valid))
     fig, letter = fig_id[:-1], fig_id[-1]
-    if fig not in _FIGURES or letter not in "abc":
-        raise ValueError(f"unknown recipe {fig_id!r}; valid: "
-                         + ", ".join(f"{f}{c}" for f in _FIGURES for c in "abc"))
     y_name, kappa_ratio, gammas, bands, primary = _FIGURES[fig]
     idx = "abc".index(letter)
     gamma_l = gammas[idx] if gammas else 2.0 * math.pi * 100.0

@@ -287,6 +287,15 @@ class TestCli:
                      "segments_per_member", id="segments-too-many"),
         pytest.param(["spectrum", "--config", "absent.json"], None, "absent.json",
                      id="config-unreadable"),
+        pytest.param(["spectrum"], b"\xff\xfe\x00", "run.json",
+                     id="config-not-utf8"),
+        pytest.param(["sweep"], b'{"recipe": ""}', "recipe", id="sweep-recipe-empty"),
+        pytest.param(["sweep", "--recipe", ""], None, "unknown recipe ''",
+                     id="recipe-empty"),
+        pytest.param(["sweep", "--recipe", "fig2b", "--grid", "2x2", "--jobs", "0"],
+                     None, "--jobs", id="jobs-0"),
+        pytest.param(["sweep", "--recipe", "fig2b", "--grid", "2x2", "--jobs", "-3"],
+                     None, "--jobs", id="jobs-neg"),
     ])
     def test_bad_run_value_exits_1_naming_it(self, tmp_path, capsys, monkeypatch,
                                              argv, fields, name):
@@ -295,14 +304,19 @@ class TestCli:
 
         monkeypatch.setattr(simulate, "_propagate", propagate)
         monkeypatch.chdir(tmp_path)
-        if fields is not None:
+        # ``fields`` is merged into a good document, or bytes are the file
+        if isinstance(fields, bytes):
+            path = tmp_path / "run.json"
+            path.write_bytes(fields)
+        elif fields is not None:
             base = SWEEP_DOC if argv[0] == "sweep" else GOOD_PARAMS
             path = write_json(tmp_path, "run.json", {**base, **fields})
+        if fields is not None:
             argv = argv + ["--config", str(path)]
         assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
-        if fields is not None:
+        if fields is not None and name != path.name:
             where = re.search(rf'{re.escape(str(path))}:(\d+): field "{name}"', err)
             line = path.read_text().splitlines()[int(where.group(1)) - 1]
             assert f'"{name}"' in line

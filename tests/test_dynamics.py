@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from optomech import (NoiseSpec, build_model, is_stable, phase_noise_spectrum,
-                      power_for_coupling, reduce_to_optomechanical,
-                      solve_lyapunov, solve_steady_state, stability_margin)
+from optomech import (NoiseSpec, SystemParams, build_model, is_stable,
+                      phase_noise_spectrum, power_for_coupling,
+                      reduce_to_optomechanical, solve_lyapunov,
+                      solve_steady_state, stability_margin)
 from optomech.dynamics import auxiliary_block, optomechanical_block
 from optomech.errors import NonpositiveDetuning
 
@@ -148,6 +150,27 @@ class TestPhaseNoiseSpectrum:
         scalar = [phase_noise_spectrum(spec, x) for x in w.tolist()]
         np.testing.assert_array_equal(phase_noise_spectrum(spec, w), scalar)
 
+    def test_stack_gives_each_point_its_own_bits(self):
+        rng = np.random.default_rng(11)
+        specs = [NoiseSpec.none(), NoiseSpec.white(2 * math.pi * 100)]
+        specs += [NoiseSpec.bandpass(2 * math.pi * 10 ** rng.uniform(0, 4), band,
+                                     band * 10 ** rng.uniform(-2, 1))
+                  for band in 2 * math.pi * 10 ** rng.uniform(3.5, 6.5, 30)]
+        specs += [NoiseSpec.white(2 * math.pi * 1e3), NoiseSpec.none()]
+        noise = SystemParams.stack(make_params(phase_noise=s)
+                                   for s in specs).phase_noise
+        # each point at its own frequency, the resonance of the band included
+        w = np.array([s.omega_band or OMEGA_M for s in specs])
+        w *= rng.uniform(0.0, 2.0, len(specs))
+        w[5] = specs[5].omega_band
+        w[0] = 0.0  # no band: its 0/0 must not be taken
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = phase_noise_spectrum(noise, w)
+        assert stacked.shape == (len(specs),)
+        for s, x, value in zip(specs, w.tolist(), stacked.tolist()):
+            assert value == phase_noise_spectrum(s, x)
+
     def test_symmetry_and_positivity(self):
         spec = bandpass_100hz()
         w = np.geomspace(1.0, 10 * OMEGA_M, 50)
@@ -207,6 +230,24 @@ class TestStability:
         spec = NoiseSpec.bandpass(100.0, 2 * math.pi * 5e4, 0.0)
         a, _ = auxiliary_block(spec)
         assert not is_stable(a)
+
+    def test_auxiliary_block_of_a_stack_is_each_points_block(self):
+        rng = np.random.default_rng(5)
+        specs = [NoiseSpec.bandpass(2 * math.pi * 10 ** rng.uniform(0, 4), band,
+                                    band * 10 ** rng.uniform(-2, 1))
+                 for band in 2 * math.pi * 10 ** rng.uniform(3.5, 6.5, 20)]
+        specs[3:3] = [NoiseSpec.none(), NoiseSpec.white(2 * math.pi * 100)]
+        stack = SystemParams.stack(make_params(phase_noise=s) for s in specs)
+        # like a white or absent spec, a stack with such points has no block
+        with pytest.raises(ValueError, match="only for bandpass"):
+            auxiliary_block(stack.phase_noise)
+        bandpass = [i for i, s in enumerate(specs) if s.kind == "bandpass"]
+        a, d = auxiliary_block(stack.take(bandpass).phase_noise)
+        assert a.shape == d.shape == (len(bandpass), 2, 2)
+        for i, a_i, d_i in zip(bandpass, a, d):
+            a_ref, d_ref = auxiliary_block(specs[i])
+            assert a_i.tobytes() == a_ref.tobytes()
+            assert d_i.tobytes() == d_ref.tobytes()
 
     def test_negative_detuning_margin_raises(self):
         p = make_params(detuning=-OMEGA_M)

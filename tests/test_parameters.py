@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from optomech import (NoiseSpec, drive_amplitude, power_for_coupling,
-                      solve_steady_state, thermal_occupancy)
+from optomech import (NoiseSpec, SystemParams, drive_amplitude,
+                      power_for_coupling, solve_steady_state, thermal_occupancy)
 from optomech.constants import HBAR, K_B
 
 from conftest import OMEGA_M, make_params
@@ -160,3 +160,53 @@ class TestValidation:
     def test_gamma_m_definition(self):
         p = make_params()
         assert p.gamma_m == p.omega_m / p.quality_factor
+
+
+class TestStack:
+    """A stack is a SystemParams whose fields hold one array item per point."""
+
+    def points(self):
+        return [make_params(), make_params(kappa=0.2 * OMEGA_M, detuning_mode="bare"),
+                make_params(phase_noise=NoiseSpec.white(600.0)),
+                make_params(phase_noise=NoiseSpec.bandpass(600.0, 3e5, 1.5e5))]
+
+    def test_take_gives_back_each_point(self):
+        points = self.points()
+        stack = SystemParams.stack(points)
+        assert len(stack) == 4
+        for i, p in enumerate(points):
+            row = stack.take([i])
+            assert len(row) == 1
+            for name in ("omega_m", "kappa", "detuning_mode", "laser_power"):
+                assert getattr(row, name)[0] == getattr(p, name)
+            for name in ("kind", "gamma_l", "omega_band", "gamma_tilde"):
+                assert getattr(row.phase_noise, name)[0] == getattr(p.phase_noise, name)
+            assert row.thermal_phonons()[0] == p.thermal_phonons()
+            assert row.gamma_m[0] == p.gamma_m
+            assert row.omega_laser[0] == p.omega_laser
+
+    @pytest.mark.parametrize("change", [
+        {"kappa": 0.0}, {"laser_power": -1e-3}, {"omega_m": -1.0},
+        {"bath_temperature": -0.1}, {"detuning_mode": "sideways"}],
+        ids=lambda change: next(iter(change)))
+    def test_with_checks_a_stack_as_a_point(self, change):
+        with pytest.raises(ValueError) as point_error:
+            make_params().with_(**change)
+        stack = SystemParams.repeat(make_params(), 3)
+        (name, value), = change.items()
+        for bad in (value, [1.0, value, 1.0] if name != "detuning_mode"
+                    else ["bare", value, "bare"]):
+            with pytest.raises(ValueError) as stack_error:
+                stack.with_(**{name: bad})
+            assert str(stack_error.value) == str(point_error.value)
+
+    def test_with_broadcasts_a_scalar(self):
+        stack = SystemParams.stack(self.points())
+        changed = stack.with_(laser_power=0.03, kappa=[1.0, 2.0, 3.0, 4.0],
+                              phase_noise=NoiseSpec.white(50.0))
+        np.testing.assert_array_equal(changed.laser_power, [0.03] * 4)
+        np.testing.assert_array_equal(changed.kappa, [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(changed.phase_noise.kind, ["white"] * 4)
+        np.testing.assert_array_equal(changed.phase_noise.gamma_l, [50.0] * 4)
+        np.testing.assert_array_equal(changed.detuning, stack.detuning)
+        np.testing.assert_array_equal(stack.laser_power, 20e-3)

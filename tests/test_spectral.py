@@ -4,15 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from optomech import (NoiseSpec, ParamColumns, SteadyStateColumns,
-                      approx_cm_phase_correction, approx_n_eff,
-                      approx_n_eff_batch, build_model, cm_spectral_oracle,
-                      effective_response, laser_correlation, log_negativity,
-                      occupancy, optimal_detuning_and_max_en,
-                      phase_noise_spectrum, power_for_coupling,
-                      reduce_to_optomechanical, scattering_rates,
-                      solve_lyapunov, solve_steady_state,
-                      static_phase_noise_heating,
+from optomech import (NoiseSpec, SystemParams, approx_cm_phase_correction,
+                      approx_n_eff, approx_n_eff_batch, build_model,
+                      cm_spectral_oracle, effective_response,
+                      laser_correlation, log_negativity, occupancy,
+                      optimal_detuning_and_max_en, phase_noise_spectrum,
+                      power_for_coupling, reduce_to_optomechanical,
+                      scattering_rates, solve_lyapunov, solve_steady_state,
+                      solve_steady_state_batch, static_phase_noise_heating,
                       static_phase_noise_heating_batch, threshold_eta_minus)
 from optomech import spectral
 from optomech.dynamics import optomechanical_block, vacuum_diffusion
@@ -278,8 +277,8 @@ class TestRegimeFlags:
     @pytest.fixture(scope="class")
     def sample(self):
         points = _random_working_points(np.random.default_rng(20240811), 400)
-        params = ParamColumns.stack([p for p, _ in points])
-        states = SteadyStateColumns.stack([ss for _, ss in points])
+        params = SystemParams.stack([p for p, _ in points])
+        states = solve_steady_state_batch(params)
         return points, params, states
 
     def test_approx_flags_are_the_scalar_conditions(self, sample):
@@ -308,14 +307,14 @@ class TestRegimeFlags:
 
     def test_peak_spectrum_is_phase_noise_spectrum(self, sample, monkeypatch):
         points, params, states = sample
-        peak_spectrum, seen = spectral._peak_spectrum, []
+        spectrum, seen = spectral.phase_noise_spectrum, []
 
-        def record(params, omega):
-            out = peak_spectrum(params, omega)
+        def record(spec, omega):
+            out = spectrum(spec, omega)
             seen.append((omega, out))
             return out
 
-        monkeypatch.setattr(spectral, "_peak_spectrum", record)
+        monkeypatch.setattr(spectral, "phase_noise_spectrum", record)
         approx_n_eff_batch(params, states)
         (omega, s_peak), = seen
         assert np.count_nonzero(omega == omega) > 300

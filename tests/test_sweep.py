@@ -155,6 +155,34 @@ class TestRunSweep:
             assert (tmp_path / f"serial{ext}").read_bytes() == \
                 (tmp_path / f"pooled{ext}").read_bytes()
 
+    def test_pool_has_a_worker_per_column_at_most(self, monkeypatch):
+        import concurrent.futures
+
+        asked = []
+
+        class Executor:
+            """Records its worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
+        spec = small_spec(axis_x=SweepAxis("power_mw", 5.0, 25.0, 2))
+        pooled = run_sweep(spec, n_jobs=4)
+        assert asked == [2]
+        assert pooled.points == run_sweep(spec).points
+        run_sweep(small_spec(), n_jobs=2)
+        assert asked == [2, 2]
+
     def test_partial_failures_recorded(self, monkeypatch):
         import optomech.sweep as sweep_mod
 
@@ -223,6 +251,9 @@ class TestRecipes:
     def test_unknown_recipe(self):
         with pytest.raises(ValueError, match="fig2a"):
             figure_recipe("fig12z")
+        for name in ("", "a", "fig2", "fig2ab"):
+            with pytest.raises(ValueError, match="fig2a"):
+                figure_recipe(name)
 
 
 class TestEmittedFiles:
