@@ -12,20 +12,17 @@ __version__ = "0.1.0"
 
 from .constants import CODATA_VERSION, C_LIGHT, HBAR, K_B
 from .dynamics import (LinearModel, auxiliary_block, build_model,
-                       build_model_batch, drift_abscissa, is_stable,
-                       optomechanical_block, phase_noise_spectrum,
-                       stability_margin, stability_margin_batch)
-from .lyapunov import (CovarianceMatrix, check_physical, check_physical_batch,
+                       drift_abscissa, is_stable, optomechanical_block,
+                       phase_noise_spectrum, stability_margin,
+                       stability_margin_batch)
+from .lyapunov import (CovarianceMatrix, check_physical,
                        reduce_to_optomechanical, solve_lyapunov,
-                       solve_lyapunov_batch, symplectic_eigenvalues,
-                       symplectic_form)
+                       symplectic_eigenvalues, symplectic_form)
 from .measures import (EntanglementResult, OccupancyResult,
-                       eta_minus_partial_transpose, log_negativity,
-                       log_negativity_batch, occupancy, occupancy_batch)
+                       eta_minus_partial_transpose, log_negativity, occupancy)
 from .parameters import (NoiseSpec, SteadyState, SystemParams,
                          drive_amplitude, power_for_coupling,
-                         solve_steady_state, solve_steady_state_batch,
-                         thermal_occupancy)
+                         solve_steady_state, thermal_occupancy)
 from .simulate import (CovarianceEstimate, SpectrumEstimate, TrajectoryConfig,
                        estimate_stationary_covariance, exact_discretization,
                        simulate_linear_system, simulate_phase_noise)

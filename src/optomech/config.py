@@ -116,17 +116,19 @@ class Fields:
                minimum=None):
         """Field ``key`` as a float (an int if ``integer``), else ``default``.
 
-        The value must be a JSON number and not a bool, integral if
-        ``integer``, and at least ``minimum`` if one is given; a default
-        is held to the same minimum. None if absent without a default.
+        The value must be a finite JSON number and not a bool (``json``
+        reads NaN and Infinity as floats), integral if ``integer``, and at
+        least ``minimum`` if one is given; a default is held to the same
+        minimum. None if absent without a default.
         """
         value = self.take(key, _ABSENT)
         if value is _ABSENT:
             if default is None:
                 return None
             value = default
-        expected = "an integer" if integer else "a number"
+        expected = "an integer" if integer else "a finite number"
         if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or isinstance(value, float) and not math.isfinite(value)
                 or integer and isinstance(value, float) and not value.is_integer()):
             raise self.src.error(key, f"expected {expected}, got {value!r}")
         try:

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import NonpositiveDetuning
-from .parameters import NoiseSpec, SteadyState, SystemParams
+from .parameters import NoiseSpec, SteadyState, SystemParams, _unchecked
 
 FULL_BASIS = ("dq", "dp", "dX", "dY", "psi", "theta")
 REDUCED_BASIS = ("dq", "dp", "dX", "dY")
@@ -25,11 +25,17 @@ _DIAG4 = np.arange(4)
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Drift/diffusion pair of a linear Langevin system, with basis tag."""
+    """Drift/diffusion pair of a linear Langevin system, with basis tag.
+
+    ``abscissa`` is the largest real part of the drift eigenvalues, the
+    Hurwitz margin: the model is stable iff it is negative. The models of
+    a stack sharing one order are the same record with (N, n, n) matrices
+    and one abscissa per model.
+    """
 
     drift: NDArray[np.float64]
     diffusion: NDArray[np.float64]
-    stable: bool
+    abscissa: float
     dims: tuple[str, ...]
 
     def __post_init__(self):
@@ -41,15 +47,26 @@ class LinearModel:
         object.__setattr__(self, "diffusion", d)
 
     @property
+    def stable(self):
+        """Whether the drift is Hurwitz, for one model or each of a stack."""
+        return self.abscissa < 0.0
+
+    @property
     def order(self) -> int:
-        return self.drift.shape[0]
+        return self.drift.shape[-1]
+
+    def __getitem__(self, i: int) -> "LinearModel":
+        """The model ``i`` of a stack."""
+        return _unchecked(LinearModel, dict(
+            drift=self.drift[i], diffusion=self.diffusion[i],
+            abscissa=self.abscissa[i].item(), dims=self.dims))
 
     def to_document(self) -> dict:
         """JSON-ready matrix document for inspection and regression fixtures."""
         return {
             "kind": "linear_model",
             "dims": list(self.dims),
-            "stable": self.stable,
+            "stable": bool(self.stable),
             "drift": self.drift.tolist(),
             "diffusion": self.diffusion.tolist(),
         }
@@ -58,9 +75,10 @@ class LinearModel:
     def from_document(cls, doc: dict) -> "LinearModel":
         if doc.get("kind") != "linear_model":
             raise ValueError("not a linear_model document")
-        return cls(drift=np.array(doc["drift"], dtype=float),
+        drift = np.array(doc["drift"], dtype=float)
+        return cls(drift=drift,
                    diffusion=np.array(doc["diffusion"], dtype=float),
-                   stable=bool(doc["stable"]),
+                   abscissa=float(drift_abscissa(drift)),
                    dims=tuple(doc["dims"]))
 
 
@@ -187,14 +205,16 @@ def optomechanical_block(params: SystemParams, ss: SteadyState) -> np.ndarray:
     return _optomechanical_drift(params, ss, 4)
 
 
-def build_model_batch(params, ss) -> tuple[np.ndarray, np.ndarray]:
-    """Drift and diffusion of points sharing one model order.
+def build_model(params, ss) -> LinearModel:
+    """Assemble the linear fluctuation model around a working point.
 
-    (n, n) matrices for one point, (N, n, n) stacks for a stack. Bandpass
-    noise yields the 6x6 system with the auxiliary pair attached; white or
-    absent noise yields the 4x4 system, with the flat frequency noise folded
-    into the Y-quadrature diffusion as 2*|alpha_s|^2*S, where S = 2*gamma_l
-    is the flat spectrum value.
+    (n, n) matrices for one point, (N, n, n) stacks for a stack, whose
+    points must share one model order. Bandpass noise yields the 6x6
+    system with the auxiliary pair attached; white or absent noise yields
+    the 4x4 system, with the flat frequency noise folded into the
+    Y-quadrature diffusion as 2*|alpha_s|^2*S, where S = 2*gamma_l is the
+    flat spectrum value. One eigenvalue solve per drift gives its
+    abscissa, which decides stability.
     """
     kind = params.phase_noise.kind
     bands = np.count_nonzero(kind == "bandpass")
@@ -213,14 +233,10 @@ def build_model_batch(params, ss) -> tuple[np.ndarray, np.ndarray]:
         if np.any(white):
             d[..., 3, 3] += np.where(
                 white, 2.0 * ss.photon_number * 2.0 * params.phase_noise.gamma_l, 0.0)
-    return a, d
-
-
-def build_model(params: SystemParams, ss: SteadyState) -> LinearModel:
-    """Assemble the linear fluctuation model around a working point.
-
-    See ``build_model_batch``; stability is decided by the drift eigenvalues.
-    """
-    a, d = build_model_batch(params, ss)
-    return LinearModel(drift=a, diffusion=d, stable=is_stable(a),
-                       dims=MODEL_DIMS[len(a)])
+    abscissa = drift_abscissa(a)
+    a.setflags(write=False)
+    d.setflags(write=False)
+    # the matrices were just made here: the record takes them as they are
+    return _unchecked(LinearModel, dict(
+        drift=a, diffusion=d, dims=MODEL_DIMS[order],
+        abscissa=abscissa if a.ndim == 3 else abscissa.item()))

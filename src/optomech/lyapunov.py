@@ -10,6 +10,7 @@ from numpy.typing import NDArray
 
 from .dynamics import MODEL_DIMS, REDUCED_BASIS, drift_abscissa
 from .errors import SolverSingular, UnphysicalState, UnstableDrift
+from .parameters import _unchecked
 
 RESIDUAL_TOL = 1e-10  # on ||A V + V A^T + D||_F relative to max(||D||_F, 1)
 PHYSICALITY_SLACK = 1e-9  # allowed dip of symplectic eigenvalues below 1/2
@@ -21,6 +22,8 @@ class CovarianceMatrix:
 
     Vacuum variance is 1/2 in this convention ([q, p] = i), so a reduced
     two-mode block is physical iff both symplectic eigenvalues are >= 1/2.
+    The covariances of a stack are the same record with an (N, n, n)
+    matrix, each (n, n) symmetrised.
     """
 
     matrix: NDArray[np.float64]
@@ -28,13 +31,13 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
-        m = 0.5 * (m + m.T)
+        m = 0.5 * (m + m.swapaxes(-1, -2))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
     def order(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def to_document(self) -> dict:
         """JSON-ready matrix document for fixtures."""
@@ -68,22 +71,19 @@ def symplectic_eigenvalues(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
     return vals[..., ::2]  # eigenvalues of i*Omega*V come in +/- pairs
 
 
-def check_physical_batch(matrices: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Smallest symplectic eigenvalue of each covariance of an (N, 2n, 2n) stack.
+def check_physical(cov: CovarianceMatrix):
+    """Smallest symplectic eigenvalue of a covariance, or of each of a stack.
 
-    Raises UnphysicalState if any of them is below 1/2 - PHYSICALITY_SLACK.
+    A float for one covariance, an array for a stack. Raises
+    UnphysicalState if one of them is below 1/2 - PHYSICALITY_SLACK.
     """
-    low = symplectic_eigenvalues(matrices).min(axis=-1)
-    if (low < 0.5 - PHYSICALITY_SLACK).any():
-        worst = low[np.flatnonzero(low < 0.5 - PHYSICALITY_SLACK)[0]]
+    low = symplectic_eigenvalues(cov.matrix).min(axis=-1)
+    bad = np.flatnonzero(low < 0.5 - PHYSICALITY_SLACK)
+    if bad.size:
+        worst = np.ravel(low)[bad[0]]
         raise UnphysicalState(
             f"smallest symplectic eigenvalue {worst:.12g} violates the 1/2 bound")
-    return low
-
-
-def check_physical(cov: CovarianceMatrix) -> float:
-    """Smallest symplectic eigenvalue; UnphysicalState below 1/2 - PHYSICALITY_SLACK."""
-    return float(check_physical_batch(cov.matrix[None])[0])
+    return low if low.ndim else low.item()
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
@@ -104,40 +104,43 @@ def _lyapunov_operator(a: np.ndarray) -> np.ndarray:
     return system.reshape(count, n * n, n * n)
 
 
-def solve_lyapunov_batch(a: NDArray[np.float64], d: NDArray[np.float64],
-                         method: str = "vectorized",
-                         abscissa: NDArray[np.float64] | None = None
-                         ) -> NDArray[np.float64]:
-    """Solve A V + V A^T = -D for every pair of the (N, n, n) stacks ``a``, ``d``.
+def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
+                   method: str = "vectorized",
+                   abscissa: NDArray[np.float64] | None = None
+                   ) -> CovarianceMatrix:
+    """Solve A V + V A^T = -D for the stationary covariance V.
 
-    ``method`` is "vectorized" (dense solve of the n^2 x n^2 system, the
-    default) or "schur" (Bartels-Stewart via scipy, the independent
-    reference route). Every drift must be Hurwitz and every D symmetric
-    positive semidefinite; each V is symmetrized and its residual is
-    required to satisfy ``RESIDUAL_TOL``. ``abscissa`` is the largest real
-    part of each drift's eigenvalues when the caller has them already.
+    ``a`` and ``d`` are one (n, n) pair, giving one covariance, or (N, n, n)
+    stacks, giving the stacked covariance of every pair. ``method`` is
+    "vectorized" (dense solve of the n^2 x n^2 system, the default) or
+    "schur" (Bartels-Stewart via scipy, the independent reference route).
+    Every drift must be Hurwitz and every D symmetric positive
+    semidefinite; each V is symmetrized and its residual is required to
+    satisfy ``RESIDUAL_TOL``. ``abscissa`` is the largest real part of
+    each drift's eigenvalues when the caller has them already.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or d.shape != a.shape:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or d.shape != a.shape:
         raise ValueError("A and D must be square matrices of equal size")
     if method not in ("vectorized", "schur"):
         raise ValueError(f"unknown method {method!r}")
+    point = a.ndim == 2
+    if point:
+        a, d = a[None], d[None]
     d_scale = np.maximum(np.abs(d).max(axis=(1, 2), initial=0.0), 1.0)
     if not (np.abs(d - d.transpose(0, 2, 1)) <= 1e-12 * d_scale[:, None, None]).all():
         raise ValueError("D must be symmetric")
     if (np.linalg.eigvalsh(0.5 * (d + d.transpose(0, 2, 1))).min(
             axis=-1, initial=np.inf) < -1e-12 * d_scale).any():
         raise ValueError("D must be positive semidefinite")
-    if abscissa is None:
-        abscissa = drift_abscissa(a)
-    abscissa = np.asarray(abscissa)
+    abscissa = np.ravel(drift_abscissa(a) if abscissa is None else abscissa)
     if (abscissa >= 0.0).any():
         first = abscissa[np.flatnonzero(abscissa >= 0.0)[0]]
         raise UnstableDrift(f"drift is not Hurwitz (max Re eigenvalue {first:.3e})")
 
+    count, n, _ = a.shape
     if method == "vectorized":
-        count, n, _ = a.shape
         system = _lyapunov_operator(a)
         rhs = -d.transpose(0, 2, 1).reshape(count, n * n, 1)  # column-stacked
         try:
@@ -161,28 +164,20 @@ def solve_lyapunov_batch(a: NDArray[np.float64], d: NDArray[np.float64],
         cond = float(np.linalg.cond(_lyapunov_operator(a[i:i + 1])[0]))
         raise SolverSingular(f"Lyapunov residual {residual[i]:.3e} exceeds "
                              f"{bound[i]:.3e}", condition=cond)
-    return v
-
-
-def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
-                   method: str = "vectorized") -> CovarianceMatrix:
-    """Solve A V + V A^T = -D for the stationary covariance V.
-
-    The single-pair case of ``solve_lyapunov_batch``; ``method`` is
-    "vectorized" (reference dense solve, default) or "schur".
-    """
-    a = np.asarray(a, dtype=float)
-    d = np.asarray(d, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or d.shape != (n, n):
-        raise ValueError("A and D must be square matrices of equal size")
-    v = solve_lyapunov_batch(a[None], d[None], method=method)[0]
-    basis = MODEL_DIMS.get(n, tuple(f"x{i}" for i in range(n)))
-    return CovarianceMatrix(matrix=v, basis=basis)
+    v = v[0] if point else v
+    v.setflags(write=False)
+    # symmetrized above: the record takes the matrices as they are
+    return _unchecked(CovarianceMatrix, dict(
+        matrix=v, basis=MODEL_DIMS.get(n) or tuple(f"x{i}" for i in range(n))))
 
 
 def reduce_to_optomechanical(cov: CovarianceMatrix) -> CovarianceMatrix:
-    """Principal 4x4 block (dq, dp, dX, dY) of the full 6x6 covariance."""
+    """Principal 4x4 block (dq, dp, dX, dY) of the full 6x6 covariance.
+
+    Of one covariance, or of each of a stack.
+    """
     if cov.order != 6:
         raise ValueError("reduction expects the 6x6 covariance")
-    return CovarianceMatrix(matrix=cov.matrix[:4, :4], basis=REDUCED_BASIS)
+    # a principal block of a symmetric read-only matrix is one too
+    return _unchecked(CovarianceMatrix, dict(matrix=cov.matrix[..., :4, :4],
+                                             basis=REDUCED_BASIS))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import NegativeDiscriminant
-from .lyapunov import CovarianceMatrix, check_physical_batch, symplectic_eigenvalues
+from .lyapunov import CovarianceMatrix, check_physical, symplectic_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,8 @@ class EntanglementResult:
     ``raw_log_negativity`` is -ln(2*eta_minus) before clamping at zero, so
     barely separable and deeply separable states stay distinguishable.
     ``heisenberg_min`` is the smallest symplectic eigenvalue of the state
-    itself (>= 1/2 up to slack).
+    itself (>= 1/2 up to slack). The results of a stack of covariances are
+    the same record with one array item per covariance in every field.
     """
 
     eta_minus: float
@@ -31,7 +32,10 @@ class EntanglementResult:
 
 @dataclass(frozen=True)
 class OccupancyResult:
-    """Effective phonon occupancy and the corresponding mean energy."""
+    """Effective phonon occupancy and the corresponding mean energy.
+
+    Floats for one covariance, one array item per covariance for a stack.
+    """
 
     n_eff: float
     energy: float  # J
@@ -72,58 +76,40 @@ def eta_minus_partial_transpose(v4: CovarianceMatrix | np.ndarray) -> float:
     return float(np.min(symplectic_eigenvalues(flip @ m @ flip)))
 
 
-def log_negativity_batch(v4: np.ndarray) -> dict[str, np.ndarray]:
-    """``log_negativity`` of every reduced covariance of an (N, 4, 4) stack.
-
-    Returns one array per EntanglementResult field.
-    """
-    v4 = np.asarray(v4, dtype=float)
-    if v4.ndim != 3 or v4.shape[1:] != (4, 4):
-        raise ValueError("log_negativity expects reduced 4x4 covariances")
-    heisenberg_min = check_physical_batch(v4)
-    eta = _eta_minus_formula(v4)
-    # math.log: numpy's vectorised log differs from it in the last bit
-    raw = np.array([-math.log(x) for x in (2.0 * eta).tolist()])
-    return {
-        "eta_minus": eta,
-        "log_negativity": np.where(raw > 0.0, raw, 0.0),
-        "raw_log_negativity": raw,
-        "entangled": eta < 0.5,
-        "heisenberg_min": heisenberg_min,
-    }
-
-
 def log_negativity(v4: CovarianceMatrix) -> EntanglementResult:
     """Logarithmic negativity E_N = max(0, -ln(2*eta_minus)) of a 4x4 covariance.
 
     Uses the determinant formula
     eta_minus = sqrt((Sigma - sqrt(Sigma^2 - 4 det V)) / 2) with
     Sigma = det V_A + det V_B - 2 det V_C. The input must satisfy the
-    Heisenberg bound (1/2 vacuum-variance convention) up to slack.
+    Heisenberg bound (1/2 vacuum-variance convention) up to slack. One
+    covariance gives float fields; a stack gives one array item per
+    covariance in every field.
     """
     if v4.order != 4:
         raise ValueError("log_negativity expects the reduced 4x4 covariance")
-    columns = log_negativity_batch(v4.matrix[None])
-    return EntanglementResult(**{k: v.item() for k, v in columns.items()})
+    heisenberg_min = check_physical(v4)
+    m = v4.matrix
+    eta = _eta_minus_formula(m if m.ndim == 3 else m[None])
+    # math.log: numpy's vectorised log differs from it in the last bit
+    raw = np.array([-math.log(x) for x in (2.0 * eta).tolist()])
+    fields = (eta, np.where(raw > 0.0, raw, 0.0), raw, eta < 0.5)
+    if m.ndim == 2:
+        fields = (f.item() for f in fields)
+    return EntanglementResult(*fields, heisenberg_min)
 
 
-def occupancy_batch(v4: np.ndarray, omega_m) -> dict[str, np.ndarray]:
-    """``occupancy`` of every reduced covariance of an (N, 4, 4) stack.
+def occupancy(v4: CovarianceMatrix, omega_m) -> OccupancyResult:
+    """Effective phonon number (<dq^2> + <dp^2> - 1)/2 and mean energy.
 
-    ``omega_m`` is one mechanical frequency or one per covariance. Returns
-    one array per OccupancyResult field.
+    One covariance gives float fields; a stack gives arrays, with
+    ``omega_m`` one mechanical frequency or one per covariance.
     """
-    v4 = np.asarray(v4, dtype=float)
-    if v4.ndim != 3 or v4.shape[1:] != (4, 4):
-        raise ValueError("occupancy expects reduced 4x4 covariances")
-    n_eff = 0.5 * (v4[:, 0, 0] + v4[:, 1, 1] - 1.0)
-    return {"n_eff": n_eff,
-            "energy": HBAR * np.asarray(omega_m, dtype=float) * (n_eff + 0.5)}
-
-
-def occupancy(v4: CovarianceMatrix, omega_m: float) -> OccupancyResult:
-    """Effective phonon number (<dq^2> + <dp^2> - 1)/2 and mean energy."""
     if v4.order != 4:
         raise ValueError("occupancy expects the reduced 4x4 covariance")
-    columns = occupancy_batch(v4.matrix[None], omega_m)
-    return OccupancyResult(**{k: v.item() for k, v in columns.items()})
+    m = v4.matrix
+    n_eff = 0.5 * (m[..., 0, 0] + m[..., 1, 1] - 1.0)
+    energy = HBAR * np.asarray(omega_m, dtype=float) * (n_eff + 0.5)
+    if m.ndim == 2:
+        return OccupancyResult(n_eff.item(), energy.item())
+    return OccupancyResult(n_eff, energy)

@@ -38,12 +38,13 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("none", "white", "bandpass"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.gamma_l < 0:
+        # each check is written so that NaN fails it
+        if not self.gamma_l >= 0:
             raise ValueError("noise strength gamma_l must be >= 0")
         if self.kind == "bandpass":
-            if self.omega_band <= 0:
+            if not self.omega_band > 0:
                 raise ValueError("bandpass noise requires omega_band > 0")
-            if self.gamma_tilde < 0:
+            if not self.gamma_tilde >= 0:
                 raise ValueError("bandpass noise requires gamma_tilde >= 0")
 
     @classmethod
@@ -65,22 +66,25 @@ _NONNEGATIVE_FIELDS = ("g0", "laser_power", "bath_temperature",
                        "cavity_thermal_occupancy")
 
 
-def _any(condition) -> bool:
-    """Whether a condition holds for one value or anywhere in a column."""
+def _all(condition) -> bool:
+    """Whether a condition holds for one value or everywhere in a column."""
     # one value stays plain Python: SystemParams is built point by point
-    return condition.any() if isinstance(condition, np.ndarray) else condition
+    return condition.all() if isinstance(condition, np.ndarray) else condition
 
 
 def _check_fields(values: dict) -> None:
-    """ValueError for a SystemParams field (a value or a column) out of range."""
+    """ValueError for a SystemParams field (a value or a column) out of range.
+
+    Each range is checked as the condition that holds, so NaN fails it.
+    """
     for name in _POSITIVE_FIELDS:
-        if name in values and _any(values[name] <= 0):
+        if name in values and not _all(values[name] > 0):
             raise ValueError(f"{name} must be > 0")
     for name in _NONNEGATIVE_FIELDS:
-        if name in values and _any(values[name] < 0):
+        if name in values and not _all(values[name] >= 0):
             raise ValueError(f"{name} must be >= 0")
     mode = values.get("detuning_mode", EFFECTIVE)
-    if _any((mode != EFFECTIVE) & (mode != BARE)):
+    if not _all((mode == EFFECTIVE) | (mode == BARE)):
         raise ValueError(f"detuning_mode must be '{EFFECTIVE}' or '{BARE}'")
 
 
@@ -265,9 +269,9 @@ def thermal_occupancy(omega: float, temperature: float) -> float:
 
     Returns 0 in the zero-temperature limit.
     """
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError("omega must be > 0")
-    if temperature < 0:
+    if not temperature >= 0:
         raise ValueError("temperature must be >= 0")
     if temperature == 0.0:
         return 0.0
@@ -367,17 +371,27 @@ def _admissible_intensities(cubic: np.ndarray) -> np.ndarray:
     return np.sort(best.reshape(-1, 3), axis=1)
 
 
-def solve_steady_state_batch(params, branch: str = "lower") -> SteadyState:
-    """``solve_steady_state`` of many points (a stack or a sequence), as a stack.
+def solve_steady_state(params, branch: str = "lower") -> SteadyState:
+    """Solve the classical steady state of the driven cavity.
 
-    One ``eigvals`` call finds the roots of every point's intensity cubic
-    and the Newton polish runs on all of them at once; each point's row is
-    the one ``solve_steady_state`` gives it alone. Raises NoPhysicalRoot if
-    a bare-detuning point has no admissible root.
+    In "effective" detuning mode the intensity follows in closed form and
+    the bare detuning is backed out; in "bare" mode the static cubic is
+    solved and a root is selected by ``branch`` ("lower", "middle", or
+    "upper"; ignored when the cubic is monostable).
+
+    ``params`` is one point, giving one working point, or a stack or a
+    sequence of points, giving their stacked working points. One
+    ``eigvals`` call finds the roots of every point's intensity cubic and
+    the Newton polish runs on all of them at once, so a point gets the
+    same bits alone as inside a stack. Raises NoPhysicalRoot if a
+    bare-detuning point has no admissible root.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}")
-    p = params if isinstance(params, SystemParams) else SystemParams.stack(params)
+    if not isinstance(params, SystemParams):
+        params = SystemParams.stack(params)
+    point = not isinstance(params.omega_m, np.ndarray)
+    p = SystemParams.stack([params]) if point else params
     # float_power is libm's pow, like a scalar ``x ** 2``; squaring differs
     # from it in the last bit for about one value in a thousand
     e0 = drive_amplitude(p)
@@ -412,7 +426,7 @@ def solve_steady_state_batch(params, branch: str = "lower") -> SteadyState:
                    (count == 3) * _BRANCHES.index(branch))
     intensity = np.where(effective, closed_form, roots[np.arange(len(p)), idx])
     alpha_abs = np.sqrt(intensity)
-    return SteadyState(
+    ss = SteadyState(
         alpha_abs=alpha_abs,
         photon_number=intensity,
         delta_eff=np.where(effective, p.detuning, delta0 - beta * intensity),
@@ -422,17 +436,7 @@ def solve_steady_state_batch(params, branch: str = "lower") -> SteadyState:
         branch=_BRANCH_TAGS[(count > 1) * (idx + 1)],
         all_roots=roots,
     )
-
-
-def solve_steady_state(params: SystemParams, branch: str = "lower") -> SteadyState:
-    """Solve the classical steady state of the driven cavity.
-
-    In "effective" detuning mode the intensity follows in closed form and
-    the bare detuning is backed out; in "bare" mode the static cubic is
-    solved and a root is selected by ``branch`` ("lower", "middle", or
-    "upper"; ignored when the cubic is monostable).
-    """
-    return solve_steady_state_batch([params], branch)[0]
+    return ss[0] if point else ss
 
 
 def power_for_coupling(params: SystemParams, g_target: float) -> float:

@@ -117,7 +117,7 @@ def _resolvent_integrand(a4: np.ndarray, d4: np.ndarray, photon_number: float,
 
     T(w) D(w) T(w)^dag with T = (i w I - A)^-1 and the diagonal
     D(w) = D4 + 2*|alpha_s|^2 S(w) e_Y e_Y^T: the flat-noise term that
-    build_model_batch adds to D[3,3], at each frequency's own S(w).
+    build_model adds to D[3,3], at each frequency's own S(w).
     """
     eye = np.eye(4)
 

@@ -15,15 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (MODEL_DIMS, LinearModel, build_model_batch,
-                       drift_abscissa, stability_margin_batch)
+from .dynamics import LinearModel, build_model, stability_margin_batch
 from .errors import PointEvaluationError
-from .lyapunov import solve_lyapunov_batch
-from .measures import log_negativity_batch, occupancy_batch
+from .lyapunov import reduce_to_optomechanical, solve_lyapunov
+from .measures import log_negativity, occupancy
 from .output import (Columns, format_column, tool_metadata, write_document,
                      write_table)
 from .parameters import (EFFECTIVE, NoiseSpec, SteadyState, SystemParams,
-                         solve_steady_state_batch)
+                         solve_steady_state)
 from .spectral import approx_n_eff_batch
 
 AXIS_NAMES = ("power_mw", "delta_over_omega_m", "kappa_over_omega_m")
@@ -105,7 +104,8 @@ class PointResult:
 
 
 _FIELDS = tuple(f.name for f in dataclasses.fields(PointResult))
-# PointResult fields taken from the measures of a stable point, by source key
+# PointResult fields taken from the measures of a stable point, by the
+# EntanglementResult or OccupancyResult field they come from
 _MEASURED = {"e_n": "log_negativity", "eta_minus": "eta_minus",
              "raw_log_negativity": "raw_log_negativity", "n_eff": "n_eff",
              "energy_j": "energy", "heisenberg_min": "heisenberg_min"}
@@ -193,8 +193,8 @@ class PointEvaluation:
 class PipelineColumns:
     """What the point pipeline knows about many points, column by column.
 
-    ``models`` holds one ``(indices, drifts, diffusions)`` stack per model
-    order. It is also the sequence of its rows, each a PointEvaluation view.
+    ``models`` holds one ``(indices, LinearModel)`` stack per model order.
+    It is also the sequence of its rows, each a PointEvaluation view.
     """
 
     results: PointColumns
@@ -206,11 +206,8 @@ class PipelineColumns:
 
     def __getitem__(self, i: int) -> PointEvaluation:
         i = range(len(self))[i]
-        a, d, j = next((a, d, np.flatnonzero(idx == i)[0])
-                       for idx, a, d in self.models if i in idx)
-        model = LinearModel(drift=a[j], diffusion=d[j],
-                            stable=self.results.values["stable"].item(i),
-                            dims=MODEL_DIMS[a.shape[1]])
+        model = next(model[np.flatnonzero(idx == i)[0]]
+                     for idx, model in self.models if i in idx)
         return PointEvaluation(self.results[i], self.steady_states[i], model)
 
     def __iter__(self):
@@ -233,7 +230,7 @@ def run_pipeline(params) -> PipelineColumns:
     if not isinstance(params, SystemParams):
         params = SystemParams.stack(params)
     count = len(params)
-    ss = _stage("steady-state", solve_steady_state_batch, params)
+    ss = _stage("steady-state", solve_steady_state, params)
     bandpass = params.phase_noise.kind == "bandpass"
     stable = np.zeros(count, dtype=bool)
     measured = np.full((len(_MEASURED), count), np.nan)
@@ -243,21 +240,21 @@ def run_pipeline(params) -> PipelineColumns:
             continue
         group = (params, ss) if idx.size == count else (params.take(idx),
                                                        ss.take(idx))
-        a, d = _stage("linear-model", build_model_batch, *group)
-        abscissa = _stage("linear-model", drift_abscissa, a)
-        models.append((idx, a, d))
-        group_stable = abscissa < 0.0
+        model = _stage("linear-model", build_model, *group)
+        models.append((idx, model))
+        group_stable = model.stable
         stable[idx] = group_stable
         if not group_stable.any():
             continue
-        cov = _stage("lyapunov", solve_lyapunov_batch, a[group_stable],
-                     d[group_stable], abscissa=abscissa[group_stable])
-        v4 = cov[:, :4, :4]
-        ent = _stage("log-negativity", log_negativity_batch, v4)
-        occ = _stage("occupancy", occupancy_batch, v4,
+        cov = _stage("lyapunov", solve_lyapunov, model.drift[group_stable],
+                     model.diffusion[group_stable],
+                     abscissa=model.abscissa[group_stable])
+        v4 = reduce_to_optomechanical(cov) if cov.order == 6 else cov
+        ent = _stage("log-negativity", log_negativity, v4)
+        occ = _stage("occupancy", occupancy, v4,
                      group[0].omega_m[group_stable])
-        ent.update(occ)
-        measured[:, idx[group_stable]] = [ent[key] for key in _MEASURED.values()]
+        found = {**vars(ent), **vars(occ)}
+        measured[:, idx[group_stable]] = [found[key] for key in _MEASURED.values()]
     measured = dict(zip(_MEASURED, measured))
 
     # the closed form is a cross-check of the measured points: one outside
@@ -388,6 +385,8 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
 
     Per-point failures are recorded on the row and the run continues.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     xs = spec.axis_x.values()
     ys = spec.axis_y.values()
     tasks = [(spec, float(x)) for x in xs]

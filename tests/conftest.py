@@ -45,15 +45,16 @@ def relative_gap(a, b, floor=1e-6):
 
 
 def poison_nth(stage, nth):
-    """Wrap a batched stage so the ``nth`` distinct point to reach it fails.
+    """Wrap a pipeline stage so the ``nth`` distinct point to reach it fails.
 
+    The stage takes a stack of matrices or a stacked CovarianceMatrix first.
     Points are told apart by the bytes of their stage input, so the point
     fails again, and alone, when it is re-run as a batch of one.
     """
     seen = []
 
     def poisoned(stack, *args, **kwargs):
-        keys = [m.tobytes() for m in np.asarray(stack)]
+        keys = [m.tobytes() for m in np.asarray(getattr(stack, "matrix", stack))]
         seen.extend(k for k in dict.fromkeys(keys) if k not in seen)
         if len(seen) >= nth and seen[nth - 1] in keys:
             raise RuntimeError("synthetic failure")

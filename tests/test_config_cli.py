@@ -296,6 +296,15 @@ class TestCli:
                      None, "--jobs", id="jobs-0"),
         pytest.param(["sweep", "--recipe", "fig2b", "--grid", "2x2", "--jobs", "-3"],
                      None, "--jobs", id="jobs-neg"),
+        pytest.param(["spectrum"], {"laser_power_mw": math.nan}, "laser_power_mw",
+                     id="laser_power-nan"),
+        pytest.param(["spectrum"], {"phase_noise": {
+            **GOOD_PARAMS["phase_noise"], "linewidth_over_2pi_hz": math.nan}},
+            "linewidth_over_2pi_hz", id="linewidth-nan"),
+        pytest.param(["spectrum"], {"quality_factor": math.inf}, "quality_factor",
+                     id="quality_factor-infinity"),
+        pytest.param(["sweep"], {"axis_x": {**SWEEP_DOC["axis_x"], "max": -math.inf}},
+                     "max", id="axis-max-minus-infinity"),
     ])
     def test_bad_run_value_exits_1_naming_it(self, tmp_path, capsys, monkeypatch,
                                              argv, fields, name):
@@ -395,8 +404,8 @@ class TestCli:
                                                     monkeypatch):
         import optomech.sweep as sweep_mod
 
-        monkeypatch.setattr(sweep_mod, "log_negativity_batch",
-                            poison_nth(sweep_mod.log_negativity_batch, 2))
+        monkeypatch.setattr(sweep_mod, "log_negativity",
+                            poison_nth(sweep_mod.log_negativity, 2))
         code = cli.main(["sweep", "--recipe", "fig2b", "--grid", "3x2",
                          "--out-dir", str(tmp_path)])
         assert code == 2

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -112,6 +113,19 @@ class TestMatrixDocument:
         np.testing.assert_array_equal(back.drift, model.drift)
         np.testing.assert_array_equal(back.diffusion, model.diffusion)
         assert back.dims == model.dims and back.stable == model.stable
+
+    @pytest.mark.parametrize("power, stable", [(20e-3, True), (0.1, False)])
+    def test_round_trip_keeps_stability_and_abscissa(self, power, stable):
+        from optomech.dynamics import LinearModel
+
+        p = make_params(laser_power=power, phase_noise=NoiseSpec.white(600.0))
+        model = build_model(p, solve_steady_state(p))
+        doc = json.loads(json.dumps(model.to_document()))
+        back = LinearModel.from_document(doc)
+        assert doc["stable"] is stable and model.stable is stable
+        assert back.stable is stable
+        assert back.abscissa == model.abscissa
+        assert (back.abscissa < 0.0) is stable
 
     def test_kind_checked(self):
         from optomech.dynamics import LinearModel

@@ -141,6 +141,18 @@ class TestReduction:
         with pytest.raises(ValueError):
             reduce_to_optomechanical(v4)
 
+    @pytest.mark.parametrize("count", [3, 6])
+    def test_stack_symmetrises_and_reduces_each_matrix(self, count):
+        m = np.random.default_rng(count).standard_normal((count, 6, 6))
+        v6 = CovarianceMatrix(matrix=m,
+                              basis=("dq", "dp", "dX", "dY", "psi", "theta"))
+        v4 = reduce_to_optomechanical(v6)
+        assert v6.order == 6 and v4.order == 4
+        for i in range(count):
+            symmetric = 0.5 * (m[i] + m[i].T)
+            np.testing.assert_array_equal(v6.matrix[i], symmetric)
+            np.testing.assert_array_equal(v4.matrix[i], symmetric[:4, :4])
+
 
 class TestPhysicality:
     def test_pipeline_state_is_physical(self, paper_point):

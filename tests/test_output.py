@@ -143,8 +143,8 @@ def mixed_sweep_spec() -> SweepSpec:
 def test_sweep_files_match_the_row_writers(tmp_path, monkeypatch):
     import optomech.sweep as sweep_mod
 
-    monkeypatch.setattr(sweep_mod, "log_negativity_batch",
-                        poison_nth(sweep_mod.log_negativity_batch, 2))
+    monkeypatch.setattr(sweep_mod, "log_negativity",
+                        poison_nth(sweep_mod.log_negativity, 2))
     res = run_sweep(mixed_sweep_spec())
     points = res.points
     assert sum(p.error is not None for p in points) == 1

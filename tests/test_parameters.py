@@ -161,6 +161,34 @@ class TestValidation:
         p = make_params()
         assert p.gamma_m == p.omega_m / p.quality_factor
 
+    @pytest.mark.parametrize("name", [
+        "omega_m", "quality_factor", "kappa", "laser_wavelength", "g0",
+        "laser_power", "bath_temperature", "cavity_thermal_occupancy"])
+    def test_nan_fails_the_range_check(self, name):
+        with pytest.raises(ValueError) as negative:
+            make_params().with_(**{name: -1.0})
+        stack = SystemParams.repeat(make_params(), 3)
+        for change, nan in ((make_params().with_, math.nan),
+                            (stack.with_, math.nan),
+                            (stack.with_, [1.0, math.nan, 2.0])):
+            with pytest.raises(ValueError) as err:
+                change(**{name: nan})
+            assert str(err.value) == str(negative.value)
+
+    @pytest.mark.parametrize("make", [
+        lambda bad: NoiseSpec.white(bad),
+        lambda bad: NoiseSpec.bandpass(1.0, bad, 1.0),
+        lambda bad: NoiseSpec.bandpass(1.0, 1.0, bad),
+        lambda bad: thermal_occupancy(bad, 0.4),
+        lambda bad: thermal_occupancy(OMEGA_M, bad)],
+        ids=["gamma_l", "omega_band", "gamma_tilde", "omega", "temperature"])
+    def test_nan_fails_the_noise_and_occupancy_checks(self, make):
+        with pytest.raises(ValueError) as negative:
+            make(-1.0)
+        with pytest.raises(ValueError) as err:
+            make(math.nan)
+        assert str(err.value) == str(negative.value)
+
 
 class TestStack:
     """A stack is a SystemParams whose fields hold one array item per point."""

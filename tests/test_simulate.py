@@ -14,7 +14,7 @@ from optomech import (NoiseSpec, TrajectoryConfig, build_model,
                       phase_noise_spectrum, simulate_linear_system,
                       simulate_phase_noise, solve_lyapunov, solve_steady_state,
                       thermal_occupancy)
-from optomech.dynamics import auxiliary_block
+from optomech.dynamics import auxiliary_block, drift_abscissa
 from optomech.errors import UnstableTimestep
 from optomech.simulate import BLOCK_STEPS, _noise_factor, _propagate
 
@@ -305,7 +305,9 @@ class TestAgainstAnalytics:
         ss = solve_steady_state(p)
         model = build_model(p, ss)
         unstable = type(model)(drift=-model.drift, diffusion=model.diffusion,
-                               stable=False, dims=model.dims)
+                               abscissa=float(drift_abscissa(-model.drift)),
+                               dims=model.dims)
+        assert not unstable.stable
         cfg = TrajectoryConfig(dt=1e-9, n_steps=1000, n_ensemble=2, seed=1)
         with pytest.raises(UnstableTimestep):
             simulate_linear_system(unstable, cfg)

@@ -11,7 +11,7 @@ from optomech import (NoiseSpec, SystemParams, approx_cm_phase_correction,
                       optimal_detuning_and_max_en, phase_noise_spectrum,
                       power_for_coupling, reduce_to_optomechanical,
                       scattering_rates, solve_lyapunov, solve_steady_state,
-                      solve_steady_state_batch, static_phase_noise_heating,
+                      static_phase_noise_heating,
                       static_phase_noise_heating_batch, threshold_eta_minus)
 from optomech import spectral
 from optomech.dynamics import optomechanical_block, vacuum_diffusion
@@ -278,7 +278,7 @@ class TestRegimeFlags:
     def sample(self):
         points = _random_working_points(np.random.default_rng(20240811), 400)
         params = SystemParams.stack([p for p, _ in points])
-        states = solve_steady_state_batch(params)
+        states = solve_steady_state(params)
         return points, params, states
 
     def test_approx_flags_are_the_scalar_conditions(self, sample):

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from optomech import (NoiseSpec, SweepAxis, SweepSpec, apply_axis,
-                      approx_n_eff, build_model, emit_figure_data,
-                      evaluate_batch, evaluate_point, figure_recipe,
-                      log_negativity, power_for_coupling, run_pipeline,
-                      run_sweep, solve_lyapunov, solve_steady_state,
-                      symplectic_eigenvalues, thermal_occupancy)
+from optomech import (NoiseSpec, SweepAxis, SweepSpec, SystemParams,
+                      apply_axis, approx_n_eff, build_model, check_physical,
+                      emit_figure_data, evaluate_batch, evaluate_point,
+                      figure_recipe, log_negativity, occupancy,
+                      power_for_coupling, reduce_to_optomechanical,
+                      run_pipeline, run_sweep, solve_lyapunov,
+                      solve_steady_state, symplectic_eigenvalues,
+                      thermal_occupancy)
 from optomech.errors import ImaginaryFrequency, PointEvaluationError
 from optomech.output import _cell
 
@@ -89,7 +91,7 @@ class TestEvaluatePoint:
         def broken(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(sweep_mod, "log_negativity_batch", broken)
+        monkeypatch.setattr(sweep_mod, "log_negativity", broken)
         with pytest.raises(PointEvaluationError) as err:
             evaluate_point(make_params())
         assert err.value.stage == "log-negativity"
@@ -183,11 +185,23 @@ class TestRunSweep:
         run_sweep(small_spec(), n_jobs=2)
         assert asked == [2, 2]
 
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_n_jobs_below_one_is_rejected(self, monkeypatch, n_jobs):
+        import optomech.sweep as sweep_mod
+
+        def no_pool(*args, **kwargs):
+            pytest.fail("a pool was started")
+
+        monkeypatch.setattr(sweep_mod.concurrent.futures,
+                            "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_sweep(small_spec(), n_jobs=n_jobs)
+
     def test_partial_failures_recorded(self, monkeypatch):
         import optomech.sweep as sweep_mod
 
-        monkeypatch.setattr(sweep_mod, "log_negativity_batch",
-                            poison_nth(sweep_mod.log_negativity_batch, 3))
+        monkeypatch.setattr(sweep_mod, "log_negativity",
+                            poison_nth(sweep_mod.log_negativity, 3))
         res = run_sweep(small_spec())
         assert res.n_failures == 1
         failed = [p for p in res.points if p.error is not None]
@@ -201,8 +215,8 @@ class TestRunSweep:
         clean = run_sweep(spec)
         assert all(p.stable for p in clean.points)
         # the sixth point is the second row of the second column
-        monkeypatch.setattr(sweep_mod, "solve_lyapunov_batch",
-                            poison_nth(sweep_mod.solve_lyapunov_batch, 6))
+        monkeypatch.setattr(sweep_mod, "solve_lyapunov",
+                            poison_nth(sweep_mod.solve_lyapunov, 6))
         res = run_sweep(spec)
         assert [i for i, p in enumerate(res.points) if p.error] == [5]
         assert "stage 'lyapunov' failed" in res.points[5].error
@@ -402,11 +416,106 @@ class TestStackedPipeline:
         import optomech.sweep as sweep_mod
 
         clean = evaluate_batch(_MIXED)
-        monkeypatch.setattr(sweep_mod, "log_negativity_batch",
-                            poison_nth(sweep_mod.log_negativity_batch, 2))
+        monkeypatch.setattr(sweep_mod, "log_negativity",
+                            poison_nth(sweep_mod.log_negativity, 2))
         res = evaluate_batch(_MIXED)
         failed = [i for i, r in enumerate(res) if r.error]
         assert len(failed) == 1
         assert "stage 'log-negativity' failed" in res[failed[0]].error
         assert [r for i, r in enumerate(res) if i not in failed] == \
             [r for i, r in enumerate(clean) if i not in failed]
+
+
+def _reduced(cov):
+    return reduce_to_optomechanical(cov) if cov.order == 6 else cov
+
+
+def _same_bits(stacked, alone):
+    """Every field of a one-point record equals its row of the stacked record."""
+    for f in dataclasses.fields(alone):
+        a, b = getattr(stacked, f.name), getattr(alone, f.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+
+
+class TestEachStageTakesAPointOrAStack:
+    """Each stage gives every point of a stack the bits it gives it alone.
+
+    ``_MIXED`` mixes none, white and bandpass noise, effective and bare
+    detuning, and stable and unstable points.
+    """
+
+    @pytest.fixture(scope="class")
+    def stages(self):
+        params = SystemParams.stack(_MIXED)
+        ss = solve_steady_state(params)
+        bandpass = params.phase_noise.kind == "bandpass"
+        groups = [(idx, build_model(params.take(idx), ss.take(idx)))
+                  for idx in (np.flatnonzero(bandpass), np.flatnonzero(~bandpass))]
+        alone = []
+        for p in _MIXED:
+            point_ss = solve_steady_state(p)
+            alone.append((point_ss, build_model(p, point_ss)))
+        return ss, groups, alone
+
+    def test_solve_steady_state(self, stages):
+        ss, _, alone = stages
+        for i, (point_ss, _) in enumerate(alone):
+            roots = ss.all_roots[i]
+            assert repr(dataclasses.astuple(ss[i])) == \
+                repr(dataclasses.astuple(point_ss))
+            assert roots[:len(point_ss.all_roots)].tobytes() == \
+                np.array(point_ss.all_roots).tobytes()
+            assert np.isnan(roots[len(point_ss.all_roots):]).all()
+        assert set(ss.branch) >= {"lower", "monostable"}
+        assert solve_steady_state(_MIXED).all_roots.tobytes() == ss.all_roots.tobytes()
+
+    def test_build_model(self, stages):
+        _, groups, alone = stages
+        for idx, models in groups:
+            assert models.drift.shape == (len(idx), models.order, models.order)
+            for j, i in enumerate(idx):
+                model = alone[i][1]
+                assert models.drift[j].tobytes() == model.drift.tobytes()
+                assert models.diffusion[j].tobytes() == model.diffusion.tobytes()
+                assert models.abscissa[j] == model.abscissa
+                assert models.stable[j] == model.stable
+                _same_bits(models[j], model)
+        assert {model.stable for _, model in alone} == {True, False}
+        params = SystemParams.stack(_MIXED)
+        with pytest.raises(ValueError, match="one noise model order"):
+            build_model(params, solve_steady_state(params))
+
+    @pytest.mark.parametrize("method", ["vectorized", "schur"])
+    def test_solve_lyapunov(self, stages, method):
+        _, groups, alone = stages
+        for idx, models in groups:
+            stable = models.stable
+            covs = solve_lyapunov(models.drift[stable], models.diffusion[stable],
+                                  method=method, abscissa=models.abscissa[stable])
+            assert covs.basis == models.dims
+            for k, i in enumerate(idx[stable]):
+                model = alone[i][1]
+                cov = solve_lyapunov(model.drift, model.diffusion, method=method)
+                assert covs.matrix[k].tobytes() == cov.matrix.tobytes()
+                assert cov.basis == covs.basis
+
+    def test_measures(self, stages):
+        _, groups, alone = stages
+        for idx, models in groups:
+            stable = models.stable
+            v4 = _reduced(solve_lyapunov(models.drift[stable],
+                                         models.diffusion[stable]))
+            omega_m = SystemParams.stack(_MIXED).take(idx[stable]).omega_m
+            lows = check_physical(v4)
+            ent = log_negativity(v4)
+            occ = occupancy(v4, omega_m)
+            for k, i in enumerate(idx[stable]):
+                model = alone[i][1]
+                cov = _reduced(solve_lyapunov(model.drift, model.diffusion))
+                point = check_physical(cov)
+                assert isinstance(point, float) and lows[k] == point
+                _same_bits(type(ent)(*(f[k] for f in dataclasses.astuple(ent))),
+                           log_negativity(cov))
+                _same_bits(type(occ)(*(f[k] for f in dataclasses.astuple(occ))),
+                           occupancy(cov, _MIXED[i].omega_m))
+                assert isinstance(log_negativity(cov).entangled, bool)
