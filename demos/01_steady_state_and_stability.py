@@ -35,7 +35,7 @@ print(f"  photon number  = {ss.photon_number:.4e}")
 print(f"  G = g0*sqrt(2)*|alpha_s| = {ss.g_eff:.4e} rad/s "
       f"({ss.g_eff / OMEGA_M:.3f} omega_m)")
 print(f"  bare detuning shift = {(ss.delta_bare - ss.delta_eff) / OMEGA_M:.4f} omega_m")
-print(f"  stability margin G/G_thr = {stability_margin(params, ss):.4f}")
+print(f"  stability margin G/G_thr = {stability_margin(params, ss).checked():.4f}")
 
 # --- power scan up to the instability ----------------------------------------
 print("\npower scan at fixed effective detuning:")
@@ -49,7 +49,7 @@ for frac in (0.1, 0.4, 0.7, 0.9, 0.99, 1.05):
     ss = solve_steady_state(p)
     model = build_model(p, ss)
     print(f"  {p.laser_power * 1e3:8.2f} {ss.g_eff / OMEGA_M:10.4f} "
-          f"{stability_margin(p, ss):8.4f} {str(model.stable):>7}")
+          f"{stability_margin(p, ss).checked():8.4f} {str(model.stable):>7}")
 
 # --- bistability of the static cubic -----------------------------------------
 # at large *bare* detuning and strong drive the intensity cubic has three

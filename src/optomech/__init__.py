@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 
 from .constants import CODATA_VERSION, C_LIGHT, HBAR, K_B
 from .dynamics import (LinearModel, auxiliary_block, build_model,
-                       drift_abscissa, is_stable, optomechanical_block,
-                       phase_noise_spectrum, stability_margin,
-                       stability_margin_batch)
+                       drift_abscissa, optomechanical_block,
+                       phase_noise_spectrum, stability_margin)
 from .lyapunov import (CovarianceMatrix, check_physical,
                        reduce_to_optomechanical, solve_lyapunov,
                        symplectic_eigenvalues, symplectic_form)
@@ -28,11 +27,10 @@ from .simulate import (CovarianceEstimate, SpectrumEstimate, TrajectoryConfig,
                        simulate_linear_system, simulate_phase_noise)
 from .spectral import (EffectiveResponse, ScatteringRates,
                        approx_cm_phase_correction, approx_n_eff,
-                       approx_n_eff_batch, cm_spectral_oracle,
-                       effective_response, laser_correlation,
-                       optimal_detuning_and_max_en, scattering_rates,
-                       static_phase_noise_heating,
-                       static_phase_noise_heating_batch, threshold_eta_minus)
+                       cm_spectral_oracle, effective_response,
+                       laser_correlation, optimal_detuning_and_max_en,
+                       scattering_rates, static_phase_noise_heating,
+                       threshold_eta_minus)
 from .sweep import (OUTPUT_NAMES, PipelineColumns, PointColumns,
                     PointEvaluation, PointResult, SweepAxis, SweepResult,
                     SweepSpec, apply_axis, default_fixed_params,

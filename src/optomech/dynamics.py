@@ -9,7 +9,8 @@ realize the bandpass frequency noise. White or absent noise uses the reduced
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -82,6 +83,36 @@ class LinearModel:
                    dims=tuple(doc["dims"]))
 
 
+@dataclass(frozen=True)
+class ClosedForm:
+    """A closed form's value at one point or a stack, with its regime flags.
+
+    ``flags`` maps each regime condition to a bool or a mask, in the order
+    ``checked`` reads them. ``rules`` maps a flag to its warning text or to
+    the builder of its error; ``value`` is NaN where an error's flag is
+    set. ``radicands`` holds by flag what an ImaginaryFrequency reports.
+    """
+
+    value: float | NDArray[np.float64]
+    flags: dict
+    rules: dict = field(repr=False, compare=False)
+    radicands: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def checked(self) -> float:
+        """The value of one point, after each flag set there warns or raises.
+
+        A warning points at the caller.
+        """
+        if np.ndim(self.value):
+            raise ValueError("checked() takes the closed form of one point")
+        for name, flag in self.flags.items():
+            if flag and isinstance(self.rules[name], str):
+                warnings.warn(self.rules[name], stacklevel=2)
+            elif flag:
+                raise self.rules[name](self)
+        return float(self.value)
+
+
 def phase_noise_spectrum(spec: NoiseSpec, omega):
     """Frequency-noise spectrum S(omega) of the laser, rad/s.
 
@@ -117,35 +148,28 @@ def drift_abscissa(drift: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.linalg.eigvals(np.asarray(drift)).real.max(axis=-1)
 
 
-def is_stable(drift: NDArray[np.float64]) -> bool:
-    """True iff every eigenvalue of the drift matrix has Re < 0 (strict)."""
-    return bool(drift_abscissa(drift) < 0.0)
+# what ClosedForm.checked does where a flag of stability_margin is set
+_MARGIN_RULES = {"nonpositive_detuning": lambda form: NonpositiveDetuning(
+    "analytic threshold needs delta > 0; use the eigenvalue test instead")}
 
 
-def stability_margin_batch(params, ss) -> np.ndarray:
-    """``stability_margin`` of one point or of each point of a stack.
+def stability_margin(params, ss) -> ClosedForm:
+    """Coupling relative to the static instability threshold, G/G_threshold.
 
-    NaN where delta_eff <= 0, where the analytic threshold does not apply.
+    The threshold sqrt((delta^2 + kappa^2)*omega_m/delta) is the analytic
+    stability boundary for a red-detuned drive; values below 1 are stable.
+    Of one point or of a stack; NaN where delta_eff <= 0, which is flagged
+    ``nonpositive_detuning`` and raises NonpositiveDetuning.
     """
     delta = ss.delta_eff
+    nonpositive = delta <= 0
     # float_power is libm's pow, like a scalar ``x ** 2``
     with np.errstate(all="ignore"):
         g_threshold = np.sqrt((np.float_power(delta, 2)
                                + np.float_power(params.kappa, 2))
                               * params.omega_m / delta)
-        return np.where(delta <= 0, np.nan, ss.g_eff / g_threshold)
-
-
-def stability_margin(params: SystemParams, ss: SteadyState) -> float:
-    """Coupling relative to the static instability threshold, G/G_threshold.
-
-    The threshold sqrt((delta^2 + kappa^2)*omega_m/delta) is the analytic
-    stability boundary for a red-detuned drive; values below 1 are stable.
-    """
-    if ss.delta_eff <= 0:
-        raise NonpositiveDetuning(
-            "analytic threshold needs delta > 0; use the eigenvalue test instead")
-    return stability_margin_batch(params, ss).item()
+        margin = np.where(nonpositive, np.nan, ss.g_eff / g_threshold)
+    return ClosedForm(margin, {"nonpositive_detuning": nonpositive}, _MARGIN_RULES)
 
 
 def auxiliary_block(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -38,13 +38,13 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("none", "white", "bandpass"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        # each check is written so that NaN fails it
-        if not self.gamma_l >= 0:
+        # each check is written so that NaN and infinity fail it
+        if not 0 <= self.gamma_l < math.inf:
             raise ValueError("noise strength gamma_l must be >= 0")
         if self.kind == "bandpass":
-            if not self.omega_band > 0:
+            if not 0 < self.omega_band < math.inf:
                 raise ValueError("bandpass noise requires omega_band > 0")
-            if not self.gamma_tilde >= 0:
+            if not 0 <= self.gamma_tilde < math.inf:
                 raise ValueError("bandpass noise requires gamma_tilde >= 0")
 
     @classmethod
@@ -72,17 +72,25 @@ def _all(condition) -> bool:
     return condition.all() if isinstance(condition, np.ndarray) else condition
 
 
+def _finite(value):
+    """Whether a value, or each value of a column, is finite; NaN is not."""
+    return abs(value) < math.inf
+
+
 def _check_fields(values: dict) -> None:
     """ValueError for a SystemParams field (a value or a column) out of range.
 
-    Each range is checked as the condition that holds, so NaN fails it.
+    Each range is checked as the condition that holds, finite included, so
+    NaN and infinity fail it.
     """
     for name in _POSITIVE_FIELDS:
-        if name in values and not _all(values[name] > 0):
+        if name in values and not _all(_finite(values[name]) & (values[name] > 0)):
             raise ValueError(f"{name} must be > 0")
     for name in _NONNEGATIVE_FIELDS:
-        if name in values and not _all(values[name] >= 0):
+        if name in values and not _all(_finite(values[name]) & (values[name] >= 0)):
             raise ValueError(f"{name} must be >= 0")
+    if "detuning" in values and not _all(_finite(values["detuning"])):
+        raise ValueError("detuning must be finite")
     mode = values.get("detuning_mode", EFFECTIVE)
     if not _all((mode == EFFECTIVE) | (mode == BARE)):
         raise ValueError(f"detuning_mode must be '{EFFECTIVE}' or '{BARE}'")
@@ -269,9 +277,9 @@ def thermal_occupancy(omega: float, temperature: float) -> float:
 
     Returns 0 in the zero-temperature limit.
     """
-    if not omega > 0:
+    if not 0 < omega < math.inf:
         raise ValueError("omega must be > 0")
-    if not temperature >= 0:
+    if not 0 <= temperature < math.inf:
         raise ValueError("temperature must be >= 0")
     if temperature == 0.0:
         return 0.0
@@ -415,8 +423,8 @@ def solve_steady_state(params, branch: str = "lower") -> SteadyState:
     admissible = roots == roots
     count = admissible.sum(axis=1)
     if (count[~effective] == 0).any():
-        # cannot occur for a real nonnegative drive: the cubic is negative
-        # at I=0 and grows without bound
+        # only where the cubic's coefficients overflow: with finite ones it
+        # is negative at I=0 and grows without bound
         raise NoPhysicalRoot("intensity cubic produced no admissible root")
     # effective mode: the closed-form intensity, tagged by the nearest root;
     # bare mode: the root the branch policy picks among three, else the one

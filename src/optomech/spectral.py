@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (REDUCED_BASIS, optomechanical_block,
+from .dynamics import (REDUCED_BASIS, ClosedForm, optomechanical_block,
                        phase_noise_spectrum, vacuum_diffusion)
 from .errors import ImaginaryFrequency, QuadratureNotConverged, UnstableDrift
 from .lyapunov import CovarianceMatrix
@@ -264,22 +264,32 @@ def optimal_detuning_and_max_en(kappa_over_omega_m: float) -> tuple[float, float
 STATIC_BAND_LIMIT = 0.1
 
 
-def _static_stiffness(terms: dict):
-    """(kappa^2 + delta^2, 1/chi0) of the static radiation-pressure response."""
-    cavity = terms["k2"] + terms["delta2"]
-    return cavity, terms["wm2"] - terms["spring"] / cavity
+# what ClosedForm.checked does where a flag of the occupancy forms is set
+_RULES = {
+    "kappa_regime": "occupancy formula assumes kappa >> gamma_m, G",
+    "omega_m_regime": "occupancy formula assumes omega_m >> n*gamma_m, G",
+    "imaginary_spring": lambda form: ImaginaryFrequency(
+        float(form.radicands["imaginary_spring"])),
+    "undamped_band": lambda form: UnstableDrift(
+        "undamped noise band (gamma_tilde = 0) has no stationary state"),
+    "imaginary_static": lambda form: ImaginaryFrequency(
+        float(form.radicands["imaginary_static"])),
+    "static_band": "static phase-noise heating assumes the noise band far "
+                   "below omega_m, kappa and |delta|",
+}
 
 
-def _static_heating(params: SystemParams, ss: SteadyState, terms: dict):
-    """``static_phase_noise_heating_batch`` from the response terms,
-    floating-point errors unchecked."""
+def _static_heating(params, ss, terms: dict):
+    """The value, flags and 1/chi0 of ``static_phase_noise_heating`` from
+    the response terms, floating-point errors unchecked."""
     spec = params.phase_noise
     applies = np.logical_and(spec.kind == "bandpass", ss.delta_eff != 0.0)
     if not applies.any():
-        return np.zeros(applies.shape), {name: applies for name in (
-            "undamped_band", "imaginary_static", "static_band")}
+        return np.zeros(applies.shape), dict.fromkeys(
+            ("undamped_band", "imaginary_static", "static_band"), applies), None
     delta, band, width = ss.delta_eff, spec.omega_band, spec.gamma_tilde
-    cavity, stiffness = _static_stiffness(terms)
+    cavity = terms["k2"] + terms["delta2"]
+    stiffness = terms["wm2"] - terms["spring"] / cavity
     shift2, band2, cavity2 = np.float_power(
         [ss.g_eff * delta * params.omega_m / stiffness, band, cavity], 2)
     dn = ss.photon_number * shift2 * spec.gamma_l * band2 / (width * cavity2)
@@ -288,38 +298,11 @@ def _static_heating(params: SystemParams, ss: SteadyState, terms: dict):
     imaginary = valid & (stiffness < 0)
     flags = {"undamped_band": applies & ~valid, "imaginary_static": imaginary,
              "static_band": valid & (band > STATIC_BAND_LIMIT * scale)}
-    return np.where(applies, np.where(valid & ~imaginary, dn, np.nan), 0.0), flags
+    dn = np.where(applies, np.where(valid & ~imaginary, dn, np.nan), 0.0)
+    return dn, flags, stiffness
 
 
-def static_phase_noise_heating_batch(params: SystemParams, ss: SteadyState
-                                     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """``static_phase_noise_heating`` of a point or a stack, with its validity flags.
-
-    Returns ``(dn, flags)``. ``dn`` is 0 where no noise band applies (no
-    bandpass noise, or delta_eff = 0) and NaN where the one-point form
-    raises: ``flags["undamped_band"]`` (gamma_tilde = 0) and
-    ``flags["imaginary_static"]`` (1/chi0 < 0) mark those points.
-    ``flags["static_band"]`` marks where it warns that the band is not far
-    below min(sqrt(1/chi0), kappa, |delta|).
-    """
-    with np.errstate(all="ignore"):
-        return _static_heating(params, ss, _response_terms(params, ss))
-
-
-def _raise_or_warn_static(params, ss, flags) -> None:
-    """The errors and the warning of the one-point static channel."""
-    if flags["undamped_band"]:
-        raise UnstableDrift("undamped noise band (gamma_tilde = 0) has no "
-                            "stationary state")
-    if flags["imaginary_static"]:
-        stiffness = _static_stiffness(_response_terms(params, ss))[1]
-        raise ImaginaryFrequency(float(stiffness))
-    if flags["static_band"]:
-        warnings.warn("static phase-noise heating assumes the noise band far "
-                      "below omega_m, kappa and |delta|", stacklevel=3)
-
-
-def static_phase_noise_heating(params: SystemParams, ss: SteadyState) -> float:
+def static_phase_noise_heating(params, ss) -> ClosedForm:
     """Occupancy added by the noise band through the static mirror response.
 
     Frequency noise at omega << omega_m, kappa, |delta| displaces the mirror
@@ -331,48 +314,19 @@ def static_phase_noise_heating(params: SystemParams, ss: SteadyState) -> float:
     dn = |alpha|^2 chi0^2 (G*delta*omega_m)^2 Gamma_l W^2 / (gt (kappa^2 + delta^2)^2).
 
     Its relative error grows as W^2 (W is the band's rms frequency for any
-    gt). Zero for no noise and for white noise, whose flat spectrum has no
-    low-frequency band. Warns when W exceeds STATIC_BAND_LIMIT times
-    min(sqrt(1/chi0), kappa, |delta|); raises ImaginaryFrequency past the
-    static instability (1/chi0 < 0) and UnstableDrift for an undamped band
-    (gt = 0), whose noise has no stationary state.
+    gt). Of one point or a stack. Zero for no noise and for white noise,
+    whose flat spectrum has no low-frequency band. ``checked`` warns when W
+    exceeds STATIC_BAND_LIMIT times min(sqrt(1/chi0), kappa, |delta|)
+    (``static_band``); it raises ImaginaryFrequency past the static
+    instability (1/chi0 < 0, ``imaginary_static``) and UnstableDrift for an
+    undamped band (gt = 0, ``undamped_band``), where the value is NaN.
     """
-    dn, flags = static_phase_noise_heating_batch(params, ss)
-    _raise_or_warn_static(params, ss, flags)
-    return dn.item()
-
-
-def approx_n_eff_batch(params: SystemParams, ss: SteadyState
-                       ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """``approx_n_eff`` of a point or a stack, with its regime flags.
-
-    Returns ``(n_eff, flags)``. ``n_eff`` is NaN where the one-point form
-    raises: ``flags["imaginary_spring"]`` (omega_eff^2 < 0) and the failure
-    flags of ``static_phase_noise_heating_batch`` mark those points. The
-    flags ``kappa_regime`` (G > kappa/2 or gamma_m > kappa/10),
-    ``omega_m_regime`` (n*gamma_m > omega_m/10 or G > omega_m/2) and
-    ``static_band`` mark the points where it warns.
-    """
-    n = params.thermal_phonons()
-    gm, wm, k, g = params.gamma_m, params.omega_m, params.kappa, ss.g_eff
     with np.errstate(all="ignore"):
-        terms = _response_terms(params, ss)
-        radicand, gamma_op = terms["omega_eff_sq"], terms["gamma_op"]
-        static, flags = _static_heating(params, ss, terms)
-        s_peak = phase_noise_spectrum(params.phase_noise, np.sqrt(radicand))
-        heating = ss.photon_number * ss.delta_eff * gamma_op * s_peak / (2.0 * k * wm)
-        n_eff = (n * gm + terms["a_plus"] + heating) / (gm + gamma_op) + static
-    spring = radicand < 0
-    flags = {"kappa_regime": (g > 0.5 * k) | (gm > 0.1 * k),
-             "omega_m_regime": (n * gm > 0.1 * wm) | (g > 0.5 * wm),
-             "imaginary_spring": spring,
-             "undamped_band": flags["undamped_band"],
-             "imaginary_static": flags["imaginary_static"],
-             "static_band": flags["static_band"] & ~spring}
-    return np.where(spring, np.nan, n_eff), flags
+        dn, flags, stiffness = _static_heating(params, ss, _response_terms(params, ss))
+    return ClosedForm(dn, flags, _RULES, {"imaginary_static": stiffness})
 
 
-def approx_n_eff(params: SystemParams, ss: SteadyState) -> float:
+def approx_n_eff(params, ss) -> ClosedForm:
     """Weak-coupling occupancy including both frequency-noise heating channels.
 
     n_eff = [n*gamma_m + A_plus + |alpha|^2 * delta * Gamma_op *
@@ -381,19 +335,31 @@ def approx_n_eff(params: SystemParams, ss: SteadyState) -> float:
     dn_static = |alpha|^2 chi0^2 (G*delta*omega_m)^2 Gamma_l W^2 /
     (gt (kappa^2 + delta^2)^2) is the quasi-static channel of a bandpass
     noise band lying far below omega_m, kappa and |delta|
-    (static_phase_noise_heating). Warns outside the weak-coupling regime
-    it is calibrated for and where the band is not that far below.
+    (static_phase_noise_heating). Of one point or a stack. ``checked``
+    warns outside the weak-coupling regime it is calibrated for,
+    ``kappa_regime`` (G > kappa/2 or gamma_m > kappa/10) and
+    ``omega_m_regime`` (n*gamma_m > omega_m/10 or G > omega_m/2), and where
+    the band is not that far below; it raises ImaginaryFrequency where
+    omega_eff^2 < 0 (``imaginary_spring``) and where the static channel
+    raises, where the value is NaN.
     """
-    n_eff, flags = approx_n_eff_batch(params, ss)
-    if flags["kappa_regime"]:
-        warnings.warn("occupancy formula assumes kappa >> gamma_m, G", stacklevel=2)
-    if flags["omega_m_regime"]:
-        warnings.warn("occupancy formula assumes omega_m >> n*gamma_m, G",
-                      stacklevel=2)
-    if flags["imaginary_spring"]:
-        raise ImaginaryFrequency(float(_response_terms(params, ss)["omega_eff_sq"]))
-    _raise_or_warn_static(params, ss, flags)
-    return n_eff.item()
+    n = params.thermal_phonons()
+    gm, wm, k, g = params.gamma_m, params.omega_m, params.kappa, ss.g_eff
+    with np.errstate(all="ignore"):
+        terms = _response_terms(params, ss)
+        radicand, gamma_op = terms["omega_eff_sq"], terms["gamma_op"]
+        static, static_flags, stiffness = _static_heating(params, ss, terms)
+        s_peak = phase_noise_spectrum(params.phase_noise, np.sqrt(radicand))
+        heating = ss.photon_number * ss.delta_eff * gamma_op * s_peak / (2.0 * k * wm)
+        n_eff = (n * gm + terms["a_plus"] + heating) / (gm + gamma_op) + static
+    spring = radicand < 0
+    # past an imaginary spring frequency the static band's warning is not reached
+    flags = {"kappa_regime": (g > 0.5 * k) | (gm > 0.1 * k),
+             "omega_m_regime": (n * gm > 0.1 * wm) | (g > 0.5 * wm),
+             "imaginary_spring": spring, **static_flags,
+             "static_band": static_flags["static_band"] & ~spring}
+    return ClosedForm(np.where(spring, np.nan, n_eff), flags, _RULES,
+                      {"imaginary_spring": radicand, "imaginary_static": stiffness})
 
 
 def _quad_checked(func, a, b, what: str, **kwargs) -> float:

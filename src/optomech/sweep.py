@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LinearModel, build_model, stability_margin_batch
+from .dynamics import LinearModel, build_model, stability_margin
 from .errors import PointEvaluationError
 from .lyapunov import reduce_to_optomechanical, solve_lyapunov
 from .measures import log_negativity, occupancy
@@ -23,7 +23,7 @@ from .output import (Columns, format_column, tool_metadata, write_document,
                      write_table)
 from .parameters import (EFFECTIVE, NoiseSpec, SteadyState, SystemParams,
                          solve_steady_state)
-from .spectral import approx_n_eff_batch
+from .spectral import approx_n_eff
 
 AXIS_NAMES = ("power_mw", "delta_over_omega_m", "kappa_over_omega_m")
 OUTPUT_NAMES = ("e_n", "n_eff", "eta_minus", "stability_margin", "g_eff",
@@ -261,15 +261,18 @@ def run_pipeline(params) -> PipelineColumns:
     # its reach gets a null, not an error row
     approx, approx_null = np.full(count, np.nan), ~stable
     if stable.any():
-        approx, flags = approx_n_eff_batch(params, ss)
-        approx_null = (approx_null | flags["imaginary_spring"]
-                       | flags["undamped_band"] | flags["imaginary_static"])
+        form = approx_n_eff(params, ss)
+        approx = form.value
+        approx_null = (approx_null | form.flags["imaginary_spring"]
+                       | form.flags["undamped_band"]
+                       | form.flags["imaginary_static"])
+    margin = stability_margin(params, ss)
     values = dict(
-        stable=stable, stability_margin=stability_margin_batch(params, ss),
+        stable=stable, stability_margin=margin.value,
         alpha_abs=ss.alpha_abs, photon_number=ss.photon_number, g_eff=ss.g_eff,
         branch=ss.branch, **measured, n_eff_approx=approx,
         error=np.full(count, None, dtype=object))
-    null = dict(stability_margin=ss.delta_eff <= 0,
+    null = dict(stability_margin=margin.flags["nonpositive_detuning"],
                 error=np.ones(count, dtype=bool), n_eff_approx=approx_null,
                 **dict.fromkeys(_MEASURED, ~stable))
     return PipelineColumns(PointColumns(values=values, null=null), ss,

@@ -204,7 +204,7 @@ def test_criterion_6_cooling_formula_accuracy():
         exact = occupancy(cov, OMEGA_M).n_eff
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            approx = approx_n_eff(params, ss)
+            approx = approx_n_eff(params, ss).checked()
         gaps.append((abs(approx - exact) / exact, noisy, kappa_ratio,
                      g_fraction))
     worst = max(g for g, *_ in gaps)
@@ -344,7 +344,7 @@ def test_criterion_8_property_suites(fig2_trio, fig4_trio, fig7_trio):
         p = p.with_(laser_power=power_for_coupling(p, g))
         ss = solve_steady_state(p)
         try:
-            margin = stability_margin(p, ss)
+            margin = stability_margin(p, ss).checked()
         except NonpositiveDetuning:
             continue
         if abs(margin - 1.0) < 1e-6:

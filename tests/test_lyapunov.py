@@ -6,7 +6,7 @@ from optomech import (CovarianceMatrix, build_model, check_physical,
                       reduce_to_optomechanical, solve_lyapunov,
                       solve_steady_state, symplectic_eigenvalues,
                       thermal_occupancy)
-from optomech.errors import UnphysicalState, UnstableDrift
+from optomech.errors import SolverSingular, UnphysicalState, UnstableDrift
 
 from conftest import OMEGA_M, bandpass_100hz, make_params
 
@@ -55,6 +55,22 @@ class TestSolverContract:
             solve_lyapunov(a, np.array([[1.0, 0.5], [0.0, 1.0]]))  # asymmetric
         with pytest.raises(ValueError):
             solve_lyapunov(a, -np.eye(2))  # not PSD
+
+    def test_singular_system_rejected(self):
+        # A = 0 with a claimed abscissa: kron(I, A) + kron(A, I) is zero
+        with pytest.raises(SolverSingular, match="vectorized Lyapunov system "
+                           r"is singular \(condition estimate inf\)") as err:
+            solve_lyapunov(np.zeros((2, 2)), np.eye(2), abscissa=np.array([-1.0]))
+        assert err.value.condition == np.inf
+
+    @pytest.mark.filterwarnings("ignore:Input \"a\" has an eigenvalue pair")
+    def test_residual_beyond_tolerance_rejected(self):
+        # the Schur route perturbs A = 0 into a solution; whatever V it
+        # returns, the residual A V + V A^T + D is D, of norm sqrt(2)
+        with pytest.raises(SolverSingular, match=r"Lyapunov residual 1\.414e\+00 "
+                           r"exceeds 1\.414e-10 \(condition estimate inf\)"):
+            solve_lyapunov(np.zeros((2, 2)), np.eye(2), method="schur",
+                           abscissa=np.array([-1.0]))
 
     def test_two_solver_paths_agree(self):
         rng = np.random.default_rng(11)

@@ -9,7 +9,7 @@ from optomech import (CovarianceMatrix, build_model,
                       solve_lyapunov, solve_steady_state, symplectic_form,
                       thermal_occupancy)
 from optomech.constants import HBAR
-from optomech.errors import UnphysicalState
+from optomech.errors import NegativeDiscriminant, UnphysicalState
 
 from conftest import OMEGA_M, make_params
 
@@ -63,6 +63,14 @@ class TestLogNegativity:
     def test_unphysical_input_rejected(self):
         with pytest.raises(UnphysicalState):
             log_negativity(_cm(0.3 * np.eye(4)))
+
+    def test_negative_discriminant_rejected(self):
+        # an indefinite symmetric matrix passes the symplectic check but has
+        # Sigma^2 < 4 det V
+        m = np.random.default_rng(0).standard_normal((4, 4))
+        with pytest.raises(NegativeDiscriminant, match=r"discriminant -7\.081231e\+00"
+                           r" < 0 for sigma\^2 = 9\.885556e-04"):
+            log_negativity(_cm(m + m.T))
 
     def test_formula_agrees_with_partial_transpose_route(self):
         rng = np.random.default_rng(123)

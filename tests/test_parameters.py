@@ -6,6 +6,7 @@ import pytest
 from optomech import (NoiseSpec, SystemParams, drive_amplitude,
                       power_for_coupling, solve_steady_state, thermal_occupancy)
 from optomech.constants import HBAR, K_B
+from optomech.errors import NoPhysicalRoot
 
 from conftest import OMEGA_M, make_params
 
@@ -52,6 +53,15 @@ class TestDriveAmplitude:
 
 
 class TestSteadyState:
+    def test_overflowing_cubic_has_no_root(self):
+        # finite inputs whose drive E0^2 and kappa^2 overflow to inf: the
+        # uncoupled cubic's root inf/inf is NaN
+        p = make_params(g0=0.0, kappa=1e200, laser_power=1e200,
+                        detuning_mode="bare")
+        with np.errstate(all="ignore"), pytest.raises(
+                NoPhysicalRoot, match="intensity cubic produced no admissible root"):
+            solve_steady_state(p)
+
     def test_zero_drive(self):
         ss = solve_steady_state(make_params(laser_power=0.0, detuning_mode="bare"))
         assert ss.alpha_abs == 0.0
@@ -187,6 +197,49 @@ class TestValidation:
             make(-1.0)
         with pytest.raises(ValueError) as err:
             make(math.nan)
+        assert str(err.value) == str(negative.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [
+        "omega_m", "quality_factor", "kappa", "detuning", "g0", "laser_power",
+        "laser_wavelength", "bath_temperature", "cavity_thermal_occupancy"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["point", "stack"])
+    def test_non_finite_fails_the_range_check(self, stacked, name, bad):
+        if name == "detuning":
+            message = "detuning must be finite"
+        else:
+            with pytest.raises(ValueError) as negative:
+                make_params().with_(**{name: -1.0})
+            message = str(negative.value)
+        if stacked:
+            stack = SystemParams.repeat(make_params(), 3)
+            with pytest.raises(ValueError) as column:
+                stack.with_(**{name: [1.0, bad, 2.0]})
+            assert str(column.value) == message
+            change = stack.with_
+        else:
+            change = make_params().with_
+        with pytest.raises(ValueError) as err:
+            change(**{name: bad})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("make", [
+        lambda bad: NoiseSpec.white(bad),
+        lambda bad: NoiseSpec.bandpass(bad, 1.0, 1.0),
+        lambda bad: NoiseSpec.bandpass(1.0, bad, 1.0),
+        lambda bad: NoiseSpec.bandpass(1.0, 1.0, bad),
+        lambda bad: thermal_occupancy(bad, 0.4),
+        lambda bad: thermal_occupancy(OMEGA_M, bad)],
+        ids=["white", "gamma_l", "omega_band", "gamma_tilde", "omega",
+             "temperature"])
+    def test_non_finite_fails_the_noise_and_occupancy_checks(self, make, bad):
+        with pytest.raises(ValueError) as negative:
+            make(-1.0)
+        with pytest.raises(ValueError) as err:
+            make(bad)
         assert str(err.value) == str(negative.value)
 
 

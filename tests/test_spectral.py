@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from optomech import (NoiseSpec, SystemParams, approx_cm_phase_correction,
-                      approx_n_eff, approx_n_eff_batch, build_model,
+                      approx_n_eff, build_model,
                       cm_spectral_oracle, effective_response,
                       laser_correlation, log_negativity, occupancy,
                       optimal_detuning_and_max_en, phase_noise_spectrum,
                       power_for_coupling, reduce_to_optomechanical,
                       scattering_rates, solve_lyapunov, solve_steady_state,
-                      static_phase_noise_heating,
-                      static_phase_noise_heating_batch, threshold_eta_minus)
+                      static_phase_noise_heating, threshold_eta_minus)
 from optomech import spectral
 from optomech.dynamics import optomechanical_block, vacuum_diffusion
 from optomech.errors import (ImaginaryFrequency, QuadratureNotConverged,
@@ -156,7 +155,8 @@ class TestOptimalDetuning:
 class TestApproxOccupancy:
     def test_no_coupling_returns_bath_occupancy(self):
         p, ss = _point_with_coupling(0.0)
-        assert approx_n_eff(p, ss) == pytest.approx(p.thermal_phonons(), rel=1e-12)
+        assert approx_n_eff(p, ss).checked() == pytest.approx(p.thermal_phonons(),
+                                                              rel=1e-12)
 
     def test_sideband_cooling_limit(self):
         # cold bath, tiny gamma_m: the formula collapses to A+/Gamma_op
@@ -164,7 +164,7 @@ class TestApproxOccupancy:
             0.02, kappa=0.05 * OMEGA_M, bath_temperature=0.0,
             quality_factor=1e9)
         rates = scattering_rates(p, ss)
-        assert approx_n_eff(p, ss) == pytest.approx(
+        assert approx_n_eff(p, ss).checked() == pytest.approx(
             rates.a_plus / rates.gamma_op, rel=1e-3)
 
     def test_against_exact_pipeline_weak_coupling(self):
@@ -174,13 +174,21 @@ class TestApproxOccupancy:
         v4 = reduce_to_optomechanical(solve_lyapunov(model.drift,
                                                      model.diffusion))
         exact = occupancy(v4, OMEGA_M).n_eff
-        approx = approx_n_eff(p, ss)
+        approx = approx_n_eff(p, ss).checked()
         assert approx == pytest.approx(exact, rel=0.15)
 
     def test_warns_outside_regime(self):
         p, ss = _point_with_coupling(0.9, kappa=0.5 * OMEGA_M)
         with pytest.warns(UserWarning):
-            approx_n_eff(p, ss)
+            approx_n_eff(p, ss).checked()
+
+    def test_warnings_point_at_the_caller(self):
+        p, ss = _point_with_coupling(0.9, kappa=0.5 * OMEGA_M)
+        form = approx_n_eff(p, ss)
+        assert form.flags["kappa_regime"] and form.flags["omega_m_regime"]
+        with pytest.warns(UserWarning) as caught:
+            form.checked()
+        assert {w.filename for w in caught} == {__file__}
 
     def test_static_channel_matches_spectral_route(self):
         # the oracle minus the frozen-spectrum covariance is exactly what the
@@ -192,8 +200,8 @@ class TestApproxOccupancy:
                                          phase_noise=bandpass_100hz())
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                dn = static_phase_noise_heating(p, ss)
-                approx_n_eff(p, ss)
+                dn = static_phase_noise_heating(p, ss).checked()
+                approx_n_eff(p, ss).checked()
             n_oracle = occupancy(cm_spectral_oracle(p, ss), OMEGA_M).n_eff
             n_frozen = occupancy(approx_cm_phase_correction(p, ss),
                                  OMEGA_M).n_eff
@@ -201,17 +209,17 @@ class TestApproxOccupancy:
         for noise in (NoiseSpec.none(), NoiseSpec.white(2 * math.pi * 100)):
             p, ss = _point_with_coupling(0.06, kappa=0.2 * OMEGA_M,
                                          phase_noise=noise)
-            assert static_phase_noise_heating(p, ss) == 0.0
+            assert static_phase_noise_heating(p, ss).checked() == 0.0
         # band at 0.2 omega_m with kappa, |delta| >= omega_m: not far below
         # omega_m, so the expansion is flagged
         p, ss = _point_with_coupling(0.2, kappa=2.0 * OMEGA_M,
                                      phase_noise=bandpass_100hz(0.2 * OMEGA_M))
         with pytest.warns(UserWarning, match="noise band far below"):
-            approx_n_eff(p, ss)
+            approx_n_eff(p, ss).checked()
         p, ss = _point_with_coupling(0.06, phase_noise=NoiseSpec.bandpass(
             2 * math.pi * 100, 2 * math.pi * 5e4, 0.0))
         with pytest.raises(UnstableDrift):
-            static_phase_noise_heating(p, ss)
+            static_phase_noise_heating(p, ss).checked()
 
 
 def _random_working_points(rng, count):
@@ -236,11 +244,11 @@ def _random_working_points(rng, count):
 
 
 def _outcome(func, *args):
-    """(value or raised type, the set of warning messages) of one call."""
+    """(value or raised type, the set of warning messages) of one checked call."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            value = func(*args)
+            value = func(*args).checked()
         except (ImaginaryFrequency, UnstableDrift) as err:
             value = type(err)
     return value, {str(w.message) for w in caught}
@@ -283,7 +291,8 @@ class TestRegimeFlags:
 
     def test_approx_flags_are_the_scalar_conditions(self, sample):
         points, params, states = sample
-        n_eff, flags = approx_n_eff_batch(params, states)
+        form = approx_n_eff(params, states)
+        n_eff, flags = form.value, form.flags
         for name, mask in flags.items():
             assert mask.any() and not mask.all(), name
         for i, (p, ss) in enumerate(points):
@@ -315,7 +324,7 @@ class TestRegimeFlags:
             return out
 
         monkeypatch.setattr(spectral, "phase_noise_spectrum", record)
-        approx_n_eff_batch(params, states)
+        approx_n_eff(params, states)
         (omega, s_peak), = seen
         assert np.count_nonzero(omega == omega) > 300
         for (p, _), w, s in zip(points, omega.tolist(), s_peak.tolist()):
@@ -324,7 +333,8 @@ class TestRegimeFlags:
 
     def test_static_flags_are_the_scalar_conditions(self, sample):
         points, params, states = sample
-        dn, flags = static_phase_noise_heating_batch(params, states)
+        form = static_phase_noise_heating(params, states)
+        dn, flags = form.value, form.flags
         for name, mask in flags.items():
             assert mask.any() and not mask.all(), name
         for i, (p, ss) in enumerate(points):

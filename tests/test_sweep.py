@@ -13,7 +13,8 @@ from optomech import (NoiseSpec, SweepAxis, SweepSpec, SystemParams,
                       figure_recipe, log_negativity, occupancy,
                       power_for_coupling, reduce_to_optomechanical,
                       run_pipeline, run_sweep, solve_lyapunov,
-                      solve_steady_state, symplectic_eigenvalues,
+                      solve_steady_state, stability_margin,
+                      static_phase_noise_heating, symplectic_eigenvalues,
                       thermal_occupancy)
 from optomech.errors import ImaginaryFrequency, PointEvaluationError
 from optomech.output import _cell
@@ -75,7 +76,7 @@ class TestEvaluatePoint:
                         detuning=2.0 * OMEGA_M, detuning_mode="bare",
                         phase_noise=NoiseSpec.white(2.0 * math.pi * 100.0))
         with pytest.raises(ImaginaryFrequency):
-            approx_n_eff(p, solve_steady_state(p))
+            approx_n_eff(p, solve_steady_state(p)).checked()
         result = evaluate_point(p)
         assert result.stable and result.error is None
         assert result.n_eff_approx is None
@@ -515,3 +516,17 @@ class TestEachStageTakesAPointOrAStack:
                 _same_bits(type(occ)(*(f[k] for f in dataclasses.astuple(occ))),
                            occupancy(cov, _MIXED[i].omega_m))
                 assert isinstance(log_negativity(cov).entangled, bool)
+
+    @pytest.mark.parametrize("form", [stability_margin,
+                                      static_phase_noise_heating, approx_n_eff])
+    def test_closed_form(self, stages, form):
+        ss, _, alone = stages
+        stacked = form(SystemParams.stack(_MIXED), ss)
+        with pytest.raises(ValueError, match="closed form of one point"):
+            stacked.checked()
+        for i, (p, (point_ss, _)) in enumerate(zip(_MIXED, alone)):
+            point = form(p, point_ss)
+            assert np.ndim(point.value) == 0
+            assert stacked.value[i].tobytes() == np.asarray(point.value).tobytes()
+            assert {name: bool(mask[i]) for name, mask in stacked.flags.items()} \
+                == {name: bool(flag) for name, flag in point.flags.items()}

@@ -8,21 +8,27 @@ sweep documents (white noise at a bare detuning; bandpass noise, run with
 --jobs 2), the reference point and a bistable bare-detuning point with
 their models, the spectrum tables, and validate at 40000 steps (4 members,
 seed 11) and at its defaults. The input documents are written to
-OUT_DIR/inputs. Prints ``sha256  path`` for every other file written,
-sorted by path, so two source trees can be compared by diffing the lists.
+OUT_DIR/inputs. Then runs each script of the tree's demos/ directory on
+that tree's package, in OUT_DIR/demos, which receives the files a demo
+writes, and keeps its standard output as OUT_DIR/demos/<name>.stdout.
+Prints ``sha256  path`` for every other file written, sorted by path, so
+two source trees can be compared by diffing the lists.
 """
 
 from __future__ import annotations
 
 import contextlib
+import glob
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, SRC)
 
 from optomech import cli  # noqa: E402
 
@@ -115,6 +121,19 @@ def main(argv=None) -> int:
         if stdout_path is not None:
             with open(stdout_path, "w") as fh:
                 fh.write(text.getvalue())
+    demos = os.path.join(out, "demos")
+    os.makedirs(demos, exist_ok=True)
+    env = {**os.environ, "PYTHONPATH": SRC}
+    for script in sorted(glob.glob(os.path.join(ROOT, "demos", "*.py"))):
+        name = os.path.splitext(os.path.basename(script))[0]
+        run = subprocess.run([sys.executable, script], cwd=demos, env=env,
+                             capture_output=True, text=True)
+        if run.returncode != 0:
+            print(f"error: demo {name} exited {run.returncode}\n{run.stderr}",
+                  file=sys.stderr)
+            return 1
+        with open(os.path.join(demos, f"{name}.stdout"), "w") as fh:
+            fh.write(run.stdout)
     digests = []
     for root, _, names in os.walk(out):
         if root == inputs:
