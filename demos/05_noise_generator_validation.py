@@ -13,7 +13,6 @@ import numpy as np
 from optomech import (NoiseSpec, TrajectoryConfig, phase_noise_spectrum,
                       simulate_phase_noise, solve_lyapunov)
 from optomech.dynamics import auxiliary_block
-from optomech.simulate import BURN_IN_DECAY, drift_rates
 
 spec = NoiseSpec.bandpass(
     gamma_l=2 * math.pi * 100.0,        # 0.1 kHz laser linewidth
@@ -22,13 +21,11 @@ spec = NoiseSpec.bandpass(
 )
 
 a, d = auxiliary_block(spec)
-speed, slowest = drift_rates(a)
-dt = 0.09 / speed
-burn_in = math.ceil(BURN_IN_DECAY / slowest / dt)
-cfg = TrajectoryConfig(dt=dt, n_steps=400_000, n_ensemble=12,
-                       seed=20240811, burn_in=burn_in)
-print(f"dt = {dt:.3e} s, {cfg.n_steps} steps x {cfg.n_ensemble} members, "
-      f"burn-in {burn_in} steps")
+# the run rule of simulate picks the timestep and the burn-in
+cfg = TrajectoryConfig.for_drift(a, n_steps=400_000, n_ensemble=12,
+                                 seed=20240811)
+print(f"dt = {cfg.dt:.3e} s, {cfg.n_steps} steps x {cfg.n_ensemble} members, "
+      f"burn-in {cfg.burn_in} steps")
 
 # one ensemble gives both the spectrum of psi and the pair's covariance
 estimate = simulate_phase_noise(spec, cfg, segments_per_member=8)

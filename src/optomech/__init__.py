@@ -24,7 +24,7 @@ from .parameters import (NoiseSpec, SteadyState, SystemParams,
                          solve_steady_state, thermal_occupancy)
 from .simulate import (CovarianceEstimate, SpectrumEstimate, TrajectoryConfig,
                        estimate_stationary_covariance, exact_discretization,
-                       simulate_linear_system, simulate_phase_noise)
+                       simulate_phase_noise)
 from .spectral import (EffectiveResponse, ScatteringRates,
                        approx_cm_phase_correction, approx_n_eff,
                        cm_spectral_oracle, effective_response,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
@@ -17,12 +16,11 @@ import numpy as np
 from . import __version__
 from .config import extract_params, load_document, params_from_config, sweep_from_config
 from .dynamics import auxiliary_block, phase_noise_spectrum
-from .errors import ConfigError, OptomechError
+from .errors import ConfigError, OptomechError, UnstableTimestep
 from .lyapunov import solve_lyapunov
 from .output import format_column, tool_metadata, write_document, write_table
 from .parameters import solve_steady_state
-from .simulate import (BURN_IN_DECAY, DT_EIGENVALUE_GUARD, TrajectoryConfig,
-                       _segment_length, drift_rates, simulate_phase_noise)
+from .simulate import TrajectoryConfig, simulate_phase_noise
 from .spectral import effective_response, laser_correlation
 from .sweep import emit_figure_data, figure_recipe, run_pipeline, run_sweep
 
@@ -30,6 +28,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PARTIAL = 2
 EXIT_INTERNAL = 3
+
+# the document key of a field a rejected Monte-Carlo run names, where the
+# two differ
+_RUN_KEYS = {"drift": "phase_noise", "dt": "dt_s"}
 
 
 def _cmd_point(args) -> int:
@@ -112,30 +114,23 @@ def _cmd_validate(args) -> int:
     if spec.kind != "bandpass":
         raise ConfigError(f"{args.config}: validation drives the bandpass "
                           "noise generator; set phase_noise.kind = 'bandpass'")
-    a, d = auxiliary_block(spec)
-    speed, slowest = drift_rates(a)
-    dt = fields.number("dt_s", 0.09 / speed)
-    if not dt > 0 or dt * speed >= DT_EIGENVALUE_GUARD:
-        raise src.error("dt_s", f"must be > 0 with dt*max|eig| < {DT_EIGENVALUE_GUARD} "
-                                f"(max|eig| = {speed:.6e} rad/s), got {dt!r}")
-    # the burn-in must span BURN_IN_DECAY decay times of the slower mode
-    min_burn = math.ceil(BURN_IN_DECAY / slowest / dt)
-    burn = fields.number("burn_in", min_burn, integer=True, minimum=min_burn)
-    cfg = TrajectoryConfig(
-        dt=dt,
-        n_steps=fields.number("n_steps", 500_000, integer=True, minimum=burn + 1),
-        n_ensemble=fields.number("n_ensemble", 16, integer=True, minimum=1),
-        seed=fields.number("seed", 20240811, integer=True, minimum=0),
-        burn_in=burn,
-    )
-    segments = fields.number("segments_per_member", 8, integer=True, minimum=1)
+    run = dict(dt=fields.number("dt_s"),
+               n_steps=fields.number("n_steps", 500_000, integer=True),
+               n_ensemble=fields.number("n_ensemble", 16, integer=True),
+               seed=fields.number("seed", 20240811, integer=True, minimum=0),
+               burn_in=fields.number("burn_in", integer=True))
+    segments = fields.number("segments_per_member", 8, integer=True)
     fields.close()
+    a, d = auxiliary_block(spec)
     try:
-        _segment_length(cfg.n_steps - burn, segments)
-    except ValueError as err:
-        raise src.error("segments_per_member", str(err)) from None
-    # one ensemble gives both the spectrum of psi and the pair's covariance
-    spectrum = simulate_phase_noise(spec, cfg, segments_per_member=segments)
+        cfg = TrajectoryConfig.for_drift(a, **run)
+        # one ensemble gives both the spectrum of psi and the pair's
+        # covariance; the segment count is checked before it is propagated
+        spectrum = simulate_phase_noise(spec, cfg, segments_per_member=segments)
+    except (ValueError, UnstableTimestep) as err:
+        if not hasattr(err, "field"):
+            raise
+        raise src.error(_RUN_KEYS.get(err.field, err.field), str(err)) from None
     est = spectrum.covariance
     analytic = solve_lyapunov(a, d).matrix
 

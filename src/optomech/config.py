@@ -45,6 +45,11 @@ NOISE_SPELLINGS = (
                      "bandwidth_over_band_center": "omega_band"}, None),
 )
 _NOISE_QUANTITIES = {"none": 0, "white": 1, "bandpass": 3}  # leading entries taken
+# ``internal_params``: each internal name is its own spelling at factor 1,
+# and every noise quantity is there whatever the kind
+INTERNAL_PARAMETERS = tuple((name, {name: 1.0}, default)
+                            for name, _, default in PARAMETER_SPELLINGS)
+INTERNAL_NOISE = tuple((name, {name: 1.0}, 0.0) for name, _, _ in NOISE_SPELLINGS)
 
 _ABSENT = object()
 
@@ -174,27 +179,35 @@ class Fields:
             raise self.src.error(next(iter(self.rest)), f"unknown {what}")
 
 
-def _noise(fields: Fields) -> NoiseSpec:
+def _noise(fields: Fields, internal: bool) -> NoiseSpec:
     kind = fields.take("kind")
-    if kind not in _NOISE_QUANTITIES:
+    if not isinstance(kind, str) or kind not in _NOISE_QUANTITIES:
         raise fields.src.error("kind", "must be 'none', 'white' or 'bandpass'")
-    values = fields.quantities(NOISE_SPELLINGS[:_NOISE_QUANTITIES[kind]])
+    values = fields.quantities(
+        INTERNAL_NOISE if internal else NOISE_SPELLINGS[:_NOISE_QUANTITIES[kind]])
     fields.close(f"phase_noise field for kind {kind!r}")
-    return getattr(NoiseSpec, kind)(**values)
+    try:
+        return NoiseSpec(kind=kind, **values)
+    except ValueError as err:
+        raise fields.src.error("phase_noise", str(err)) from err
 
 
-def _params(fields: Fields) -> SystemParams:
+def _params(fields: Fields, internal: bool = False) -> SystemParams:
     """Take the parameter fields, or ``internal_params``, out of ``fields``."""
     src = fields.src
-    internal = fields.take("internal_params")
-    if internal is not None:
-        return params_from_internal(internal, src)
-    values = fields.quantities(PARAMETER_SPELLINGS)
+    resolved = None if internal else fields.object("internal_params")
+    if resolved is not None:
+        inner = Fields(*resolved)
+        params = _params(inner, internal=True)
+        inner.close("internal_params field")
+        return params
+    values = fields.quantities(INTERNAL_PARAMETERS if internal
+                               else PARAMETER_SPELLINGS)
     mode = fields.take("detuning_mode", EFFECTIVE)
     if mode not in (EFFECTIVE, BARE):
         raise src.error("detuning_mode", f"must be '{EFFECTIVE}' or '{BARE}'")
     noise = fields.object("phase_noise")
-    noise = NoiseSpec.none() if noise is None else _noise(Fields(*noise))
+    noise = NoiseSpec.none() if noise is None else _noise(Fields(*noise), internal)
     try:
         return SystemParams(**values, phase_noise=noise, detuning_mode=mode)
     except ValueError as err:
@@ -207,16 +220,6 @@ def params_from_config(doc: dict, src: _Source) -> SystemParams:
     params = _params(fields)
     fields.close("parameter field")
     return params
-
-
-def params_from_internal(doc: dict, src: _Source) -> SystemParams:
-    """Rebuild SystemParams from the resolved metadata emitted with results."""
-    try:
-        noise = NoiseSpec(**doc["phase_noise"])
-        fields = {k: v for k, v in doc.items() if k != "phase_noise"}
-        return SystemParams(phase_noise=noise, **fields)
-    except (KeyError, TypeError, ValueError) as err:
-        raise src.error("internal_params", str(err)) from err
 
 
 def extract_params(doc: dict, src: _Source) -> tuple[SystemParams, Fields]:
@@ -257,6 +260,9 @@ def sweep_from_config(doc: dict, src: _Source) -> SweepSpec:
     outputs = fields.take("outputs", list(OUTPUT_NAMES))
     if not isinstance(outputs, list):
         raise src.error("outputs", f"expected a list of output names, got {outputs!r}")
+    repeated = [name for i, name in enumerate(outputs) if name in outputs[:i]]
+    if repeated:
+        raise src.error("outputs", f"repeats {repeated[0]!r}")
     fields.close("sweep field")
     axes = [_axis(Fields(*parts[key]), key) for key in ("axis_x", "axis_y")]
     try:

@@ -309,6 +309,12 @@ def _horner(coeffs, x: np.ndarray) -> np.ndarray:
     return y
 
 
+# with finite coefficients the cubic is negative at I=0 and grows without
+# bound, so it lacks an admissible root only where finite inputs overflow
+_OVERFLOW = ("intensity cubic produced no admissible root: products of the "
+             "finite inputs overflow the float range")
+
+
 def _cubic_roots(coeffs: np.ndarray) -> np.ndarray:
     """``np.roots`` of every row of an (N, 4) coefficient stack, NaN-padded to (N, 3).
 
@@ -324,7 +330,10 @@ def _cubic_roots(coeffs: np.ndarray) -> np.ndarray:
     companion[:, 1, 0] = companion[:, 2, 1] = 1.0
     irregular = np.flatnonzero(~regular)
     companion[irregular] = 0.0
-    roots = np.linalg.eigvals(companion).astype(complex)
+    try:
+        roots = np.linalg.eigvals(companion).astype(complex)
+    except np.linalg.LinAlgError as err:  # an inf or NaN companion matrix
+        raise NoPhysicalRoot(_OVERFLOW) from err
     for i in irregular:
         r = np.roots(coeffs[i])
         roots[i] = np.nan
@@ -391,8 +400,9 @@ def solve_steady_state(params, branch: str = "lower") -> SteadyState:
     sequence of points, giving their stacked working points. One
     ``eigvals`` call finds the roots of every point's intensity cubic and
     the Newton polish runs on all of them at once, so a point gets the
-    same bits alone as inside a stack. Raises NoPhysicalRoot if a
-    bare-detuning point has no admissible root.
+    same bits alone as inside a stack. Raises NoPhysicalRoot, naming the
+    overflow, if a point's cubic overflows or a bare-detuning point has no
+    admissible root.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}")
@@ -423,9 +433,7 @@ def solve_steady_state(params, branch: str = "lower") -> SteadyState:
     admissible = roots == roots
     count = admissible.sum(axis=1)
     if (count[~effective] == 0).any():
-        # only where the cubic's coefficients overflow: with finite ones it
-        # is negative at I=0 and grows without bound
-        raise NoPhysicalRoot("intensity cubic produced no admissible root")
+        raise NoPhysicalRoot(_OVERFLOW)
     # effective mode: the closed-form intensity, tagged by the nearest root;
     # bare mode: the root the branch policy picks among three, else the one
     # fmin turns the NaN padding into inf, so it is never the nearest

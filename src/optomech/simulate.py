@@ -16,18 +16,29 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import LinearModel, auxiliary_block
+from .dynamics import auxiliary_block
 from .errors import UnstableTimestep
 from .parameters import NoiseSpec
 
+DT_DEFAULT = 0.09  # default dt * max|eigenvalue|
 DT_EIGENVALUE_GUARD = 0.1  # dt * max|eigenvalue| must stay below this
 BURN_IN_DECAY = 5.0  # required burn-in in units of the slowest decay time
 BLOCK_STEPS = 4096  # time steps drawn and propagated per block
 
 
+def _run_error(kind, field: str, message: str) -> Exception:
+    """``kind(message)`` carrying the run field it names as ``field``."""
+    err = kind(message)
+    err.field = field
+    return err
+
+
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """Time grid, ensemble size, and seed of a stochastic run."""
+    """Time grid, ensemble size, and seed of a stochastic run.
+
+    An error of a run names the field it is about and carries it as ``field``.
+    """
 
     dt: float
     n_steps: int
@@ -36,10 +47,23 @@ class TrajectoryConfig:
     burn_in: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.n_steps <= 0 or self.n_ensemble <= 0:
-            raise ValueError("dt, n_steps and n_ensemble must be positive")
+        for name in ("dt", "n_steps", "n_ensemble"):
+            if not getattr(self, name) > 0:
+                raise _run_error(ValueError, name, f"{name} must be positive")
         if not 0 <= self.burn_in < self.n_steps:
-            raise ValueError("burn_in must lie in [0, n_steps)")
+            raise _run_error(ValueError, "burn_in" if self.burn_in < 0 else "n_steps",
+                             f"burn_in of {self.burn_in} steps must lie in "
+                             f"[0, n_steps = {self.n_steps})")
+
+    @classmethod
+    def for_drift(cls, a, n_steps: int, n_ensemble: int, seed: int,
+                  dt: float | None = None, burn_in: int | None = None):
+        """The run on drift ``a``, checked by the run rule ``_check_timestep``.
+
+        An omitted ``dt`` or ``burn_in`` takes the rule's default.
+        """
+        dt, burn_in = _check_timestep(a, dt, burn_in)
+        return cls(dt, n_steps, n_ensemble, seed, burn_in)
 
 
 @dataclass(frozen=True)
@@ -65,24 +89,32 @@ class SpectrumEstimate:
     covariance: CovarianceEstimate
 
 
-def drift_rates(a: np.ndarray) -> tuple[float, float]:
-    """Largest eigenvalue modulus and slowest decay rate of a drift matrix."""
-    eigs = np.linalg.eigvals(a)
-    return float(np.max(np.abs(eigs))), float(np.min(-eigs.real))
+def _check_timestep(a, dt: float | None = None,
+                    burn_in: int | None = None) -> tuple[float, int]:
+    """The run rule: the checked timestep and burn-in of a run on drift ``a``.
 
-
-def _check_timestep(a: np.ndarray, cfg: TrajectoryConfig) -> None:
-    speed, slowest = drift_rates(a)
-    if cfg.dt * speed >= DT_EIGENVALUE_GUARD:
-        raise UnstableTimestep(
-            f"dt*max|eig| = {cfg.dt * speed:.3e} exceeds {DT_EIGENVALUE_GUARD}")
-    if slowest <= 0:
-        raise UnstableTimestep("drift must be Hurwitz for stationary sampling")
-    needed = BURN_IN_DECAY / slowest
-    if cfg.burn_in * cfg.dt < needed:
-        raise ValueError(
-            f"burn_in of {cfg.burn_in} steps is shorter than {BURN_IN_DECAY} "
-            f"decay times ({math.ceil(needed / cfg.dt)} steps)")
+    Checks in turn that the drift is Hurwitz, that dt*max|eig| lies in
+    (0, DT_EIGENVALUE_GUARD) (default DT_DEFAULT), and that the burn-in
+    spans BURN_IN_DECAY decay times of the slowest mode (default: just so).
+    """
+    eigs = np.linalg.eigvals(np.asarray(a, float))
+    speed, slowest = float(np.max(np.abs(eigs))), float(np.min(-eigs.real))
+    if not slowest > 0:
+        raise _run_error(UnstableTimestep, "drift", "drift must be Hurwitz for "
+                         f"stationary sampling (slowest decay rate {slowest:.6e})")
+    if dt is None:
+        dt = DT_DEFAULT / speed
+    if not 0 < dt * speed < DT_EIGENVALUE_GUARD:
+        raise _run_error(UnstableTimestep, "dt", f"dt must be > 0 with dt*max|eig| "
+                         f"< {DT_EIGENVALUE_GUARD} (max|eig| = {speed:.6e} rad/s), "
+                         f"got {dt!r}")
+    min_burn = math.ceil(BURN_IN_DECAY / slowest / dt)
+    if burn_in is None:
+        burn_in = min_burn
+    elif burn_in < min_burn:
+        raise _run_error(ValueError, "burn_in", f"burn_in of {burn_in} steps is "
+                         f"shorter than {BURN_IN_DECAY} decay times ({min_burn} steps)")
+    return dt, burn_in
 
 
 def exact_discretization(a: np.ndarray, d: np.ndarray,
@@ -124,7 +156,7 @@ def _propagate(a: np.ndarray, d: np.ndarray, cfg: TrajectoryConfig,
     forward by the powers of Phi, so log2(BLOCK_STEPS) passes give the
     recursion x_t = Phi x_(t-1) + w_t for any drift.
     """
-    _check_timestep(a, cfg)
+    _check_timestep(a, cfg.dt, cfg.burn_in)
     n = a.shape[0]
     phi, q = exact_discretization(a, d, cfg.dt)
     noise_l_t = _noise_factor(q).T
@@ -178,21 +210,17 @@ def estimate_stationary_covariance(a: np.ndarray, d: np.ndarray,
                               n_ensemble=cfg.n_ensemble)
 
 
-def simulate_linear_system(model: LinearModel,
-                           cfg: TrajectoryConfig) -> CovarianceEstimate:
-    """Monte-Carlo estimate of the stationary covariance of a linear model."""
-    if not model.stable:
-        raise UnstableTimestep("cannot sample the stationary state of an "
-                              "unstable model")
-    return estimate_stationary_covariance(model.drift, model.diffusion, cfg)
-
-
 def _segment_length(n_kept: int, segments_per_member: int) -> int:
     """Even Welch segment length giving the segment count at 50% overlap."""
+    if not segments_per_member >= 1:
+        raise _run_error(ValueError, "segments_per_member",
+                         "segments_per_member must be >= 1")
     seg_len = int(2 * n_kept // (segments_per_member + 1))
     seg_len -= seg_len % 2
     if seg_len < 8:
-        raise ValueError("series too short for the requested segment count")
+        raise _run_error(ValueError, "segments_per_member", "series too short for "
+                         f"segments_per_member = {segments_per_member} segments "
+                         "of 8 samples or more")
     return seg_len
 
 
@@ -233,24 +261,13 @@ def simulate_phase_noise(spec: NoiseSpec, cfg: TrajectoryConfig,
     pair from the same trajectories (as ``estimate_stationary_covariance``
     gives it).
     """
-    if spec.kind != "bandpass":
-        raise ValueError("the trajectory generator realizes bandpass noise")
-    a, d = auxiliary_block(spec)
+    a, d = auxiliary_block(spec)  # a ValueError unless the noise is bandpass
     # checked before anything is propagated
-    seg_len = _segment_length(cfg.n_steps - cfg.burn_in, segments_per_member)
-    if spec.gamma_l == 0.0:
-        # no drive: trajectories are identically zero
-        from scipy.fft import rfftfreq
-
-        _check_timestep(a, cfg)
-        omega = 2.0 * math.pi * rfftfreq(seg_len, d=cfg.dt)
-        values = se = np.zeros_like(omega)
-        per_member = np.zeros((cfg.n_ensemble, 2, 2))
-    else:
-        per_member, recording = _propagate(a, d, cfg, record=0)
-        omega, member_spectra = _welch_segments(recording, cfg.dt,
-                                                segments_per_member)
-        values, se = _ensemble_mean(member_spectra)
+    _segment_length(cfg.n_steps - cfg.burn_in, segments_per_member)
+    per_member, recording = _propagate(a, d, cfg, record=0)
+    omega, member_spectra = _welch_segments(recording, cfg.dt,
+                                            segments_per_member)
+    values, se = _ensemble_mean(member_spectra)
     mean, mean_se = _ensemble_mean(per_member)
     return SpectrumEstimate(
         frequencies=omega, values=values, standard_errors=se,

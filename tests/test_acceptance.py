@@ -252,11 +252,8 @@ def test_criterion_7_noise_generator_fidelity():
     start = time.time()
     spec = bandpass_100hz()
     a_aux, d_aux = auxiliary_block(spec)
-    eigs = np.linalg.eigvals(a_aux)
-    dt = 0.09 / float(np.max(np.abs(eigs)))
-    burn = math.ceil(5.0 / float(np.min(-eigs.real)) / dt)
-    cfg = TrajectoryConfig(dt=dt, n_steps=1_000_000, n_ensemble=16,
-                           seed=20240811, burn_in=burn)
+    cfg = TrajectoryConfig.for_drift(a_aux, n_steps=1_000_000, n_ensemble=16,
+                                     seed=20240811)
 
     estimate = simulate_phase_noise(spec, cfg, segments_per_member=8)
     grid = estimate.frequencies

@@ -31,6 +31,18 @@ GOOD_PARAMS = {
 }
 
 
+# GOOD_PARAMS resolved, as every result embeds it
+INTERNAL_PARAMS = {
+    "omega_m": 2 * math.pi * 1.0e7, "quality_factor": 2.0e6,
+    "kappa": math.pi * 1.0e7, "detuning": 2 * math.pi * 1.0e7, "g0": 1.0e3,
+    "laser_power": 0.02, "laser_wavelength": 810e-9, "bath_temperature": 0.4,
+    "phase_noise": {"kind": "bandpass", "gamma_l": 2 * math.pi * 100.0,
+                    "omega_band": 2 * math.pi * 5.0e4,
+                    "gamma_tilde": math.pi * 5.0e4},
+    "cavity_thermal_occupancy": 0.0, "detuning_mode": "effective",
+}
+
+
 SWEEP_DOC = {
     "axis_x": {"name": "power_mw", "min": 1, "max": 10, "count": 2},
     "axis_y": {"name": "kappa_over_omega_m", "min": 0.2, "max": 1.0,
@@ -305,6 +317,34 @@ class TestCli:
                      id="quality_factor-infinity"),
         pytest.param(["sweep"], {"axis_x": {**SWEEP_DOC["axis_x"], "max": -math.inf}},
                      "max", id="axis-max-minus-infinity"),
+        pytest.param(["spectrum"], {"internal_params": {**INTERNAL_PARAMS,
+                                                        "omega_m": True}},
+                     "omega_m", id="internal-omega_m-true"),
+        pytest.param(["spectrum"], {"internal_params": {
+            **INTERNAL_PARAMS, "cavity_thermal_occupancy": False}},
+            "cavity_thermal_occupancy", id="internal-occupancy-false"),
+        pytest.param(["spectrum"], {"internal_params": {**INTERNAL_PARAMS,
+                                                        "kappa": "1e7"}},
+                     "kappa", id="internal-kappa-string"),
+        pytest.param(["spectrum"], {"internal_params": {**INTERNAL_PARAMS,
+                                                        "extra": 1.0}},
+                     "extra", id="internal-unknown-key"),
+        pytest.param(["sweep"], {"outputs": ["e_n", "n_eff", "e_n"]}, "outputs",
+                     id="sweep-outputs-repeated"),
+        pytest.param(["validate"], {"phase_noise": {
+            **GOOD_PARAMS["phase_noise"], "bandwidth_over_band_center": 0}},
+            "phase_noise", id="validate-undamped-band"),
+        pytest.param(["spectrum"], {"phase_noise": {
+            **GOOD_PARAMS["phase_noise"], "linewidth_over_2pi_hz": -100.0}},
+            "phase_noise", id="linewidth-negative"),
+        pytest.param(["spectrum"], {"phase_noise": {"kind": ["bandpass"]}},
+                     "kind", id="noise-kind-list"),
+        pytest.param(["validate"], {"n_steps": 100}, "n_steps",
+                     id="n_steps-below-burn-in"),
+        pytest.param(["validate"], {"n_ensemble": 0}, "n_ensemble",
+                     id="n_ensemble-0"),
+        pytest.param(["validate"], {"segments_per_member": 0},
+                     "segments_per_member", id="segments-0"),
     ])
     def test_bad_run_value_exits_1_naming_it(self, tmp_path, capsys, monkeypatch,
                                              argv, fields, name):
@@ -347,7 +387,8 @@ class TestCli:
 
         monkeypatch.setattr(config.Fields, "take", spy)
         monkeypatch.setattr(cli, "simulate_phase_noise", stop)
-        for doc in (GOOD_PARAMS, {"params": GOOD_PARAMS}):
+        for doc in (GOOD_PARAMS, {"params": GOOD_PARAMS},
+                    {"internal_params": INTERNAL_PARAMS}):
             extract_params(*load_document(write_json(tmp_path, "p.json", doc)))
         for doc in (SWEEP_DOC, {"recipe": "fig2b", "grid": [2, 2]}):
             sweep_from_config(*load_document(write_json(tmp_path, "s.json", doc)))
@@ -361,8 +402,8 @@ class TestCli:
                       "--out-dir", str(tmp_path)])
         # one key of each reader, so a spy that missed one fails here
         assert {"kappa_rad_s", "bandwidth_over_band_center", "internal_params",
-                "params", "count", "grid", "outputs", "tau_max_s",
-                "segments_per_member"} <= taken
+                "gamma_tilde", "params", "count", "grid", "outputs",
+                "tau_max_s", "segments_per_member"} <= taken
 
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
         schema = readme.split("### Parameter file schema")[1].split("\n## ")[0]

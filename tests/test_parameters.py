@@ -62,6 +62,17 @@ class TestSteadyState:
                 NoPhysicalRoot, match="intensity cubic produced no admissible root"):
             solve_steady_state(p)
 
+    @pytest.mark.parametrize("g0", [1e3, 0.0], ids=["coupled", "uncoupled"])
+    def test_overflow_is_named(self, g0):
+        # the coupled cubic's companion matrix holds inf, which eigvals
+        # rejects; the uncoupled one's root inf/inf is NaN
+        p = make_params(g0=g0, kappa=1e200, laser_power=1e200,
+                        detuning_mode="bare")
+        with np.errstate(all="ignore"), pytest.raises(
+                NoPhysicalRoot, match="intensity cubic produced no admissible "
+                                      "root: .* overflow the float range"):
+            solve_steady_state(p)
+
     def test_zero_drive(self):
         ss = solve_steady_state(make_params(laser_power=0.0, detuning_mode="bare"))
         assert ss.alpha_abs == 0.0

@@ -11,9 +11,8 @@ import scipy.linalg
 import optomech
 from optomech import (NoiseSpec, TrajectoryConfig, build_model,
                       estimate_stationary_covariance, exact_discretization,
-                      phase_noise_spectrum, simulate_linear_system,
-                      simulate_phase_noise, solve_lyapunov, solve_steady_state,
-                      thermal_occupancy)
+                      phase_noise_spectrum, simulate_phase_noise,
+                      solve_lyapunov, solve_steady_state, thermal_occupancy)
 from optomech.dynamics import auxiliary_block, drift_abscissa
 from optomech.errors import UnstableTimestep
 from optomech.simulate import BLOCK_STEPS, _noise_factor, _propagate
@@ -23,15 +22,12 @@ from conftest import OMEGA_M, bandpass_100hz, make_params
 
 def aux_config(spec, n_steps=200_000, n_ensemble=8, seed=20240811):
     a, _ = auxiliary_block(spec)
-    eigs = np.linalg.eigvals(a)
-    dt = 0.09 / float(np.max(np.abs(eigs)))
-    burn = math.ceil(5.0 / float(np.min(-eigs.real)) / dt)
-    return TrajectoryConfig(dt=dt, n_steps=n_steps, n_ensemble=n_ensemble,
-                            seed=seed, burn_in=burn)
+    return TrajectoryConfig.for_drift(a, n_steps=n_steps, n_ensemble=n_ensemble,
+                                      seed=seed)
 
 
 def scan_test_drift(name):
-    """(drift, diffusion, dt) of the systems the block scan is pinned on."""
+    """(drift, diffusion, dt or None) of the systems the block scan is pinned on."""
     if name == "ornstein-uhlenbeck":
         return np.array([[-1.0]]), np.array([[4.0]]), 0.05
     if name == "bandpass-pair":
@@ -47,7 +43,7 @@ def scan_test_drift(name):
             2.0 * math.pi * 1e3, OMEGA_M, OMEGA_M / 2.0))
         model = build_model(p, solve_steady_state(p))
         a, d = model.drift, model.diffusion
-    return a, d, 0.09 / float(np.max(np.abs(np.linalg.eigvals(a))))
+    return a, d, None  # the run rule's default timestep
 
 
 def per_step_reference(a, d, cfg, record):
@@ -85,8 +81,8 @@ class TestBlockScan:
             "whole-blocks": (3 * BLOCK_STEPS, BLOCK_STEPS),
         }[layout]
         a, d, dt = scan_test_drift(drift)
-        cfg = TrajectoryConfig(dt=dt, n_steps=n_steps, n_ensemble=3,
-                               seed=97, burn_in=burn_in)
+        cfg = TrajectoryConfig.for_drift(a, n_steps=n_steps, n_ensemble=3,
+                                         seed=97, dt=dt, burn_in=burn_in)
         record = a.shape[0] - 1
         moments, recording = _propagate(a, d, cfg, record=record)
         ref_moments, ref_recording = per_step_reference(a, d, cfg, record)
@@ -207,6 +203,46 @@ class TestTrajectoryContract:
         with pytest.raises(ValueError):
             estimate_stationary_covariance(a, d, short)
 
+    def test_run_rule_defaults(self):
+        # the reference band: max|eig| = omega_band, slower decay rate
+        # gamma_tilde/2 = omega_band/4, so 5 decay times at dt*max|eig| =
+        # 0.09 are ceil(20/0.09) = 223 steps
+        spec = bandpass_100hz()
+        a, _ = auxiliary_block(spec)
+        cfg = TrajectoryConfig.for_drift(a, n_steps=1000, n_ensemble=2, seed=1)
+        assert cfg.dt * spec.omega_band == pytest.approx(0.09, rel=1e-12)
+        assert cfg.burn_in == 223
+        assert TrajectoryConfig.for_drift(a, 1000, 2, 1, dt=cfg.dt,
+                                          burn_in=223) == cfg
+
+    @pytest.mark.parametrize("gamma_tilde, run, error, field", [
+        # the Hurwitz check comes before the dt guard and the burn-in
+        (0.0, dict(dt=1e-5, burn_in=1), UnstableTimestep, "drift"),
+        # the dt guard comes before the burn-in
+        (None, dict(dt=1e-5, burn_in=1), UnstableTimestep, "dt"),
+        (None, dict(dt=-1e-7), UnstableTimestep, "dt"),
+        (None, dict(burn_in=222), ValueError, "burn_in"),
+        (None, dict(n_steps=223), ValueError, "n_steps"),
+        (None, dict(n_ensemble=0), ValueError, "n_ensemble"),
+    ])
+    def test_run_rule_names_the_field(self, gamma_tilde, run, error, field):
+        spec = bandpass_100hz()
+        if gamma_tilde is not None:
+            spec = NoiseSpec.bandpass(spec.gamma_l, spec.omega_band, gamma_tilde)
+        a, _ = auxiliary_block(spec)
+        with pytest.raises(error, match=field) as info:
+            TrajectoryConfig.for_drift(a, **{**dict(n_steps=1000, n_ensemble=2,
+                                                    seed=1), **run})
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("segments", [0, 20_000])
+    def test_segment_count_names_the_field(self, segments):
+        spec = bandpass_100hz()
+        with pytest.raises(ValueError, match="segments_per_member") as info:
+            simulate_phase_noise(spec, aux_config(spec, n_steps=20_000),
+                                 segments_per_member=segments)
+        assert info.value.field == "segments_per_member"
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrajectoryConfig(dt=0.0, n_steps=10, n_ensemble=1, seed=0)
@@ -264,12 +300,9 @@ class TestAgainstAnalytics:
         p = make_params(quality_factor=50.0, phase_noise=bandpass_100hz())
         ss = solve_steady_state(p)
         model = build_model(p, ss)
-        eigs = np.linalg.eigvals(model.drift)
-        dt = 0.09 / float(np.max(np.abs(eigs)))
-        burn = math.ceil(5.0 / float(np.min(-eigs.real)) / dt)
-        cfg = TrajectoryConfig(dt=dt, n_steps=220_000, n_ensemble=8,
-                               seed=777, burn_in=burn)
-        est = simulate_linear_system(model, cfg)
+        cfg = TrajectoryConfig.for_drift(model.drift, n_steps=220_000,
+                                         n_ensemble=8, seed=777)
+        est = estimate_stationary_covariance(model.drift, model.diffusion, cfg)
         analytic = solve_lyapunov(model.drift, model.diffusion).matrix
         gap = np.abs(est.matrix - analytic)
         tol = 3.0 * est.standard_errors + 1e-9 * np.abs(analytic).max()
@@ -279,12 +312,9 @@ class TestAgainstAnalytics:
         p = make_params(quality_factor=50.0, laser_power=0.0)
         ss = solve_steady_state(p)
         model = build_model(p, ss)
-        eigs = np.linalg.eigvals(model.drift)
-        dt = 0.09 / float(np.max(np.abs(eigs)))
-        burn = math.ceil(5.0 / float(np.min(-eigs.real)) / dt)
-        cfg = TrajectoryConfig(dt=dt, n_steps=150_000, n_ensemble=8,
-                               seed=2024, burn_in=burn)
-        est = simulate_linear_system(model, cfg)
+        cfg = TrajectoryConfig.for_drift(model.drift, n_steps=150_000,
+                                         n_ensemble=8, seed=2024)
+        est = estimate_stationary_covariance(model.drift, model.diffusion, cfg)
         n = thermal_occupancy(OMEGA_M, 0.4)
         target = np.diag([n + 0.5, n + 0.5, 0.5, 0.5])
         gap = np.abs(est.matrix - target)
@@ -310,4 +340,5 @@ class TestAgainstAnalytics:
         assert not unstable.stable
         cfg = TrajectoryConfig(dt=1e-9, n_steps=1000, n_ensemble=2, seed=1)
         with pytest.raises(UnstableTimestep):
-            simulate_linear_system(unstable, cfg)
+            estimate_stationary_covariance(unstable.drift, unstable.diffusion,
+                                           cfg)

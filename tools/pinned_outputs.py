@@ -7,7 +7,8 @@ the fig2a/fig2b/fig7b recipes at 30x30 and fig2b at 40x40, two explicit
 sweep documents (white noise at a bare detuning; bandpass noise, run with
 --jobs 2), the reference point and a bistable bare-detuning point with
 their models, the spectrum tables, and validate at 40000 steps (4 members,
-seed 11) and at its defaults. The input documents are written to
+seed 11) with its default and with an explicit timestep and burn-in, and
+at its defaults. The input documents are written to
 OUT_DIR/inputs. Then runs each script of the tree's demos/ directory on
 that tree's package, in OUT_DIR/demos, which receives the files a demo
 writes, and keeps its standard output as OUT_DIR/demos/<name>.stdout.
@@ -63,6 +64,9 @@ INPUTS = {
     "ref.json": REFERENCE,
     "spectrum.json": {**REFERENCE, "omega_count": 200, "tau_count": 21},
     "val40k.json": {**REFERENCE, "n_steps": 40000, "n_ensemble": 4, "seed": 11},
+    # dt*max|eig| = 0.063 below the 0.1 guard, burn-in above its 319 steps
+    "valexp.json": {**REFERENCE, "n_steps": 40000, "n_ensemble": 4, "seed": 11,
+                    "dt_s": 2e-7, "burn_in": 500},
 }
 
 
@@ -95,6 +99,8 @@ def _runs(inputs: str, out: str) -> list[tuple[list[str], str | None]]:
           "--out-dir", os.path.join(out, "val40k")], None),
         (["validate", "--config", cfg("ref.json"),
           "--out-dir", os.path.join(out, "valdef")], None),
+        (["validate", "--config", cfg("valexp.json"),
+          "--out-dir", os.path.join(out, "valexp")], None),
     ]
     return runs
 
