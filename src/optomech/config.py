@@ -260,9 +260,6 @@ def sweep_from_config(doc: dict, src: _Source) -> SweepSpec:
     outputs = fields.take("outputs", list(OUTPUT_NAMES))
     if not isinstance(outputs, list):
         raise src.error("outputs", f"expected a list of output names, got {outputs!r}")
-    repeated = [name for i, name in enumerate(outputs) if name in outputs[:i]]
-    if repeated:
-        raise src.error("outputs", f"repeats {repeated[0]!r}")
     fields.close("sweep field")
     axes = [_axis(Fields(*parts[key]), key) for key in ("axis_x", "axis_y")]
     try:
@@ -270,7 +267,7 @@ def sweep_from_config(doc: dict, src: _Source) -> SweepSpec:
                          fixed=params_from_config(*parts["fixed"]),
                          outputs=tuple(outputs))
     except ValueError as err:
-        raise src.error(None, str(err)) from err
+        raise src.error(getattr(err, "field", None), str(err)) from err
 
 
 def _axis(fields: Fields, key: str) -> SweepAxis:

@@ -5,6 +5,13 @@ class OptomechError(Exception):
     """Base class for all package errors."""
 
 
+def field_error(kind, field: str, message: str) -> Exception:
+    """``kind(message)`` carrying the input field it names as ``field``."""
+    err = kind(message)
+    err.field = field
+    return err
+
+
 class NoPhysicalRoot(OptomechError):
     """The steady-state cubic produced no admissible nonnegative real root."""
 

@@ -401,8 +401,8 @@ def solve_steady_state(params, branch: str = "lower") -> SteadyState:
     ``eigvals`` call finds the roots of every point's intensity cubic and
     the Newton polish runs on all of them at once, so a point gets the
     same bits alone as inside a stack. Raises NoPhysicalRoot, naming the
-    overflow, if a point's cubic overflows or a bare-detuning point has no
-    admissible root.
+    overflow, if a point's cubic or closed-form intensity overflows or a
+    bare-detuning point has no admissible root.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}")
@@ -430,10 +430,7 @@ def solve_steady_state(params, branch: str = "lower") -> SteadyState:
         # without coupling the cubic degenerates to its linear term
         roots[~coupled, 0] = (e0_sq / linear)[~coupled]
 
-    admissible = roots == roots
-    count = admissible.sum(axis=1)
-    if (count[~effective] == 0).any():
-        raise NoPhysicalRoot(_OVERFLOW)
+    count = (roots == roots).sum(axis=1)
     # effective mode: the closed-form intensity, tagged by the nearest root;
     # bare mode: the root the branch policy picks among three, else the one
     # fmin turns the NaN padding into inf, so it is never the nearest
@@ -441,6 +438,10 @@ def solve_steady_state(params, branch: str = "lower") -> SteadyState:
     idx = np.where(effective, distance.argmin(axis=1),
                    (count == 3) * _BRANCHES.index(branch))
     intensity = np.where(effective, closed_form, roots[np.arange(len(p)), idx])
+    # NaN where a bare-detuning point has no admissible root, and NaN or inf
+    # where an effective-detuning point's closed form overflows
+    if not np.isfinite(intensity).all():
+        raise NoPhysicalRoot(_OVERFLOW)
     alpha_abs = np.sqrt(intensity)
     ss = SteadyState(
         alpha_abs=alpha_abs,

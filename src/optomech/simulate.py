@@ -17,20 +17,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .dynamics import auxiliary_block
-from .errors import UnstableTimestep
+from .errors import UnstableTimestep, field_error
 from .parameters import NoiseSpec
 
 DT_DEFAULT = 0.09  # default dt * max|eigenvalue|
 DT_EIGENVALUE_GUARD = 0.1  # dt * max|eigenvalue| must stay below this
 BURN_IN_DECAY = 5.0  # required burn-in in units of the slowest decay time
 BLOCK_STEPS = 4096  # time steps drawn and propagated per block
-
-
-def _run_error(kind, field: str, message: str) -> Exception:
-    """``kind(message)`` carrying the run field it names as ``field``."""
-    err = kind(message)
-    err.field = field
-    return err
 
 
 @dataclass(frozen=True)
@@ -49,11 +42,11 @@ class TrajectoryConfig:
     def __post_init__(self):
         for name in ("dt", "n_steps", "n_ensemble"):
             if not getattr(self, name) > 0:
-                raise _run_error(ValueError, name, f"{name} must be positive")
+                raise field_error(ValueError, name, f"{name} must be positive")
         if not 0 <= self.burn_in < self.n_steps:
-            raise _run_error(ValueError, "burn_in" if self.burn_in < 0 else "n_steps",
-                             f"burn_in of {self.burn_in} steps must lie in "
-                             f"[0, n_steps = {self.n_steps})")
+            raise field_error(ValueError, "burn_in" if self.burn_in < 0 else "n_steps",
+                              f"burn_in of {self.burn_in} steps must lie in "
+                              f"[0, n_steps = {self.n_steps})")
 
     @classmethod
     def for_drift(cls, a, n_steps: int, n_ensemble: int, seed: int,
@@ -100,20 +93,20 @@ def _check_timestep(a, dt: float | None = None,
     eigs = np.linalg.eigvals(np.asarray(a, float))
     speed, slowest = float(np.max(np.abs(eigs))), float(np.min(-eigs.real))
     if not slowest > 0:
-        raise _run_error(UnstableTimestep, "drift", "drift must be Hurwitz for "
-                         f"stationary sampling (slowest decay rate {slowest:.6e})")
+        raise field_error(UnstableTimestep, "drift", "drift must be Hurwitz for "
+                          f"stationary sampling (slowest decay rate {slowest:.6e})")
     if dt is None:
         dt = DT_DEFAULT / speed
     if not 0 < dt * speed < DT_EIGENVALUE_GUARD:
-        raise _run_error(UnstableTimestep, "dt", f"dt must be > 0 with dt*max|eig| "
-                         f"< {DT_EIGENVALUE_GUARD} (max|eig| = {speed:.6e} rad/s), "
-                         f"got {dt!r}")
+        raise field_error(UnstableTimestep, "dt", f"dt must be > 0 with dt*max|eig| "
+                          f"< {DT_EIGENVALUE_GUARD} (max|eig| = {speed:.6e} rad/s), "
+                          f"got {dt!r}")
     min_burn = math.ceil(BURN_IN_DECAY / slowest / dt)
     if burn_in is None:
         burn_in = min_burn
     elif burn_in < min_burn:
-        raise _run_error(ValueError, "burn_in", f"burn_in of {burn_in} steps is "
-                         f"shorter than {BURN_IN_DECAY} decay times ({min_burn} steps)")
+        raise field_error(ValueError, "burn_in", f"burn_in of {burn_in} steps is "
+                          f"shorter than {BURN_IN_DECAY} decay times ({min_burn} steps)")
     return dt, burn_in
 
 
@@ -211,17 +204,30 @@ def estimate_stationary_covariance(a: np.ndarray, d: np.ndarray,
 
 
 def _segment_length(n_kept: int, segments_per_member: int) -> int:
-    """Even Welch segment length giving the segment count at 50% overlap."""
+    """Welch segment length fitting at least the segment count at 50% overlap.
+
+    The largest even 5-smooth length (factors 2, 3 and 5 only) of at most
+    2*n_kept // (segments_per_member + 1) samples: the FFT of such a length
+    is a mixed-radix transform, never a Bluestein one, which costs several
+    times as much. The grid is rfftfreq of this length.
+    """
     if not segments_per_member >= 1:
-        raise _run_error(ValueError, "segments_per_member",
-                         "segments_per_member must be >= 1")
-    seg_len = int(2 * n_kept // (segments_per_member + 1))
-    seg_len -= seg_len % 2
-    if seg_len < 8:
-        raise _run_error(ValueError, "segments_per_member", "series too short for "
-                         f"segments_per_member = {segments_per_member} segments "
-                         "of 8 samples or more")
-    return seg_len
+        raise field_error(ValueError, "segments_per_member",
+                          "segments_per_member must be >= 1")
+    half = int(2 * n_kept // (segments_per_member + 1)) // 2
+    if half < 4:
+        raise field_error(ValueError, "segments_per_member", "series too short for "
+                          f"segments_per_member = {segments_per_member} segments "
+                          "of 8 samples or more")
+    smooth = 4
+    odd = 1  # 3^i 5^j; each takes the largest power of two that fits
+    while odd <= half:
+        part = odd
+        while part <= half:
+            smooth = max(smooth, part << ((half // part).bit_length() - 1))
+            part *= 3
+        odd *= 5
+    return 2 * smooth
 
 
 def _welch_segments(series: np.ndarray, dt: float,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LinearModel, build_model, stability_margin
-from .errors import PointEvaluationError
+from .errors import PointEvaluationError, field_error
 from .lyapunov import reduce_to_optomechanical, solve_lyapunov
 from .measures import log_negativity, occupancy
 from .output import (Columns, format_column, tool_metadata, write_document,
@@ -72,10 +72,16 @@ class SweepSpec:
         if self.axis_x.name == self.axis_y.name:
             raise ValueError("sweep axes must be distinct")
         if not self.outputs:
-            raise ValueError(f"no outputs requested; valid outputs: {OUTPUT_NAMES}")
+            raise field_error(ValueError, "outputs", "no outputs requested; "
+                              f"valid outputs: {OUTPUT_NAMES}")
         bad = [o for o in self.outputs if o not in OUTPUT_NAMES]
         if bad:
-            raise ValueError(f"unknown outputs {bad}; valid outputs: {OUTPUT_NAMES}")
+            raise field_error(ValueError, "outputs", f"unknown outputs {bad}; "
+                              f"valid outputs: {OUTPUT_NAMES}")
+        repeated = [o for i, o in enumerate(self.outputs) if o in self.outputs[:i]]
+        if repeated:
+            raise field_error(ValueError, "outputs", "outputs repeat "
+                              f"{repeated[0]!r}; each output is one column")
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,8 @@ class TestCli:
         pytest.param(["spectrum"], {"tau_count": -3}, "tau_count",
                      id="tau_count-neg"),
         pytest.param(["sweep"], {"outputs": 5}, "outputs", id="sweep-outputs-5"),
+        pytest.param(["sweep"], {"outputs": ["e_n", "purity"]}, "outputs",
+                     id="sweep-outputs-unknown"),
         pytest.param(["sweep"], {"fixed": 5}, "fixed", id="sweep-fixed-5"),
         pytest.param(["sweep"], {"recipe": 5}, "recipe", id="sweep-recipe-5"),
         pytest.param(["sweep"], {"output": ["e_n"]}, "output",

@@ -62,12 +62,14 @@ class TestSteadyState:
                 NoPhysicalRoot, match="intensity cubic produced no admissible root"):
             solve_steady_state(p)
 
+    @pytest.mark.parametrize("mode", ["bare", "effective"])
     @pytest.mark.parametrize("g0", [1e3, 0.0], ids=["coupled", "uncoupled"])
-    def test_overflow_is_named(self, g0):
+    def test_overflow_is_named(self, g0, mode):
         # the coupled cubic's companion matrix holds inf, which eigvals
-        # rejects; the uncoupled one's root inf/inf is NaN
+        # rejects; the uncoupled one's root and the effective closed form
+        # inf/inf are NaN
         p = make_params(g0=g0, kappa=1e200, laser_power=1e200,
-                        detuning_mode="bare")
+                        detuning_mode=mode)
         with np.errstate(all="ignore"), pytest.raises(
                 NoPhysicalRoot, match="intensity cubic produced no admissible "
                                       "root: .* overflow the float range"):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import optomech
 from optomech import (NoiseSpec, TrajectoryConfig, build_model,
@@ -15,7 +17,8 @@ from optomech import (NoiseSpec, TrajectoryConfig, build_model,
                       solve_lyapunov, solve_steady_state, thermal_occupancy)
 from optomech.dynamics import auxiliary_block, drift_abscissa
 from optomech.errors import UnstableTimestep
-from optomech.simulate import BLOCK_STEPS, _noise_factor, _propagate
+from optomech.simulate import (BLOCK_STEPS, _noise_factor, _propagate,
+                               _segment_length)
 
 from conftest import OMEGA_M, bandpass_100hz, make_params
 
@@ -249,6 +252,49 @@ class TestTrajectoryContract:
         with pytest.raises(ValueError):
             TrajectoryConfig(dt=1.0, n_steps=10, n_ensemble=1, seed=0,
                              burn_in=10)
+
+
+# every even 5-smooth length up to 2e6 samples, built from its factors
+SMOOTH_EVEN = sorted(2 ** i * 3 ** j * 5 ** k for i in range(1, 21)
+                     for j in range(13) for k in range(9)
+                     if 2 ** i * 3 ** j * 5 ** k <= 2_000_000)
+
+
+class TestSegmentLength:
+    @settings(max_examples=300, deadline=None)
+    @example(n_kept=0, segments=1)
+    @example(n_kept=35, segments=8)
+    @example(n_kept=36, segments=8)
+    @given(n_kept=st.integers(0, 2_000_000), segments=st.integers(1, 64))
+    def test_largest_even_5_smooth_length(self, n_kept, segments):
+        cap = 2 * n_kept // (segments + 1)
+        if cap < 8:
+            with pytest.raises(ValueError, match="series too short") as info:
+                _segment_length(n_kept, segments)
+            assert info.value.field == "segments_per_member"
+            return
+        seg_len = _segment_length(n_kept, segments)
+        assert seg_len >= 8
+        assert seg_len == max(n for n in SMOOTH_EVEN if n <= cap)
+        assert (n_kept - seg_len) // (seg_len // 2) + 1 >= segments
+
+    def test_tiny_series_terminate(self):
+        # n_kept = 0 and series below the 8-sample floor end in the error
+        for n_kept in range(36):
+            for segments in (1, 8, 1000):
+                if 2 * n_kept // (segments + 1) < 8:
+                    with pytest.raises(ValueError, match="series too short"):
+                        _segment_length(n_kept, segments)
+                else:
+                    assert _segment_length(n_kept, segments) >= 8
+
+    @pytest.mark.parametrize("n_steps, seg_len", [
+        (500_000, 110_592),  # validate's defaults: 2^12 3^3
+        (1_000_000, 221_184),  # acceptance criterion 7: 2^13 3^3
+    ])
+    def test_default_runs(self, n_steps, seg_len):
+        cfg = aux_config(bandpass_100hz(), n_steps=n_steps)
+        assert _segment_length(cfg.n_steps - cfg.burn_in, 8) == seg_len
 
 
 class TestAgainstAnalytics:

@@ -120,6 +120,13 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match="valid outputs"):
             small_spec(outputs=("e_n", "purity"))
 
+    def test_repeated_outputs_rejected(self):
+        # one column per output: a repeat would write the column twice
+        with pytest.raises(ValueError, match="outputs repeat 'e_n'") as info:
+            dataclasses.replace(figure_recipe("fig2b", grid=(2, 2)),
+                                outputs=("e_n", "e_n"))
+        assert info.value.field == "outputs"
+
     def test_log_axis_values(self):
         axis = SweepAxis("power_mw", 1.0, 100.0, 3, scale="log")
         np.testing.assert_allclose(axis.values(), [1.0, 10.0, 100.0], rtol=1e-12)
