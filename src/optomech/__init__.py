@@ -31,8 +31,7 @@ from .spectral import (EffectiveResponse, ScatteringRates,
                        laser_correlation, optimal_detuning_and_max_en,
                        scattering_rates, static_phase_noise_heating,
                        threshold_eta_minus)
-from .sweep import (OUTPUT_NAMES, PipelineColumns, PointColumns,
-                    PointEvaluation, PointResult, SweepAxis, SweepResult,
+from .sweep import (OUTPUT_NAMES, PointResult, SweepAxis, SweepResult,
                     SweepSpec, apply_axis, default_fixed_params,
                     emit_figure_data, evaluate_batch, evaluate_point,
                     figure_recipe, run_pipeline, run_sweep)

@@ -37,12 +37,12 @@ _RUN_KEYS = {"drift": "phase_noise", "dt": "dt_s"}
 def _cmd_point(args) -> int:
     doc, src = load_document(args.config)
     params = params_from_config(doc, src)
-    evaluation = run_pipeline([params])[0]
+    results, _, ((_, model),) = run_pipeline([params])
     if args.dump_model:
-        write_document(args.dump_model, evaluation.model.to_document())
+        write_document(args.dump_model, model[0].to_document())
     meta = tool_metadata(internal_params=dataclasses.asdict(params))
     write_document(args.out, {"metadata": meta,
-                              "result": dataclasses.asdict(evaluation.result)})
+                              "result": dataclasses.asdict(results[0])})
     return EXIT_OK
 
 

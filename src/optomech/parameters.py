@@ -114,6 +114,15 @@ def _take(record, idx):
         for name, value in vars(record).items()})
 
 
+def _concatenate(records):
+    """The stack of a sequence of stacked records of one type, in order."""
+    first = records[0]
+    return _unchecked(type(first), {
+        name: (_concatenate if isinstance(value, NoiseSpec) else np.concatenate)(
+            [vars(r)[name] for r in records])
+        for name, value in vars(first).items()})
+
+
 def _broadcast(value, shape):
     """One value, or one per point, as a field of a stack of ``shape``."""
     if isinstance(value, NoiseSpec):

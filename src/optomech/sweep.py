@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LinearModel, build_model, stability_margin
+from .dynamics import build_model, stability_margin
 from .errors import PointEvaluationError, field_error
 from .lyapunov import reduce_to_optomechanical, solve_lyapunov
 from .measures import log_negativity, occupancy
 from .output import (Columns, format_column, tool_metadata, write_document,
                      write_table)
-from .parameters import (EFFECTIVE, NoiseSpec, SteadyState, SystemParams,
+from .parameters import (EFFECTIVE, NoiseSpec, SystemParams, _concatenate,
                          solve_steady_state)
 from .spectral import approx_n_eff
 
@@ -86,7 +86,13 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class PointResult:
-    """Everything evaluate_point knows about one working point."""
+    """What the point pipeline knows about one working point, or a stack.
+
+    A point holds one value per field, None where a field is null. A stack
+    of N points is the same record with one array item per point in every
+    field; there a null is NaN in a float field and None in ``error``, and
+    ``results[i]`` is the point ``i``.
+    """
 
     stable: bool
     stability_margin: float | None
@@ -103,10 +109,16 @@ class PointResult:
     heisenberg_min: float | None = None
     error: str | None = None
 
-    def output(self, name: str) -> float | None:
-        if name not in OUTPUT_NAMES:
-            raise ValueError(f"unknown output {name!r}")
-        return getattr(self, name)
+    def __len__(self) -> int:
+        return len(self.stable)
+
+    def __getitem__(self, i: int) -> "PointResult":
+        """The point ``i`` of a stack."""
+        values = {name: getattr(self, name).item(i) for name in _FIELDS}
+        for name in _NULLABLE:
+            if values[name] != values[name]:
+                values[name] = None
+        return PointResult(**values)
 
 
 _FIELDS = tuple(f.name for f in dataclasses.fields(PointResult))
@@ -115,52 +127,16 @@ _FIELDS = tuple(f.name for f in dataclasses.fields(PointResult))
 _MEASURED = {"e_n": "log_negativity", "eta_minus": "eta_minus",
              "raw_log_negativity": "raw_log_negativity", "n_eff": "n_eff",
              "energy_j": "energy", "heisenberg_min": "heisenberg_min"}
-_NULLABLE = ("stability_margin", "n_eff_approx", "error", *_MEASURED)
+# the float fields a point may lack: NaN in a stack, None in a point
+_NULLABLE = ("stability_margin", "n_eff_approx", *_MEASURED)
 
 
-class PointColumns(Columns):
-    """Results of many points: one array per PointResult field, row-aligned.
-
-    It is also the sequence of its rows, each a PointResult view.
-    """
-
-    def __getitem__(self, i: int) -> PointResult:
-        null = self.null
-        return PointResult(*(None if name in null and null[name][i]
-                             else self.values[name].item(i) for name in _FIELDS))
-
-    def __iter__(self):
-        return iter(self.rows())
-
-    def rows(self) -> tuple[PointResult, ...]:
-        """Every row as a PointResult, None where a field is null."""
-        lists = []
-        for name in _FIELDS:
-            items = self.values[name].tolist()
-            if name in self.null:
-                items = [None if n else v
-                         for v, n in zip(items, self.null[name].tolist())]
-            lists.append(items)
-        return tuple(PointResult(*row) for row in zip(*lists))
-
-    @classmethod
-    def concatenate(cls, parts) -> "PointColumns":
-        parts = list(parts)
-        return cls(values={name: np.concatenate([p.values[name] for p in parts])
-                           for name in _FIELDS},
-                   null={name: np.concatenate([p.null[name] for p in parts])
-                         for name in parts[0].null})
-
-    @classmethod
-    def error_row(cls, message: str) -> "PointColumns":
-        """The row of a point whose evaluation failed with ``message``."""
-        values = dict(stable=np.zeros(1, dtype=bool), branch=np.array(["error"]),
-                      error=np.array([message], dtype=object))
-        values.update((name, np.full(1, np.nan)) for name in _FIELDS
-                      if name not in values)
-        null = {name: np.ones(1, dtype=bool) for name in _NULLABLE}
-        null["error"] = np.zeros(1, dtype=bool)
-        return cls(values=values, null=null)
+def _failed(message: str) -> PointResult:
+    """The stack of one point whose evaluation failed with ``message``."""
+    values = {name: np.full(1, np.nan) for name in _FIELDS}
+    values.update(stable=np.zeros(1, dtype=bool), branch=np.array(["error"]),
+                  error=np.array([message], dtype=object))
+    return PointResult(**values)
 
 
 def apply_axis(params, name: str, value):
@@ -186,44 +162,12 @@ def _stage(name: str, func, *args, **kwargs):
         raise PointEvaluationError(name, str(err)) from err
 
 
-@dataclass(frozen=True)
-class PointEvaluation:
-    """One point's result with the working point and linear model behind it."""
-
-    result: PointResult
-    steady_state: SteadyState
-    model: LinearModel
-
-
-@dataclass(frozen=True)
-class PipelineColumns:
-    """What the point pipeline knows about many points, column by column.
-
-    ``models`` holds one ``(indices, LinearModel)`` stack per model order.
-    It is also the sequence of its rows, each a PointEvaluation view.
-    """
-
-    results: PointColumns
-    steady_states: SteadyState
-    models: tuple
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __getitem__(self, i: int) -> PointEvaluation:
-        i = range(len(self))[i]
-        model = next(model[np.flatnonzero(idx == i)[0]]
-                     for idx, model in self.models if i in idx)
-        return PointEvaluation(self.results[i], self.steady_states[i], model)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-
-def run_pipeline(params) -> PipelineColumns:
+def run_pipeline(params) -> tuple:
     """The point pipeline over many points, each stage run once on the stack.
 
-    ``params`` is a stack or a sequence of points. Points are
+    ``params`` is a stack or a sequence of points. Returns the stacked
+    results (a PointResult), the stacked working points (a SteadyState)
+    and one ``(indices, LinearModel)`` stack per model order. Points are
     grouped by model order (6 with bandpass noise, else 4); each group's
     drifts, diffusions and covariances are (N, n, n) stacks, and one
     eigenvalue solve per drift decides stability and serves as the Hurwitz
@@ -265,24 +209,18 @@ def run_pipeline(params) -> PipelineColumns:
 
     # the closed form is a cross-check of the measured points: one outside
     # its reach gets a null, not an error row
-    approx, approx_null = np.full(count, np.nan), ~stable
+    approx = np.full(count, np.nan)
     if stable.any():
         form = approx_n_eff(params, ss)
-        approx = form.value
-        approx_null = (approx_null | form.flags["imaginary_spring"]
-                       | form.flags["undamped_band"]
-                       | form.flags["imaginary_static"])
-    margin = stability_margin(params, ss)
-    values = dict(
-        stable=stable, stability_margin=margin.value,
+        reach = (stable & ~form.flags["imaginary_spring"]
+                 & ~form.flags["undamped_band"] & ~form.flags["imaginary_static"])
+        approx = np.where(reach, form.value, np.nan)
+    results = PointResult(
+        stable=stable, stability_margin=stability_margin(params, ss).value,
         alpha_abs=ss.alpha_abs, photon_number=ss.photon_number, g_eff=ss.g_eff,
         branch=ss.branch, **measured, n_eff_approx=approx,
         error=np.full(count, None, dtype=object))
-    null = dict(stability_margin=margin.flags["nonpositive_detuning"],
-                error=np.ones(count, dtype=bool), n_eff_approx=approx_null,
-                **dict.fromkeys(_MEASURED, ~stable))
-    return PipelineColumns(PointColumns(values=values, null=null), ss,
-                           tuple(models))
+    return results, ss, tuple(models)
 
 
 def evaluate_point(params: SystemParams) -> PointResult:
@@ -291,10 +229,10 @@ def evaluate_point(params: SystemParams) -> PointResult:
     Unstable points return stability data only, with null measures; a
     failing stage raises PointEvaluationError naming it.
     """
-    return run_pipeline([params]).results[0]
+    return run_pipeline([params])[0][0]
 
 
-def evaluate_batch(params) -> PointColumns:
+def evaluate_batch(params) -> PointResult:
     """Results of many points, with a failing point isolated to its own row.
 
     ``params`` is a stack or a sequence of points. The points
@@ -305,49 +243,52 @@ def evaluate_batch(params) -> PointColumns:
     if not isinstance(params, SystemParams):
         params = SystemParams.stack(params)
     try:
-        return run_pipeline(params).results
+        return run_pipeline(params)[0]
     except PointEvaluationError:
         pass
     rows = []
     for i in range(len(params)):
         try:
-            rows.append(run_pipeline(params.take([i])).results)
+            rows.append(run_pipeline(params.take([i]))[0])
         except PointEvaluationError as err:
-            rows.append(PointColumns.error_row(str(err)))
-    return PointColumns.concatenate(rows)
+            rows.append(_failed(str(err)))
+    return _concatenate(rows)
 
 
 @dataclass(frozen=True)
 class SweepResult:
     """Row-major (x outer, y inner) grid of point results plus metadata.
 
-    ``columns`` holds one array per PointResult field; ``points`` gives the
-    rows as PointResult views.
+    ``results`` is the stacked PointResult of the grid; ``points`` gives
+    its rows as one-point records.
     """
 
     spec: SweepSpec
     x_values: np.ndarray
     y_values: np.ndarray
-    columns: PointColumns
+    results: PointResult
     metadata: dict
 
     @property
     def points(self) -> tuple[PointResult, ...]:
-        return self.columns.rows()
+        return tuple(self.results)
 
     @property
     def n_failures(self) -> int:
-        return int(np.count_nonzero(~self.columns.null["error"]))
+        return sum(e is not None for e in self.results.error.tolist())
 
     def grid(self, output: str) -> np.ndarray:
         """Output as a (count_x, count_y) float array, NaN where null."""
         if output not in OUTPUT_NAMES:
             raise ValueError(f"unknown output {output!r}")
-        values = self.columns.values[output]
-        null = self.columns.null.get(output)
-        if null is not None:
-            values = np.where(null, np.nan, values)
-        return values.reshape(len(self.x_values), len(self.y_values))
+        return getattr(self.results, output).reshape(len(self.x_values),
+                                                      len(self.y_values))
+
+    def _table(self) -> Columns:
+        """The results as the writers' table, null where a float is NaN."""
+        values = vars(self.results)
+        return Columns(values=values,
+                       null={name: np.isnan(values[name]) for name in _NULLABLE})
 
     def _axis_cells(self) -> list[list[str]]:
         """The x and y cells of every row, each axis value formatted once."""
@@ -357,16 +298,17 @@ class SweepResult:
 
     def write_csv(self, path) -> None:
         names = [*self.spec.outputs, "stable", "branch", "error"]
+        table = self._table()
         header = [self.spec.axis_x.name, self.spec.axis_y.name, *names]
         write_table(path, self.metadata, ",".join(header),
-                    self._axis_cells() + [self.columns.cells(n) for n in names])
+                    self._axis_cells() + [table.cells(n) for n in names])
 
     def write_json(self, path) -> None:
         write_document(path, {
             "metadata": self.metadata,
             "x_values": [float(v) for v in self.x_values],
             "y_values": [float(v) for v in self.y_values],
-            "rows": self.columns,
+            "rows": self._table(),
         })
 
     def write_grid(self, path, output: str) -> None:
@@ -380,7 +322,7 @@ class SweepResult:
                     sep=" ", eol="\n", block=len(self.y_values))
 
 
-def _evaluate_column(args) -> PointColumns:
+def _evaluate_column(args) -> PointResult:
     """One sweep column: the y axis goes in as an array, as one batch."""
     spec, x = args
     ys = spec.axis_y.values()
@@ -415,7 +357,7 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
         fixed_params=dataclasses.asdict(spec.fixed),
     )
     return SweepResult(spec=spec, x_values=xs, y_values=ys,
-                       columns=PointColumns.concatenate(columns),
+                       results=_concatenate(columns),
                        metadata=metadata)
 
 

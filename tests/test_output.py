@@ -43,10 +43,10 @@ def reference_sweep_files(res, out_dir, stem):
               + ["stable", "branch", "error"])
     xy = [(x, y) for x in res.x_values for y in res.y_values]
     reference_table(out_dir / f"{stem}.csv", res.metadata, ",".join(header),
-                    ([x, y, *(p.output(n) for n in spec.outputs), p.stable,
+                    ([x, y, *(getattr(p, n) for n in spec.outputs), p.stable,
                       p.branch, p.error] for (x, y), p in zip(xy, points)))
     output = spec.outputs[0]
-    z = np.array([np.nan if p.output(output) is None else p.output(output)
+    z = np.array([np.nan if getattr(p, output) is None else getattr(p, output)
                   for p in points]).reshape(len(res.x_values), -1)
     rows = []
     for x, column in zip(res.x_values, z):

@@ -344,22 +344,20 @@ class TestEmittedFiles:
 
 
 def _bits(pipeline, i):
-    """Point ``i`` of a pipeline run: every column and matrix to the last bit.
+    """Point ``i`` of a pipeline run: every field and matrix to the last bit.
 
-    A result cell counts only where it is not null; the one-row views
-    (result, steady state, linear model) are compared as well.
+    The one-point records (result, steady state, linear model) are compared
+    as well.
     """
-    results = pipeline.results
-    cells = tuple(
-        None if name in results.null and results.null[name][i]
-        else column[i] if column.dtype == object else column[i:i + 1].tobytes()
-        for name, column in sorted(results.values.items()))
-    states = tuple(getattr(pipeline.steady_states, f.name)[i:i + 1].tobytes()
-                   for f in dataclasses.fields(pipeline.steady_states))
-    evaluation = pipeline[i]
-    model = evaluation.model
-    return (cells, states, repr(dataclasses.astuple(evaluation.result)),
-            repr(dataclasses.astuple(evaluation.steady_state)),
+    results, states, models = pipeline
+    cells = tuple(column[i] if column.dtype == object else column[i:i + 1].tobytes()
+                  for name, column in sorted(vars(results).items()))
+    state_bits = tuple(getattr(states, f.name)[i:i + 1].tobytes()
+                       for f in dataclasses.fields(states))
+    model = next(model[np.flatnonzero(idx == i)[0]]
+                 for idx, model in models if i in idx)
+    return (cells, state_bits, repr(dataclasses.astuple(results[i])),
+            repr(dataclasses.astuple(states[i])),
             model.drift.tobytes(), model.diffusion.tobytes(), model.stable)
 
 
@@ -415,7 +413,7 @@ class TestStackedPipeline:
             assert batch == [s[0] for s in singles]
 
     def test_mixed_example_covers_its_cases(self):
-        results = run_pipeline(_MIXED).results.rows()
+        results = list(run_pipeline(_MIXED)[0])
         assert results[0].branch == "lower"
         assert any(not r.stable for r in results)
         assert {r.branch for r in results} >= {"lower", "monostable"}
