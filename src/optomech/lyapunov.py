@@ -12,7 +12,9 @@ from .dynamics import MODEL_DIMS, REDUCED_BASIS, drift_abscissa
 from .errors import SolverSingular, UnphysicalState, UnstableDrift
 from .parameters import _unchecked
 
-RESIDUAL_TOL = 1e-10  # on ||A V + V A^T + D||_F relative to max(||D||_F, 1)
+# on ||A V + V A^T + D||_F relative to max(2 ||A V||_F + ||D||_F, 1), the
+# size of the terms that cancel
+RESIDUAL_TOL = 1e-10
 PHYSICALITY_SLACK = 1e-9  # allowed dip of symplectic eigenvalues below 1/2
 
 
@@ -157,10 +159,13 @@ def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
                       for ai, di in zip(a, d)]).reshape(a.shape)
 
     v = 0.5 * (v + v.transpose(0, 2, 1))
-    residual = _frobenius(a @ v + v @ a.transpose(0, 2, 1) + d)
-    bound = RESIDUAL_TOL * np.maximum(_frobenius(d), 1.0)
-    if (residual > bound).any():
-        i = np.flatnonzero(residual > bound)[0]
+    av = a @ v  # V A^T is its transpose, V being symmetric
+    residual = _frobenius(av + av.transpose(0, 2, 1) + d)
+    bound = RESIDUAL_TOL * np.maximum(2.0 * _frobenius(av) + _frobenius(d), 1.0)
+    # NaN fails the comparison, so a non-finite V is rejected too
+    failed = ~(residual <= bound)
+    if failed.any():
+        i = np.flatnonzero(failed)[0]
         cond = float(np.linalg.cond(_lyapunov_operator(a[i:i + 1])[0]))
         raise SolverSingular(f"Lyapunov residual {residual[i]:.3e} exceeds "
                              f"{bound[i]:.3e}", condition=cond)

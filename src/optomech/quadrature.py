@@ -14,8 +14,9 @@ import numpy as np
 
 from .errors import QuadratureNotConverged
 
-RTOL = 1e-9  # componentwise: summed error <= ATOL + RTOL * |integral|
+RTOL = 1e-9  # componentwise tolerances, see integrate_adaptive
 ATOL = 1e-9
+FLOOR = 1e-4
 MAX_SEGMENTS = 20000  # default segment budget
 
 # (7, 15) Gauss-Kronrod nodes and weights on [-1, 1]
@@ -66,7 +67,9 @@ def integrate_adaptive(
     ``(n_points, *component_shape)``. Initial segments are the intervals
     between consecutive breakpoints; segments are bisected (worst first)
     until, componentwise, the summed error satisfies
-    ``err <= ATOL + RTOL * |integral|``.
+    ``err <= ATOL + RTOL * max(|integral|, FLOOR * max |integral|)``: a
+    component near zero is resolved relative to the largest one, whose
+    size sets the rounding error of every segment.
 
     Returns ``(integral, error_estimate)``; raises QuadratureNotConverged
     with the achieved error if the segment budget runs out.
@@ -80,7 +83,8 @@ def integrate_adaptive(
     while True:
         total = vals.sum(axis=0)
         toterr = errs.sum(axis=0)
-        tol = ATOL + RTOL * np.abs(total)
+        size = np.abs(total)
+        tol = ATOL + RTOL * np.maximum(size, FLOOR * size.max())
         ratio = toterr / tol
         worst = float(ratio.max())
         if worst <= 1.0:

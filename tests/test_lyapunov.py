@@ -72,6 +72,19 @@ class TestSolverContract:
             solve_lyapunov(np.zeros((2, 2)), np.eye(2), method="schur",
                            abscissa=np.array([-1.0]))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_solution_rejected(self):
+        # D and A V overflow: the covariance comes back NaN, alone or as
+        # one member of a stack
+        a = np.array([[-1.0, 1e200], [0.0, -1.0]])
+        with pytest.raises(SolverSingular, match="Lyapunov residual nan"):
+            solve_lyapunov(a, 1e200 * np.eye(2))
+        good = np.array([[-1.0, 0.0], [0.0, -2.0]])
+        with pytest.raises(SolverSingular, match="Lyapunov residual nan"):
+            solve_lyapunov(np.stack([good, a]),
+                           np.stack([np.eye(2), 1e200 * np.eye(2)]))
+
     def test_two_solver_paths_agree(self):
         rng = np.random.default_rng(11)
         for _ in range(100):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from optomech import (NoiseSpec, SweepAxis, SweepSpec, SystemParams,
                       apply_axis, approx_n_eff, build_model, check_physical,
-                      emit_figure_data, evaluate_batch, evaluate_point,
+                      cm_spectral_oracle, emit_figure_data, evaluate_batch, evaluate_point,
                       figure_recipe, log_negativity, occupancy,
                       power_for_coupling, reduce_to_optomechanical,
                       run_pipeline, run_sweep, solve_lyapunov,
@@ -19,7 +19,8 @@ from optomech import (NoiseSpec, SweepAxis, SweepSpec, SystemParams,
 from optomech.errors import ImaginaryFrequency, PointEvaluationError
 from optomech.output import _cell
 
-from conftest import OMEGA_M, bandpass_100hz, make_params, poison_nth
+from conftest import (OMEGA_M, bandpass_100hz, make_params, poison_nth,
+                      relative_gap)
 
 G_THRESHOLD = math.sqrt(1.25) * OMEGA_M  # at delta = omega_m, kappa = omega_m/2
 
@@ -85,6 +86,17 @@ class TestEvaluatePoint:
         assert result.e_n == log_negativity(cov).log_negativity
         assert result.n_eff is not None and result.n_eff > 0.0
         assert evaluate_batch([p, make_params()])[0] == result
+
+    def test_resonant_drive_is_solved(self):
+        # at delta = 0 the terms A V and V A^T that cancel are far larger
+        # than D; the residual is measured against them
+        p = make_params(kappa=OMEGA_M, detuning=0.0, laser_power=0.0625)
+        result = evaluate_point(p)
+        assert result.stable and result.error is None
+        model = build_model(p, solve_steady_state(p))
+        assert relative_gap(solve_lyapunov(model.drift, model.diffusion).matrix,
+                            solve_lyapunov(model.drift, model.diffusion,
+                                           method="schur").matrix) <= 1e-9
 
     def test_stage_context_on_failure(self, monkeypatch):
         import optomech.sweep as sweep_mod
@@ -383,6 +395,29 @@ def working_points(draw):
         laser_power=draw(st.floats(0.0, 0.1)),
         detuning_mode=draw(st.sampled_from(("effective", "bare"))),
         phase_noise=noise)
+
+
+# resonant drive, where the Lyapunov residual is set by A V and V A^T
+_RESONANT = make_params(kappa=OMEGA_M, detuning=0.0, laser_power=0.0625)
+
+
+class TestCrossRoutes:
+    """Every working point evaluates, and its stationary covariance agrees
+    across the vectorized, Schur and frequency-domain routes."""
+
+    @settings(max_examples=100, deadline=None)
+    @example(point=_RESONANT)
+    @given(point=working_points())
+    def test_routes_agree(self, point):
+        results, ss, ((_, model),) = run_pipeline([point])
+        assert results[0].error is None
+        if not results[0].stable:
+            return
+        v = solve_lyapunov(model.drift[0], model.diffusion[0])
+        schur = solve_lyapunov(model.drift[0], model.diffusion[0], method="schur")
+        assert relative_gap(v.matrix, schur.matrix) <= 1e-6
+        oracle = cm_spectral_oracle(point, ss[0])
+        assert relative_gap(_reduced(v).matrix, oracle.matrix) <= 1e-6
 
 
 # a bistable bare point on its lower branch, an unstable effective point,

@@ -3,9 +3,10 @@
 Usage: python tools/pinned_outputs.py OUT_DIR
 
 Runs the CLI of the source tree next to this script on inputs held below:
-the fig2a/fig2b/fig7b recipes at 30x30 and fig2b at 40x40, two explicit
+the fig2a/fig2b/fig7b recipes at 30x30 and fig2b at 40x40, three explicit
 sweep documents (white noise at a bare detuning; bandpass noise, run with
---jobs 2), the reference point and a bistable bare-detuning point with
+--jobs 2; the noise-free reference point over a detuning axis that holds
+resonance, delta = 0, exactly), the reference point and a bistable bare-detuning point with
 their models, the spectrum tables, and validate at 40000 steps (4 members,
 seed 11) with its default and with an explicit timestep and burn-in, and
 at its defaults. The input documents are written to
@@ -61,6 +62,13 @@ INPUTS = {
         "axis_y": {"name": "power_mw", "min": 1.0, "max": 400.0, "count": 8},
         "fixed": REFERENCE,
     },
+    # linspace(-1, 4, 11) steps by 0.5, so its third value is 0.0 exactly
+    "cfg_res.json": {
+        "axis_x": {"name": "power_mw", "min": 1.0, "max": 100.0, "count": 5},
+        "axis_y": {"name": "delta_over_omega_m", "min": -1.0, "max": 4.0,
+                   "count": 11},
+        "fixed": {**REFERENCE, "phase_noise": {"kind": "none"}},
+    },
     "ref.json": REFERENCE,
     "spectrum.json": {**REFERENCE, "omega_count": 200, "tau_count": 21},
     "val40k.json": {**REFERENCE, "n_steps": 40000, "n_ensemble": 4, "seed": 11},
@@ -85,6 +93,8 @@ def _runs(inputs: str, out: str) -> list[tuple[list[str], str | None]]:
           "--out-dir", os.path.join(out, "cfg")], None),
         (["sweep", "--config", cfg("cfg_band.json"), "--stem", "cfg_band",
           "--jobs", "2", "--out-dir", os.path.join(out, "cfg")], None),
+        (["sweep", "--config", cfg("cfg_res.json"), "--stem", "cfg_res",
+          "--out-dir", os.path.join(out, "cfg")], None),
         (["point", "--config", cfg("ref.json"),
           "--out", os.path.join(out, "point", "ref.out.json"),
           "--dump-model", os.path.join(out, "point", "ref.model.json")], None),
