@@ -207,14 +207,12 @@ def run_pipeline(params) -> tuple:
         measured[:, idx[group_stable]] = [found[key] for key in _MEASURED.values()]
     measured = dict(zip(_MEASURED, measured))
 
-    # the closed form is a cross-check of the measured points: one outside
-    # its reach gets a null, not an error row
+    # the closed form is a cross-check of the measured points: its value is
+    # NaN, a null, where a flag puts a point outside its reach, not an
+    # error row
     approx = np.full(count, np.nan)
     if stable.any():
-        form = approx_n_eff(params, ss)
-        reach = (stable & ~form.flags["imaginary_spring"]
-                 & ~form.flags["undamped_band"] & ~form.flags["imaginary_static"])
-        approx = np.where(reach, form.value, np.nan)
+        approx = np.where(stable, approx_n_eff(params, ss).value, np.nan)
     results = PointResult(
         stable=stable, stability_margin=stability_margin(params, ss).value,
         alpha_abs=ss.alpha_abs, photon_number=ss.photon_number, g_eff=ss.g_eff,
