@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from optomech import (NoiseSpec, SweepAxis, SweepSpec, SystemParams,
                       apply_axis, approx_n_eff, build_model, check_physical,
-                      cm_spectral_oracle, emit_figure_data, evaluate_batch, evaluate_point,
-                      figure_recipe, log_negativity, occupancy,
+                      cm_spectral_oracle, emit_figure_data, evaluate_batch,
+                      evaluate_point, figure_recipe, log_negativity, occupancy,
                       power_for_coupling, reduce_to_optomechanical,
                       run_pipeline, run_sweep, solve_lyapunov,
                       solve_steady_state, stability_margin,
@@ -23,6 +23,9 @@ from conftest import (OMEGA_M, bandpass_100hz, make_params, poison_nth,
                       relative_gap)
 
 G_THRESHOLD = math.sqrt(1.25) * OMEGA_M  # at delta = omega_m, kappa = omega_m/2
+# resonant drive: the terms A V and V A^T of the Lyapunov residual, which
+# cancel, are far larger than D
+RESONANT = make_params(kappa=OMEGA_M, detuning=0.0, laser_power=0.0625)
 
 
 def small_spec(**spec_overrides) -> SweepSpec:
@@ -88,9 +91,7 @@ class TestEvaluatePoint:
         assert evaluate_batch([p, make_params()])[0] == result
 
     def test_resonant_drive_is_solved(self):
-        # at delta = 0 the terms A V and V A^T that cancel are far larger
-        # than D; the residual is measured against them
-        p = make_params(kappa=OMEGA_M, detuning=0.0, laser_power=0.0625)
+        p = RESONANT
         result = evaluate_point(p)
         assert result.stable and result.error is None
         model = build_model(p, solve_steady_state(p))
@@ -397,16 +398,12 @@ def working_points(draw):
         phase_noise=noise)
 
 
-# resonant drive, where the Lyapunov residual is set by A V and V A^T
-_RESONANT = make_params(kappa=OMEGA_M, detuning=0.0, laser_power=0.0625)
-
-
 class TestCrossRoutes:
     """Every working point evaluates, and its stationary covariance agrees
     across the vectorized, Schur and frequency-domain routes."""
 
     @settings(max_examples=100, deadline=None)
-    @example(point=_RESONANT)
+    @example(point=RESONANT)
     @given(point=working_points())
     def test_routes_agree(self, point):
         results, ss, ((_, model),) = run_pipeline([point])

@@ -6,8 +6,8 @@ Runs the CLI of the source tree next to this script on inputs held below:
 the fig2a/fig2b/fig7b recipes at 30x30 and fig2b at 40x40, three explicit
 sweep documents (white noise at a bare detuning; bandpass noise, run with
 --jobs 2; the noise-free reference point over a detuning axis that holds
-resonance, delta = 0, exactly), the reference point and a bistable bare-detuning point with
-their models, the spectrum tables, and validate at 40000 steps (4 members,
+resonance, delta = 0, exactly), the reference point and a bistable
+bare-detuning point with their models, the spectrum tables, and validate at 40000 steps (4 members,
 seed 11) with its default and with an explicit timestep and burn-in, and
 at its defaults. The input documents are written to
 OUT_DIR/inputs. Then runs each script of the tree's demos/ directory on
