@@ -195,7 +195,11 @@ def vacuum_diffusion(params) -> np.ndarray:
 
     ``params`` is one point (giving shape (4,)) or a stack (giving (N, 4)).
     """
-    n = params.thermal_phonons()
+    return _vacuum_diagonal(params, params.thermal_phonons())
+
+
+def _vacuum_diagonal(params, n) -> np.ndarray:
+    """``vacuum_diffusion`` at the bath phonon number ``n`` of each point."""
     k2n1 = params.kappa * (2.0 * params.cavity_thermal_occupancy + 1.0)
     return np.array([np.zeros_like(k2n1), params.gamma_m * (2.0 * n + 1.0),
                      k2n1, k2n1]).T
@@ -229,7 +233,7 @@ def optomechanical_block(params: SystemParams, ss: SteadyState) -> np.ndarray:
     return _optomechanical_drift(params, ss, 4)
 
 
-def build_model(params, ss) -> LinearModel:
+def build_model(params, ss, *, _phonons=None) -> LinearModel:
     """Assemble the linear fluctuation model around a working point.
 
     (n, n) matrices for one point, (N, n, n) stacks for a stack, whose
@@ -238,7 +242,8 @@ def build_model(params, ss) -> LinearModel:
     the 4x4 system, with the flat frequency noise folded into the
     Y-quadrature diffusion as 2*|alpha_s|^2*S, where S = 2*gamma_l is the
     flat spectrum value. One eigenvalue solve per drift gives its
-    abscissa, which decides stability.
+    abscissa, which decides stability. ``_phonons`` is
+    ``params.thermal_phonons()`` where the point pipeline has it already.
     """
     kind = params.phase_noise.kind
     bands = np.count_nonzero(kind == "bandpass")
@@ -247,7 +252,8 @@ def build_model(params, ss) -> LinearModel:
     order = 6 if bands else 4
     a = _optomechanical_drift(params, ss, order)
     d = np.zeros_like(a)
-    d[..., _DIAG4, _DIAG4] = vacuum_diffusion(params)
+    d[..., _DIAG4, _DIAG4] = _vacuum_diagonal(
+        params, params.thermal_phonons() if _phonons is None else _phonons)
     if order == 6:
         # the (psi, theta) pair, driving dY through psi
         a[..., 4:, 4:], d[..., 4:, 4:] = auxiliary_block(params.phase_noise)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,22 +89,132 @@ def check_physical(cov: CovarianceMatrix):
     return low if low.ndim else low.item()
 
 
+def _sylvester_operator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(I, A) + kron(B, I) of each pair of (N, m, m) and (N, p, p) stacks.
+
+    As (N, m p, m p): acting on column-stacked X (m x p), it gives the
+    column-stacked A X + X B^T.
+    """
+    count, m, _ = a.shape
+    p = b.shape[-1]
+    # axes (point, i, k, j, l) address row i*m + k, column j*m + l
+    system = (_identity(p)[:, None, :, None] * a[:, None, :, None, :]
+              + b[:, :, None, :, None] * _identity(m)[:, None, :])
+    return system.reshape(count, m * p, m * p)
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> NDArray[np.float64]:
+    """The n x n identity (read-only)."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def _solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """X of A X + X B^T = C for each triple of a stack, by one dense solve."""
+    count, m, p = c.shape
+    x = np.linalg.solve(_sylvester_operator(a, b),
+                        c.transpose(0, 2, 1).reshape(count, m * p, 1))
+    return x.reshape(count, p, m).transpose(0, 2, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _split_orders(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orders k = 1..n of a leading block, cheapest pair of solves first.
+
+    Returned with the (n*n, n) incidence of each entry (i, j), at row
+    i*n + j, on the block [k:, :k] below each order's leading block (both
+    read-only). Order n is one block, the dense solve, with nothing below.
+    """
+    orders = np.array(sorted(range(1, n + 1),
+                             key=lambda k: (n * (n - k)) ** 3 + k ** 6))
+    i, j = np.divmod(np.arange(n * n), n)
+    below = (j[:, None] < orders) & (orders <= i[:, None])
+    orders.setflags(write=False)
+    below.setflags(write=False)
+    return orders, below
+
+
+def _leading_orders(a: np.ndarray) -> np.ndarray:
+    """Per drift of a stack, the order k of the leading block its solve splits off.
+
+    The trailing n - k variables are autonomous where A[k:, :k] is exactly
+    zero. Of those k the cheapest is taken, and n (one block) where there
+    is none. Each drift's order follows from its own entries, so a point
+    is solved alike alone and in any stack.
+    """
+    count, n, _ = a.shape
+    orders, below = _split_orders(n)
+    # the first order, in cost order, with no nonzero entry below its block
+    return orders[np.argmin((a != 0).reshape(count, n * n) @ below, axis=1)]
+
+
+def _solve_split(a: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
+    """V of A V + V A^T = -D for a stack split at leading order ``k``.
+
+    With k < n and A = [[A_k, C], [0, A_t]], the right column block
+    W = [X; V_t] of V solves A W + W A_t^T = -D[:, k:], and then V_k solves
+    A_k V_k + V_k A_k^T = -(D_k + C X^T + X C^T); V being symmetric, that
+    is all of it. With k = n it is one dense solve.
+    """
+    n = a.shape[-1]
+    if k == n:
+        return _solve_sylvester(a, a, -d)
+    w = _solve_sylvester(a, a[:, k:, k:], -d[:, :, k:])
+    xt = w[:, :k].transpose(0, 2, 1)
+    cx = a[:, :k, k:] @ xt
+    lead = a[:, :k, :k]
+    v = np.empty(a.shape)
+    v[:, :k, :k] = _solve_sylvester(
+        lead, lead, -(d[:, :k, :k] + cx + cx.transpose(0, 2, 1)))
+    v[:, :, k:] = w
+    v[:, k:, :k] = xt
+    return v
+
+
+def _condition(a: np.ndarray, k: int) -> float:
+    """Largest condition estimate of the operators the split at ``k`` solves.
+
+    Over a stack; inf where the estimate itself fails.
+    """
+    n = a.shape[-1]
+    pairs = ([(a, a)] if k == n else
+             [(a, a[:, k:, k:]), (a[:, :k, :k], a[:, :k, :k])])
+    try:
+        cond = np.concatenate([np.linalg.cond(_sylvester_operator(*pair))
+                               for pair in pairs])
+    except np.linalg.LinAlgError:  # the SVD of a non-finite operator
+        return math.inf
+    return math.inf if np.isnan(cond).any() else float(cond.max())
+
+
 def _frobenius(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of each (n, n) of a stack, as np.linalg.norm sums it."""
     return np.sqrt(np.add.reduce(m * m, axis=(1, 2)))
 
 
-def _lyapunov_operator(a: np.ndarray) -> np.ndarray:
-    """kron(I, A) + kron(A, I) of each A of an (N, n, n) stack, as (N, n^2, n^2).
+def _residual(a: np.ndarray, v: np.ndarray, d: np.ndarray, floor=1.0) -> tuple:
+    """||A V + V A^T + D||_F of each point and the bound it must meet.
 
-    Acting on column-stacked V, it gives the column-stacked A V + V A^T.
+    The bound is ``RESIDUAL_TOL * max(2 ||A V||_F + ||D||_F, floor)``, the
+    size of the terms that cancel.
     """
-    count, n, _ = a.shape
-    eye = np.eye(n)
-    # axes (point, i, k, j, l) address row i*n + k, column j*n + l
-    system = (eye[:, None, :, None] * a[:, None, :, None, :]
-              + a[:, :, None, :, None] * eye[:, None, :])
-    return system.reshape(count, n * n, n * n)
+    av = a @ v  # V A^T is its transpose, V being symmetric
+    residual = _frobenius(av + av.transpose(0, 2, 1) + d)
+    return residual, RESIDUAL_TOL * np.maximum(
+        2.0 * _frobenius(av) + _frobenius(d), floor)
+
+
+def _overflow_exponent(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per point, the exponent s that keeps every residual term finite.
+
+    2^-s brings the larger of max|A| max|V| and max|D| into [1/4, 1).
+    """
+    mantissa, exponent = np.frexp(np.abs(np.stack([a, v, d])).max(axis=(2, 3)))
+    # the exponent of max|D| where max|A| max|V| is zero
+    return np.maximum(np.where(mantissa[0] * mantissa[1] != 0,
+                               exponent[0] + exponent[1], exponent[2]), exponent[2])
 
 
 def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
@@ -114,12 +225,20 @@ def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
 
     ``a`` and ``d`` are one (n, n) pair, giving one covariance, or (N, n, n)
     stacks, giving the stacked covariance of every pair. ``method`` is
-    "vectorized" (dense solve of the n^2 x n^2 system, the default) or
+    "vectorized" (dense solves of Kronecker systems, the default) or
     "schur" (Bartels-Stewart via scipy, the independent reference route).
-    Every drift must be Hurwitz and every D symmetric positive
-    semidefinite; each V is symmetrized and its residual is required to
-    satisfy ``RESIDUAL_TOL``. ``abscissa`` is the largest real part of
-    each drift's eigenvalues when the caller has them already.
+    The vectorized route splits a point whose trailing variables are
+    autonomous, as the (psi, theta) noise pair of the bandpass model is:
+    with A[k:, :k] exactly zero, it solves for the right column block of V
+    (n (n - k) unknowns), then for the leading block (k^2 unknowns), in
+    place of all n^2 at once; every other point is one dense solve. Every
+    drift must be Hurwitz and every D symmetric positive semidefinite;
+    each V is symmetrized and its residual is required to satisfy
+    ``RESIDUAL_TOL``, on V and D scaled by a power of two where a term of
+    the residual would overflow. A failed check raises SolverSingular with
+    the condition estimate of the systems solved, inf where that estimate
+    fails. ``abscissa`` is the largest real part of each drift's
+    eigenvalues when the caller has them already.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -133,7 +252,8 @@ def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
     d_scale = np.maximum(np.abs(d).max(axis=(1, 2), initial=0.0), 1.0)
     if not (np.abs(d - d.transpose(0, 2, 1)) <= 1e-12 * d_scale[:, None, None]).all():
         raise ValueError("D must be symmetric")
-    if (np.linalg.eigvalsh(0.5 * (d + d.transpose(0, 2, 1))).min(
+    # halves first: the sum of two entries near the float range overflows
+    if (np.linalg.eigvalsh(0.5 * d + 0.5 * d.transpose(0, 2, 1)).min(
             axis=-1, initial=np.inf) < -1e-12 * d_scale).any():
         raise ValueError("D must be positive semidefinite")
     abscissa = np.ravel(drift_abscissa(a) if abscissa is None else abscissa)
@@ -143,32 +263,45 @@ def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
 
     count, n, _ = a.shape
     if method == "vectorized":
-        system = _lyapunov_operator(a)
-        rhs = -d.transpose(0, 2, 1).reshape(count, n * n, 1)  # column-stacked
-        try:
-            v = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError as err:
-            raise SolverSingular(
-                "vectorized Lyapunov system is singular",
-                condition=float(np.max(np.linalg.cond(system)))) from err
-        v = v.reshape(count, n, n).transpose(0, 2, 1)
+        orders = _leading_orders(a)
+        # one group of points per split, the whole stack where all share one
+        groups = ([(slice(None), orders[0])] if (orders == orders[0]).all()
+                  else [(orders == k, k) for k in np.unique(orders)])
+        v = np.empty(a.shape)
+        for group, k in groups:
+            try:
+                v[group] = _solve_split(a[group], d[group], k)
+            except np.linalg.LinAlgError as err:
+                raise SolverSingular("vectorized Lyapunov system is singular",
+                                     condition=_condition(a[group], k)) from err
     else:
         from scipy.linalg import solve_continuous_lyapunov
 
+        orders = np.full(count, n)
         v = np.array([solve_continuous_lyapunov(ai, -di)
                       for ai, di in zip(a, d)]).reshape(a.shape)
 
     v = 0.5 * (v + v.transpose(0, 2, 1))
-    av = a @ v  # V A^T is its transpose, V being symmetric
-    residual = _frobenius(av + av.transpose(0, 2, 1) + d)
-    bound = RESIDUAL_TOL * np.maximum(2.0 * _frobenius(av) + _frobenius(d), 1.0)
-    # NaN fails the comparison, so a non-finite V is rejected too
-    failed = ~(residual <= bound)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual, bound = _residual(a, v, d)
+    # where a term overflows, the same check with V, D and the floor times
+    # 2^-s, which scales exactly. NaN fails the comparison, and the scaled
+    # residual of finite matrices is finite, so a non-finite V fails too.
+    s = np.zeros(count, dtype=int)
+    over = np.isinf(bound)
+    if over.any():
+        s[over] = _overflow_exponent(a[over], v[over], d[over])
+        shift = -s[over]
+        residual[over], bound[over] = _residual(
+            a[over], np.ldexp(v[over], shift[:, None, None]),
+            np.ldexp(d[over], shift[:, None, None]), np.ldexp(1.0, shift))
+    failed = ~(residual <= bound) | np.isinf(residual)
     if failed.any():
         i = np.flatnonzero(failed)[0]
-        cond = float(np.linalg.cond(_lyapunov_operator(a[i:i + 1])[0]))
-        raise SolverSingular(f"Lyapunov residual {residual[i]:.3e} exceeds "
-                             f"{bound[i]:.3e}", condition=cond)
+        raise SolverSingular(
+            f"Lyapunov residual {np.ldexp(residual[i], s[i]):.3e} exceeds "
+            f"{np.ldexp(bound[i], s[i]):.3e}",
+            condition=_condition(a[i:i + 1], orders[i]))
     v = v[0] if point else v
     v.setflags(write=False)
     # symmetrized above: the record takes the matrices as they are

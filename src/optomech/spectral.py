@@ -326,7 +326,7 @@ def static_phase_noise_heating(params, ss) -> ClosedForm:
     return ClosedForm(dn, flags, _RULES, {"imaginary_static": stiffness})
 
 
-def approx_n_eff(params, ss) -> ClosedForm:
+def approx_n_eff(params, ss, *, _phonons=None) -> ClosedForm:
     """Weak-coupling occupancy including both frequency-noise heating channels.
 
     n_eff = [n*gamma_m + A_plus + |alpha|^2 * delta * Gamma_op *
@@ -341,9 +341,10 @@ def approx_n_eff(params, ss) -> ClosedForm:
     ``omega_m_regime`` (n*gamma_m > omega_m/10 or G > omega_m/2), and where
     the band is not that far below; it raises ImaginaryFrequency where
     omega_eff^2 < 0 (``imaginary_spring``) and where the static channel
-    raises, where the value is NaN.
+    raises, where the value is NaN. ``_phonons`` is
+    ``params.thermal_phonons()`` where the point pipeline has it already.
     """
-    n = params.thermal_phonons()
+    n = params.thermal_phonons() if _phonons is None else _phonons
     gm, wm, k, g = params.gamma_m, params.omega_m, params.kappa, ss.g_eff
     with np.errstate(all="ignore"):
         terms = _response_terms(params, ss)

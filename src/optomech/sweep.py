@@ -28,6 +28,10 @@ from .spectral import approx_n_eff
 AXIS_NAMES = ("power_mw", "delta_over_omega_m", "kappa_over_omega_m")
 OUTPUT_NAMES = ("e_n", "n_eff", "eta_minus", "stability_margin", "g_eff",
                 "alpha_abs")
+# the most points a sweep sends through the pipeline as one stack: enough
+# for a 40x40 grid at once, few enough to keep a large grid's peak memory
+# at that of a column-by-column sweep
+STACK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -181,6 +185,7 @@ def run_pipeline(params) -> tuple:
         params = SystemParams.stack(params)
     count = len(params)
     ss = _stage("steady-state", solve_steady_state, params)
+    phonons = params.thermal_phonons()
     bandpass = params.phase_noise.kind == "bandpass"
     stable = np.zeros(count, dtype=bool)
     measured = np.full((len(_MEASURED), count), np.nan)
@@ -188,9 +193,10 @@ def run_pipeline(params) -> tuple:
     for idx in (np.flatnonzero(bandpass), np.flatnonzero(~bandpass)):
         if not idx.size:
             continue
-        group = (params, ss) if idx.size == count else (params.take(idx),
-                                                       ss.take(idx))
-        model = _stage("linear-model", build_model, *group)
+        whole = idx.size == count
+        group = (params, ss) if whole else (params.take(idx), ss.take(idx))
+        model = _stage("linear-model", build_model, *group,
+                       _phonons=phonons if whole else phonons[idx])
         models.append((idx, model))
         group_stable = model.stable
         stable[idx] = group_stable
@@ -212,7 +218,8 @@ def run_pipeline(params) -> tuple:
     # error row
     approx = np.full(count, np.nan)
     if stable.any():
-        approx = np.where(stable, approx_n_eff(params, ss).value, np.nan)
+        approx = np.where(stable, approx_n_eff(params, ss, _phonons=phonons).value,
+                          np.nan)
     results = PointResult(
         stable=stable, stability_margin=stability_margin(params, ss).value,
         alpha_abs=ss.alpha_abs, photon_number=ss.photon_number, g_eff=ss.g_eff,
@@ -233,24 +240,22 @@ def evaluate_point(params: SystemParams) -> PointResult:
 def evaluate_batch(params) -> PointResult:
     """Results of many points, with a failing point isolated to its own row.
 
-    ``params`` is a stack or a sequence of points. The points
-    run through the pipeline as one stack. If a stage fails, they are run
-    again one at a time, so only the point that fails gets an error row,
-    which names the failing stage.
+    ``params`` is a stack or a sequence of points. The points run through
+    the pipeline as one stack. If a stage fails, each half of the stack is
+    evaluated again the same way, so only the point that fails gets an
+    error row, which names the failing stage; one failing point among N
+    costs 2 ceil(log2 N) + 1 pipeline runs.
     """
     if not isinstance(params, SystemParams):
         params = SystemParams.stack(params)
     try:
         return run_pipeline(params)[0]
-    except PointEvaluationError:
-        pass
-    rows = []
-    for i in range(len(params)):
-        try:
-            rows.append(run_pipeline(params.take([i]))[0])
-        except PointEvaluationError as err:
-            rows.append(_failed(str(err)))
-    return _concatenate(rows)
+    except PointEvaluationError as err:
+        if len(params) == 1:
+            return _failed(str(err))
+    half = len(params) // 2
+    return _concatenate([evaluate_batch(params.take(slice(None, half))),
+                         evaluate_batch(params.take(slice(half, None)))])
 
 
 @dataclass(frozen=True)
@@ -320,32 +325,50 @@ class SweepResult:
                     sep=" ", eol="\n", block=len(self.y_values))
 
 
-def _evaluate_column(args) -> PointResult:
-    """One sweep column: the y axis goes in as an array, as one batch."""
-    spec, x = args
+def _evaluate_block(args) -> PointResult:
+    """The x-columns ``start`` to ``stop`` of a sweep's grid, as one stack."""
+    spec, start, stop = args
+    xs = spec.axis_x.values()[start:stop]
     ys = spec.axis_y.values()
-    column = apply_axis(SystemParams.repeat(spec.fixed, len(ys)),
-                        spec.axis_x.name, x)
-    return evaluate_batch(apply_axis(column, spec.axis_y.name, ys))
+    block = apply_axis(SystemParams.repeat(spec.fixed, xs.size * ys.size),
+                       spec.axis_x.name, np.repeat(xs, ys.size))
+    return evaluate_batch(apply_axis(block, spec.axis_y.name, np.tile(ys, xs.size)))
+
+
+def _column_blocks(count_x: int, count_y: int, n_jobs: int) -> list:
+    """The ``(start, stop)`` x-column ranges of a grid's stacks, in order.
+
+    As few as ``STACK_POINTS`` allows, and at least one per worker while
+    there are columns to share; sizes differ by one column at most. A
+    column longer than ``STACK_POINTS`` is a stack of its own.
+    """
+    columns = max(1, STACK_POINTS // count_y)  # per stack at most
+    blocks = max(min(n_jobs, count_x), -(-count_x // columns))
+    size, extra = divmod(count_x, blocks)
+    edges = [i * size + min(i, extra) for i in range(blocks + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
     """Evaluate the grid (optionally in parallel); row order is deterministic.
 
-    Per-point failures are recorded on the row and the run continues.
+    The grid goes through the point pipeline in stacks of whole x-columns,
+    each of at most ``STACK_POINTS`` points; ``n_jobs`` workers share the
+    stacks, and a point gets the same bits in any stack. Per-point
+    failures are recorded on the row and the run continues.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     xs = spec.axis_x.values()
     ys = spec.axis_y.values()
-    tasks = [(spec, float(x)) for x in xs]
-    # a worker per column at most: each worker process starts up front
+    tasks = [(spec, *block) for block in _column_blocks(xs.size, ys.size, n_jobs)]
+    # a worker per stack at most: each worker process starts up front
     workers = min(n_jobs, len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(_evaluate_column, tasks))
+            stacks = list(pool.map(_evaluate_block, tasks))
     else:
-        columns = [_evaluate_column(t) for t in tasks]
+        stacks = [_evaluate_block(t) for t in tasks]
     metadata = tool_metadata(
         recipe=spec.recipe,
         branch_policy="lower",
@@ -355,7 +378,7 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
         fixed_params=dataclasses.asdict(spec.fixed),
     )
     return SweepResult(spec=spec, x_values=xs, y_values=ys,
-                       results=_concatenate(columns),
+                       results=_concatenate(stacks),
                        metadata=metadata)
 
 

@@ -7,6 +7,7 @@ from optomech import (CovarianceMatrix, build_model, check_physical,
                       solve_steady_state, symplectic_eigenvalues,
                       thermal_occupancy)
 from optomech.errors import SolverSingular, UnphysicalState, UnstableDrift
+from optomech.lyapunov import _leading_orders
 
 from conftest import OMEGA_M, bandpass_100hz, make_params
 
@@ -85,6 +86,28 @@ class TestSolverContract:
             solve_lyapunov(np.stack([good, a]),
                            np.stack([np.eye(2), 1e200 * np.eye(2)]))
 
+    @pytest.mark.filterwarnings("ignore:Input \"a\" has an eigenvalue pair")
+    def test_overflowing_residual_terms_are_still_checked(self):
+        # scipy returns V of about -1.8e47 here, so A V and the squares of
+        # its Frobenius norm overflow; the check runs on scaled matrices
+        a = np.array([[-1.0, 1e200], [0.0, -1.0]])
+        with pytest.raises(SolverSingular, match=r"Lyapunov residual 4\.056e\+231 "
+                           r"exceeds 4\.056e\+221"):
+            solve_lyapunov(a, 1e200 * np.eye(2), method="schur")
+
+    @pytest.mark.parametrize("method", ["vectorized", "schur"])
+    def test_diffusion_near_the_float_range(self, method):
+        # D + D^T and the residual's norms overflow; V = D/2 is exact
+        v = solve_lyapunov(-np.eye(3), 1e308 * np.eye(3), method=method).matrix
+        np.testing.assert_array_equal(v, 5e307 * np.eye(3))
+
+    def test_nan_drift_with_a_given_abscissa(self):
+        with pytest.raises(SolverSingular, match=r"Lyapunov residual nan exceeds "
+                           r"nan \(condition estimate inf\)") as err:
+            solve_lyapunov(np.array([[np.nan, 0.0], [0.0, -1.0]]), np.eye(2),
+                           abscissa=[-1.0])
+        assert err.value.condition == np.inf
+
     def test_two_solver_paths_agree(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -98,6 +121,61 @@ class TestSolverContract:
         a, d = _random_stable_system(rng)
         v = solve_lyapunov(a, d).matrix
         assert np.max(np.abs(v - v.T)) == 0.0
+
+
+def _bandpass_model():
+    p = make_params(phase_noise=bandpass_100hz())
+    return build_model(p, solve_steady_state(p))
+
+
+class TestBlockSplit:
+    """The vectorized route splits off an autonomous trailing block."""
+
+    def test_bandpass_model_splits_off_the_noise_pair(self):
+        m = _bandpass_model()
+        assert _leading_orders(m.drift[None]).tolist() == [4]
+        v = solve_lyapunov(m.drift, m.diffusion).matrix
+        schur = solve_lyapunov(m.drift, m.diffusion, method="schur").matrix
+        assert np.max(np.abs(v - schur)) <= 1e-12 * np.max(np.abs(schur))
+
+    def test_coupled_trailing_pair_is_one_block(self):
+        m = _bandpass_model()
+        a = m.drift.copy()
+        a[4, 0] = 1e-3 * OMEGA_M  # the mechanics now drive the noise pair
+        assert np.linalg.eigvals(a).real.max() < 0.0
+        assert _leading_orders(a[None]).tolist() == [6]
+        v = solve_lyapunov(a, m.diffusion).matrix
+        schur = solve_lyapunov(a, m.diffusion, method="schur").matrix
+        assert np.max(np.abs(v - schur)) <= 1e-9 * np.max(np.abs(schur))
+
+    def test_split_takes_any_symmetric_diffusion(self):
+        # D couples the noise pair to the rest; only A's block decides
+        m = _bandpass_model()
+        b = np.random.default_rng(37).standard_normal((6, 6))
+        d = m.diffusion + np.max(m.diffusion) * (b @ b.T)
+        v = solve_lyapunov(m.drift, d).matrix
+        schur = solve_lyapunov(m.drift, d, method="schur").matrix
+        assert np.max(np.abs(v - schur)) <= 1e-9 * np.max(np.abs(schur))
+
+    def test_generic_drifts_are_one_block(self):
+        rng = np.random.default_rng(31)
+        drifts = np.array([_random_stable_system(rng)[0] for _ in range(20)])
+        assert (_leading_orders(drifts) == 6).all()
+
+    def test_order_follows_each_drift_alone(self):
+        # one split point, one whole point and a diagonal one: each row of
+        # the stack gets the bits it gets alone
+        m = _bandpass_model()
+        coupled = m.drift.copy()
+        coupled[4, 0] = 1e-3 * OMEGA_M
+        diagonal = -OMEGA_M * np.diag(np.arange(1.0, 7.0))
+        a = np.array([m.drift, coupled, diagonal])
+        d = np.array([m.diffusion] * 3)
+        assert _leading_orders(a).tolist() == [4, 6, 4]
+        stacked = solve_lyapunov(a, d).matrix
+        for i in range(3):
+            alone = solve_lyapunov(a[i], d[i]).matrix
+            assert stacked[i].tobytes() == alone.tobytes()
 
 
 class TestOrderStructure:

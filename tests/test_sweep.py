@@ -206,6 +206,70 @@ class TestRunSweep:
         run_sweep(small_spec(), n_jobs=2)
         assert asked == [2, 2]
 
+    @pytest.mark.parametrize("count_x, count_y, n_jobs", [
+        (40, 40, 1), (40, 40, 2), (200, 200, 1), (200, 200, 2), (3, 2, 4),
+        (9, 900, 1), (2, 5000, 1)])
+    def test_stacks_are_whole_columns_within_the_cap(self, count_x, count_y,
+                                                     n_jobs):
+        import optomech.sweep as sweep_mod
+
+        blocks = sweep_mod._column_blocks(count_x, count_y, n_jobs)
+        starts, stops = zip(*blocks)
+        assert starts[0] == 0 and stops[-1] == count_x
+        assert starts[1:] == stops[:-1]
+        sizes = [stop - start for start, stop in blocks]
+        assert 1 <= min(sizes) and max(sizes) - min(sizes) <= 1
+        # a column longer than the cap is a stack of its own
+        assert max(sizes) * count_y <= max(sweep_mod.STACK_POINTS, count_y)
+        assert len(blocks) >= min(n_jobs, count_x)
+
+    def test_stack_counts(self):
+        import optomech.sweep as sweep_mod
+
+        assert 1600 <= sweep_mod.STACK_POINTS
+        assert sweep_mod._column_blocks(40, 40, 1) == [(0, 40)]
+        assert sweep_mod._column_blocks(40, 40, 2) == [(0, 20), (20, 40)]
+        assert len(sweep_mod._column_blocks(200, 200, 1)) == -(
+            -200 // (sweep_mod.STACK_POINTS // 200))
+
+    def test_jobs_give_the_same_bytes_over_several_stacks(self, tmp_path,
+                                                          monkeypatch):
+        import optomech.sweep as sweep_mod
+        from optomech import cli
+
+        argv = ["sweep", "--recipe", "fig2b", "--grid", "7x5"]
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "one")]) == 0
+        monkeypatch.setattr(sweep_mod, "STACK_POINTS", 10)
+        assert len(sweep_mod._column_blocks(7, 5, 1)) == 4
+        for jobs in ("1", "2"):
+            assert cli.main([*argv, "--jobs", jobs,
+                             "--out-dir", str(tmp_path / jobs)]) == 0
+        for name in ("fig2b.csv", "fig2b.grid.txt", "fig2b.json"):
+            one = (tmp_path / "one" / name).read_bytes()
+            assert (tmp_path / "1" / name).read_bytes() == one
+            assert (tmp_path / "2" / name).read_bytes() == one
+
+    def test_one_failing_point_costs_log_many_pipeline_runs(self, monkeypatch):
+        import optomech.sweep as sweep_mod
+
+        spec = figure_recipe("fig2b", grid=(40, 40))
+        sizes = []
+        run = sweep_mod.run_pipeline
+
+        def counted(params):
+            sizes.append(len(params))
+            return run(params)
+
+        monkeypatch.setattr(sweep_mod, "run_pipeline", counted)
+        monkeypatch.setattr(sweep_mod, "solve_lyapunov",
+                            poison_nth(sweep_mod.solve_lyapunov, 500))
+        res = run_sweep(spec)
+        assert res.n_failures == 1
+        assert "stage 'lyapunov' failed" in next(
+            p.error for p in res.points if p.error)
+        assert sizes[0] == 1600
+        assert len(sizes) <= 2 * math.ceil(math.log2(1600)) + 1
+
     @pytest.mark.parametrize("n_jobs", [0, -3])
     def test_n_jobs_below_one_is_rejected(self, monkeypatch, n_jobs):
         import optomech.sweep as sweep_mod
@@ -450,6 +514,20 @@ class TestStackedPipeline:
         assert any(not r.stable for r in results)
         assert {r.branch for r in results} >= {"lower", "monostable"}
 
+    def test_thermal_phonons_once_per_point(self, monkeypatch):
+        import optomech.parameters as parameters_mod
+
+        calls = []
+        occupancy_of = parameters_mod.thermal_occupancy
+
+        def counted(omega, temperature):
+            calls.append(omega)
+            return occupancy_of(omega, temperature)
+
+        monkeypatch.setattr(parameters_mod, "thermal_occupancy", counted)
+        run_pipeline(_MIXED)
+        assert len(calls) == len(_MIXED)
+
     def test_evaluate_batch_isolates_failures(self, monkeypatch):
         import optomech.sweep as sweep_mod
 
@@ -466,6 +544,56 @@ class TestStackedPipeline:
 
 def _reduced(cov):
     return reduce_to_optomechanical(cov) if cov.order == 6 else cov
+
+
+def _grid(spec):
+    """The working points of a sweep's grid, row-major, as one stack."""
+    xs, ys = spec.axis_x.values(), spec.axis_y.values()
+    grid = apply_axis(SystemParams.repeat(spec.fixed, xs.size * ys.size),
+                      spec.axis_x.name, np.repeat(xs, ys.size))
+    return apply_axis(grid, spec.axis_y.name, np.tile(ys, xs.size))
+
+
+class TestBlockSolveAgainstSchur:
+    """The pipeline's Lyapunov solve, block-triangular for bandpass noise,
+    against the Schur route at the benchmark's scaled gate: |dn_eff|/max|V|
+    and |d(eta^2)|/max|V|^2 at most 1e-9, every mask identical."""
+
+    @pytest.mark.parametrize("points", [
+        pytest.param(lambda: SystemParams.stack(_MIXED), id="mixed"),
+        pytest.param(lambda: _grid(figure_recipe("fig2b", grid=(30, 30))),
+                     id="fig2b-30x30"),
+        pytest.param(lambda: _grid(figure_recipe("fig7b", grid=(30, 30))),
+                     id="fig7b-30x30")])
+    def test_scaled_gap(self, monkeypatch, points):
+        import functools
+
+        import optomech.sweep as sweep_mod
+
+        params = points()
+        results, _, models = run_pipeline(params)
+        monkeypatch.setattr(sweep_mod, "solve_lyapunov",
+                            functools.partial(solve_lyapunov, method="schur"))
+        schur = run_pipeline(params)[0]
+        for name in ("stable", "branch", "error"):
+            assert getattr(results, name).tolist() == getattr(schur, name).tolist()
+        for name in ("stability_margin", "n_eff_approx", "e_n", "eta_minus",
+                     "raw_log_negativity", "n_eff", "energy_j", "heisenberg_min"):
+            np.testing.assert_array_equal(np.isnan(getattr(results, name)),
+                                          np.isnan(getattr(schur, name)))
+        scale = np.full(len(params), np.nan)
+        for idx, model in models:
+            stable = model.stable
+            cov = _reduced(solve_lyapunov(model.drift[stable], model.diffusion[stable],
+                                          method="schur"))
+            scale[idx[stable]] = np.abs(cov.matrix).max(axis=(1, 2))
+        stable = schur.stable
+        assert stable.any()
+        n_gap = np.abs(results.n_eff - schur.n_eff)[stable] / scale[stable]
+        eta_gap = (np.abs(results.eta_minus ** 2 - schur.eta_minus ** 2)[stable]
+                   / scale[stable] ** 2)
+        assert n_gap.max() <= 1e-9
+        assert eta_gap.max() <= 1e-9
 
 
 def _same_bits(stacked, alone):
