@@ -119,23 +119,18 @@ def phase_noise_spectrum(spec: NoiseSpec, omega):
     Flat 2*gamma_l for white noise; the bandpass form
     2*gamma_l*W^4 / ((W^2 - omega^2)^2 + omega^2*gt^2) otherwise.
     ``spec`` is one noise spec with scalar or array ``omega``, or the noise
-    of a stack with one frequency per point. omega^2 is a product; W^2,
-    gt^2, W^4 and the outer square go through libm's pow (np.float_power),
-    so each frequency gets the same bits alone, in an array or in a stack.
+    of a stack with one frequency per point.
     """
     w = np.asarray(omega, dtype=float)
     out = np.where(spec.kind == "white", 2.0 * spec.gamma_l, np.zeros_like(w))
     bandpass = spec.kind == "bandpass"
     if np.any(bandpass):
         w2 = w * w
-        # the points' axis last, so a spec and a stack share one pow call
-        band2, width2, band4 = np.float_power(
-            np.array([spec.omega_band, spec.gamma_tilde, spec.omega_band]).T,
-            (2, 2, 4)).T
+        band2, width2 = np.square([spec.omega_band, spec.gamma_tilde])
+        gap = band2 - w2
         # divided only at bandpass points: the others keep their flat value
         # and never take the 0/0 of a missing band at omega = 0
-        np.divide(2.0 * spec.gamma_l * band4,
-                  np.float_power(band2 - w2, 2) + w2 * width2,
+        np.divide(2.0 * spec.gamma_l * (band2 * band2), gap * gap + w2 * width2,
                   out=out, where=bandpass)
     return out if out.ndim else float(out)
 
@@ -163,11 +158,9 @@ def stability_margin(params, ss) -> ClosedForm:
     """
     delta = ss.delta_eff
     nonpositive = delta <= 0
-    # float_power is libm's pow, like a scalar ``x ** 2``
     with np.errstate(all="ignore"):
-        g_threshold = np.sqrt((np.float_power(delta, 2)
-                               + np.float_power(params.kappa, 2))
-                              * params.omega_m / delta)
+        delta2, kappa2 = np.square([delta, params.kappa])
+        g_threshold = np.sqrt((delta2 + kappa2) * params.omega_m / delta)
         margin = np.where(nonpositive, np.nan, ss.g_eff / g_threshold)
     return ClosedForm(margin, {"nonpositive_detuning": nonpositive}, _MARGIN_RULES)
 
@@ -186,7 +179,7 @@ def auxiliary_block(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     a[..., 0, 1] = band
     a[..., 1, 0] = -band
     a[..., 1, 1] = -spec.gamma_tilde
-    d[..., 1, 1] = 2.0 * spec.gamma_l * np.float_power(band, 2)
+    d[..., 1, 1] = 2.0 * spec.gamma_l * (band * band)
     return a, d
 
 

@@ -42,18 +42,6 @@ class CovarianceMatrix:
     def order(self) -> int:
         return self.matrix.shape[-1]
 
-    def to_document(self) -> dict:
-        """JSON-ready matrix document for fixtures."""
-        return {"kind": "covariance", "basis": list(self.basis),
-                "matrix": self.matrix.tolist()}
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "CovarianceMatrix":
-        if doc.get("kind") != "covariance":
-            raise ValueError("not a covariance document")
-        return cls(matrix=np.array(doc["matrix"], dtype=float),
-                   basis=tuple(doc["basis"]))
-
 
 @functools.lru_cache(maxsize=None)
 def symplectic_form(n_modes: int) -> NDArray[np.float64]:

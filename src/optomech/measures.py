@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +50,7 @@ def _eta_minus_formula(v4: np.ndarray) -> np.ndarray:
         [v4[:, :2, :2], v4[:, 2:, 2:], v4[:, :2, 2:]])).reshape(3, -1)
     det_v = np.linalg.det(v4)
     sigma = det_a + det_b - 2.0 * det_c
-    # float_power is libm's pow, like a scalar ``sigma ** 2``; squaring
-    # differs from it in the last bit for about one value in a thousand
-    sigma_sq = np.float_power(sigma, 2)
+    sigma_sq = sigma * sigma
     disc = sigma_sq - 4.0 * det_v
     bad = disc < -1e-12 * np.maximum(sigma_sq, 1.0)
     if bad.any():
@@ -91,8 +88,7 @@ def log_negativity(v4: CovarianceMatrix) -> EntanglementResult:
     heisenberg_min = check_physical(v4)
     m = v4.matrix
     eta = _eta_minus_formula(m if m.ndim == 3 else m[None])
-    # math.log: numpy's vectorised log differs from it in the last bit
-    raw = np.array([-math.log(x) for x in (2.0 * eta).tolist()])
+    raw = -np.log(2.0 * eta)
     fields = (eta, np.where(raw > 0.0, raw, 0.0), raw, eta < 0.5)
     if m.ndim == 2:
         fields = (f.item() for f in fields)

@@ -191,14 +191,7 @@ class SystemParams:
         return 2.0 * math.pi * C_LIGHT / self.laser_wavelength
 
     def thermal_phonons(self):
-        """Mean bath phonon number at the mechanical frequency of each point.
-
-        A stack takes it point by point with ``math.expm1``, whose last bit
-        numpy's vectorised expm1 does not always reproduce.
-        """
-        if isinstance(self.omega_m, np.ndarray):
-            return np.array([thermal_occupancy(w, t) for w, t in zip(
-                self.omega_m.tolist(), self.bath_temperature.tolist())])
+        """Mean bath phonon number at the mechanical frequency of each point."""
         return thermal_occupancy(self.omega_m, self.bath_temperature)
 
     def with_(self, **changes) -> "SystemParams":
@@ -281,19 +274,23 @@ class SteadyState:
         return _take(self, idx)
 
 
-def thermal_occupancy(omega: float, temperature: float) -> float:
+def thermal_occupancy(omega, temperature):
     """Bose-Einstein occupancy 1/(exp(hbar*omega/kB*T) - 1).
 
-    Returns 0 in the zero-temperature limit.
+    Of one mode, or of each item of arrays ``omega`` and ``temperature``.
+    Returns 0 in the zero-temperature limit and wherever the exponential
+    overflows, a bath too cold to hold a phonon.
     """
-    if not 0 < omega < math.inf:
+    omega = np.asarray(omega, dtype=float)
+    temperature = np.asarray(temperature, dtype=float)
+    if not _all(_finite(omega) & (omega > 0)):
         raise ValueError("omega must be > 0")
-    if not 0 <= temperature < math.inf:
+    if not _all(_finite(temperature) & (temperature >= 0)):
         raise ValueError("temperature must be >= 0")
-    if temperature == 0.0:
-        return 0.0
-    x = HBAR * omega / (K_B * temperature)
-    return 1.0 / math.expm1(x)
+    # T = 0 makes the exponent inf, and 1/inf is the limit 0
+    with np.errstate(divide="ignore", over="ignore"):
+        n = 1.0 / np.expm1(HBAR * omega / (K_B * temperature))
+    return n if n.ndim else float(n)
 
 
 def drive_amplitude(params):
@@ -325,29 +322,19 @@ _OVERFLOW = ("intensity cubic produced no admissible root: products of the "
 
 
 def _cubic_roots(coeffs: np.ndarray) -> np.ndarray:
-    """``np.roots`` of every row of an (N, 4) coefficient stack, NaN-padded to (N, 3).
+    """Roots of every row of an (N, 4) coefficient stack, as an (N, 3) array.
 
-    Rows whose leading and trailing coefficients are nonzero share one
-    ``eigvals`` call on the companion matrices that ``np.roots`` builds, so
-    their roots are the same to the bit; the rest go through ``np.roots``,
-    which strips those zeros.
+    One ``eigvals`` call on the companion matrices; each row's leading and
+    constant coefficients must be nonzero.
     """
-    regular = (coeffs[:, 0] != 0.0) & (coeffs[:, 3] != 0.0)
     companion = np.zeros((len(coeffs), 3, 3))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # inf/inf of overflowing coefficients
         companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
     companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    irregular = np.flatnonzero(~regular)
-    companion[irregular] = 0.0
     try:
-        roots = np.linalg.eigvals(companion).astype(complex)
+        return np.linalg.eigvals(companion).astype(complex)
     except np.linalg.LinAlgError as err:  # an inf or NaN companion matrix
         raise NoPhysicalRoot(_OVERFLOW) from err
-    for i in irregular:
-        r = np.roots(coeffs[i])
-        roots[i] = np.nan
-        roots[i, :r.size] = r
-    return roots
 
 
 def _admissible_intensities(cubic: np.ndarray) -> np.ndarray:
@@ -362,7 +349,7 @@ def _admissible_intensities(cubic: np.ndarray) -> np.ndarray:
     iterate. Rows are NaN-padded to three roots.
     """
     beta, delta0, kappa_sq, linear, e0_sq = cubic
-    coeffs = np.array([np.float_power(beta, 2), -2.0 * delta0 * beta, linear, -e0_sq])
+    coeffs = np.array([beta * beta, -2.0 * delta0 * beta, linear, -e0_sq])
     roots = _cubic_roots(coeffs.T).ravel()
     # one entry per root from here on: same-shape operands keep the small
     # arrays of a single point cheap
@@ -375,10 +362,8 @@ def _admissible_intensities(cubic: np.ndarray) -> np.ndarray:
                   & (roots.real >= -1e-8 * scale))
 
     def residual(x):
-        # float_power is libm's pow, like a scalar ``delta ** 2``; squaring
-        # differs from it in the last bit for about one value in a thousand
         delta = delta0 - beta * x
-        return np.abs(x * (kappa_sq + np.float_power(delta, 2)) - e0_sq)
+        return np.abs(x * (kappa_sq + delta * delta) - e0_sq)
 
     deriv = coeffs[:-1] * np.arange(3.0, 0.0, -1.0)[:, None]
     x = np.maximum(roots.real, 0.0)
@@ -419,24 +404,23 @@ def solve_steady_state(params, branch: str = "lower") -> SteadyState:
         params = SystemParams.stack(params)
     point = not isinstance(params.omega_m, np.ndarray)
     p = SystemParams.stack([params]) if point else params
-    # float_power is libm's pow, like a scalar ``x ** 2``; squaring differs
-    # from it in the last bit for about one value in a thousand
     e0 = drive_amplitude(p)
     e0_sq = e0 * e0
-    beta = np.float_power(p.g0, 2) / p.omega_m
-    kappa_sq = np.float_power(p.kappa, 2)
+    beta = p.g0 * p.g0 / p.omega_m
+    kappa_sq = p.kappa * p.kappa
     effective = p.detuning_mode == EFFECTIVE
-    closed_form = e0_sq / (kappa_sq + np.float_power(p.detuning, 2))
+    closed_form = e0_sq / (kappa_sq + p.detuning * p.detuning)
     delta0 = np.where(effective, p.detuning + beta * closed_form, p.detuning)
-    linear = kappa_sq + np.float_power(delta0, 2)
+    linear = kappa_sq + delta0 * delta0
     cubic = np.array([beta, delta0, kappa_sq, linear, e0_sq])
-    coupled = p.g0 != 0.0
+    # a cubic with a nonzero leading coefficient beta^2 and constant E0^2
+    coupled = (beta * beta != 0.0) & (e0_sq != 0.0)
     if coupled.all():
         roots = _admissible_intensities(cubic)
     else:
         roots = np.full((len(p), 3), np.nan)
         roots[coupled] = _admissible_intensities(cubic[:, coupled])
-        # without coupling the cubic degenerates to its linear term
+        # without coupling or drive the cubic degenerates to its linear term
         roots[~coupled, 0] = (e0_sq / linear)[~coupled]
 
     count = (roots == roots).sum(axis=1)

@@ -17,7 +17,7 @@ from .errors import QuadratureNotConverged
 RTOL = 1e-9  # componentwise tolerances, see integrate_adaptive
 ATOL = 1e-9
 FLOOR = 1e-4
-MAX_SEGMENTS = 20000  # default segment budget
+MAX_SEGMENTS = 20000  # segment budget of every integral
 
 # (7, 15) Gauss-Kronrod nodes and weights on [-1, 1]
 _XGK = np.array([
@@ -59,7 +59,6 @@ def _evaluate_segments(f: Callable, lo: np.ndarray, hi: np.ndarray):
 def integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
     breakpoints,
-    max_segments: int = MAX_SEGMENTS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate an array-valued ``f`` over the span of ``breakpoints``.
 
@@ -72,7 +71,7 @@ def integrate_adaptive(
     size sets the rounding error of every segment.
 
     Returns ``(integral, error_estimate)``; raises QuadratureNotConverged
-    with the achieved error if the segment budget runs out.
+    with the achieved error if the budget of MAX_SEGMENTS segments runs out.
     """
     pts = np.unique(np.asarray(breakpoints, dtype=float))
     if pts.size < 2:
@@ -89,15 +88,15 @@ def integrate_adaptive(
         worst = float(ratio.max())
         if worst <= 1.0:
             return total, toterr
-        if lo.size >= max_segments:
+        if lo.size >= MAX_SEGMENTS:
             raise QuadratureNotConverged(
-                f"segment budget {max_segments} exhausted",
+                f"segment budget {MAX_SEGMENTS} exhausted",
                 achieved_error=float(toterr.max()))
         # bisect every segment contributing meaningfully to an offending component
         seg_score = (errs / tol).reshape(errs.shape[0], -1).max(axis=1)
         order = np.argsort(seg_score)[::-1]
         n_split = max(1, min(int(np.sum(seg_score > 0.5 / lo.size)),
-                             64, max_segments - lo.size))
+                             64, MAX_SEGMENTS - lo.size))
         split = order[:n_split]
         keep = np.setdiff1d(np.arange(lo.size), split)
         mid = 0.5 * (lo[split] + hi[split])

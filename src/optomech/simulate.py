@@ -237,8 +237,6 @@ def _welch_segments(series: np.ndarray, dt: float,
     Returns (omega grid, per-member mean spectra). 50% overlap; the estimate
     is the two-sided density reported on the nonnegative grid.
     """
-    from scipy.fft import rfft, rfftfreq
-
     n_members, n_kept = series.shape
     seg_len = _segment_length(n_kept, segments_per_member)
     hop = seg_len // 2
@@ -250,9 +248,9 @@ def _welch_segments(series: np.ndarray, dt: float,
         for s in starts:
             chunk = series[i, s:s + seg_len]
             chunk = (chunk - chunk.mean()) * window
-            member_means[i] += norm * np.abs(rfft(chunk)) ** 2
+            member_means[i] += norm * np.abs(np.fft.rfft(chunk)) ** 2
     member_means /= len(starts)
-    omega = 2.0 * math.pi * rfftfreq(seg_len, d=dt)
+    omega = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)
     return omega, member_means
 
 

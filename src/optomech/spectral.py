@@ -21,7 +21,7 @@ from .dynamics import (REDUCED_BASIS, ClosedForm, optomechanical_block,
 from .errors import ImaginaryFrequency, QuadratureNotConverged, UnstableDrift
 from .lyapunov import CovarianceMatrix
 from .parameters import NoiseSpec, SteadyState, SystemParams
-from .quadrature import MAX_SEGMENTS, integrate_adaptive
+from .quadrature import integrate_adaptive
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,6 @@ class ScatteringRates:
     gamma_op: float
 
 
-# The closed forms below take one point (SystemParams, SteadyState) or a
-# stack of many alike. Each scalar ``x ** 2`` of the one-point forms is
-# np.float_power(x, 2): libm's pow, which squaring differs from in the
-# last bit for about one value in a thousand. The squares of a form are
-# taken in one call: at a single point the number of numpy calls, not
-# their arithmetic, sets the cost.
-
-
 def _response_terms(params, ss) -> dict:
     """Scattering rates and omega_eff^2 of the radiation-pressure response.
 
@@ -64,8 +56,8 @@ def _response_terms(params, ss) -> dict:
     gamma_eff and the static channel share.
     """
     wm, k, g, delta = params.omega_m, params.kappa, ss.g_eff, ss.delta_eff
-    k2, wm2, g2, delta2, minus2, plus2 = np.float_power(
-        [k, wm, g, delta, delta - wm, delta + wm], 2)
+    k2, wm2, g2, delta2, minus2, plus2 = np.square(
+        [k, wm, g, delta, delta - wm, delta + wm])
     d_minus, d_plus = k2 + minus2, k2 + plus2
     half = 0.5 * k * g2
     a_minus, a_plus = half / d_minus, half / d_plus
@@ -157,8 +149,8 @@ def _feature_breakpoints(params: SystemParams, drift_eigs: np.ndarray,
 
 
 def _integrate_cm(params: SystemParams, ss: SteadyState,
-                  spectrum_at: Callable[[np.ndarray], np.ndarray],
-                  max_segments: int) -> tuple[np.ndarray, np.ndarray]:
+                  spectrum_at: Callable[[np.ndarray], np.ndarray]
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Shared spectral integration; returns (complex CM integral, error)."""
     a4 = optomechanical_block(params, ss)
     eigs = np.linalg.eigvals(a4)
@@ -176,15 +168,13 @@ def _integrate_cm(params: SystemParams, ss: SteadyState,
         return integrand(1.0 / u_flat) / u_flat[:, None, None] ** 2
 
     pts = _feature_breakpoints(params, eigs, cutoff)
-    value, err = integrate_adaptive(integrand, pts, max_segments=max_segments)
+    value, err = integrate_adaptive(integrand, pts)
     tail, tail_err = integrate_adaptive(tail_integrand,
-                                        np.linspace(0.0, 1.0 / cutoff, 9),
-                                        max_segments=max_segments)
+                                        np.linspace(0.0, 1.0 / cutoff, 9))
     return (value + tail) / (2.0 * math.pi), (err + tail_err) / (2.0 * math.pi)
 
 
-def cm_spectral_oracle(params: SystemParams, ss: SteadyState, *,
-                       max_segments: int = MAX_SEGMENTS) -> CovarianceMatrix:
+def cm_spectral_oracle(params: SystemParams, ss: SteadyState) -> CovarianceMatrix:
     """Stationary 4x4 covariance by frequency integration.
 
     Integrates the resolvent spectrum T(w) D(w) T(w)^dag of the
@@ -192,8 +182,7 @@ def cm_spectral_oracle(params: SystemParams, ss: SteadyState, *,
     S(omega); independent of the Lyapunov route.
     """
     value, _ = _integrate_cm(params, ss,
-                             partial(phase_noise_spectrum, params.phase_noise),
-                             max_segments)
+                             partial(phase_noise_spectrum, params.phase_noise))
     imag_ratio = np.abs(value.imag).max() / max(np.abs(value.real).max(), 1e-300)
     if imag_ratio > 1e-10:
         raise QuadratureNotConverged(
@@ -216,8 +205,7 @@ def approx_cm_phase_correction(params: SystemParams,
                       stacklevel=2)
     omega_eff = effective_response(params, ss).omega_eff
     s_peak = phase_noise_spectrum(params.phase_noise, omega_eff)
-    value, _ = _integrate_cm(params, ss, lambda w: np.full_like(w, s_peak),
-                             MAX_SEGMENTS)
+    value, _ = _integrate_cm(params, ss, lambda w: np.full_like(w, s_peak))
     return CovarianceMatrix(matrix=value.real, basis=REDUCED_BASIS)
 
 
@@ -290,8 +278,8 @@ def _static_heating(params, ss, terms: dict):
     delta, band, width = ss.delta_eff, spec.omega_band, spec.gamma_tilde
     cavity = terms["k2"] + terms["delta2"]
     stiffness = terms["wm2"] - terms["spring"] / cavity
-    shift2, band2, cavity2 = np.float_power(
-        [ss.g_eff * delta * params.omega_m / stiffness, band, cavity], 2)
+    shift2, band2, cavity2 = np.square(
+        [ss.g_eff * delta * params.omega_m / stiffness, band, cavity])
     dn = ss.photon_number * shift2 * spec.gamma_l * band2 / (width * cavity2)
     scale = np.minimum(np.minimum(np.sqrt(stiffness), params.kappa), np.abs(delta))
     valid = applies & (width != 0.0)

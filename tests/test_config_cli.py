@@ -226,6 +226,14 @@ class TestCli:
         assert doc["metadata"]["internal_params"]["kappa"] == \
             pytest.approx(math.pi * 1e7)
 
+    def test_point_command_on_a_cold_bath(self, tmp_path, capsys):
+        path = write_json(tmp_path, "p.json",
+                          {**GOOD_PARAMS, "bath_temperature_k": 1e-8})
+        assert cli.main(["point", "--config", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"]["stable"] is True
+        assert doc["result"]["e_n"] > 0.0
+
     def test_point_dump_model(self, tmp_path):
         from optomech.dynamics import LinearModel
 

@@ -233,16 +233,6 @@ class TestReduction:
         v_direct = solve_lyapunov(m4.drift, m4.diffusion).matrix
         np.testing.assert_allclose(v_reduced, v_direct, rtol=1e-10, atol=1e-10)
 
-    def test_covariance_document_round_trip(self):
-        import json
-
-        v = CovarianceMatrix(matrix=np.diag([1.0, 2.0, 3.0, 4.0]),
-                             basis=("dq", "dp", "dX", "dY"))
-        back = CovarianceMatrix.from_document(json.loads(json.dumps(
-            v.to_document())))
-        np.testing.assert_array_equal(back.matrix, v.matrix)
-        assert back.basis == v.basis
-
     def test_wrong_order_rejected(self):
         v4 = CovarianceMatrix(matrix=np.eye(4), basis=("dq", "dp", "dX", "dY"))
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,24 @@ class TestThermalOccupancy:
         temps = np.geomspace(1e-3, 10.0, 25)
         values = [thermal_occupancy(OMEGA_M, t) for t in temps]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_cold_bath_is_empty(self):
+        # hbar*omega/(kB*T) of about 4.8e5, far past exp's range at 709.78
+        omega, cold = 2.0 * math.pi * 1e9, 1e-5
+        assert HBAR * omega / (K_B * cold) > 709.8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert thermal_occupancy(omega, cold) == 0.0
+            values = thermal_occupancy(np.array([omega, OMEGA_M, omega]),
+                                       np.array([cold, 0.4, 0.0]))
+        assert values[0] == values[2] == 0.0
+        assert values[1] == thermal_occupancy(OMEGA_M, 0.4)
+
+    def test_array_matches_point_by_point(self):
+        omegas = np.geomspace(1e5, 1e10, 25)
+        temps = np.geomspace(1e-3, 10.0, 25)
+        assert thermal_occupancy(omegas, temps).tolist() == [
+            thermal_occupancy(w, t) for w, t in zip(omegas, temps)]
 
 
 class TestDriveAmplitude:
@@ -80,6 +99,24 @@ class TestSteadyState:
         assert ss.alpha_abs == 0.0
         assert ss.delta_eff == ss.delta_bare
         assert ss.q_static == 0.0
+
+    @pytest.mark.parametrize("mode", ["bare", "effective"])
+    def test_zero_drive_is_monostable(self, mode):
+        # a zero constant term: the cubic's only admissible root is I = 0
+        ss = solve_steady_state(make_params(laser_power=0.0, detuning_mode=mode))
+        assert ss.photon_number == 0.0
+        assert ss.branch == "monostable"
+        assert ss.all_roots == (0.0,)
+
+    def test_vanishing_coupling_is_monostable(self):
+        # beta^2 = (g0^2/omega_m)^2 underflows to 0: the cubic is its linear
+        # term, with the uncoupled root E0^2/(kappa^2 + delta^2)
+        p = make_params(g0=1e-80, detuning_mode="bare")
+        ss = solve_steady_state(p)
+        assert ss.branch == "monostable"
+        assert ss.all_roots == (ss.photon_number,)
+        assert ss.photon_number == solve_steady_state(
+            p.with_(g0=0.0)).photon_number
 
     def test_effective_mode_reference(self):
         ss = solve_steady_state(make_params())

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -175,7 +176,7 @@ class TestTrajectoryContract:
     def test_cli_import_leaves_scipy_signal_out(self):
         # importing scipy.signal costs most of a second in a fresh process,
         # and scipy as a whole most of the CLI's start-up: only the routes
-        # that use it (Schur solve, expm, Welch FFT, quad) import it
+        # that use it (Schur solve, expm, quad) import it
         src = os.path.dirname(os.path.dirname(optomech.__file__))
         code = ("import sys, optomech.cli; "
                 "print('scipy.signal' in sys.modules, "
@@ -184,6 +185,29 @@ class TestTrajectoryContract:
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == "False []"
+
+    def test_validate_leaves_scipy_fft_out(self, tmp_path):
+        # the Welch transforms run on numpy.fft
+        src = os.path.dirname(os.path.dirname(optomech.__file__))
+        config = tmp_path / "v.json"
+        config.write_text(json.dumps({
+            "omega_m_over_2pi_hz": 1e7, "quality_factor": 2e6,
+            "kappa_over_omega_m": 0.5, "delta_over_omega_m": 1.0,
+            "g0_rad_s": 1e3, "laser_power_mw": 20.0, "bath_temperature_k": 0.4,
+            "phase_noise": {"kind": "bandpass", "linewidth_over_2pi_hz": 100.0,
+                            "band_center_over_2pi_hz": 5e4,
+                            "bandwidth_over_band_center": 0.5},
+            "n_steps": 40000, "n_ensemble": 4, "seed": 11}))
+        code = ("import sys, optomech.cli; "
+                f"code = optomech.cli.main(['validate', '--config', {str(config)!r}, "
+                f"'--out-dir', {str(tmp_path)!r}]); "
+                "print(code, sorted(m for m in sys.modules "
+                "if m.startswith('scipy.fft')))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.splitlines()[-1] == "0 []"
+        assert (tmp_path / "validation.csv").exists()
 
     def test_timestep_guard(self):
         spec = bandpass_100hz()

@@ -12,7 +12,7 @@ from optomech import (NoiseSpec, SystemParams, approx_cm_phase_correction,
                       power_for_coupling, reduce_to_optomechanical,
                       scattering_rates, solve_lyapunov, solve_steady_state,
                       static_phase_noise_heating, threshold_eta_minus)
-from optomech import spectral
+from optomech import quadrature, spectral
 from optomech.dynamics import optomechanical_block, vacuum_diffusion
 from optomech.errors import (ImaginaryFrequency, QuadratureNotConverged,
                              UnstableDrift)
@@ -421,7 +421,7 @@ class TestSpectralOracle:
         def s_of(w):
             return np.asarray(phase_noise_spectrum(spec, w), dtype=float)
 
-        value, _ = _integrate_cm(paper_point, ss, s_of, 20000)
+        value, _ = _integrate_cm(paper_point, ss, s_of)
         residue = np.abs(value.imag) / np.maximum(np.abs(value.real), 1e-300)
         assert np.max(residue[np.abs(value.real) > 1e-12]) <= 1e-12
 
@@ -492,10 +492,11 @@ class TestSpectralOracle:
         assert occupancy(v_approx, OMEGA_M).n_eff <= \
             occupancy(v_exact, OMEGA_M).n_eff
 
-    def test_quadrature_budget_error(self, paper_point):
+    def test_quadrature_budget_error(self, paper_point, monkeypatch):
         ss = solve_steady_state(paper_point)
+        monkeypatch.setattr(quadrature, "MAX_SEGMENTS", 8)
         with pytest.raises(QuadratureNotConverged) as err:
-            cm_spectral_oracle(paper_point, ss, max_segments=8)
+            cm_spectral_oracle(paper_point, ss)
         assert err.value.achieved_error > 0.0
 
     def test_unresolved_sideband_warning(self):

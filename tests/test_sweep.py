@@ -514,19 +514,34 @@ class TestStackedPipeline:
         assert any(not r.stable for r in results)
         assert {r.branch for r in results} >= {"lower", "monostable"}
 
-    def test_thermal_phonons_once_per_point(self, monkeypatch):
+    def test_thermal_phonons_once_per_stack(self, monkeypatch):
         import optomech.parameters as parameters_mod
 
         calls = []
         occupancy_of = parameters_mod.thermal_occupancy
 
         def counted(omega, temperature):
-            calls.append(omega)
+            calls.append(np.size(omega))
             return occupancy_of(omega, temperature)
 
         monkeypatch.setattr(parameters_mod, "thermal_occupancy", counted)
         run_pipeline(_MIXED)
-        assert len(calls) == len(_MIXED)
+        # one call that holds every point of the stack
+        assert calls == [len(_MIXED)]
+
+    def test_cold_bath_is_the_zero_temperature_point(self):
+        # hbar*omega_m/(kB*T) of about 4.8e5: the Bose factor overflows
+        ref = make_params(phase_noise=bandpass_100hz())
+        cold = evaluate_point(ref.with_(bath_temperature=1e-8))
+        assert cold == evaluate_point(ref.with_(bath_temperature=0.0))
+        assert cold.stable and cold.error is None
+
+    def test_cold_point_in_a_stack(self):
+        ref = make_params(phase_noise=bandpass_100hz())
+        cold = ref.with_(bath_temperature=1e-8)
+        results = evaluate_batch([ref, cold])
+        assert [r.error for r in results] == [None, None]
+        assert results[1] == evaluate_point(cold)
 
     def test_evaluate_batch_isolates_failures(self, monkeypatch):
         import optomech.sweep as sweep_mod
