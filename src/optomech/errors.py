@@ -36,7 +36,7 @@ class SolverSingular(OptomechError):
 
 
 class UnphysicalState(OptomechError):
-    """Covariance matrix violates the Heisenberg bound beyond slack."""
+    """Covariance matrix not positive definite, or below the Heisenberg bound beyond slack."""
 
 
 class NegativeDiscriminant(OptomechError):

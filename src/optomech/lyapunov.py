@@ -55,18 +55,34 @@ def symplectic_form(n_modes: int) -> NDArray[np.float64]:
 
 
 def symplectic_eigenvalues(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Symplectic spectrum, ascending, of each covariance of an (..., 2n, 2n) stack."""
+    """Symplectic spectrum, ascending, of each covariance of an (..., 2n, 2n) stack.
+
+    By Williamson's theorem: with V = L L^T (Cholesky), the Hermitian
+    i K, K = L^T Omega L, is similar to i Omega V (conjugate by L^T), so
+    its eigenvalues are exactly +/-nu_k, and its upper n are the spectrum.
+    Every matrix must be positive definite, as a physical covariance is
+    (V >= i Omega / 2); where one is not, it has no Williamson form and
+    UnphysicalState is raised. The error of each nu is of order
+    eps * max|V| (within 8 (2n)^2 eps max|V| of a 50-digit reference in
+    the tests), as for an eigen-solve of i Omega V, with no loss where the
+    spectrum is degenerate (a pure state, every nu = 1/2).
+    """
     m = np.asarray(matrix, dtype=float)
-    eig = np.linalg.eigvals(1j * symplectic_form(m.shape[-1] // 2) @ m)
-    vals = np.sort(np.abs(eig), axis=-1)
-    return vals[..., ::2]  # eigenvalues of i*Omega*V come in +/- pairs
+    n = m.shape[-1] // 2
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as err:
+        raise UnphysicalState("covariance is not positive definite") from err
+    k = chol.swapaxes(-1, -2) @ symplectic_form(n) @ chol
+    return np.linalg.eigvalsh(1j * k)[..., n:]
 
 
 def check_physical(cov: CovarianceMatrix):
     """Smallest symplectic eigenvalue of a covariance, or of each of a stack.
 
     A float for one covariance, an array for a stack. Raises
-    UnphysicalState if one of them is below 1/2 - PHYSICALITY_SLACK.
+    UnphysicalState if one of them is not positive definite or is below
+    1/2 - PHYSICALITY_SLACK.
     """
     low = symplectic_eigenvalues(cov.matrix).min(axis=-1)
     bad = np.flatnonzero(low < 0.5 - PHYSICALITY_SLACK)

@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from optomech import NoiseSpec, SystemParams
+from optomech import NoiseSpec, SystemParams, apply_axis, symplectic_form
 
 OMEGA_M = 2.0 * math.pi * 1e7
 
@@ -42,6 +43,32 @@ def relative_gap(a, b, floor=1e-6):
     """
     scale = floor * np.max(np.abs(b))
     return np.max(np.abs(a - b) / np.maximum(np.abs(b), scale))
+
+
+def grid_points(spec):
+    """The working points of a sweep's grid, row-major, as one stack."""
+    xs, ys = spec.axis_x.values(), spec.axis_y.values()
+    grid = apply_axis(SystemParams.repeat(spec.fixed, xs.size * ys.size),
+                      spec.axis_x.name, np.repeat(xs, ys.size))
+    return apply_axis(grid, spec.axis_y.name, np.tile(ys, xs.size))
+
+
+def mp_symplectic_eigenvalues(v):
+    """Symplectic spectrum, ascending, of one (2n, 2n) float covariance.
+
+    The reference route, in 50-digit arithmetic on the float entries
+    as given: the eigenvalues +/-nu_k of i Omega V, as those of the similar
+    Hermitian i R Omega R, R = V^(1/2) the symmetric square root. (A
+    general eigen-solve of i Omega V can fail to converge where the
+    spectrum is degenerate, as it is for a pure state.)
+    """
+    n = v.shape[-1] // 2
+    with mpmath.workdps(50):
+        lam, q = mpmath.eigsy(mpmath.matrix(v.tolist()))
+        root = q * mpmath.diag([mpmath.sqrt(x) for x in lam]) * q.T
+        omega = mpmath.matrix(symplectic_form(n).tolist())
+        eig = mpmath.eighe(1j * root * omega * root, eigvals_only=True)
+        return np.array([float(x) for x in sorted(eig)[n:]])
 
 
 def poison_nth(stage, nth):

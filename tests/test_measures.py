@@ -10,6 +10,7 @@ from optomech import (CovarianceMatrix, build_model,
                       thermal_occupancy)
 from optomech.constants import HBAR
 from optomech.errors import NegativeDiscriminant, UnphysicalState
+from optomech.measures import _eta_minus_formula
 
 from conftest import OMEGA_M, make_params
 
@@ -65,11 +66,13 @@ class TestLogNegativity:
             log_negativity(_cm(0.3 * np.eye(4)))
 
     def test_negative_discriminant_rejected(self):
-        # an indefinite symmetric matrix passes the symplectic check but has
-        # Sigma^2 < 4 det V
+        # an indefinite symmetric matrix has Sigma^2 < 4 det V; the symplectic
+        # check rejects it first, so the formula's guard is reached directly
         m = np.random.default_rng(0).standard_normal((4, 4))
         with pytest.raises(NegativeDiscriminant, match=r"discriminant -7\.081231e\+00"
                            r" < 0 for sigma\^2 = 9\.885556e-04"):
+            _eta_minus_formula((m + m.T)[None])
+        with pytest.raises(UnphysicalState, match="not positive definite"):
             log_negativity(_cm(m + m.T))
 
     def test_formula_agrees_with_partial_transpose_route(self):

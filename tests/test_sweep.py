@@ -19,8 +19,8 @@ from optomech import (NoiseSpec, SweepAxis, SweepSpec, SystemParams,
 from optomech.errors import ImaginaryFrequency, PointEvaluationError
 from optomech.output import _cell
 
-from conftest import (OMEGA_M, bandpass_100hz, make_params, poison_nth,
-                      relative_gap)
+from conftest import (OMEGA_M, bandpass_100hz, grid_points, make_params,
+                      poison_nth, relative_gap)
 
 G_THRESHOLD = math.sqrt(1.25) * OMEGA_M  # at delta = omega_m, kappa = omega_m/2
 # resonant drive: the terms A V and V A^T of the Lyapunov residual, which
@@ -561,14 +561,6 @@ def _reduced(cov):
     return reduce_to_optomechanical(cov) if cov.order == 6 else cov
 
 
-def _grid(spec):
-    """The working points of a sweep's grid, row-major, as one stack."""
-    xs, ys = spec.axis_x.values(), spec.axis_y.values()
-    grid = apply_axis(SystemParams.repeat(spec.fixed, xs.size * ys.size),
-                      spec.axis_x.name, np.repeat(xs, ys.size))
-    return apply_axis(grid, spec.axis_y.name, np.tile(ys, xs.size))
-
-
 class TestBlockSolveAgainstSchur:
     """The pipeline's Lyapunov solve, block-triangular for bandpass noise,
     against the Schur route at the benchmark's scaled gate: |dn_eff|/max|V|
@@ -576,9 +568,9 @@ class TestBlockSolveAgainstSchur:
 
     @pytest.mark.parametrize("points", [
         pytest.param(lambda: SystemParams.stack(_MIXED), id="mixed"),
-        pytest.param(lambda: _grid(figure_recipe("fig2b", grid=(30, 30))),
+        pytest.param(lambda: grid_points(figure_recipe("fig2b", grid=(30, 30))),
                      id="fig2b-30x30"),
-        pytest.param(lambda: _grid(figure_recipe("fig7b", grid=(30, 30))),
+        pytest.param(lambda: grid_points(figure_recipe("fig7b", grid=(30, 30))),
                      id="fig7b-30x30")])
     def test_scaled_gap(self, monkeypatch, points):
         import functools
