@@ -51,8 +51,10 @@ def _evaluate_segments(f: Callable, lo: np.ndarray, hi: np.ndarray):
     scale = half.reshape((-1,) + (1,) * (y.ndim - 2))
     wk = _WGK.reshape((1, -1) + (1,) * (y.ndim - 2))
     wg = _WG.reshape((1, -1) + (1,) * (y.ndim - 2))
-    val = scale * np.sum(wk * y, axis=1)
-    err = np.abs(val - scale * np.sum(wg * y, axis=1))
+    # a non-finite y gives a non-finite sum, which integrate_adaptive reports
+    with np.errstate(invalid="ignore", over="ignore"):
+        val = scale * np.sum(wk * y, axis=1)
+        err = np.abs(val - scale * np.sum(wg * y, axis=1))
     return val, err
 
 
@@ -71,7 +73,8 @@ def integrate_adaptive(
     size sets the rounding error of every segment.
 
     Returns ``(integral, error_estimate)``; raises QuadratureNotConverged
-    with the achieved error if the budget of MAX_SEGMENTS segments runs out.
+    with the achieved error if the budget of MAX_SEGMENTS segments runs out,
+    and at once if the summed value or error estimate is not finite.
     """
     pts = np.unique(np.asarray(breakpoints, dtype=float))
     if pts.size < 2:
@@ -82,6 +85,11 @@ def integrate_adaptive(
     while True:
         total = vals.sum(axis=0)
         toterr = errs.sum(axis=0)
+        if not (np.isfinite(total).all() and np.isfinite(toterr).all()):
+            # bisection cannot mend a NaN or an infinity, only spend the budget
+            raise QuadratureNotConverged(
+                "non-finite integrand (integral or error estimate not finite)",
+                achieved_error=float(np.max(toterr)))
         size = np.abs(total)
         tol = ATOL + RTOL * np.maximum(size, FLOOR * size.max())
         ratio = toterr / tol
@@ -98,7 +106,8 @@ def integrate_adaptive(
         n_split = max(1, min(int(np.sum(seg_score > 0.5 / lo.size)),
                              64, MAX_SEGMENTS - lo.size))
         split = order[:n_split]
-        keep = np.setdiff1d(np.arange(lo.size), split)
+        keep = np.ones(lo.size, bool)
+        keep[split] = False
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[keep], lo[split], mid])
         new_hi = np.concatenate([hi[keep], mid, hi[split]])

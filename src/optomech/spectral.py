@@ -102,6 +102,9 @@ def effective_response(params: SystemParams, ss: SteadyState) -> EffectiveRespon
                              chi_eff=chi_eff)
 
 
+_UNDAMPED_BAND = "undamped noise band (gamma_tilde = 0) has no stationary state"
+
+
 def _resolvent_integrand(a4: np.ndarray, d4: np.ndarray, photon_number: float,
                          spectrum_at: Callable[[np.ndarray], np.ndarray]
                          ) -> Callable[[np.ndarray], np.ndarray]:
@@ -109,18 +112,20 @@ def _resolvent_integrand(a4: np.ndarray, d4: np.ndarray, photon_number: float,
 
     T(w) D(w) T(w)^dag with T = (i w I - A)^-1 and the diagonal
     D(w) = D4 + 2*|alpha_s|^2 S(w) e_Y e_Y^T: the flat-noise term that
-    build_model adds to D[3,3], at each frequency's own S(w).
+    build_model adds to D[3,3], at each frequency's own S(w). For a real
+    ``a4``, T(-w) = conj T(w), and for an even ``spectrum_at``,
+    D(-w) = D(w); the -omega term is then the complex conjugate of the
+    +omega one, so the sum is the real array 2 Re[T(w) D(w) T(w)^dag] and
+    each frequency costs one inverse.
     """
     eye = np.eye(4)
 
     def integrand(omega: np.ndarray) -> np.ndarray:
-        # evaluate at +w and -w so hermitian symmetry cancels pointwise
-        w = np.concatenate([omega, -omega])
-        d = np.tile(d4, (len(w), 1))
-        d[:, 3] += 2.0 * photon_number * spectrum_at(w)
-        t = np.linalg.inv(1j * w[:, None, None] * eye - a4)
+        d = np.tile(d4, (len(omega), 1))
+        d[:, 3] += 2.0 * photon_number * spectrum_at(omega)
+        t = np.linalg.inv(1j * omega[:, None, None] * eye - a4)
         density = (t * d[:, None, :]) @ t.conj().transpose(0, 2, 1)
-        return density[:len(omega)] + density[len(omega):]
+        return 2.0 * density.real
 
     return integrand
 
@@ -151,13 +156,21 @@ def _feature_breakpoints(params: SystemParams, drift_eigs: np.ndarray,
 def _integrate_cm(params: SystemParams, ss: SteadyState,
                   spectrum_at: Callable[[np.ndarray], np.ndarray]
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Shared spectral integration; returns (complex CM integral, error)."""
+    """Shared spectral integration; returns (real CM integral, error).
+
+    ``spectrum_at`` must be even in omega: the integrand is taken over
+    omega >= 0 only (see _resolvent_integrand).
+    """
     a4 = optomechanical_block(params, ss)
     eigs = np.linalg.eigvals(a4)
     if np.max(eigs.real) >= 0:
         raise UnstableDrift("spectral oracle needs a stable working point")
+    spec = params.phase_noise
+    if spec.kind == "bandpass" and spec.gamma_tilde == 0.0:
+        # S(omega) is infinite at the band center
+        raise UnstableDrift(_UNDAMPED_BAND)
     scale = max(params.omega_m, abs(ss.delta_eff), params.kappa,
-                params.phase_noise.omega_band, params.phase_noise.gamma_tilde)
+                spec.omega_band, spec.gamma_tilde)
     cutoff = 50.0 * scale
     integrand = _resolvent_integrand(a4, vacuum_diffusion(params),
                                      ss.photon_number, spectrum_at)
@@ -179,16 +192,15 @@ def cm_spectral_oracle(params: SystemParams, ss: SteadyState) -> CovarianceMatri
 
     Integrates the resolvent spectrum T(w) D(w) T(w)^dag of the
     vacuum/thermal noises plus the frequency noise at its full spectrum
-    S(omega); independent of the Lyapunov route.
+    S(omega); independent of the Lyapunov route. The drift is real and
+    S(omega) even, so the integrand is evaluated at omega >= 0 only, as
+    2 Re[T D T^dag]. Raises UnstableDrift for an unstable drift and for an
+    undamped noise band (gamma_tilde = 0), whose S(omega) is infinite at
+    the band center.
     """
     value, _ = _integrate_cm(params, ss,
                              partial(phase_noise_spectrum, params.phase_noise))
-    imag_ratio = np.abs(value.imag).max() / max(np.abs(value.real).max(), 1e-300)
-    if imag_ratio > 1e-10:
-        raise QuadratureNotConverged(
-            "hermitian symmetry violated in spectral integral",
-            achieved_error=float(imag_ratio))
-    return CovarianceMatrix(matrix=value.real, basis=REDUCED_BASIS)
+    return CovarianceMatrix(matrix=value, basis=REDUCED_BASIS)
 
 
 def approx_cm_phase_correction(params: SystemParams,
@@ -197,7 +209,8 @@ def approx_cm_phase_correction(params: SystemParams,
 
     Same integral as the oracle but with S(omega) replaced by the constant
     S(omega_eff); exact for flat spectra, accurate in the resolved-sideband
-    regime (warns when kappa > omega_m).
+    regime (warns when kappa > omega_m). Raises UnstableDrift where the
+    oracle does, an undamped noise band included.
     """
     if params.kappa > params.omega_m:
         warnings.warn("peak-spectrum approximation is calibrated for the "
@@ -206,7 +219,7 @@ def approx_cm_phase_correction(params: SystemParams,
     omega_eff = effective_response(params, ss).omega_eff
     s_peak = phase_noise_spectrum(params.phase_noise, omega_eff)
     value, _ = _integrate_cm(params, ss, lambda w: np.full_like(w, s_peak))
-    return CovarianceMatrix(matrix=value.real, basis=REDUCED_BASIS)
+    return CovarianceMatrix(matrix=value, basis=REDUCED_BASIS)
 
 
 def threshold_eta_minus(params: SystemParams, ss_like: SteadyState,
@@ -258,8 +271,7 @@ _RULES = {
     "omega_m_regime": "occupancy formula assumes omega_m >> n*gamma_m, G",
     "imaginary_spring": lambda form: ImaginaryFrequency(
         float(form.radicands["imaginary_spring"])),
-    "undamped_band": lambda form: UnstableDrift(
-        "undamped noise band (gamma_tilde = 0) has no stationary state"),
+    "undamped_band": lambda form: UnstableDrift(_UNDAMPED_BAND),
     "imaginary_static": lambda form: ImaginaryFrequency(
         float(form.radicands["imaginary_static"])),
     "static_band": "static phase-noise heating assumes the noise band far "

@@ -1,8 +1,12 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from optomech import (NoiseSpec, SystemParams, approx_cm_phase_correction,
                       approx_n_eff, build_model,
@@ -26,6 +30,19 @@ A_PLUS_REF = 3.1172069825436409e-5
 OPT_DETUNING_05 = 0.79920055591872899
 OPT_EN_05 = 0.47436300381365446
 LN_5_3 = 0.51082562376599068
+
+
+@st.composite
+def noise_specs(draw):
+    """A noise spec of any kind; a band with a nonzero width."""
+    kind = draw(st.sampled_from(["none", "white", "bandpass"]))
+    if kind == "none":
+        return NoiseSpec.none()
+    gamma_l = draw(st.floats(0.0, 1e6))
+    if kind == "white":
+        return NoiseSpec.white(gamma_l)
+    return NoiseSpec.bandpass(gamma_l, draw(st.floats(1e2, 1e9)),
+                              draw(st.floats(1e-3, 1e9)))
 
 
 def _point_with_coupling(g_over_wm, **overrides):
@@ -412,18 +429,62 @@ class TestSpectralOracle:
                     v_spec = cm_spectral_oracle(params, ss)
                     assert relative_gap(v_spec.matrix, v_lyap.matrix) <= 1e-6
 
-    def test_hermitian_symmetry_residue(self, paper_point):
-        from optomech.spectral import _integrate_cm
+    @settings(max_examples=60, deadline=None)
+    @given(noises=st.lists(noise_specs(), min_size=1, max_size=6),
+           w=hnp.arrays(float, 6, elements=st.floats(0.0, 1e12)))
+    def test_spectrum_is_even(self, noises, w):
+        # the oracle integrates over omega >= 0 only: S(-w) must be S(w),
+        # bit for bit, for every kind, of one point and of a stack
+        for spec in noises:
+            assert phase_noise_spectrum(spec, -w).tobytes() == \
+                phase_noise_spectrum(spec, w).tobytes()
+            assert phase_noise_spectrum(spec, -w[0]) == \
+                phase_noise_spectrum(spec, w[0])
+        stack = SystemParams.stack(
+            [make_params(phase_noise=spec) for spec in noises]).phase_noise
+        w = w[:len(noises)]
+        assert phase_noise_spectrum(stack, -w).tobytes() == \
+            phase_noise_spectrum(stack, w).tobytes()
 
+    def test_integral_is_real(self, paper_point):
         ss = solve_steady_state(paper_point)
-        spec = paper_point.phase_noise
+        value, err = spectral._integrate_cm(
+            paper_point, ss, partial(phase_noise_spectrum, paper_point.phase_noise))
+        assert value.dtype == err.dtype == np.float64
+        assert value.shape == err.shape == (4, 4)
 
-        def s_of(w):
-            return np.asarray(phase_noise_spectrum(spec, w), dtype=float)
+    def test_one_inverse_per_abscissa(self, paper_point, monkeypatch):
+        # T(-w) is conj T(w) for the real drift: the -w half is not inverted
+        ss = solve_steady_state(paper_point)
+        inv, make_integrand = np.linalg.inv, spectral._resolvent_integrand
+        counts = {"inverted": 0, "abscissae": 0}
 
-        value, _ = _integrate_cm(paper_point, ss, s_of)
-        residue = np.abs(value.imag) / np.maximum(np.abs(value.real), 1e-300)
-        assert np.max(residue[np.abs(value.real) > 1e-12]) <= 1e-12
+        def counting_inv(a):
+            counts["inverted"] += np.asarray(a)[..., 0, 0].size
+            return inv(a)
+
+        def counting_integrand(*args):
+            integrand = make_integrand(*args)
+
+            def counted(omega):
+                counts["abscissae"] += omega.size
+                return integrand(omega)
+
+            return counted
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        monkeypatch.setattr(spectral, "_resolvent_integrand", counting_integrand)
+        cm_spectral_oracle(paper_point, ss)
+        assert counts["abscissae"] > 0
+        assert counts["inverted"] == counts["abscissae"]
+
+    def test_undamped_band_raises(self):
+        # S(omega) is infinite at the center of a band with gamma_tilde = 0
+        p, ss = _point_with_coupling(0.06, phase_noise=NoiseSpec.bandpass(
+            2 * math.pi * 100, 2 * math.pi * 5e4, 0.0))
+        for route in (cm_spectral_oracle, approx_cm_phase_correction):
+            with pytest.raises(UnstableDrift, match="undamped noise band"):
+                route(p, ss)
 
     @pytest.mark.parametrize("noise", [
         bandpass_100hz(), NoiseSpec.white(2 * math.pi * 100), NoiseSpec.none()],
@@ -504,6 +565,36 @@ class TestSpectralOracle:
                                      phase_noise=bandpass_100hz())
         with pytest.warns(UserWarning):
             approx_cm_phase_correction(p, ss)
+
+
+class TestIntegrateAdaptive:
+    @staticmethod
+    def _counted(f):
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        return counted, calls
+
+    def test_nan_integrand_raises_at_once(self):
+        f, calls = self._counted(lambda x: np.full((x.size, 1), np.nan))
+        with pytest.raises(QuadratureNotConverged, match="non-finite integrand"):
+            quadrature.integrate_adaptive(f, [0.0, 1.0])
+        assert len(calls) == 1
+
+    def test_infinite_at_a_kronrod_node_raises_at_once(self):
+        # 0.5 is the center node of the segment [0.25, 0.75]
+        def pole(x):
+            out = np.full((x.size, 1), np.inf)
+            np.divide(1.0, x[:, None] - 0.5, out=out, where=x[:, None] != 0.5)
+            return out
+
+        f, calls = self._counted(pole)
+        with pytest.raises(QuadratureNotConverged, match="non-finite integrand"):
+            quadrature.integrate_adaptive(f, [0.0, 0.25, 0.75, 1.0])
+        assert len(calls) == 1
 
 
 def log_negativity_of(matrix) -> float:
