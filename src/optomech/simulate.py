@@ -24,6 +24,7 @@ DT_DEFAULT = 0.09  # default dt * max|eigenvalue|
 DT_EIGENVALUE_GUARD = 0.1  # dt * max|eigenvalue| must stay below this
 BURN_IN_DECAY = 5.0  # required burn-in in units of the slowest decay time
 BLOCK_STEPS = 4096  # time steps drawn and propagated per block
+CHUNK_STEPS = 16  # time steps per dense response product within a block
 
 
 @dataclass(frozen=True)
@@ -110,24 +111,82 @@ def _check_timestep(a, dt: float | None = None,
     return dt, burn_in
 
 
+# degree m: (largest 1-norm at which the [m/m] Pade approximant of exp meets
+# double precision, its coefficients b_0..b_m), from Higham 2005
+_PADE = {
+    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    7: (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
+                               25200.0, 1512.0, 56.0, 1.0)),
+    9: (2.097847961257068, (17643225600.0, 8821612800.0, 2075673600.0,
+                            302702400.0, 30270240.0, 2162160.0, 110880.0,
+                            3960.0, 90.0, 1.0)),
+    13: (5.371920351148152, (64764752532480000.0, 32382376266240000.0,
+                             7771770303897600.0, 1187353796428800.0,
+                             129060195264000.0, 10559470521600.0,
+                             670442572800.0, 33522128640.0, 1323241920.0,
+                             40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+}
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by Pade scaling and squaring (Higham, SIAM J. Matrix Anal.
+    Appl. 26, 1179 (2005)).
+
+    The lowest degree whose bound the 1-norm of ``a`` meets; past the
+    degree-13 bound, degree 13 on a / 2^s, squared s times.
+    """
+    norm = np.max(np.sum(np.abs(a), axis=0))
+    if not np.isfinite(norm):
+        raise ValueError("matrix exponential needs finite entries")
+    eye = np.eye(len(a))
+    squarings = 0
+    for degree, (theta, b) in _PADE.items():
+        if norm <= theta:
+            break
+    else:
+        squarings = math.ceil(math.log2(norm / theta))
+        a = a / 2.0 ** squarings
+    a2 = a @ a
+    if degree < 13:
+        powers = [eye, a2]  # a^0, a^2, ..., a^(degree - 1)
+        while len(powers) <= degree // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * pw for k, pw in enumerate(powers))
+        v = sum(b[2 * k] * pw for k, pw in enumerate(powers))
+    else:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
 def exact_discretization(a: np.ndarray, d: np.ndarray,
                          dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One-step propagator and process-noise covariance of a linear SDE.
 
     For du = A u dt + noise with symmetrized strength D, returns
     (Phi, Q) with Phi = exp(A dt) and Q = int_0^dt exp(A s) D exp(A^T s) ds,
-    evaluated with the block matrix-exponential construction.
+    evaluated with the block matrix-exponential construction. Q is linear
+    in D, so D enters the block scaled by the power of two 2^-e that brings
+    max|D| dt into [1/2, 1), and Q is divided by it: a large D would
+    otherwise set the block's norm and with it the number of squarings.
     """
-    from scipy.linalg import expm
-
     n = a.shape[0]
+    _, e = math.frexp(float(np.max(np.abs(d))) * dt)
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -a
-    block[:n, n:] = d
+    block[:n, n:] = np.ldexp(d, -e)
     block[n:, n:] = a.T
-    exp_block = expm(block * dt)
+    exp_block = _expm(block * dt)
     phi = exp_block[n:, n:].T
-    q = phi @ exp_block[:n, n:]
+    q = np.ldexp(phi @ exp_block[:n, n:], e)
     return phi, 0.5 * (q + q.T)
 
 
@@ -143,39 +202,69 @@ def _propagate(a: np.ndarray, d: np.ndarray, cfg: TrajectoryConfig,
 
     ``record`` selects one state component to store post-burn-in for
     spectral estimation (None stores nothing). Members evolve side by side
-    from the zero state with per-member spawned generators. Each block of
-    BLOCK_STEPS steps is propagated by a log-step scan: after the pass with
-    shift s = 2^p, sample t holds the noise of samples t-2s+1..t carried
-    forward by the powers of Phi, so log2(BLOCK_STEPS) passes give the
-    recursion x_t = Phi x_(t-1) + w_t for any drift.
+    from the zero state with per-member spawned generators; states are rows,
+    x_t = x_(t-1) Phi^T + z_t L^T with L L^T = Q and z_t the member's
+    normals. Each block of BLOCK_STEPS steps is cut into chunks of
+    C = CHUNK_STEPS steps and propagated in three products:
+
+    - the chunk response: with the chunk's normals as one row
+      [z_0 ... z_(C-1)], its states from a zero entering state are that row
+      times the block upper-triangular ``resp``, whose (k, j) block is
+      L^T (Phi^T)^(j-k) for k <= j;
+    - the chunk-end scan: the state e_k entering chunk k obeys
+      e_k = y_(k-1) + e_(k-1) (Phi^T)^C, with y the last zero-entry state of
+      a chunk and e_0 the state carried into the block; a log-step scan with
+      the powers of (Phi^T)^C solves it over the chunk ends only;
+    - the carry: each chunk adds e_k [(Phi^T)^1 ... (Phi^T)^C].
     """
     _check_timestep(a, cfg.dt, cfg.burn_in)
     n = a.shape[0]
+    width = CHUNK_STEPS * n
     phi, q = exact_discretization(a, d, cfg.dt)
     noise_l_t = _noise_factor(q).T
-    powers = [phi.T]  # (Phi^T)^(2^p) for shifts 2^p below BLOCK_STEPS
-    while 2 ** len(powers) < BLOCK_STEPS:
-        powers.append(powers[-1] @ powers[-1])
+    powers = [np.eye(n)]  # (Phi^T)^j for j = 0..CHUNK_STEPS
+    for _ in range(CHUNK_STEPS):
+        powers.append(powers[-1] @ phi.T)
+    resp = np.zeros((width, width))
+    for k in range(CHUNK_STEPS):
+        for j in range(k, CHUNK_STEPS):
+            resp[k * n:(k + 1) * n, j * n:(j + 1) * n] = noise_l_t @ powers[j - k]
+    carry = np.hstack(powers[1:])
+    chunk_powers = [powers[-1]]  # ((Phi^T)^C)^(2^p) for shifts below a block's chunks
+    while 2 ** len(chunk_powers) < BLOCK_STEPS // CHUNK_STEPS:
+        chunk_powers.append(chunk_powers[-1] @ chunk_powers[-1])
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_ensemble)]
     state = np.zeros((cfg.n_ensemble, n))
     kept = cfg.n_steps - cfg.burn_in
     recording = (np.empty((cfg.n_ensemble, kept)) if record is not None else None)
     moments = np.zeros((cfg.n_ensemble, n, n))
+    normals = x = None
 
     for step in range(0, cfg.n_steps, BLOCK_STEPS):
         m = min(BLOCK_STEPS, cfg.n_steps - step)
-        x = np.stack([r.standard_normal((m, n)) for r in rngs]) @ noise_l_t
-        x[:, 0] += state @ powers[0]
-        for p, power in enumerate(powers):
+        chunks = -(-m // CHUNK_STEPS)
+        if normals is None or normals.shape[1] != chunks:
+            normals = np.empty((cfg.n_ensemble, chunks, width))
+            x = np.empty_like(normals)
+        for member, r in zip(normals, rngs):
+            r.standard_normal(out=member.reshape(-1)[:m * n])
+        normals.reshape(cfg.n_ensemble, -1)[:, m * n:] = 0.0  # a short block's tail
+        np.matmul(normals, resp, out=x)
+        entering = np.empty((cfg.n_ensemble, chunks, n))
+        entering[:, 0] = state
+        entering[:, 1:] = x[:, :-1, -n:]
+        for p, power in enumerate(chunk_powers):
             shift = 2 ** p
-            if shift >= m:
+            if shift >= chunks:
                 break
-            x[:, shift:] += x[:, :-shift] @ power
-        state = x[:, -1]
+            entering[:, shift:] += entering[:, :-shift] @ power
+        x += entering @ carry
+        path = x.reshape(cfg.n_ensemble, -1, n)[:, :m]
+        state = path[:, -1].copy()  # x is overwritten by the next block
         lo = max(cfg.burn_in - step, 0)
         if lo < m:
-            kept_block = x[:, lo:]
+            kept_block = path[:, lo:]
             moments += kept_block.transpose(0, 2, 1) @ kept_block
             if recording is not None:
                 pos = step + lo - cfg.burn_in

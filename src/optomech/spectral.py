@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (REDUCED_BASIS, ClosedForm, optomechanical_block,
+from .dynamics import (REDUCED_BASIS, ClosedForm, auxiliary_block,
+                       drift_abscissa, optomechanical_block,
                        phase_noise_spectrum, vacuum_diffusion)
 from .errors import ImaginaryFrequency, QuadratureNotConverged, UnstableDrift
 from .lyapunov import CovarianceMatrix
@@ -166,8 +167,10 @@ def _integrate_cm(params: SystemParams, ss: SteadyState,
     if np.max(eigs.real) >= 0:
         raise UnstableDrift("spectral oracle needs a stable working point")
     spec = params.phase_noise
-    if spec.kind == "bandpass" and spec.gamma_tilde == 0.0:
-        # S(omega) is infinite at the band center
+    if (spec.kind == "bandpass"
+            and drift_abscissa(auxiliary_block(spec)[0]) >= 0):
+        # build_model's rule: a band this narrow has no stationary state,
+        # and S(omega) overflows at its center
         raise UnstableDrift(_UNDAMPED_BAND)
     scale = max(params.omega_m, abs(ss.delta_eff), params.kappa,
                 spec.omega_band, spec.gamma_tilde)
@@ -195,8 +198,9 @@ def cm_spectral_oracle(params: SystemParams, ss: SteadyState) -> CovarianceMatri
     S(omega); independent of the Lyapunov route. The drift is real and
     S(omega) even, so the integrand is evaluated at omega >= 0 only, as
     2 Re[T D T^dag]. Raises UnstableDrift for an unstable drift and for an
-    undamped noise band (gamma_tilde = 0), whose S(omega) is infinite at
-    the band center.
+    undamped noise band (gamma_tilde = 0, or so small that the noise pair's
+    drift is not Hurwitz, as build_model finds it), whose S(omega) is
+    infinite at the band center.
     """
     value, _ = _integrate_cm(params, ss,
                              partial(phase_noise_spectrum, params.phase_noise))

@@ -71,6 +71,30 @@ def mp_symplectic_eigenvalues(v):
         return np.array([float(x) for x in sorted(eig)[n:]])
 
 
+def mp_exact_discretization(a, d, dt):
+    """(Phi, Q) of the linear SDE du = A u dt + noise D, in 40-digit arithmetic.
+
+    The reference route on the float entries as given: the Van Loan block
+    [[-A, D], [0, A^T]] dt exponentiated by mpmath, unscaled; Phi is the
+    transpose of its lower right block and Q = Phi times its upper right
+    block, symmetrized.
+    """
+    n = a.shape[0]
+    with mpmath.workdps(40):
+        block = mpmath.zeros(2 * n, 2 * n)
+        for i in range(n):
+            for j in range(n):
+                block[i, j] = -mpmath.mpf(a[i, j])
+                block[i, n + j] = mpmath.mpf(d[i, j])
+                block[n + i, n + j] = mpmath.mpf(a[j, i])
+        exp_block = mpmath.expm(block * mpmath.mpf(dt))
+        phi = exp_block[n:, n:].T
+        q = phi * exp_block[:n, n:]
+        q = (q + q.T) / 2
+        return (np.array(phi.tolist(), dtype=float),
+                np.array(q.tolist(), dtype=float))
+
+
 def poison_nth(stage, nth):
     """Wrap a pipeline stage so the ``nth`` distinct point to reach it fails.
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -18,10 +19,15 @@ from optomech import (NoiseSpec, TrajectoryConfig, build_model,
                       solve_lyapunov, solve_steady_state, thermal_occupancy)
 from optomech.dynamics import auxiliary_block, drift_abscissa
 from optomech.errors import UnstableTimestep
-from optomech.simulate import (BLOCK_STEPS, _noise_factor, _propagate,
+from optomech.simulate import (BLOCK_STEPS, CHUNK_STEPS, _check_timestep,
+                               _expm, _noise_factor, _propagate,
                                _segment_length)
 
-from conftest import OMEGA_M, bandpass_100hz, make_params
+from conftest import (OMEGA_M, bandpass_100hz, make_params,
+                      mp_exact_discretization)
+
+SCAN_DRIFTS = ["bandpass-pair", "critically-damped-pair", "ornstein-uhlenbeck",
+               "optomechanical-6x6"]
 
 
 def aux_config(spec, n_steps=200_000, n_ensemble=8, seed=20240811):
@@ -74,15 +80,19 @@ def per_step_reference(a, d, cfg, record):
 
 class TestBlockScan:
     @pytest.mark.parametrize("layout", ["ragged-last-block", "one-short-block",
-                                        "whole-blocks"])
-    @pytest.mark.parametrize("drift", ["bandpass-pair", "critically-damped-pair",
-                                       "ornstein-uhlenbeck", "optomechanical-6x6"])
+                                        "whole-blocks", "last-block-under-a-chunk",
+                                        "burn-in-mid-chunk"])
+    @pytest.mark.parametrize("drift", SCAN_DRIFTS)
     def test_matches_per_step_recursion(self, drift, layout):
         n_steps, burn_in = {
             # burn-in ends inside the second block; the last block is short
             "ragged-last-block": (2 * BLOCK_STEPS + 123, BLOCK_STEPS + 1000),
             "one-short-block": (1500, 700),
             "whole-blocks": (3 * BLOCK_STEPS, BLOCK_STEPS),
+            # the last block is shorter than one chunk
+            "last-block-under-a-chunk": (2 * BLOCK_STEPS + 5, BLOCK_STEPS + 1000),
+            # burn-in ends 7 steps into the last chunk of the first block
+            "burn-in-mid-chunk": (2 * BLOCK_STEPS, BLOCK_STEPS - CHUNK_STEPS + 7),
         }[layout]
         a, d, dt = scan_test_drift(drift)
         cfg = TrajectoryConfig.for_drift(a, n_steps=n_steps, n_ensemble=3,
@@ -98,6 +108,56 @@ class TestBlockScan:
 
 
 class TestExactDiscretization:
+    @pytest.mark.parametrize("drift", SCAN_DRIFTS)
+    def test_matches_40_digit_reference(self, drift):
+        # at the timestep of the scan tests; scipy's expm is the second
+        # reference, a few hundred eps off in Phi where the Pade route is
+        # within one
+        a, d, dt = scan_test_drift(drift)
+        dt, _ = _check_timestep(a, dt)
+        phi, q = exact_discretization(a, d, dt)
+        ref_phi, ref_q = mp_exact_discretization(a, d, dt)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(phi - ref_phi)) <= 4 * eps * np.max(np.abs(ref_phi))
+        assert np.max(np.abs(q - ref_q)) <= 4 * eps * np.max(np.abs(ref_q))
+        n = a.shape[0]
+        block = np.zeros((2 * n, 2 * n))
+        block[:n, :n], block[:n, n:], block[n:, n:] = -a, d, a.T
+        exp_block = scipy.linalg.expm(block * dt)
+        scipy_phi = exp_block[n:, n:].T
+        scipy_q = scipy_phi @ exp_block[:n, n:]
+        np.testing.assert_allclose(phi, scipy_phi, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(ref_phi)))
+        np.testing.assert_allclose(q, 0.5 * (scipy_q + scipy_q.T), rtol=0,
+                                   atol=1e-12 * np.max(np.abs(ref_q)))
+
+    @pytest.mark.parametrize("norm, tol_eps", [
+        (0.01, 4), (0.2, 4), (0.9, 4), (2.0, 4), (5.0, 4), (60.0, 32)])
+    def test_pade_degrees_match_40_digits(self, norm, tol_eps):
+        # 1-norms inside the bounds of degrees 3, 5, 7, 9 and 13, and one
+        # that takes four squarings of degree 13
+        a = np.random.default_rng(3).standard_normal((4, 4))
+        a *= norm / np.max(np.sum(np.abs(a), axis=0))
+        with mpmath.workdps(40):
+            ref = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(),
+                           dtype=float)
+        assert (np.max(np.abs(_expm(a) - ref))
+                <= tol_eps * np.finfo(float).eps * np.max(np.abs(ref)))
+
+    def test_non_finite_input_named(self):
+        with pytest.raises(ValueError, match="finite entries"):
+            exact_discretization(np.array([[np.nan]]), np.array([[1.0]]), 0.1)
+
+    @pytest.mark.parametrize("strength", [0.0, 1e-310, 1e-200, 1e200, 1e308])
+    def test_noise_strength_scale_free(self, strength):
+        # D enters the block rescaled by a power of two: Q is linear in D at
+        # any magnitude, from a subnormal one to one near the overflow bound
+        phi, q = exact_discretization(np.array([[-2.0]]),
+                                      np.array([[strength]]), 0.05)
+        assert phi[0, 0] == pytest.approx(math.exp(-0.1), rel=1e-14)
+        assert q[0, 0] == pytest.approx(strength * (1 - math.exp(-0.2)) / 4.0,
+                                        rel=1e-12, abs=0.0)
+
     def test_scalar_ornstein_uhlenbeck_closed_form(self):
         gamma, d = 2.0, 3.0
         phi, q = exact_discretization(np.array([[-gamma]]), np.array([[d]]), 0.05)
@@ -176,7 +236,7 @@ class TestTrajectoryContract:
     def test_cli_import_leaves_scipy_signal_out(self):
         # importing scipy.signal costs most of a second in a fresh process,
         # and scipy as a whole most of the CLI's start-up: only the routes
-        # that use it (Schur solve, expm, quad) import it
+        # that use it (Schur solve, quad) import it
         src = os.path.dirname(os.path.dirname(optomech.__file__))
         code = ("import sys, optomech.cli; "
                 "print('scipy.signal' in sys.modules, "
@@ -186,8 +246,9 @@ class TestTrajectoryContract:
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == "False []"
 
-    def test_validate_leaves_scipy_fft_out(self, tmp_path):
-        # the Welch transforms run on numpy.fft
+    def test_validate_leaves_scipy_out(self, tmp_path):
+        # the Welch transforms run on numpy.fft, the block exponential on
+        # numpy's Pade route
         src = os.path.dirname(os.path.dirname(optomech.__file__))
         config = tmp_path / "v.json"
         config.write_text(json.dumps({
@@ -202,7 +263,7 @@ class TestTrajectoryContract:
                 f"code = optomech.cli.main(['validate', '--config', {str(config)!r}, "
                 f"'--out-dir', {str(tmp_path)!r}]); "
                 "print(code, sorted(m for m in sys.modules "
-                "if m.startswith('scipy.fft')))")
+                "if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src))

@@ -486,6 +486,25 @@ class TestSpectralOracle:
             with pytest.raises(UnstableDrift, match="undamped noise band"):
                 route(p, ss)
 
+    @pytest.mark.parametrize("route", [cm_spectral_oracle,
+                                       approx_cm_phase_correction])
+    def test_band_too_narrow_to_damp_raises_quietly(self, route):
+        # a band width of 1e-200 is damped on paper, but the drift abscissa
+        # of the noise pair reads 0.0, as build_model sees it, and S(omega)
+        # overflows at the band center: the same verdict, no warning
+        p, ss = _point_with_coupling(0.06, phase_noise=NoiseSpec.bandpass(
+            2 * math.pi * 100, 2 * math.pi * 5e4, 1e-200))
+        assert not build_model(p, ss).stable
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnstableDrift, match="undamped noise band"):
+                route(p, ss)
+
+    def test_narrow_damped_band_converges(self):
+        p, ss = _point_with_coupling(0.06, phase_noise=NoiseSpec.bandpass(
+            2 * math.pi * 100, 2 * math.pi * 5e4, 1e-3))
+        assert np.all(np.isfinite(cm_spectral_oracle(p, ss).matrix))
+
     @pytest.mark.parametrize("noise", [
         bandpass_100hz(), NoiseSpec.white(2 * math.pi * 100), NoiseSpec.none()],
         ids=["bandpass", "white", "none"])
