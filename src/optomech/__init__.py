@@ -10,6 +10,8 @@ against the full pipeline, and stochastic trajectories against both.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .constants import CODATA_VERSION, C_LIGHT, HBAR, K_B
 from .dynamics import (LinearModel, auxiliary_block, build_model,
                        drift_abscissa, optomechanical_block,
@@ -36,4 +38,6 @@ from .sweep import (OUTPUT_NAMES, PointResult, SweepAxis, SweepResult,
                     emit_figure_data, evaluate_batch, evaluate_point,
                     figure_recipe, run_pipeline, run_sweep)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public functions, classes and constants; the submodules stay attributes
+__all__ = [name for name, value in sorted(vars().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -183,6 +183,17 @@ def auxiliary_block(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     return a, d
 
 
+def _undamped_band(spec: NoiseSpec) -> NDArray[np.bool_]:
+    """Whether the (psi, theta) drift of each bandpass noise spec is not Hurwitz.
+
+    build_model's verdict on the noise pair: such a band has no stationary
+    state. It holds at gamma_tilde = 0 and wherever the band is so narrow
+    that the pair's drift abscissa rounds to zero (below about 1e-11 of its
+    center), where S(omega) overflows at the center.
+    """
+    return drift_abscissa(auxiliary_block(spec)[0]) >= 0
+
+
 def vacuum_diffusion(params) -> np.ndarray:
     """Thermal/vacuum diffusion diagonal of (dq, dp, dX, dY), phase noise excluded.
 

@@ -123,35 +123,18 @@ def _solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return x.reshape(count, p, m).transpose(0, 2, 1)
 
 
-@functools.lru_cache(maxsize=None)
-def _split_orders(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The orders k = 1..n of a leading block, cheapest pair of solves first.
-
-    Returned with the (n*n, n) incidence of each entry (i, j), at row
-    i*n + j, on the block [k:, :k] below each order's leading block (both
-    read-only). Order n is one block, the dense solve, with nothing below.
-    """
-    orders = np.array(sorted(range(1, n + 1),
-                             key=lambda k: (n * (n - k)) ** 3 + k ** 6))
-    i, j = np.divmod(np.arange(n * n), n)
-    below = (j[:, None] < orders) & (orders <= i[:, None])
-    orders.setflags(write=False)
-    below.setflags(write=False)
-    return orders, below
-
-
 def _leading_orders(a: np.ndarray) -> np.ndarray:
     """Per drift of a stack, the order k of the leading block its solve splits off.
 
-    The trailing n - k variables are autonomous where A[k:, :k] is exactly
-    zero. Of those k the cheapest is taken, and n (one block) where there
-    is none. Each drift's order follows from its own entries, so a point
-    is solved alike alone and in any stack.
+    n - 2 where the trailing pair is autonomous, A[n-2:, :n-2] exactly
+    zero, as the (psi, theta) noise pair of the bandpass model is; n (one
+    block) otherwise, and always for n <= 2. Each drift's order follows
+    from its own entries, so a point is solved alike alone and in any stack.
     """
     count, n, _ = a.shape
-    orders, below = _split_orders(n)
-    # the first order, in cost order, with no nonzero entry below its block
-    return orders[np.argmin((a != 0).reshape(count, n * n) @ below, axis=1)]
+    if n <= 2:
+        return np.full(count, n)
+    return np.where(a[:, n - 2:, :n - 2].any(axis=(1, 2)), n, n - 2)
 
 
 def _solve_split(a: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
@@ -231,18 +214,18 @@ def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
     stacks, giving the stacked covariance of every pair. ``method`` is
     "vectorized" (dense solves of Kronecker systems, the default) or
     "schur" (Bartels-Stewart via scipy, the independent reference route).
-    The vectorized route splits a point whose trailing variables are
-    autonomous, as the (psi, theta) noise pair of the bandpass model is:
-    with A[k:, :k] exactly zero, it solves for the right column block of V
-    (n (n - k) unknowns), then for the leading block (k^2 unknowns), in
-    place of all n^2 at once; every other point is one dense solve. Every
-    drift must be Hurwitz and every D symmetric positive semidefinite;
-    each V is symmetrized and its residual is required to satisfy
-    ``RESIDUAL_TOL``, on V and D scaled by a power of two where a term of
-    the residual would overflow. A failed check raises SolverSingular with
-    the condition estimate of the systems solved, inf where that estimate
-    fails. ``abscissa`` is the largest real part of each drift's
-    eigenvalues when the caller has them already.
+    The vectorized route splits a point whose trailing pair of variables
+    is autonomous, as the (psi, theta) noise pair of the bandpass model is:
+    with A[n-2:, :n-2] exactly zero, it solves for the right two columns of
+    V (2n unknowns), then for the leading block ((n - 2)^2 unknowns), in
+    place of all n^2 at once; every other point, and every point with
+    n <= 2, is one dense solve. Every drift must be Hurwitz and every D
+    symmetric positive semidefinite; each V is symmetrized and its
+    residual is required to satisfy ``RESIDUAL_TOL``, on V and D scaled by
+    a power of two where a term of the residual would overflow. A failed
+    check raises SolverSingular with the condition estimate of the systems
+    solved, inf where that estimate fails. ``abscissa`` is the largest
+    real part of each drift's eigenvalues when the caller has them already.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)

@@ -70,11 +70,6 @@ def format_column(values, null=None, json_values: bool = False) -> list[str]:
     return cells
 
 
-def _cell(value) -> str:
-    """One table cell: ``format_column`` of a column of one."""
-    return format_column([value])[0]
-
-
 @dataclass(frozen=True)
 class Columns:
     """Rows of flat records held column by column.

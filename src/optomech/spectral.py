@@ -16,12 +16,12 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (REDUCED_BASIS, ClosedForm, auxiliary_block,
-                       drift_abscissa, optomechanical_block,
-                       phase_noise_spectrum, vacuum_diffusion)
+from .dynamics import (REDUCED_BASIS, ClosedForm, _undamped_band,
+                       optomechanical_block, phase_noise_spectrum,
+                       vacuum_diffusion)
 from .errors import ImaginaryFrequency, QuadratureNotConverged, UnstableDrift
 from .lyapunov import CovarianceMatrix
-from .parameters import NoiseSpec, SteadyState, SystemParams
+from .parameters import NoiseSpec, SteadyState, SystemParams, _take
 from .quadrature import integrate_adaptive
 
 
@@ -167,10 +167,7 @@ def _integrate_cm(params: SystemParams, ss: SteadyState,
     if np.max(eigs.real) >= 0:
         raise UnstableDrift("spectral oracle needs a stable working point")
     spec = params.phase_noise
-    if (spec.kind == "bandpass"
-            and drift_abscissa(auxiliary_block(spec)[0]) >= 0):
-        # build_model's rule: a band this narrow has no stationary state,
-        # and S(omega) overflows at its center
+    if spec.kind == "bandpass" and _undamped_band(spec):
         raise UnstableDrift(_UNDAMPED_BAND)
     scale = max(params.omega_m, abs(ss.delta_eff), params.kappa,
                 spec.omega_band, spec.gamma_tilde)
@@ -298,9 +295,12 @@ def _static_heating(params, ss, terms: dict):
         [ss.g_eff * delta * params.omega_m / stiffness, band, cavity])
     dn = ss.photon_number * shift2 * spec.gamma_l * band2 / (width * cavity2)
     scale = np.minimum(np.minimum(np.sqrt(stiffness), params.kappa), np.abs(delta))
-    valid = applies & (width != 0.0)
+    # build_model's verdict, taken only where the static channel applies
+    undamped = np.zeros_like(applies)
+    undamped[applies] = _undamped_band(spec if applies.all() else _take(spec, applies))
+    valid = applies & ~undamped
     imaginary = valid & (stiffness < 0)
-    flags = {"undamped_band": applies & ~valid, "imaginary_static": imaginary,
+    flags = {"undamped_band": undamped, "imaginary_static": imaginary,
              "static_band": valid & (band > STATIC_BAND_LIMIT * scale)}
     dn = np.where(applies, np.where(valid & ~imaginary, dn, np.nan), 0.0)
     return dn, flags, stiffness
@@ -323,7 +323,9 @@ def static_phase_noise_heating(params, ss) -> ClosedForm:
     exceeds STATIC_BAND_LIMIT times min(sqrt(1/chi0), kappa, |delta|)
     (``static_band``); it raises ImaginaryFrequency past the static
     instability (1/chi0 < 0, ``imaginary_static``) and UnstableDrift for an
-    undamped band (gt = 0, ``undamped_band``), where the value is NaN.
+    undamped band (``undamped_band``: gt = 0, or so small that the noise
+    pair's drift is not Hurwitz, as build_model finds it), where the value
+    is NaN.
     """
     with np.errstate(all="ignore"):
         dn, flags, stiffness = _static_heating(params, ss, _response_terms(params, ss))

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from optomech import (CovarianceMatrix, build_model, check_physical,
-                      figure_recipe, log_negativity, reduce_to_optomechanical,
-                      run_pipeline, solve_lyapunov, solve_steady_state,
-                      symplectic_eigenvalues, symplectic_form,
-                      thermal_occupancy)
+from optomech import (CovarianceMatrix, SystemParams, build_model,
+                      check_physical, figure_recipe, log_negativity,
+                      reduce_to_optomechanical, run_pipeline, solve_lyapunov,
+                      solve_steady_state, symplectic_eigenvalues,
+                      symplectic_form, thermal_occupancy)
 from optomech.errors import SolverSingular, UnphysicalState, UnstableDrift
 from optomech.lyapunov import _leading_orders
 
@@ -147,6 +147,32 @@ class TestBlockSplit:
         v = solve_lyapunov(m.drift, m.diffusion).matrix
         schur = solve_lyapunov(m.drift, m.diffusion, method="schur").matrix
         assert np.max(np.abs(v - schur)) <= 1e-12 * np.max(np.abs(schur))
+
+    def test_bandpass_model_at_zero_power_splits_off_the_noise_pair(self):
+        p = make_params(phase_noise=bandpass_100hz(), laser_power=0.0)
+        m = build_model(p, solve_steady_state(p))
+        assert _leading_orders(m.drift[None]).tolist() == [4]
+
+    def test_uncoupled_and_coupled_4x4_stack(self):
+        # at zero power the cavity pair is autonomous and splits off; the
+        # coupled point is one block. Each row keeps the bits it gets alone.
+        uncoupled = make_params(laser_power=0.0)
+        params = SystemParams.stack([uncoupled, make_params()])
+        m = build_model(params, solve_steady_state(params))
+        assert _leading_orders(m.drift).tolist() == [2, 4]
+        stacked = solve_lyapunov(m.drift, m.diffusion).matrix
+        schur = np.array([solve_lyapunov(a, d, method="schur").matrix
+                          for a, d in zip(m.drift, m.diffusion)])
+        # uncoupled, V is diag(n + 1/2, n + 1/2, 1/2, 1/2) exactly; at
+        # Q = 2e6 the Schur route is itself 8e-11 of max|V| off it
+        n = uncoupled.thermal_phonons()
+        reference = [np.diag([n + 0.5, n + 0.5, 0.5, 0.5]), schur[1]]
+        for i in range(2):
+            alone = solve_lyapunov(m.drift[i], m.diffusion[i]).matrix
+            assert stacked[i].tobytes() == alone.tobytes()
+            scale = np.max(np.abs(alone))
+            assert np.max(np.abs(alone - reference[i])) <= 1e-12 * scale
+            assert np.max(np.abs(alone - schur[i])) <= 1e-9 * scale
 
     def test_coupled_trailing_pair_is_one_block(self):
         m = _bandpass_model()

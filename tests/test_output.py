@@ -1,7 +1,7 @@
 """The column writers against the row-wise reference they replace.
 
 The reference is the writer path the package used before it wrote whole
-columns: one ``_cell`` call per value, one table line per row, and
+columns: one cell formatted per value, one table line per row, and
 ``json.dumps(indent=1, sort_keys=True)`` for documents. It lives here only,
 as the definition of the bytes the column writers must keep.
 """
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from optomech import NoiseSpec, SweepAxis, SweepSpec, emit_figure_data, run_sweep
-from optomech.output import Columns, _cell, format_column, write_document
+from optomech.output import Columns, format_column, write_document
 
 from conftest import OMEGA_M, make_params, poison_nth
 
@@ -74,7 +74,9 @@ EDGE = [None, True, False, np.True_, np.False_, "", "monostable",
 class TestColumnFormatter:
     def test_sequence_matches_cell_by_cell(self):
         assert format_column(EDGE) == [reference_cell(v) for v in EDGE]
-        assert [_cell(v) for v in EDGE] == [reference_cell(v) for v in EDGE]
+        # a column of one, as a lone cell is written
+        assert [format_column([v])[0] for v in EDGE] == \
+            [reference_cell(v) for v in EDGE]
 
     def test_arrays_match_cell_by_cell(self):
         for values in (np.array(FLOATS), np.array([True, False]),

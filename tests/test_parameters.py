@@ -1,9 +1,11 @@
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+import optomech
 from optomech import (NoiseSpec, SystemParams, drive_amplitude,
                       power_for_coupling, solve_steady_state, thermal_occupancy)
 from optomech.constants import HBAR, K_B
@@ -341,3 +343,11 @@ class TestStack:
         np.testing.assert_array_equal(changed.phase_noise.gamma_l, [50.0] * 4)
         np.testing.assert_array_equal(changed.detuning, stack.detuning)
         np.testing.assert_array_equal(stack.laser_power, 20e-3)
+
+
+def test_package_exports_no_module():
+    # ``from optomech import *`` binds the public functions, classes and
+    # constants, not the submodules that define them
+    assert not [name for name in optomech.__all__
+                if isinstance(getattr(optomech, name), types.ModuleType)]
+    assert {"solve_lyapunov", "SystemParams", "HBAR"} <= set(optomech.__all__)

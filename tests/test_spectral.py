@@ -367,6 +367,26 @@ class TestRegimeFlags:
             else:
                 assert value == dn[i]
 
+    @pytest.mark.parametrize("width", [1e-200, 1e-20])
+    def test_band_too_narrow_to_damp_is_undamped(self, width):
+        # damped on paper, but the noise pair's drift abscissa reads 0.0:
+        # build_model calls the point unstable, and the closed forms give
+        # the oracle's verdict, alone and as one point of a stack
+        p, ss = _point_with_coupling(0.06, phase_noise=NoiseSpec.bandpass(
+            2 * math.pi * 100, 2 * math.pi * 5e4, width))
+        assert not build_model(p, ss).stable
+        for route in (static_phase_noise_heating, approx_n_eff):
+            form = route(p, ss)
+            assert form.flags["undamped_band"] and math.isnan(form.value)
+            with pytest.raises(UnstableDrift, match="undamped noise band"):
+                form.checked()
+        with pytest.raises(UnstableDrift, match="undamped noise band"):
+            cm_spectral_oracle(p, ss)
+        params = SystemParams.stack([p, p.with_(phase_noise=bandpass_100hz()),
+                                     p.with_(phase_noise=NoiseSpec.none())])
+        flags = static_phase_noise_heating(params, solve_steady_state(params)).flags
+        assert flags["undamped_band"].tolist() == [True, False, False]
+
 
 class TestLaserCorrelation:
     def test_tau_zero(self):

@@ -17,7 +17,7 @@ from optomech import (NoiseSpec, SweepAxis, SweepSpec, SystemParams,
                       static_phase_noise_heating, symplectic_eigenvalues,
                       thermal_occupancy)
 from optomech.errors import ImaginaryFrequency, PointEvaluationError
-from optomech.output import _cell
+from optomech.output import format_column
 
 from conftest import (OMEGA_M, bandpass_100hz, grid_points, make_params,
                       poison_nth, relative_gap)
@@ -410,14 +410,11 @@ class TestEmittedFiles:
         assert len(mantissa) == 17
 
     def test_cell_format(self):
-        assert _cell(None) == ""
-        assert _cell(True) == "true"
-        assert _cell(np.True_) == "true"
-        assert _cell(np.False_) == "false"
-        assert _cell("monostable") == "monostable"
-        assert _cell(float("nan")) == "nan"
-        assert _cell(np.float64("nan")) == "nan"
-        assert _cell(1.0) == "1.0000000000000000e+00"
+        values = [None, True, np.True_, np.False_, "monostable", float("nan"),
+                  np.float64("nan"), 1.0]
+        assert [format_column([v])[0] for v in values] == [
+            "", "true", "true", "false", "monostable", "nan", "nan",
+            "1.0000000000000000e+00"]
 
 
 def _bits(pipeline, i):
