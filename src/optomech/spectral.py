@@ -17,12 +17,13 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import (REDUCED_BASIS, ClosedForm, _undamped_band,
-                       optomechanical_block, phase_noise_spectrum,
-                       vacuum_diffusion)
-from .errors import ImaginaryFrequency, QuadratureNotConverged, UnstableDrift
+                       auxiliary_block, optomechanical_block,
+                       phase_noise_spectrum, vacuum_diffusion)
+from .errors import ImaginaryFrequency, UnstableDrift
 from .lyapunov import CovarianceMatrix
 from .parameters import NoiseSpec, SteadyState, SystemParams, _take
 from .quadrature import integrate_adaptive
+from .simulate import _expm
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,8 @@ def effective_response(params: SystemParams, ss: SteadyState) -> EffectiveRespon
                              chi_eff=chi_eff)
 
 
-_UNDAMPED_BAND = "undamped noise band (gamma_tilde = 0) has no stationary state"
+_UNDAMPED_BAND = ("undamped noise band (gamma_tilde zero or too small against the "
+                  "band center to damp the noise pair) has no stationary state")
 
 
 def _resolvent_integrand(a4: np.ndarray, d4: np.ndarray, photon_number: float,
@@ -369,62 +371,31 @@ def approx_n_eff(params, ss, *, _phonons=None) -> ClosedForm:
                       {"imaginary_spring": radicand, "imaginary_static": stiffness})
 
 
-def _quad_checked(func, a, b, what: str, **kwargs) -> float:
-    from scipy.integrate import quad
-
-    out = quad(func, a, b, full_output=1, **kwargs)
-    value, abserr = out[0], out[1]
-    if len(out) > 3:  # warning message appended on trouble
-        raise QuadratureNotConverged(f"{what}: {out[3].splitlines()[0]}",
-                                     achieved_error=float(abserr))
-    return value
-
-
 def laser_correlation(spec: NoiseSpec, tau: float) -> float:
     """Field autocorrelation C(tau) = <exp(i[phi(t+tau) - phi(t)])>.
 
-    For stationary Gaussian frequency noise the double time integral
-    collapses to exp(-(1/pi) * int_0^inf S(w) (1 - cos(w tau))/w^2 dw);
-    flat noise of strength gamma_l gives exp(-gamma_l |tau|).
+    For stationary Gaussian frequency noise C(tau) = exp(-Var/2), with Var
+    the variance of the phase step phi(t+tau) - phi(t). Flat noise of
+    strength gamma_l gives exp(-gamma_l |tau|). Bandpass noise is psi of
+    the (psi, theta) pair of ``auxiliary_block``, whose drift A has the
+    stationary covariance (gamma_l W^2/gt) I, so
+
+    C(tau) = exp(-(gamma_l W^2/gt) [int_0^tau (tau - s) e^(A s) ds]_00),
+
+    the integral being the (0, 2) block of exp([[A, I, 0], [0, 0, I],
+    [0, 0, 0]] |tau|) (Van Loan, IEEE Trans. Autom. Control 23, 395
+    (1978)). Raises UnstableDrift for an undamped band (gt = 0, or so small
+    that the pair's drift is not Hurwitz, as build_model finds it).
     """
     if spec.kind == "none" or spec.gamma_l == 0.0 or tau == 0.0:
         return 1.0
-    t = abs(tau)
-
-    def smooth_part(w):
-        # 2 sin^2 form avoids cancellation in (1 - cos) at small w*t
-        return float(phase_noise_spectrum(spec, w)) * 2.0 * math.sin(0.5 * w * t) ** 2 / w ** 2
-
     if spec.kind == "white":
-        w0 = 0.5 * math.pi / t
-        head = _quad_checked(smooth_part, 0.0, w0, "laser correlation head",
-                             epsabs=1e-12, epsrel=1e-12)
-        s_flat = 2.0 * spec.gamma_l
-        flat = _quad_checked(lambda w: s_flat / w ** 2, w0, np.inf,
-                             "laser correlation flat tail",
-                             epsabs=1e-12, epsrel=1e-12)
-        osc = _quad_checked(lambda w: s_flat / w ** 2, w0, np.inf,
-                            "laser correlation oscillatory tail",
-                            weight="cos", wvar=t, epsabs=1e-12, limit=400)
-        exponent = (head + flat - osc) / math.pi
-        return math.exp(-exponent)
-
-    # bandpass: the spectrum decays like w^-4, so a finite window suffices
-    band, width = spec.omega_band, max(spec.gamma_tilde, 1e-3 * spec.omega_band)
-    w0 = min(0.5 * math.pi / t, 0.25 * band)
-    w_max = 30.0 * max(band, width)
-    head = _quad_checked(smooth_part, 0.0, w0, "laser correlation head",
-                         epsabs=1e-12, epsrel=1e-12)
-    edges = sorted({w0, max(band - 4 * width, w0), band, band + 4 * width, w_max})
-    edges = [e for e in edges if w0 <= e <= w_max]
-    flat = osc = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        flat += _quad_checked(lambda w: float(phase_noise_spectrum(spec, w)) / w ** 2,
-                              a, b, "laser correlation band", epsabs=1e-13,
-                              epsrel=1e-12, limit=400)
-        osc += _quad_checked(lambda w: float(phase_noise_spectrum(spec, w)) / w ** 2,
-                             a, b, "laser correlation band (cos)",
-                             weight="cos", wvar=t, epsabs=1e-13, limit=400)
-    return math.exp(-(head + flat - osc) / math.pi)
+        return math.exp(-spec.gamma_l * abs(tau))
+    if _undamped_band(spec):
+        raise UnstableDrift(_UNDAMPED_BAND)
+    block = np.zeros((6, 6))
+    block[:2, :2] = auxiliary_block(spec)[0]
+    block[:2, 2:4] = block[2:4, 4:] = np.eye(2)
+    ramp = _expm(block * abs(tau))[0, 4]
+    band = spec.omega_band
+    return math.exp(-spec.gamma_l * band * band / spec.gamma_tilde * ramp)

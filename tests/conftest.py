@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from optomech import NoiseSpec, SystemParams, apply_axis, symplectic_form
+from optomech.dynamics import auxiliary_block, phase_noise_spectrum
+from optomech.errors import QuadratureNotConverged
 
 OMEGA_M = 2.0 * math.pi * 1e7
 
@@ -93,6 +95,91 @@ def mp_exact_discretization(a, d, dt):
         q = (q + q.T) / 2
         return (np.array(phi.tolist(), dtype=float),
                 np.array(q.tolist(), dtype=float))
+
+
+def mp_laser_correlation(spec: NoiseSpec, tau: float) -> float:
+    """C(tau) of a bandpass noise spec, in 40-digit arithmetic.
+
+    The reference route on the float entries as given: the Van Loan block
+    [[A, I, 0], [0, 0, I], [0, 0, 0]] tau of the noise pair's drift A
+    exponentiated by mpmath, whose (0, 2) block entry [0, 0] is
+    int_0^tau (tau - s) [e^(A s)]_00 ds, scaled by the pair's stationary
+    variance gamma_l W^2 / gt.
+    """
+    a = auxiliary_block(spec)[0]
+    with mpmath.workdps(40):
+        block = mpmath.zeros(6, 6)
+        for i in range(2):
+            for j in range(2):
+                block[i, j] = mpmath.mpf(a[i, j])
+            block[i, 2 + i] = block[2 + i, 4 + i] = 1
+        ramp = mpmath.expm(block * abs(mpmath.mpf(tau)))[0, 4]
+        variance = (mpmath.mpf(spec.gamma_l) * mpmath.mpf(spec.omega_band) ** 2
+                    / mpmath.mpf(spec.gamma_tilde))
+        return float(mpmath.exp(-variance * ramp))
+
+
+def _quad_checked(func, a, b, what: str, **kwargs) -> float:
+    from scipy.integrate import quad
+
+    out = quad(func, a, b, full_output=1, **kwargs)
+    value, abserr = out[0], out[1]
+    if len(out) > 3:  # warning message appended on trouble
+        raise QuadratureNotConverged(f"{what}: {out[3].splitlines()[0]}",
+                                     achieved_error=float(abserr))
+    return value
+
+
+def quad_laser_correlation(spec: NoiseSpec, tau: float) -> float:
+    """Field autocorrelation C(tau) = <exp(i[phi(t+tau) - phi(t)])>.
+
+    The reference route: the spectral integral of S(omega) by QUADPACK.
+
+    For stationary Gaussian frequency noise the double time integral
+    collapses to exp(-(1/pi) * int_0^inf S(w) (1 - cos(w tau))/w^2 dw);
+    flat noise of strength gamma_l gives exp(-gamma_l |tau|).
+    """
+    if spec.kind == "none" or spec.gamma_l == 0.0 or tau == 0.0:
+        return 1.0
+    t = abs(tau)
+
+    def smooth_part(w):
+        # 2 sin^2 form avoids cancellation in (1 - cos) at small w*t
+        return float(phase_noise_spectrum(spec, w)) * 2.0 * math.sin(0.5 * w * t) ** 2 / w ** 2
+
+    if spec.kind == "white":
+        w0 = 0.5 * math.pi / t
+        head = _quad_checked(smooth_part, 0.0, w0, "laser correlation head",
+                             epsabs=1e-12, epsrel=1e-12)
+        s_flat = 2.0 * spec.gamma_l
+        flat = _quad_checked(lambda w: s_flat / w ** 2, w0, np.inf,
+                             "laser correlation flat tail",
+                             epsabs=1e-12, epsrel=1e-12)
+        osc = _quad_checked(lambda w: s_flat / w ** 2, w0, np.inf,
+                            "laser correlation oscillatory tail",
+                            weight="cos", wvar=t, epsabs=1e-12, limit=400)
+        exponent = (head + flat - osc) / math.pi
+        return math.exp(-exponent)
+
+    # bandpass: the spectrum decays like w^-4, so a finite window suffices
+    band, width = spec.omega_band, max(spec.gamma_tilde, 1e-3 * spec.omega_band)
+    w0 = min(0.5 * math.pi / t, 0.25 * band)
+    w_max = 30.0 * max(band, width)
+    head = _quad_checked(smooth_part, 0.0, w0, "laser correlation head",
+                         epsabs=1e-12, epsrel=1e-12)
+    edges = sorted({w0, max(band - 4 * width, w0), band, band + 4 * width, w_max})
+    edges = [e for e in edges if w0 <= e <= w_max]
+    flat = osc = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b <= a:
+            continue
+        flat += _quad_checked(lambda w: float(phase_noise_spectrum(spec, w)) / w ** 2,
+                              a, b, "laser correlation band", epsabs=1e-13,
+                              epsrel=1e-12, limit=400)
+        osc += _quad_checked(lambda w: float(phase_noise_spectrum(spec, w)) / w ** 2,
+                             a, b, "laser correlation band (cos)",
+                             weight="cos", wvar=t, epsabs=1e-13, limit=400)
+    return math.exp(-(head + flat - osc) / math.pi)
 
 
 def poison_nth(stage, nth):

@@ -235,8 +235,8 @@ class TestTrajectoryContract:
 
     def test_cli_import_leaves_scipy_signal_out(self):
         # importing scipy.signal costs most of a second in a fresh process,
-        # and scipy as a whole most of the CLI's start-up: only the routes
-        # that use it (Schur solve, quad) import it
+        # and scipy as a whole most of the CLI's start-up: only the route
+        # that uses it (the Schur solve) imports it
         src = os.path.dirname(os.path.dirname(optomech.__file__))
         code = ("import sys, optomech.cli; "
                 "print('scipy.signal' in sys.modules, "
@@ -269,6 +269,29 @@ class TestTrajectoryContract:
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.splitlines()[-1] == "0 []"
         assert (tmp_path / "validation.csv").exists()
+
+    def test_spectrum_leaves_scipy_out(self, tmp_path):
+        # C(tau) of the band is a block exponential on numpy's Pade route
+        src = os.path.dirname(os.path.dirname(optomech.__file__))
+        config = tmp_path / "s.json"
+        config.write_text(json.dumps({
+            "omega_m_over_2pi_hz": 1e7, "quality_factor": 2e6,
+            "kappa_over_omega_m": 0.5, "delta_over_omega_m": 1.0,
+            "g0_rad_s": 1e3, "laser_power_mw": 20.0, "bath_temperature_k": 0.4,
+            "phase_noise": {"kind": "bandpass", "linewidth_over_2pi_hz": 100.0,
+                            "band_center_over_2pi_hz": 5e4,
+                            "bandwidth_over_band_center": 0.5},
+            "omega_count": 200, "tau_count": 21}))
+        code = ("import sys, optomech.cli; "
+                f"code = optomech.cli.main(['spectrum', '--config', {str(config)!r}, "
+                f"'--out-dir', {str(tmp_path)!r}]); "
+                "print(code, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.splitlines()[-1] == "0 []"
+        assert (tmp_path / "laser_correlation.csv").exists()
 
     def test_timestep_guard(self):
         spec = bandpass_100hz()

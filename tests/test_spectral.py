@@ -22,7 +22,9 @@ from optomech.errors import (ImaginaryFrequency, QuadratureNotConverged,
                              UnstableDrift)
 from optomech.spectral import STATIC_BAND_LIMIT
 
-from conftest import OMEGA_M, bandpass_100hz, make_params, relative_gap
+from conftest import (OMEGA_M, bandpass_100hz, make_params,
+                      mp_laser_correlation, quad_laser_correlation,
+                      relative_gap)
 
 GAMMA_EFF_ADD_REF = 0.012468827930174564  # at delta=wm=1, kappa=0.1, G=0.05
 A_MINUS_REF = 0.0125  # at delta=wm, kappa=0.1wm, G=0.05wm, units of wm
@@ -388,17 +390,67 @@ class TestRegimeFlags:
         assert flags["undamped_band"].tolist() == [True, False, False]
 
 
+# the bands of the figure recipes: 0.1 and 1 kHz linewidths, band centers
+# 30-140 kHz, band width half the center
+RECIPE_BANDS = [NoiseSpec.bandpass(2 * math.pi * gl, 2 * math.pi * w, math.pi * w)
+                for gl in (100.0, 1000.0) for w in (3e4, 5e4, 8e4, 1.4e5)]
+
+
+def _taus(spec):
+    """Five delays in (0, 10/gamma_l]."""
+    return np.linspace(0.0, 10.0 / spec.gamma_l, 6)[1:]
+
+
 class TestLaserCorrelation:
     def test_tau_zero(self):
         assert laser_correlation(bandpass_100hz(), 0.0) == 1.0
         assert laser_correlation(NoiseSpec.none(), 1e-3) == 1.0
 
     def test_white_matches_lorentzian_linewidth(self):
+        # the Lorentzian exp(-gamma_l tau) against the spectral integral of
+        # the flat S(omega)
         gl = 2 * math.pi * 100.0
         spec = NoiseSpec.white(gl)
         for tau in np.linspace(0.0, 10.0 / gl, 26):
             assert abs(laser_correlation(spec, tau)
-                       - math.exp(-gl * tau)) <= 1e-8
+                       - quad_laser_correlation(spec, tau)) <= 1e-8
+
+    @pytest.mark.parametrize("spec", RECIPE_BANDS)
+    def test_bandpass_matches_spectral_integral(self, spec):
+        # the QUADPACK integral is itself within 2.3e-11 of the 40-digit
+        # reference at these delays
+        for tau in _taus(spec):
+            assert abs(laser_correlation(spec, tau)
+                       - quad_laser_correlation(spec, tau)) <= 1e-9
+
+    @pytest.mark.parametrize("spec", RECIPE_BANDS + [
+        NoiseSpec.bandpass(2 * math.pi * 100, 2 * math.pi * 5e4, 2 * math.pi * 500),
+        NoiseSpec.bandpass(2 * math.pi * 100, 2 * math.pi * 5e4, 2 * math.pi * 5e5)])
+    def test_bandpass_matches_40_digit_van_loan(self, spec):
+        for tau in _taus(spec):
+            assert abs(laser_correlation(spec, tau)
+                       - mp_laser_correlation(spec, tau)) <= 1e-12
+
+    @pytest.mark.parametrize("gl, band", [(100.0, 5e4), (1000.0, 8e4)])
+    def test_narrow_damped_band(self, gl, band):
+        # gt = 1e-3 rad/s: the phase swings through a nearly undamped
+        # sinusoid, so C(tau) revives after whole periods of the band and is
+        # 0 in between; the spectral integral does not converge here
+        spec = NoiseSpec.bandpass(2 * math.pi * gl, 2 * math.pi * band, 1e-3)
+        period = 2 * math.pi / spec.omega_band
+        revivals = [laser_correlation(spec, k * period) for k in (1, 7)]
+        assert min(revivals) > 0.4
+        for tau in (1e-9, 3e-9, 0.5 * period, period, 7 * period, 100 * period):
+            value = laser_correlation(spec, tau)
+            assert math.isfinite(value)
+            assert abs(value - mp_laser_correlation(spec, tau)) <= 1e-6
+
+    @pytest.mark.parametrize("width", [0.0, 1e-20])
+    def test_undamped_band_raises(self, width):
+        spec = NoiseSpec.bandpass(2 * math.pi * 100, 2 * math.pi * 5e4, width)
+        for tau in _taus(spec):
+            with pytest.raises(UnstableDrift, match="undamped noise band"):
+                laser_correlation(spec, tau)
 
     def test_bandpass_comparison_reported(self):
         # colored-vs-flat dephasing at equal strength: recorded, not asserted
