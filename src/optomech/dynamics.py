@@ -183,6 +183,11 @@ def auxiliary_block(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     return a, d
 
 
+def _noise_pair_abscissa(spec: NoiseSpec) -> NDArray[np.float64]:
+    """Drift abscissa of the (psi, theta) pair of each bandpass noise spec."""
+    return drift_abscissa(auxiliary_block(spec)[0])
+
+
 def _undamped_band(spec: NoiseSpec) -> NDArray[np.bool_]:
     """Whether the (psi, theta) drift of each bandpass noise spec is not Hurwitz.
 
@@ -191,7 +196,7 @@ def _undamped_band(spec: NoiseSpec) -> NDArray[np.bool_]:
     that the pair's drift abscissa rounds to zero (below about 1e-11 of its
     center), where S(omega) overflows at the center.
     """
-    return drift_abscissa(auxiliary_block(spec)[0]) >= 0
+    return _noise_pair_abscissa(spec) >= 0
 
 
 def vacuum_diffusion(params) -> np.ndarray:
@@ -237,7 +242,7 @@ def optomechanical_block(params: SystemParams, ss: SteadyState) -> np.ndarray:
     return _optomechanical_drift(params, ss, 4)
 
 
-def build_model(params, ss, *, _phonons=None) -> LinearModel:
+def build_model(params, ss, *, _phonons=None, _pair_abscissa=None) -> LinearModel:
     """Assemble the linear fluctuation model around a working point.
 
     (n, n) matrices for one point, (N, n, n) stacks for a stack, whose
@@ -245,9 +250,12 @@ def build_model(params, ss, *, _phonons=None) -> LinearModel:
     system with the auxiliary pair attached; white or absent noise yields
     the 4x4 system, with the flat frequency noise folded into the
     Y-quadrature diffusion as 2*|alpha_s|^2*S, where S = 2*gamma_l is the
-    flat spectrum value. One eigenvalue solve per drift gives its
-    abscissa, which decides stability. ``_phonons`` is
-    ``params.thermal_phonons()`` where the point pipeline has it already.
+    flat spectrum value. The eigenvalues of each drift give its abscissa,
+    which decides stability: one solve of the 4x4, and for the 6x6, which
+    is block upper triangular, one of its leading 4x4 block and one of the
+    noise pair. ``_phonons`` is ``params.thermal_phonons()`` and
+    ``_pair_abscissa`` the noise pair's abscissa (``_noise_pair_abscissa``)
+    where the point pipeline has them already.
     """
     kind = params.phase_noise.kind
     bands = np.count_nonzero(kind == "bandpass")
@@ -262,12 +270,15 @@ def build_model(params, ss, *, _phonons=None) -> LinearModel:
         # the (psi, theta) pair, driving dY through psi
         a[..., 4:, 4:], d[..., 4:, 4:] = auxiliary_block(params.phase_noise)
         a[..., 3, 4] = math.sqrt(2.0) * ss.alpha_abs
+        if _pair_abscissa is None:
+            _pair_abscissa = drift_abscissa(a[..., 4:, 4:])
+        abscissa = np.maximum(drift_abscissa(a[..., :4, :4]), _pair_abscissa)
     else:
         white = kind == "white"
         if np.any(white):
             d[..., 3, 3] += np.where(
                 white, 2.0 * ss.photon_number * 2.0 * params.phase_noise.gamma_l, 0.0)
-    abscissa = drift_abscissa(a)
+        abscissa = drift_abscissa(a)
     a.setflags(write=False)
     d.setflags(write=False)
     # the matrices were just made here: the record takes them as they are

@@ -283,9 +283,9 @@ def thermal_occupancy(omega, temperature):
     """
     omega = np.asarray(omega, dtype=float)
     temperature = np.asarray(temperature, dtype=float)
-    if not _all(_finite(omega) & (omega > 0)):
+    if not (np.isfinite(omega) & (omega > 0)).all():
         raise ValueError("omega must be > 0")
-    if not _all(_finite(temperature) & (temperature >= 0)):
+    if not (np.isfinite(temperature) & (temperature >= 0)).all():
         raise ValueError("temperature must be >= 0")
     # T = 0 makes the exponent inf, and 1/inf is the limit 0
     with np.errstate(divide="ignore", over="ignore"):
@@ -319,6 +319,9 @@ def _horner(coeffs, x: np.ndarray) -> np.ndarray:
 # bound, so it lacks an admissible root only where finite inputs overflow
 _OVERFLOW = ("intensity cubic produced no admissible root: products of the "
              "finite inputs overflow the float range")
+# a root counts as real where its imaginary part is within this fraction of
+# the larger of its modulus and max(E0^2/(kappa^2 + delta0^2), 1)
+_IMAGINARY_TOL = 1e-8
 
 
 def _cubic_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -328,7 +331,8 @@ def _cubic_roots(coeffs: np.ndarray) -> np.ndarray:
     constant coefficients must be nonzero.
     """
     companion = np.zeros((len(coeffs), 3, 3))
-    with np.errstate(invalid="ignore"):  # inf/inf of overflowing coefficients
+    # inf/inf and overflowing ratios: the LinAlgError below names the overflow
+    with np.errstate(invalid="ignore", over="ignore"):
         companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
     companion[:, 1, 0] = companion[:, 2, 1] = 1.0
     try:
@@ -357,9 +361,9 @@ def _admissible_intensities(cubic: np.ndarray) -> np.ndarray:
     coeffs = np.repeat(coeffs, 3, axis=1)
     scale = np.maximum(e0_sq / coeffs[2], 1.0)
     # NaN padding compares false, so it is never admissible
-    admissible = ((np.abs(roots.imag)
-                   <= 1e-8 * np.maximum(np.hypot(roots.real, roots.imag), scale))
-                  & (roots.real >= -1e-8 * scale))
+    admissible = ((np.abs(roots.imag) <= _IMAGINARY_TOL
+                   * np.maximum(np.hypot(roots.real, roots.imag), scale))
+                  & (roots.real >= -_IMAGINARY_TOL * scale))
 
     def residual(x):
         delta = delta0 - beta * x
@@ -382,6 +386,41 @@ def _admissible_intensities(cubic: np.ndarray) -> np.ndarray:
     return np.sort(best.reshape(-1, 3), axis=1)
 
 
+def _deflated_intensities(cubic: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """Nonnegative real roots of each point's intensity cubic, ascending,
+    given one root ``known`` of each.
+
+    ``cubic`` is as for ``_admissible_intensities``. Synthetic division by
+    (I - known) leaves q2 I^2 + q1 I + q0, whose roots are taken without
+    cancellation as q/q2 and q0/q, q = -(q1 + sgn(q1) sqrt(q1^2 - 4 q2 q0))/2
+    (Press et al., Numerical Recipes, 3rd ed., 5.6). A complex pair whose
+    imaginary part is within the tolerance under which the companion route
+    admits a root counts as a real double root; a root that is not finite
+    is not admissible. Rows are NaN-padded to three roots. Raises
+    NoPhysicalRoot where the discriminant is not finite, as it is wherever
+    the known root or a coefficient of the cubic or of the quadratic is not.
+    """
+    beta, delta0, _, linear, e0_sq = cubic
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q2 = beta * beta
+        q1 = -2.0 * delta0 * beta + q2 * known
+        q0 = linear + q1 * known
+        disc = q1 * q1 - 4.0 * q2 * q0
+        if not np.isfinite(disc).all():
+            raise NoPhysicalRoot(_OVERFLOW)
+        # a complex pair has modulus sqrt(q0/q2) and imaginary part
+        # sqrt(-disc)/(2 q2)
+        gap = np.sqrt(np.abs(disc))
+        tol = 2.0 * _IMAGINARY_TOL * np.maximum(
+            np.sqrt(np.abs(q0 * q2)), q2 * np.maximum(e0_sq / linear, 1.0))
+        real = (disc >= 0.0) | (gap <= tol)
+        q = -0.5 * (q1 + np.copysign(np.where(disc > 0.0, gap, 0.0), q1))
+        pair = np.array([q / q2, q0 / q])
+    # NaN fails both comparisons, so it is never admissible
+    pair = np.where(real & (pair >= 0.0) & (pair < math.inf), pair, np.nan)
+    return np.sort(np.array([known, *pair]).T, axis=1)
+
+
 def solve_steady_state(params, branch: str = "lower") -> SteadyState:
     """Solve the classical steady state of the driven cavity.
 
@@ -391,11 +430,16 @@ def solve_steady_state(params, branch: str = "lower") -> SteadyState:
     "upper"; ignored when the cubic is monostable).
 
     ``params`` is one point, giving one working point, or a stack or a
-    sequence of points, giving their stacked working points. One
-    ``eigvals`` call finds the roots of every point's intensity cubic and
-    the Newton polish runs on all of them at once, so a point gets the
-    same bits alone as inside a stack. Raises NoPhysicalRoot, naming the
-    overflow, if a point's cubic or closed-form intensity overflows or a
+    sequence of points, giving their stacked working points. Each point's
+    admissible roots, which set its branch tag, come by one of three
+    routes, each elementwise, so a point gets the same bits alone as inside
+    any stack: an effective-detuning point deflates its cubic by the
+    closed-form root it knows and solves the quadratic left; a
+    bare-detuning point takes its cubic's roots from one ``eigvals`` call on
+    the companion matrices of all such points, then a Newton polish; a
+    point without coupling or drive takes the root of the linear term.
+    Raises NoPhysicalRoot, naming the overflow, if a point's cubic,
+    deflated quadratic or closed-form intensity overflows or a
     bare-detuning point has no admissible root.
     """
     if branch not in _BRANCHES:
@@ -404,6 +448,7 @@ def solve_steady_state(params, branch: str = "lower") -> SteadyState:
         params = SystemParams.stack(params)
     point = not isinstance(params.omega_m, np.ndarray)
     p = SystemParams.stack([params]) if point else params
+    count = len(p)
     e0 = drive_amplitude(p)
     e0_sq = e0 * e0
     beta = p.g0 * p.g0 / p.omega_m
@@ -413,39 +458,43 @@ def solve_steady_state(params, branch: str = "lower") -> SteadyState:
     delta0 = np.where(effective, p.detuning + beta * closed_form, p.detuning)
     linear = kappa_sq + delta0 * delta0
     cubic = np.array([beta, delta0, kappa_sq, linear, e0_sq])
-    # a cubic with a nonzero leading coefficient beta^2 and constant E0^2
+    # a cubic with a nonzero leading coefficient beta^2 and constant E0^2;
+    # without coupling or drive it degenerates to its linear term
     coupled = (beta * beta != 0.0) & (e0_sq != 0.0)
-    if coupled.all():
-        roots = _admissible_intensities(cubic)
-    else:
-        roots = np.full((len(p), 3), np.nan)
-        roots[coupled] = _admissible_intensities(cubic[:, coupled])
-        # without coupling or drive the cubic degenerates to its linear term
-        roots[~coupled, 0] = (e0_sq / linear)[~coupled]
+    roots = np.full((count, 3), np.nan)
+    roots[:, 0] = e0_sq / linear
+    for rows, route, args in (
+            (coupled & effective, _deflated_intensities, (closed_form,)),
+            (coupled & ~effective, _admissible_intensities, ())):
+        routed = np.count_nonzero(rows)
+        if routed == count:
+            roots = route(cubic, *args)
+        elif routed:
+            roots[rows] = route(cubic[:, rows], *(arg[rows] for arg in args))
 
-    count = (roots == roots).sum(axis=1)
-    # effective mode: the closed-form intensity, tagged by the nearest root;
-    # bare mode: the root the branch policy picks among three, else the one
-    # fmin turns the NaN padding into inf, so it is never the nearest
-    distance = np.fmin(np.abs(roots - closed_form[:, None]), np.inf)
-    idx = np.where(effective, distance.argmin(axis=1),
-                   (count == 3) * _BRANCHES.index(branch))
-    intensity = np.where(effective, closed_form, roots[np.arange(len(p)), idx])
+    found = (roots == roots).sum(axis=1)
+    # effective mode: the closed-form intensity, tagged by its position
+    # among the roots, which hold it (the first of equal ones); bare mode:
+    # the root the branch policy picks among three, else the one
+    idx = np.where(effective, (roots < closed_form[:, None]).sum(axis=1),
+                   (found == 3) * _BRANCHES.index(branch))
+    intensity = np.where(effective, closed_form, roots[np.arange(count), idx])
     # NaN where a bare-detuning point has no admissible root, and NaN or inf
     # where an effective-detuning point's closed form overflows
     if not np.isfinite(intensity).all():
         raise NoPhysicalRoot(_OVERFLOW)
     alpha_abs = np.sqrt(intensity)
-    ss = SteadyState(
+    # every field was just made here: the record takes them as they are
+    ss = _unchecked(SteadyState, dict(
         alpha_abs=alpha_abs,
         photon_number=intensity,
         delta_eff=np.where(effective, p.detuning, delta0 - beta * intensity),
         delta_bare=delta0,
         q_static=p.g0 * intensity / p.omega_m,
         g_eff=p.g0 * math.sqrt(2.0) * alpha_abs,
-        branch=_BRANCH_TAGS[(count > 1) * (idx + 1)],
+        branch=_BRANCH_TAGS[(found > 1) * (idx + 1)],
         all_roots=roots,
-    )
+    ))
     return ss[0] if point else ss
 
 

@@ -282,9 +282,13 @@ _RULES = {
 }
 
 
-def _static_heating(params, ss, terms: dict):
+def _static_heating(params, ss, terms: dict, undamped=None):
     """The value, flags and 1/chi0 of ``static_phase_noise_heating`` from
-    the response terms, floating-point errors unchecked."""
+    the response terms, floating-point errors unchecked.
+
+    ``undamped`` is build_model's verdict on each point's noise pair, where
+    the caller has it; it is read only where the static channel applies.
+    """
     spec = params.phase_noise
     applies = np.logical_and(spec.kind == "bandpass", ss.delta_eff != 0.0)
     if not applies.any():
@@ -297,9 +301,13 @@ def _static_heating(params, ss, terms: dict):
         [ss.g_eff * delta * params.omega_m / stiffness, band, cavity])
     dn = ss.photon_number * shift2 * spec.gamma_l * band2 / (width * cavity2)
     scale = np.minimum(np.minimum(np.sqrt(stiffness), params.kappa), np.abs(delta))
-    # build_model's verdict, taken only where the static channel applies
-    undamped = np.zeros_like(applies)
-    undamped[applies] = _undamped_band(spec if applies.all() else _take(spec, applies))
+    if undamped is None:
+        # build_model's verdict, taken only where the static channel applies
+        undamped = np.zeros_like(applies)
+        undamped[applies] = _undamped_band(spec if applies.all()
+                                           else _take(spec, applies))
+    else:
+        undamped = applies & undamped
     valid = applies & ~undamped
     imaginary = valid & (stiffness < 0)
     flags = {"undamped_band": undamped, "imaginary_static": imaginary,
@@ -334,7 +342,7 @@ def static_phase_noise_heating(params, ss) -> ClosedForm:
     return ClosedForm(dn, flags, _RULES, {"imaginary_static": stiffness})
 
 
-def approx_n_eff(params, ss, *, _phonons=None) -> ClosedForm:
+def approx_n_eff(params, ss, *, _phonons=None, _undamped=None) -> ClosedForm:
     """Weak-coupling occupancy including both frequency-noise heating channels.
 
     n_eff = [n*gamma_m + A_plus + |alpha|^2 * delta * Gamma_op *
@@ -350,14 +358,16 @@ def approx_n_eff(params, ss, *, _phonons=None) -> ClosedForm:
     the band is not that far below; it raises ImaginaryFrequency where
     omega_eff^2 < 0 (``imaginary_spring``) and where the static channel
     raises, where the value is NaN. ``_phonons`` is
-    ``params.thermal_phonons()`` where the point pipeline has it already.
+    ``params.thermal_phonons()`` and ``_undamped`` build_model's verdict on
+    each point's noise pair (False without a band) where the point
+    pipeline has them already.
     """
     n = params.thermal_phonons() if _phonons is None else _phonons
     gm, wm, k, g = params.gamma_m, params.omega_m, params.kappa, ss.g_eff
     with np.errstate(all="ignore"):
         terms = _response_terms(params, ss)
         radicand, gamma_op = terms["omega_eff_sq"], terms["gamma_op"]
-        static, static_flags, stiffness = _static_heating(params, ss, terms)
+        static, static_flags, stiffness = _static_heating(params, ss, terms, _undamped)
         s_peak = phase_noise_spectrum(params.phase_noise, np.sqrt(radicand))
         heating = ss.photon_number * ss.delta_eff * gamma_op * s_peak / (2.0 * k * wm)
         n_eff = (n * gm + terms["a_plus"] + heating) / (gm + gamma_op) + static

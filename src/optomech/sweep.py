@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import build_model, stability_margin
+from .dynamics import _noise_pair_abscissa, build_model, stability_margin
 from .errors import PointEvaluationError, field_error
 from .lyapunov import reduce_to_optomechanical, solve_lyapunov
 from .measures import log_negativity, occupancy
 from .output import (Columns, format_column, tool_metadata, write_document,
                      write_table)
 from .parameters import (EFFECTIVE, NoiseSpec, SystemParams, _concatenate,
-                         solve_steady_state)
+                         _unchecked, solve_steady_state)
 from .spectral import approx_n_eff
 
 AXIS_NAMES = ("power_mw", "delta_over_omega_m", "kappa_over_omega_m")
@@ -122,7 +122,7 @@ class PointResult:
         for name in _NULLABLE:
             if values[name] != values[name]:
                 values[name] = None
-        return PointResult(**values)
+        return _unchecked(PointResult, values)
 
 
 _FIELDS = tuple(f.name for f in dataclasses.fields(PointResult))
@@ -172,14 +172,17 @@ def run_pipeline(params) -> tuple:
     ``params`` is a stack or a sequence of points. Returns the stacked
     results (a PointResult), the stacked working points (a SteadyState)
     and one ``(indices, LinearModel)`` stack per model order. Points are
-    grouped by model order (6 with bandpass noise, else 4); each group's
-    drifts, diffusions and covariances are (N, n, n) stacks, and one
-    eigenvalue solve per drift decides stability and serves as the Hurwitz
-    guard of the Lyapunov solve. Unstable points carry stability data
-    only, with null measures; a stable point whose weak-coupling closed
-    form fails keeps its exact measures with a null ``n_eff_approx``. A
-    failing stage raises PointEvaluationError for the whole stack;
-    ``evaluate_batch`` isolates the failing point.
+    grouped by model order (6 with bandpass noise, else 4), the whole stack
+    being one group where all points share one; each group's drifts,
+    diffusions and covariances are (N, n, n) stacks, and each drift's
+    abscissa decides stability and serves as the Hurwitz guard of the
+    Lyapunov solve. A bandpass group's noise-pair abscissa is computed
+    once, for build_model and for approx_n_eff's undamped-band verdict.
+    Unstable points carry stability data only, with null measures; a
+    stable point whose weak-coupling closed form fails keeps its exact
+    measures with a null ``n_eff_approx``. A failing stage raises
+    PointEvaluationError for the whole stack; ``evaluate_batch`` isolates
+    the failing point.
     """
     if not isinstance(params, SystemParams):
         params = SystemParams.stack(params)
@@ -187,44 +190,56 @@ def run_pipeline(params) -> tuple:
     ss = _stage("steady-state", solve_steady_state, params)
     phonons = params.thermal_phonons()
     bandpass = params.phase_noise.kind == "bandpass"
+    groups = ([np.arange(count)] if np.count_nonzero(bandpass) in (0, count)
+              else [np.flatnonzero(bandpass), np.flatnonzero(~bandpass)])
     stable = np.zeros(count, dtype=bool)
+    undamped = np.zeros(count, dtype=bool)
     measured = np.full((len(_MEASURED), count), np.nan)
     models = []
-    for idx in (np.flatnonzero(bandpass), np.flatnonzero(~bandpass)):
+    for idx in groups:
         if not idx.size:
             continue
         whole = idx.size == count
         group = (params, ss) if whole else (params.take(idx), ss.take(idx))
+        pair = None
+        if bandpass[idx[0]]:
+            # the noise pair's abscissa: part of build_model's and
+            # approx_n_eff's verdict on the band
+            pair = _stage("linear-model", _noise_pair_abscissa, group[0].phase_noise)
+            undamped[idx] = pair >= 0.0
         model = _stage("linear-model", build_model, *group,
-                       _phonons=phonons if whole else phonons[idx])
+                       _phonons=phonons if whole else phonons[idx],
+                       _pair_abscissa=pair)
         models.append((idx, model))
         group_stable = model.stable
         stable[idx] = group_stable
-        if not group_stable.any():
+        settled = np.count_nonzero(group_stable)
+        if not settled:
             continue
-        cov = _stage("lyapunov", solve_lyapunov, model.drift[group_stable],
-                     model.diffusion[group_stable],
-                     abscissa=model.abscissa[group_stable])
+        # the stable points, taken as a view where the group is all stable
+        keep = slice(None) if settled == idx.size else group_stable
+        cov = _stage("lyapunov", solve_lyapunov, model.drift[keep],
+                     model.diffusion[keep], abscissa=model.abscissa[keep])
         v4 = reduce_to_optomechanical(cov) if cov.order == 6 else cov
         ent = _stage("log-negativity", log_negativity, v4)
-        occ = _stage("occupancy", occupancy, v4,
-                     group[0].omega_m[group_stable])
+        occ = _stage("occupancy", occupancy, v4, group[0].omega_m[keep])
         found = {**vars(ent), **vars(occ)}
-        measured[:, idx[group_stable]] = [found[key] for key in _MEASURED.values()]
+        measured[:, idx[keep]] = [found[key] for key in _MEASURED.values()]
     measured = dict(zip(_MEASURED, measured))
 
     # the closed form is a cross-check of the measured points: its value is
     # NaN, a null, where a flag puts a point outside its reach, not an
     # error row
     approx = np.full(count, np.nan)
-    if stable.any():
-        approx = np.where(stable, approx_n_eff(params, ss, _phonons=phonons).value,
-                          np.nan)
-    results = PointResult(
+    if np.count_nonzero(stable):
+        approx = np.where(stable, approx_n_eff(params, ss, _phonons=phonons,
+                                               _undamped=undamped).value, np.nan)
+    # every field was just made here: the record takes them as they are
+    results = _unchecked(PointResult, dict(
         stable=stable, stability_margin=stability_margin(params, ss).value,
         alpha_abs=ss.alpha_abs, photon_number=ss.photon_number, g_eff=ss.g_eff,
         branch=ss.branch, **measured, n_eff_approx=approx,
-        error=np.full(count, None, dtype=object))
+        error=np.full(count, None, dtype=object)))
     return results, ss, tuple(models)
 
 

@@ -4,14 +4,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import optomech
-from optomech import (NoiseSpec, SystemParams, drive_amplitude,
+from optomech import (NoiseSpec, SystemParams, default_fixed_params,
+                      drive_amplitude, evaluate_point, figure_recipe,
                       power_for_coupling, solve_steady_state, thermal_occupancy)
 from optomech.constants import HBAR, K_B
 from optomech.errors import NoPhysicalRoot
+from optomech.parameters import (_BRANCH_TAGS, _admissible_intensities,
+                                 _cubic_roots)
+from optomech.sweep import _FIGURES
 
-from conftest import OMEGA_M, make_params
+from conftest import OMEGA_M, grid_points, make_params
 
 # frozen with 40-digit arithmetic from the defining formulas
 N_THERMAL_04K = 832.96486542801101
@@ -191,6 +197,118 @@ class TestSteadyState:
         e0 = drive_amplitude(p)
         direct = e0 ** 2 / (p.kappa ** 2 + p.detuning ** 2)
         assert ss.photon_number == pytest.approx(direct, rel=1e-14)
+
+    @pytest.mark.parametrize("g0", [1e-77, 1e-76, 1e-72, 1e-67])
+    def test_weak_effective_coupling_is_the_linear_limit(self, g0):
+        # beta^2 is nonzero, yet E0^2/beta^2 and (kappa^2 + delta0^2)/beta^2
+        # overflow: a companion matrix of this cubic holds inf
+        p = default_fixed_params().with_(g0=g0)
+        beta = g0 * g0 / p.omega_m
+        assert beta * beta > 0.0
+        with np.errstate(over="ignore"):
+            assert drive_amplitude(p) ** 2 / (beta * beta) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = evaluate_point(p)
+            ss = solve_steady_state(p)
+        linear = solve_steady_state(p.with_(g0=0.0)).photon_number
+        assert result.error is None and result.stable
+        assert result.branch == "monostable"
+        assert result.photon_number == linear
+        assert ss.all_roots == (linear,)
+
+    def test_overflowing_companion_is_named_without_warning(self):
+        # finite coefficients whose ratios to the leading one overflow
+        coeffs = np.array([[1e-320, -1.0, 1e10, -1e10]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoPhysicalRoot, match="overflow the float range"):
+                _cubic_roots(coeffs)
+
+
+def _companion_route(params):
+    """Branch tags and admissible-root counts of effective-detuning points
+    by the companion route, on the cubic ``solve_steady_state`` forms."""
+    e0_sq = drive_amplitude(params) ** 2
+    beta = params.g0 * params.g0 / params.omega_m
+    kappa_sq = params.kappa * params.kappa
+    closed_form = e0_sq / (kappa_sq + params.detuning * params.detuning)
+    delta0 = params.detuning + beta * closed_form
+    cubic = np.array([beta, delta0, kappa_sq, kappa_sq + delta0 * delta0, e0_sq])
+    roots = _admissible_intensities(cubic)
+    count = (roots == roots).sum(axis=1)
+    nearest = np.fmin(np.abs(roots - closed_form[:, None]), np.inf).argmin(axis=1)
+    return _BRANCH_TAGS[(count > 1) * (nearest + 1)], count, cubic
+
+
+@st.composite
+def effective_points(draw):
+    """Coupled, driven effective-detuning points, half of them within a
+    relative 1e-6 to 0.1 of the fold where the two roots beside the
+    closed-form one merge."""
+    delta = OMEGA_M * draw(st.floats(0.05, 3.0))
+    kappa = OMEGA_M * draw(st.floats(0.02, 2.0))
+    g0 = 10.0 ** draw(st.floats(1.0, 4.0))
+    if draw(st.booleans()):
+        # the deflated discriminant vanishes where the shift x = beta*I0
+        # solves x^2 + 4 delta x - 4 kappa^2 = 0
+        offset = (draw(st.sampled_from((-1.0, 1.0)))
+                  * 10.0 ** draw(st.floats(-6.0, -1.0)))
+        shift = 2.0 * (math.hypot(delta, kappa) - delta) * (1.0 + offset)
+        p = make_params(kappa=kappa, detuning=delta, g0=g0)
+        intensity = shift * OMEGA_M / (g0 * g0)
+        power = (intensity * (kappa ** 2 + delta ** 2) * HBAR * p.omega_laser
+                 / (2.0 * kappa))
+    else:
+        power = 10.0 ** draw(st.floats(-5.0, -0.5))
+    return make_params(kappa=kappa, detuning=delta, g0=g0, laser_power=power)
+
+
+class TestDeflatedCubic:
+    """Effective-detuning points deflate their cubic by the closed-form root;
+    the companion route, which bare-detuning points take, is the reference."""
+
+    def test_recipes_match_the_companion_route(self):
+        # all 24 recipes at 80x80: 153600 points, 44682 not monostable
+        bistable = 0
+        for fig_id in [f"{fig}{letter}" for fig in _FIGURES for letter in "abc"]:
+            params = grid_points(figure_recipe(fig_id))
+            ss = solve_steady_state(params)
+            tags, count, (beta, delta0, kappa_sq, _, e0_sq) = _companion_route(params)
+            assert ss.branch.tolist() == tags.tolist(), fig_id
+            np.testing.assert_array_equal((ss.all_roots == ss.all_roots).sum(axis=1), count)
+            roots = ss.all_roots
+            residual = np.abs(roots * (kappa_sq[:, None] + (
+                delta0[:, None] - beta[:, None] * roots) ** 2) - e0_sq[:, None])
+            assert np.nanmax(residual / e0_sq[:, None]) <= 1e-10, fig_id
+            bistable += np.count_nonzero(count > 1)
+        assert bistable == 44682
+
+    def test_pair_within_the_imaginary_tolerance_is_real(self):
+        # a sub-photon working point 1e-9 from the fold: the deflated
+        # discriminant rounds below zero, the imaginary part it implies is
+        # within the tolerance the companion route admits a root under, and
+        # both routes find three roots
+        p = make_params(kappa=4186492.3809975698, detuning=116605358.39441873,
+                        g0=796496490.7603923, laser_power=5.934200793405822e-15)
+        params = SystemParams.stack([p])
+        tags, count, (beta, delta0, _, linear, _) = _companion_route(params)
+        known = solve_steady_state(params).photon_number
+        q2 = beta * beta
+        q1 = -2.0 * delta0 * beta + q2 * known
+        assert q1 * q1 - 4.0 * q2 * (linear + q1 * known) < 0.0
+        ss = solve_steady_state(p)
+        assert len(ss.all_roots) == count[0] == 3
+        assert ss.branch == tags[0] == "lower"
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=st.lists(effective_points(), min_size=1, max_size=8))
+    def test_random_points_match_the_companion_route(self, points):
+        params = SystemParams.stack(points)
+        ss = solve_steady_state(params)
+        tags, count, _ = _companion_route(params)
+        assert ss.branch.tolist() == tags.tolist()
+        np.testing.assert_array_equal((ss.all_roots == ss.all_roots).sum(axis=1), count)
 
 
 class TestPowerForCoupling:

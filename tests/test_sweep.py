@@ -526,6 +526,49 @@ class TestStackedPipeline:
         # one call that holds every point of the stack
         assert calls == [len(_MIXED)]
 
+    @staticmethod
+    def _count_eigvals(monkeypatch):
+        """The matrix order of every ``np.linalg.eigvals`` call from here on."""
+        orders = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            orders.append(np.shape(a)[-1])
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        return orders
+
+    def test_effective_steady_state_takes_no_eigvals(self, monkeypatch):
+        # the effective points of _MIXED deflate their cubic by the closed
+        # form; the bare ones share one companion eigvals call
+        params = SystemParams.stack(_MIXED)
+        effective = params.take(np.flatnonzero(params.detuning_mode == "effective"))
+        bare = params.take(np.flatnonzero(params.detuning_mode == "bare"))
+        orders = self._count_eigvals(monkeypatch)
+        solve_steady_state(effective)
+        assert orders == []
+        solve_steady_state(bare)
+        assert orders == [3]
+        solve_steady_state(params)
+        assert orders == [3, 3]
+
+    def test_noise_pair_verdict_once_per_stack(self, monkeypatch):
+        # build_model takes the abscissa of the bandpass drifts blockwise,
+        # and approx_n_eff reuses the noise pair's verdict
+        params = SystemParams.stack([p for p in _MIXED
+                                     if p.phase_noise.kind == "bandpass"])
+        orders = self._count_eigvals(monkeypatch)
+        results = run_pipeline(params)[0]
+        assert results.stable.any()
+        assert orders.count(2) == 1
+        assert orders.count(6) == 0
+
+    def test_empty_stack(self):
+        results, ss, models = run_pipeline([])
+        assert len(results) == len(ss) == 0 and models == ()
+        assert len(evaluate_batch([])) == 0
+
     def test_cold_bath_is_the_zero_temperature_point(self):
         # hbar*omega_m/(kB*T) of about 4.8e5: the Bose factor overflows
         ref = make_params(phase_noise=bandpass_100hz())
