@@ -118,17 +118,51 @@ def _resolvent_integrand(a4: np.ndarray, d4: np.ndarray, photon_number: float,
     build_model adds to D[3,3], at each frequency's own S(w). For a real
     ``a4``, T(-w) = conj T(w), and for an even ``spectrum_at``,
     D(-w) = D(w); the -omega term is then the complex conjugate of the
-    +omega one, so the sum is the real array 2 Re[T(w) D(w) T(w)^dag] and
-    each frequency costs one inverse.
+    +omega one, so the sum is the real array 2 Re[T(w) D(w) T(w)^dag].
+
+    T is adj(sI - A)/det(sI - A) at s = i w, with no inverse per frequency.
+    A is fixed, so both are polynomials in s whose coefficients the
+    Faddeev-LeVerrier recursion gives once (S.-H. Hou, SIAM Rev. 40, 706
+    (1998)): B_0 = I, c_k = -tr(A B_(k-1))/k, B_k = A B_(k-1) + c_k I, and
+    adj = s^3 B_0 + s^2 B_1 + s B_2 + B_3, det = s^4 + c_1 s^3 + ... + c_4.
+    At s = i w the adjugate is N = (B_3 - w^2 B_1) + i w (B_2 - w^2 I) and
+    the determinant (w^4 - c_2 w^2 + c_4) + i w (c_3 - c_1 w^2). |det| is
+    the hypotenuse of those two parts: |det|^2 expanded as a polynomial in
+    w^2 would square the cancellation of det at a resonance. With
+    y = [Re N, Im N] sqrt(D)/|det| (4 x 8), the density is 2 y y^T. No
+    eigendecomposition is taken: at zero effective detuning the drift has
+    a defective double eigenvalue -kappa. Nothing here reads the Lyapunov
+    solution, so the oracle stays independent of it.
     """
     eye = np.eye(4)
+    b, c = [eye], []
+    for k in range(1, 5):
+        ab = a4 @ b[-1]
+        c.append(-ab.trace() / k)
+        b.append(ab + c[-1] * eye)
+    c1, c2, c3, c4 = c
+    # N[i, k] = coef[i, part, k] @ (1, w, w^2, w^3), part 0 real, 1 imaginary
+    coef = np.zeros((4, 2, 4, 4))
+    coef[:, 0, :, 0], coef[:, 0, :, 2] = b[3], -b[1]
+    coef[:, 1, :, 1], coef[:, 1, :, 3] = b[2], -b[0]
+    coef = coef.reshape(32, 4)
 
     def integrand(omega: np.ndarray) -> np.ndarray:
-        d = np.tile(d4, (len(omega), 1))
-        d[:, 3] += 2.0 * photon_number * spectrum_at(omega)
-        t = np.linalg.inv(1j * omega[:, None, None] * eye - a4)
-        density = (t * d[:, None, :]) @ t.conj().transpose(0, 2, 1)
-        return 2.0 * density.real
+        powers = np.empty((4, omega.size))
+        powers[0], powers[1] = 1.0, omega
+        w2 = np.multiply(omega, omega, out=powers[2])
+        np.multiply(w2, omega, out=powers[3])
+        det_re = (w2 - c2) * w2 + c4
+        det_im = omega * (c3 - c1 * w2)
+        root_d = np.empty((4, omega.size))
+        root_d[:] = d4[:, None]
+        root_d[3] += 2.0 * photon_number * spectrum_at(omega)
+        np.sqrt(root_d, out=root_d)
+        root_d /= np.hypot(det_re, det_im)
+        y = (coef @ powers).reshape(4, 2, 4, omega.size)
+        y *= root_d
+        y = y.reshape(4, 8, omega.size)
+        return 2.0 * np.einsum("ikn,jkn->nij", y, y)
 
     return integrand
 

@@ -97,6 +97,25 @@ def mp_exact_discretization(a, d, dt):
                 np.array(q.tolist(), dtype=float))
 
 
+def mp_resolvent_spectrum(a, d, omega):
+    """2 Re[T D T^dag], T = (i omega I - A)^-1, in 40-digit arithmetic.
+
+    The reference route on the float entries as given: ``a`` the (n, n)
+    drift, ``d`` the (m, n) diffusion diagonals at the m abscissae
+    ``omega``, each T the mpmath inverse of i omega I - A. Returns (m, n, n).
+    """
+    n = a.shape[0]
+    out = np.empty((len(omega), n, n))
+    with mpmath.workdps(40):
+        drift = mpmath.matrix(a.tolist())
+        for row, (w, diag) in enumerate(zip(omega, d)):
+            t = mpmath.inverse(1j * mpmath.mpf(w) * mpmath.eye(n) - drift)
+            density = t * mpmath.diag([mpmath.mpf(x) for x in diag]) * t.H
+            out[row] = [[2 * float(mpmath.re(density[i, j])) for j in range(n)]
+                        for i in range(n)]
+    return out
+
+
 def mp_laser_correlation(spec: NoiseSpec, tau: float) -> float:
     """C(tau) of a bandpass noise spec, in 40-digit arithmetic.
 

@@ -23,8 +23,8 @@ from optomech.errors import (ImaginaryFrequency, QuadratureNotConverged,
 from optomech.spectral import STATIC_BAND_LIMIT
 
 from conftest import (OMEGA_M, bandpass_100hz, make_params,
-                      mp_laser_correlation, quad_laser_correlation,
-                      relative_gap)
+                      mp_laser_correlation, mp_resolvent_spectrum,
+                      quad_laser_correlation, relative_gap)
 
 GAMMA_EFF_ADD_REF = 0.012468827930174564  # at delta=wm=1, kappa=0.1, G=0.05
 A_MINUS_REF = 0.0125  # at delta=wm, kappa=0.1wm, G=0.05wm, units of wm
@@ -525,30 +525,84 @@ class TestSpectralOracle:
         assert value.dtype == err.dtype == np.float64
         assert value.shape == err.shape == (4, 4)
 
-    def test_one_inverse_per_abscissa(self, paper_point, monkeypatch):
-        # T(-w) is conj T(w) for the real drift: the -w half is not inverted
+    def test_resolvent_without_inverse_at_nonnegative_abscissae(
+            self, paper_point, monkeypatch):
+        # T(-w) is conj T(w) for the real drift: only w >= 0 is evaluated,
+        # each Kronrod node once, and T is adj/det, never an inverse
         ss = solve_steady_state(paper_point)
-        inv, make_integrand = np.linalg.inv, spectral._resolvent_integrand
-        counts = {"inverted": 0, "abscissae": 0}
+        evaluate, make_integrand = (quadrature._evaluate_segments,
+                                    spectral._resolvent_integrand)
+        inv = np.linalg.inv
+        counts = {"inverted": 0, "segments": 0}
+        abscissae = []
 
         def counting_inv(a):
-            counts["inverted"] += np.asarray(a)[..., 0, 0].size
+            counts["inverted"] += 1
             return inv(a)
 
-        def counting_integrand(*args):
+        def counting_evaluate(f, lo, hi):
+            counts["segments"] += lo.size
+            return evaluate(f, lo, hi)
+
+        def recording_integrand(*args):
             integrand = make_integrand(*args)
 
-            def counted(omega):
-                counts["abscissae"] += omega.size
+            def recorded(omega):
+                abscissae.append(np.array(omega))
                 return integrand(omega)
 
-            return counted
+            return recorded
 
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
-        monkeypatch.setattr(spectral, "_resolvent_integrand", counting_integrand)
+        monkeypatch.setattr(quadrature, "_evaluate_segments", counting_evaluate)
+        monkeypatch.setattr(spectral, "_resolvent_integrand", recording_integrand)
         cm_spectral_oracle(paper_point, ss)
-        assert counts["abscissae"] > 0
-        assert counts["inverted"] == counts["abscissae"]
+        omega = np.concatenate(abscissae)
+        assert counts["segments"] > 0
+        assert omega.size == 15 * counts["segments"]
+        assert np.all(omega >= 0.0)
+        assert counts["inverted"] == 0
+
+    @pytest.mark.parametrize("overrides", [
+        dict(phase_noise=bandpass_100hz()),
+        dict(quality_factor=1e8, detuning=0.0, phase_noise=bandpass_100hz())],
+        ids=["paper-point", "q1e8-resonant"])
+    def test_resonances_match_40_digit_resolvent(self, overrides):
+        # adj/det at each resonance and one half width to either side of it,
+        # where T is worst conditioned: within 8 eps times the condition
+        # max|lambda|/min|Re lambda| of the 40-digit inverse of the same
+        # drift. |det|^2 expanded in w^2 fails the high-Q point.
+        p = make_params(**overrides)
+        ss = solve_steady_state(p)
+        a4, d4 = optomechanical_block(p, ss), vacuum_diffusion(p)
+        spectrum_at = partial(phase_noise_spectrum, p.phase_noise)
+        lam = np.linalg.eigvals(a4)
+        w = np.concatenate([np.abs(lam.imag) + k * np.abs(lam.real)
+                            for k in (-1.0, 0.0, 1.0)])
+        d = np.tile(d4, (w.size, 1))
+        d[:, 3] += 2.0 * ss.photon_number * spectrum_at(w)
+        expected = mp_resolvent_spectrum(a4, d, w)
+        got = spectral._resolvent_integrand(a4, d4, ss.photon_number,
+                                            spectrum_at)(w)
+        cond = np.abs(lam).max() / np.abs(lam.real).min()
+        gap = np.abs(got - expected).max(axis=(1, 2))
+        assert np.all(gap <= 8.0 * np.finfo(float).eps * cond
+                      * np.abs(expected).max(axis=(1, 2)))
+
+    def test_resonant_detuning_reproduces_reduced_lyapunov(self, paper_point):
+        # at delta_eff = 0 X is a pure source and Y a pure sink: the drift
+        # has the defective double eigenvalue -kappa, which the adj/det
+        # resolvent needs no eigenvectors for
+        p = paper_point.with_(detuning=0.0)
+        ss = solve_steady_state(p)
+        assert ss.delta_eff == 0.0
+        a4 = optomechanical_block(p, ss)
+        assert np.all(a4[2, [0, 1, 3]] == 0.0) and np.all(a4[[0, 1, 2], 3] == 0.0)
+        model = build_model(p, ss)
+        v_lyap = reduce_to_optomechanical(
+            solve_lyapunov(model.drift, model.diffusion)).matrix
+        v_spec = cm_spectral_oracle(p, ss).matrix
+        assert relative_gap(v_spec, v_lyap) <= 1e-6
 
     def test_undamped_band_raises(self):
         # S(omega) is infinite at the center of a band with gamma_tilde = 0
