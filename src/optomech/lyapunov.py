@@ -62,10 +62,17 @@ def symplectic_eigenvalues(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
     its eigenvalues are exactly +/-nu_k, and its upper n are the spectrum.
     Every matrix must be positive definite, as a physical covariance is
     (V >= i Omega / 2); where one is not, it has no Williamson form and
-    UnphysicalState is raised. The error of each nu is of order
-    eps * max|V| (within 8 (2n)^2 eps max|V| of a 50-digit reference in
-    the tests), as for an eigen-solve of i Omega V, with no loss where the
-    spectrum is degenerate (a pure state, every nu = 1/2).
+    UnphysicalState is raised. The solve is backward stable: each nu is
+    that of a matrix within about eps * max|V| of V, with no loss where the
+    spectrum is degenerate (a pure state, every nu = 1/2). Its error is
+    that perturbation times the spectrum's condition number ||S||^2, for
+    V = S diag(nu) S^T with S symplectic, which is at least
+    lambda_max(V)/nu_max (2 lambda_max(V) for a pure state). So it grows
+    like eps * max|V| * lambda_max(V)/nu, far past eps * max|V| for a
+    strongly squeezed state: over 3050 drawn states of up to 3 modes it was
+    within 4 eps max|V| lambda_max(V)/nu of a 50-digit reference, while a
+    squeezed 3-mode pure state with max|V| 867 was 4.95 times past
+    8 (2n)^2 eps max|V|.
     """
     m = np.asarray(matrix, dtype=float)
     n = m.shape[-1] // 2

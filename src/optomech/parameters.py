@@ -302,105 +302,67 @@ def drive_amplitude(params):
                    / (HBAR * params.omega_laser))
 
 
-def _horner(coeffs, x: np.ndarray) -> np.ndarray:
-    """The polynomial with coefficients ``coeffs`` (highest first) at ``x``.
-
-    The multiply-add sequence of ``np.polyval``, less its first step
-    0*x + c0, which is c0 for every finite x. Coefficients may be arrays
-    of x's shape.
-    """
-    y = coeffs[0]
-    for c in coeffs[1:]:
-        y = y * x + c
-    return y
-
-
 # with finite coefficients the cubic is negative at I=0 and grows without
 # bound, so it lacks an admissible root only where finite inputs overflow
 _OVERFLOW = ("intensity cubic produced no admissible root: products of the "
              "finite inputs overflow the float range")
 # a root counts as real where its imaginary part is within this fraction of
-# the larger of its modulus and max(E0^2/(kappa^2 + delta0^2), 1)
+# the larger of its modulus and max(E0^2/(kappa^2 + delta0^2), 1); it
+# decides a near-double pair of the deflated cubic, a fold, as real
 _IMAGINARY_TOL = 1e-8
 
 
-def _cubic_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of every row of an (N, 4) coefficient stack, as an (N, 3) array.
+def _bare_intensity(beta, delta0, kappa_sq, e0_sq, branch: str):
+    """Intensity E0^2/(kappa^2 + Delta^2) of each bare-detuning point, on
+    ``branch`` where the point has three working points.
 
-    One ``eigvals`` call on the companion matrices; each row's leading and
-    constant coefficients must be nonzero.
+    The effective detuning Delta = delta0 - beta*I solves the monic cubic
+    Delta^3 - delta0 Delta^2 + kappa^2 Delta + beta E0^2 - delta0 kappa^2 = 0.
+    With Q = (delta0^2 - 3 kappa^2)/9 and
+    R = (27 beta E0^2 - 2 delta0^3 - 18 delta0 kappa^2)/54 it has three real
+    roots where R^2 < Q^3, taken by Viete's trigonometric form, and else one,
+    taken by Cardano's (Press et al., Numerical Recipes, 3rd ed., 5.6); one
+    Newton step on (Delta - delta0)(kappa^2 + Delta^2) + beta E0^2 polishes
+    it. The largest Delta gives the smallest intensity. Elementwise; NaN
+    where products of the inputs overflow.
     """
-    companion = np.zeros((len(coeffs), 3, 3))
-    # inf/inf and overflowing ratios: the LinAlgError below names the overflow
-    with np.errstate(invalid="ignore", over="ignore"):
-        companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    try:
-        return np.linalg.eigvals(companion).astype(complex)
-    except np.linalg.LinAlgError as err:  # an inf or NaN companion matrix
-        raise NoPhysicalRoot(_OVERFLOW) from err
-
-
-def _admissible_intensities(cubic: np.ndarray) -> np.ndarray:
-    """Nonnegative real roots of each point's intensity cubic, ascending.
-
-    ``cubic`` has one column per point: beta, delta0, kappa^2,
-    kappa^2 + delta0^2 and E0^2, where beta = g0^2/omega_m and delta0 is
-    the bare detuning. The cubic is
-    beta^2 I^3 - 2*delta0*beta I^2 + (kappa^2 + delta0^2) I - E0^2 = 0.
-    Each admissible root gets up to three Newton steps on the residual
-    I*(kappa^2 + (delta0 - beta*I)^2) - E0^2, keeping the best nonnegative
-    iterate. Rows are NaN-padded to three roots.
-    """
-    beta, delta0, kappa_sq, linear, e0_sq = cubic
-    coeffs = np.array([beta * beta, -2.0 * delta0 * beta, linear, -e0_sq])
-    roots = _cubic_roots(coeffs.T).ravel()
-    # one entry per root from here on: same-shape operands keep the small
-    # arrays of a single point cheap
-    beta, delta0, kappa_sq, e0_sq = np.repeat(cubic[[0, 1, 2, 4]], 3, axis=1)
-    coeffs = np.repeat(coeffs, 3, axis=1)
-    scale = np.maximum(e0_sq / coeffs[2], 1.0)
-    # NaN padding compares false, so it is never admissible
-    admissible = ((np.abs(roots.imag) <= _IMAGINARY_TOL
-                   * np.maximum(np.hypot(roots.real, roots.imag), scale))
-                  & (roots.real >= -_IMAGINARY_TOL * scale))
-
-    def residual(x):
-        delta = delta0 - beta * x
-        return np.abs(x * (kappa_sq + delta * delta) - e0_sq)
-
-    deriv = coeffs[:-1] * np.arange(3.0, 0.0, -1.0)[:, None]
-    x = np.maximum(roots.real, 0.0)
-    best, best_res = np.where(admissible, x, np.nan), residual(x)
-    active = admissible
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(3):
-            slope = _horner(deriv, x)
-            active &= slope != 0.0
-            # a root that stopped keeps its best iterate: x no longer matters
-            x = x - _horner(coeffs, x) / slope
-            res = residual(x)
-            better = active & (res < best_res) & (x >= 0)
-            np.copyto(best, x, where=better)
-            np.copyto(best_res, res, where=better)
-    return np.sort(best.reshape(-1, 3), axis=1)
+    k = (1, 2, 0)[_BRANCHES.index(branch)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        drive = beta * e0_sq
+        q = (delta0 * delta0 - 3.0 * kappa_sq) / 9.0
+        r = (27.0 * drive - 2.0 * delta0 ** 3 - 18.0 * delta0 * kappa_sq) / 54.0
+        q_cubed = q * q * q
+        root_q = np.sqrt(q)
+        theta = np.arccos(np.clip(r / (q * root_q), -1.0, 1.0))
+        viete = -2.0 * root_q * np.cos((theta + 2.0 * math.pi * k) / 3.0)
+        a = -np.copysign(np.cbrt(np.abs(r) + np.sqrt(r * r - q_cubed)), r)
+        cardano = a + np.where(a != 0.0, q / a, 0.0)
+        delta = np.where(r * r < q_cubed, viete, cardano) + delta0 / 3.0
+        slope = (3.0 * delta - 2.0 * delta0) * delta + kappa_sq
+        residual = (delta - delta0) * (kappa_sq + delta * delta) + drive
+        delta = np.where(slope != 0.0, delta - residual / slope, delta)
+        return e0_sq / (kappa_sq + delta * delta)
 
 
 def _deflated_intensities(cubic: np.ndarray, known: np.ndarray) -> np.ndarray:
     """Nonnegative real roots of each point's intensity cubic, ascending,
     given one root ``known`` of each.
 
-    ``cubic`` is as for ``_admissible_intensities``. Synthetic division by
-    (I - known) leaves q2 I^2 + q1 I + q0, whose roots are taken without
-    cancellation as q/q2 and q0/q, q = -(q1 + sgn(q1) sqrt(q1^2 - 4 q2 q0))/2
-    (Press et al., Numerical Recipes, 3rd ed., 5.6). A complex pair whose
-    imaginary part is within the tolerance under which the companion route
-    admits a root counts as a real double root; a root that is not finite
-    is not admissible. Rows are NaN-padded to three roots. Raises
-    NoPhysicalRoot where the discriminant is not finite, as it is wherever
-    the known root or a coefficient of the cubic or of the quadratic is not.
+    ``cubic`` has one column per point: beta, delta0, kappa^2 + delta0^2
+    and E0^2, where beta = g0^2/omega_m and delta0 is the bare detuning;
+    the cubic is
+    beta^2 I^3 - 2*delta0*beta I^2 + (kappa^2 + delta0^2) I - E0^2 = 0.
+    Synthetic division by (I - known) leaves q2 I^2 + q1 I + q0, whose roots
+    are taken without cancellation as q/q2 and q0/q,
+    q = -(q1 + sgn(q1) sqrt(q1^2 - 4 q2 q0))/2 (Press et al., Numerical
+    Recipes, 3rd ed., 5.6). A complex pair whose imaginary part is within
+    ``_IMAGINARY_TOL`` counts as a real double root, as at a fold; a root
+    that is not finite is not admissible. Rows are NaN-padded to three
+    roots. Raises NoPhysicalRoot where the discriminant is not finite, as
+    it is wherever the known root or a coefficient of the cubic or of the
+    quadratic is not.
     """
-    beta, delta0, _, linear, e0_sq = cubic
+    beta, delta0, linear, e0_sq = cubic
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         q2 = beta * beta
         q1 = -2.0 * delta0 * beta + q2 * known
@@ -430,17 +392,20 @@ def solve_steady_state(params, branch: str = "lower") -> SteadyState:
     "upper"; ignored when the cubic is monostable).
 
     ``params`` is one point, giving one working point, or a stack or a
-    sequence of points, giving their stacked working points. Each point's
-    admissible roots, which set its branch tag, come by one of three
-    routes, each elementwise, so a point gets the same bits alone as inside
-    any stack: an effective-detuning point deflates its cubic by the
-    closed-form root it knows and solves the quadratic left; a
-    bare-detuning point takes its cubic's roots from one ``eigvals`` call on
-    the companion matrices of all such points, then a Newton polish; a
-    point without coupling or drive takes the root of the linear term.
-    Raises NoPhysicalRoot, naming the overflow, if a point's cubic,
-    deflated quadratic or closed-form intensity overflows or a
-    bare-detuning point has no admissible root.
+    sequence of points, giving their stacked working points. Each coupled,
+    driven point knows one root I0 of its intensity cubic: an
+    effective-detuning point the closed form E0^2/(kappa^2 + Delta^2), a
+    bare-detuning point the same with Delta the root of the monic cubic
+    that the effective detuning solves, in closed form on ``branch``
+    (``_bare_intensity``). Every such point deflates its cubic by I0 and
+    solves the quadratic left (``_deflated_intensities``); a point without
+    coupling or drive takes the root of the linear term. No route solves
+    an eigenproblem, and each is elementwise, so a point gets the same bits
+    alone as inside any stack. An effective point's tag is the position of
+    I0 among its admissible roots; a bare point with three takes the one
+    ``branch`` names, else its one. Raises NoPhysicalRoot, naming the
+    overflow, if a point's cubic, deflated quadratic or closed-form
+    intensity overflows.
     """
     if branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}")
@@ -457,30 +422,31 @@ def solve_steady_state(params, branch: str = "lower") -> SteadyState:
     closed_form = e0_sq / (kappa_sq + p.detuning * p.detuning)
     delta0 = np.where(effective, p.detuning + beta * closed_form, p.detuning)
     linear = kappa_sq + delta0 * delta0
-    cubic = np.array([beta, delta0, kappa_sq, linear, e0_sq])
+    cubic = np.array([beta, delta0, linear, e0_sq])
     # a cubic with a nonzero leading coefficient beta^2 and constant E0^2;
     # without coupling or drive it degenerates to its linear term
     coupled = (beta * beta != 0.0) & (e0_sq != 0.0)
+    known = closed_form
+    if not effective.all():
+        known = np.where(effective, closed_form, _bare_intensity(
+            beta, delta0, kappa_sq, e0_sq, branch))
     roots = np.full((count, 3), np.nan)
     roots[:, 0] = e0_sq / linear
-    for rows, route, args in (
-            (coupled & effective, _deflated_intensities, (closed_form,)),
-            (coupled & ~effective, _admissible_intensities, ())):
-        routed = np.count_nonzero(rows)
-        if routed == count:
-            roots = route(cubic, *args)
-        elif routed:
-            roots[rows] = route(cubic[:, rows], *(arg[rows] for arg in args))
+    deflated = np.count_nonzero(coupled)
+    if deflated == count:
+        roots = _deflated_intensities(cubic, known)
+    elif deflated:
+        roots[coupled] = _deflated_intensities(cubic[:, coupled], known[coupled])
 
     found = (roots == roots).sum(axis=1)
     # effective mode: the closed-form intensity, tagged by its position
     # among the roots, which hold it (the first of equal ones); bare mode:
-    # the root the branch policy picks among three, else the one
-    idx = np.where(effective, (roots < closed_form[:, None]).sum(axis=1),
+    # the root the branch policy picks among three, else the one, which
+    # is I0 wherever the closed form and the deflation agree
+    idx = np.where(effective, (roots < known[:, None]).sum(axis=1),
                    (found == 3) * _BRANCHES.index(branch))
     intensity = np.where(effective, closed_form, roots[np.arange(count), idx])
-    # NaN where a bare-detuning point has no admissible root, and NaN or inf
-    # where an effective-detuning point's closed form overflows
+    # NaN or inf where the closed form or the linear term overflows
     if not np.isfinite(intensity).all():
         raise NoPhysicalRoot(_OVERFLOW)
     alpha_abs = np.sqrt(intensity)

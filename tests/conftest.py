@@ -6,7 +6,8 @@ import pytest
 
 from optomech import NoiseSpec, SystemParams, apply_axis, symplectic_form
 from optomech.dynamics import auxiliary_block, phase_noise_spectrum
-from optomech.errors import QuadratureNotConverged
+from optomech.errors import NoPhysicalRoot, QuadratureNotConverged
+from optomech.parameters import _IMAGINARY_TOL, _OVERFLOW
 
 OMEGA_M = 2.0 * math.pi * 1e7
 
@@ -199,6 +200,111 @@ def quad_laser_correlation(spec: NoiseSpec, tau: float) -> float:
                              a, b, "laser correlation band (cos)",
                              weight="cos", wvar=t, epsabs=1e-13, limit=400)
     return math.exp(-(head + flat - osc) / math.pi)
+
+
+# The companion route the bare-detuning steady state took before it
+# deflated its cubic by a closed-form root: the second, float route to the
+# roots of the intensity cubic, kept unchanged as the tests' reference.
+
+def _horner(coeffs, x: np.ndarray) -> np.ndarray:
+    """The polynomial with coefficients ``coeffs`` (highest first) at ``x``.
+
+    The multiply-add sequence of ``np.polyval``, less its first step
+    0*x + c0, which is c0 for every finite x. Coefficients may be arrays
+    of x's shape.
+    """
+    y = coeffs[0]
+    for c in coeffs[1:]:
+        y = y * x + c
+    return y
+
+
+def _cubic_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of every row of an (N, 4) coefficient stack, as an (N, 3) array.
+
+    One ``eigvals`` call on the companion matrices; each row's leading and
+    constant coefficients must be nonzero.
+    """
+    companion = np.zeros((len(coeffs), 3, 3))
+    # inf/inf and overflowing ratios: the LinAlgError below names the overflow
+    with np.errstate(invalid="ignore", over="ignore"):
+        companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    try:
+        return np.linalg.eigvals(companion).astype(complex)
+    except np.linalg.LinAlgError as err:  # an inf or NaN companion matrix
+        raise NoPhysicalRoot(_OVERFLOW) from err
+
+
+def _admissible_intensities(cubic: np.ndarray) -> np.ndarray:
+    """Nonnegative real roots of each point's intensity cubic, ascending.
+
+    ``cubic`` has one column per point: beta, delta0, kappa^2,
+    kappa^2 + delta0^2 and E0^2, where beta = g0^2/omega_m and delta0 is
+    the bare detuning. The cubic is
+    beta^2 I^3 - 2*delta0*beta I^2 + (kappa^2 + delta0^2) I - E0^2 = 0.
+    Each admissible root gets up to three Newton steps on the residual
+    I*(kappa^2 + (delta0 - beta*I)^2) - E0^2, keeping the best nonnegative
+    iterate. Rows are NaN-padded to three roots.
+    """
+    beta, delta0, kappa_sq, linear, e0_sq = cubic
+    coeffs = np.array([beta * beta, -2.0 * delta0 * beta, linear, -e0_sq])
+    roots = _cubic_roots(coeffs.T).ravel()
+    # one entry per root from here on: same-shape operands keep the small
+    # arrays of a single point cheap
+    beta, delta0, kappa_sq, e0_sq = np.repeat(cubic[[0, 1, 2, 4]], 3, axis=1)
+    coeffs = np.repeat(coeffs, 3, axis=1)
+    scale = np.maximum(e0_sq / coeffs[2], 1.0)
+    # NaN padding compares false, so it is never admissible
+    admissible = ((np.abs(roots.imag) <= _IMAGINARY_TOL
+                   * np.maximum(np.hypot(roots.real, roots.imag), scale))
+                  & (roots.real >= -_IMAGINARY_TOL * scale))
+
+    def residual(x):
+        delta = delta0 - beta * x
+        return np.abs(x * (kappa_sq + delta * delta) - e0_sq)
+
+    deriv = coeffs[:-1] * np.arange(3.0, 0.0, -1.0)[:, None]
+    x = np.maximum(roots.real, 0.0)
+    best, best_res = np.where(admissible, x, np.nan), residual(x)
+    active = admissible
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            slope = _horner(deriv, x)
+            active &= slope != 0.0
+            # a root that stopped keeps its best iterate: x no longer matters
+            x = x - _horner(coeffs, x) / slope
+            res = residual(x)
+            better = active & (res < best_res) & (x >= 0)
+            np.copyto(best, x, where=better)
+            np.copyto(best_res, res, where=better)
+    return np.sort(best.reshape(-1, 3), axis=1)
+
+
+def mp_intensity_roots(cubic: np.ndarray, imaginary_tol: float = 1e-40
+                       ) -> list[list[float]]:
+    """Nonnegative real roots of each point's intensity cubic, ascending,
+    in 60-digit arithmetic.
+
+    ``cubic`` has one column per point, laid out as for
+    ``_admissible_intensities``. The reference route on the float entries
+    as given: mpmath ``polyroots`` of
+    beta^2 I^3 - 2 delta0 beta I^2 + (kappa^2 + delta0^2) I - E0^2, each
+    coefficient formed in 60 digits from beta, delta0, kappa^2 and E0^2. A
+    root counts as real, and is taken as its real part, where its imaginary
+    part is within ``imaginary_tol`` of its modulus.
+    """
+    out = []
+    with mpmath.workdps(60):
+        for beta, delta0, kappa_sq, _, e0_sq in np.asarray(cubic).T.tolist():
+            beta, delta0 = mpmath.mpf(beta), mpmath.mpf(delta0)
+            roots = mpmath.polyroots(
+                [beta * beta, -2 * delta0 * beta, kappa_sq + delta0 * delta0,
+                 -mpmath.mpf(e0_sq)], maxsteps=400, extraprec=400)
+            out.append(sorted(float(mpmath.re(r)) for r in roots
+                              if abs(mpmath.im(r)) <= imaginary_tol * abs(r)
+                              and mpmath.re(r) >= 0))
+    return out
 
 
 def poison_nth(stage, nth):

@@ -13,11 +13,11 @@ from optomech import (NoiseSpec, SystemParams, default_fixed_params,
                       power_for_coupling, solve_steady_state, thermal_occupancy)
 from optomech.constants import HBAR, K_B
 from optomech.errors import NoPhysicalRoot
-from optomech.parameters import (_BRANCH_TAGS, _admissible_intensities,
-                                 _cubic_roots)
+from optomech.parameters import _BRANCH_TAGS, _BRANCHES, _IMAGINARY_TOL
 from optomech.sweep import _FIGURES
 
-from conftest import OMEGA_M, grid_points, make_params
+from conftest import (OMEGA_M, _admissible_intensities, grid_points,
+                      make_params, mp_intensity_roots)
 
 # frozen with 40-digit arithmetic from the defining formulas
 N_THERMAL_04K = 832.96486542801101
@@ -92,8 +92,8 @@ class TestSteadyState:
     @pytest.mark.parametrize("mode", ["bare", "effective"])
     @pytest.mark.parametrize("g0", [1e3, 0.0], ids=["coupled", "uncoupled"])
     def test_overflow_is_named(self, g0, mode):
-        # the coupled cubic's companion matrix holds inf, which eigvals
-        # rejects; the uncoupled one's root and the effective closed form
+        # kappa^2 overflows: the coupled cubic's deflated discriminant is
+        # not finite; the uncoupled one's root and the effective closed form
         # inf/inf are NaN
         p = make_params(g0=g0, kappa=1e200, laser_power=1e200,
                         detuning_mode=mode)
@@ -198,11 +198,13 @@ class TestSteadyState:
         direct = e0 ** 2 / (p.kappa ** 2 + p.detuning ** 2)
         assert ss.photon_number == pytest.approx(direct, rel=1e-14)
 
-    @pytest.mark.parametrize("g0", [1e-77, 1e-76, 1e-72, 1e-67])
-    def test_weak_effective_coupling_is_the_linear_limit(self, g0):
-        # beta^2 is nonzero, yet E0^2/beta^2 and (kappa^2 + delta0^2)/beta^2
-        # overflow: a companion matrix of this cubic holds inf
-        p = default_fixed_params().with_(g0=g0)
+    @pytest.mark.parametrize("g0, mode", [
+        pytest.param(g0, mode, id=f"{mode}-{g0}" if mode == "bare" else f"{g0}")
+        for mode in ("effective", "bare") for g0 in (1e-77, 1e-76, 1e-72, 1e-67)])
+    def test_weak_effective_coupling_is_the_linear_limit(self, g0, mode):
+        # beta^2 is nonzero, yet E0^2/beta^2 and (kappa^2 + delta^2)/beta^2
+        # overflow: a companion matrix of this cubic would hold inf
+        p = default_fixed_params().with_(g0=g0, detuning_mode=mode)
         beta = g0 * g0 / p.omega_m
         assert beta * beta > 0.0
         with np.errstate(over="ignore"):
@@ -217,56 +219,96 @@ class TestSteadyState:
         assert result.photon_number == linear
         assert ss.all_roots == (linear,)
 
-    def test_overflowing_companion_is_named_without_warning(self):
-        # finite coefficients whose ratios to the leading one overflow
-        coeffs = np.array([[1e-320, -1.0, 1e10, -1e10]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NoPhysicalRoot, match="overflow the float range"):
-                _cubic_roots(coeffs)
 
-
-def _companion_route(params):
-    """Branch tags and admissible-root counts of effective-detuning points
-    by the companion route, on the cubic ``solve_steady_state`` forms."""
+def _cubic(params):
+    """The intensity-cubic columns ``solve_steady_state`` forms, formed
+    independently: beta, delta0, kappa^2, kappa^2 + delta0^2 and E0^2,
+    with an effective point's bare detuning delta0 = Delta + beta*I0."""
     e0_sq = drive_amplitude(params) ** 2
     beta = params.g0 * params.g0 / params.omega_m
     kappa_sq = params.kappa * params.kappa
     closed_form = e0_sq / (kappa_sq + params.detuning * params.detuning)
-    delta0 = params.detuning + beta * closed_form
-    cubic = np.array([beta, delta0, kappa_sq, kappa_sq + delta0 * delta0, e0_sq])
-    roots = _admissible_intensities(cubic)
+    delta0 = np.where(params.detuning_mode == "effective",
+                      params.detuning + beta * closed_form, params.detuning)
+    return np.array([beta, delta0, kappa_sq, kappa_sq + delta0 * delta0, e0_sq])
+
+
+def _tags(params, roots, branch):
+    """Branch tags of points whose admissible roots are the NaN-padded rows
+    ``roots``: an effective point's is the position of the root nearest its
+    closed form, a bare point's the one ``branch`` names among three."""
     count = (roots == roots).sum(axis=1)
+    closed_form = (drive_amplitude(params) ** 2
+                   / (params.kappa ** 2 + params.detuning ** 2))
     nearest = np.fmin(np.abs(roots - closed_form[:, None]), np.inf).argmin(axis=1)
-    return _BRANCH_TAGS[(count > 1) * (nearest + 1)], count, cubic
+    idx = np.where(params.detuning_mode == "effective", nearest,
+                   (count == 3) * _BRANCHES.index(branch))
+    return _BRANCH_TAGS[(count > 1) * (idx + 1)]
+
+
+def _companion_route(params, branch="lower"):
+    """Branch tags and admissible-root counts by the companion route, on
+    the cubic ``solve_steady_state`` forms."""
+    cubic = _cubic(params)
+    roots = _admissible_intensities(cubic)
+    return _tags(params, roots, branch), (roots == roots).sum(axis=1), cubic
+
+
+def _effective_point(kappa, delta, g0, shift):
+    """A coupled effective-detuning point whose Kerr shift beta*I0 is ``shift``."""
+    p = make_params(kappa=kappa, detuning=delta, g0=g0)
+    intensity = shift * p.omega_m / (g0 * g0)
+    return p.with_(laser_power=intensity * (kappa ** 2 + delta ** 2) * HBAR
+                   * p.omega_laser / (2.0 * kappa))
+
+
+def _bare_point(kappa, delta0, g0, drive):
+    """A coupled bare-detuning point whose beta E0^2 is ``drive``."""
+    p = make_params(kappa=kappa, detuning=delta0, g0=g0, detuning_mode="bare")
+    e0_sq = drive * p.omega_m / (g0 * g0)
+    return p.with_(laser_power=e0_sq * HBAR * p.omega_laser / (2.0 * kappa))
+
+
+def _bare_fold(kappa, delta0, sign):
+    """beta E0^2 at a fold R^2 = Q^3 of the effective-detuning cubic,
+    the lower one for ``sign`` -1, the upper one for +1; they meet at the
+    cusp delta0^2 = 3 kappa^2."""
+    return (2.0 * delta0 ** 3 + 18.0 * delta0 * kappa ** 2
+            + sign * 2.0 * (delta0 ** 2 - 3.0 * kappa ** 2) ** 1.5) / 27.0
 
 
 @st.composite
-def effective_points(draw):
-    """Coupled, driven effective-detuning points, half of them within a
-    relative 1e-6 to 0.1 of the fold where the two roots beside the
-    closed-form one merge."""
-    delta = OMEGA_M * draw(st.floats(0.05, 3.0))
+def steady_points(draw):
+    """Coupled, driven points of either detuning mode. Half the effective
+    ones are within a relative 1e-6 to 0.1 of the fold where the two roots
+    beside the closed-form one merge, half the bare ones within that of a
+    fold R^2 = Q^3 of their effective-detuning cubic."""
     kappa = OMEGA_M * draw(st.floats(0.02, 2.0))
     g0 = 10.0 ** draw(st.floats(1.0, 4.0))
+    offset = (1.0 + draw(st.sampled_from((-1.0, 1.0)))
+              * 10.0 ** draw(st.floats(-6.0, -1.0)))
+    near_fold = draw(st.booleans())
     if draw(st.booleans()):
-        # the deflated discriminant vanishes where the shift x = beta*I0
-        # solves x^2 + 4 delta x - 4 kappa^2 = 0
-        offset = (draw(st.sampled_from((-1.0, 1.0)))
-                  * 10.0 ** draw(st.floats(-6.0, -1.0)))
-        shift = 2.0 * (math.hypot(delta, kappa) - delta) * (1.0 + offset)
-        p = make_params(kappa=kappa, detuning=delta, g0=g0)
-        intensity = shift * OMEGA_M / (g0 * g0)
-        power = (intensity * (kappa ** 2 + delta ** 2) * HBAR * p.omega_laser
-                 / (2.0 * kappa))
-    else:
-        power = 10.0 ** draw(st.floats(-5.0, -0.5))
-    return make_params(kappa=kappa, detuning=delta, g0=g0, laser_power=power)
+        delta = OMEGA_M * draw(st.floats(0.05, 3.0))
+        if near_fold:
+            # the deflated discriminant vanishes where the shift x = beta*I0
+            # solves x^2 + 4 delta x - 4 kappa^2 = 0
+            return _effective_point(kappa, delta, g0, 2.0 * (
+                math.hypot(delta, kappa) - delta) * offset)
+        return make_params(kappa=kappa, detuning=delta, g0=g0,
+                           laser_power=10.0 ** draw(st.floats(-5.0, -0.5)))
+    if near_fold:
+        delta0 = math.sqrt(3.0) * kappa * draw(st.floats(1.01, 10.0))
+        return _bare_point(kappa, delta0, g0, _bare_fold(
+            kappa, delta0, draw(st.sampled_from((-1.0, 1.0)))) * offset)
+    return make_params(kappa=kappa, detuning=OMEGA_M * draw(st.floats(0.05, 3.0)),
+                       g0=g0, laser_power=10.0 ** draw(st.floats(-5.0, -0.5)),
+                       detuning_mode="bare")
 
 
 class TestDeflatedCubic:
-    """Effective-detuning points deflate their cubic by the closed-form root;
-    the companion route, which bare-detuning points take, is the reference."""
+    """Every coupled point deflates its cubic by the root it knows in closed
+    form; the companion route of ``conftest`` is the float reference."""
 
     def test_recipes_match_the_companion_route(self):
         # all 24 recipes at 80x80: 153600 points, 44682 not monostable
@@ -302,13 +344,140 @@ class TestDeflatedCubic:
         assert ss.branch == tags[0] == "lower"
 
     @settings(max_examples=200, deadline=None)
-    @given(points=st.lists(effective_points(), min_size=1, max_size=8))
-    def test_random_points_match_the_companion_route(self, points):
+    @given(points=st.lists(steady_points(), min_size=1, max_size=8),
+           branch=st.sampled_from(_BRANCHES))
+    def test_random_points_match_the_companion_route(self, points, branch):
         params = SystemParams.stack(points)
-        ss = solve_steady_state(params)
-        tags, count, _ = _companion_route(params)
+        ss = solve_steady_state(params, branch)
+        tags, count, _ = _companion_route(params, branch)
         assert ss.branch.tolist() == tags.tolist()
         np.testing.assert_array_equal((ss.all_roots == ss.all_roots).sum(axis=1), count)
+
+
+def _fold_and_cusp_points():
+    """Coupled points of both detuning modes at relative offsets of 1e-2 to
+    1e-8 from a fold and from the cusp of their intensity cubic."""
+    offsets = [sign * 10.0 ** -e for e in (2, 4, 6, 8) for sign in (-1.0, 1.0)]
+    points = []
+    for kappa, delta, g0 in ((0.3, 2.0, 1e3), (0.05, 0.5, 30.0)):
+        kappa, delta = kappa * OMEGA_M, delta * OMEGA_M
+        for e in offsets:
+            points += [_bare_point(kappa, delta, g0, _bare_fold(kappa, delta, sign)
+                                   * (1.0 + e)) for sign in (-1.0, 1.0)]
+            # the cusp: a triple root Delta = delta0/3 at R = Q = 0
+            cusp = math.sqrt(3.0) * kappa * (1.0 + e)
+            points.append(_bare_point(kappa, cusp, g0, (
+                2.0 * cusp ** 3 + 18.0 * cusp * kappa ** 2) / 27.0))
+            # the two other roots merge where the shift x = beta*I0 solves
+            # x^2 + 4 Delta x - 4 kappa^2 = 0; I0 meets one of them where
+            # x = (Delta^2 + kappa^2)/(2 Delta), and an offset e of x there
+            # is one of about e^2 from a fold; both at kappa^2 = 3 Delta^2
+            delta_eff = delta / 3.0
+            points += [
+                _effective_point(kappa, delta_eff, g0, 2.0 * (1.0 + e) * (
+                    math.hypot(delta_eff, kappa) - delta_eff)),
+                _effective_point(kappa, delta_eff, g0, (
+                    delta_eff ** 2 + kappa ** 2) / (2.0 * delta_eff)
+                    * (1.0 + math.copysign(math.sqrt(abs(e)), e)))]
+            points.append(_effective_point(math.sqrt(3.0) * delta_eff * (1.0 + e),
+                                           delta_eff, g0, 2.0 * delta_eff))
+    return SystemParams.stack(points)
+
+
+def _root_condition(cubic, roots):
+    """Relative condition number of each root of each point's intensity
+    cubic: sum_k |a_k| r^k / (r |p'(r)|), the relative change of r per
+    relative change of the coefficients a_k (Wilkinson)."""
+    beta, delta0, _, linear, e0_sq = (c[:, None] for c in cubic)
+    size = (beta * beta * roots + 2.0 * np.abs(delta0) * beta) * roots ** 2 \
+        + linear * roots + e0_sq
+    slope = (3.0 * beta * beta * roots - 4.0 * delta0 * beta) * roots + linear
+    return size / (roots * np.abs(slope))
+
+
+# Each intensity within ROOT_TOL eps cond I of the reference root I: cond
+# is the root's own condition number for the working point, whose closed
+# form is its one rounding-level step; the worst condition number among a
+# point's roots for every admissible root, since deflating by a known root
+# passes that root's error on. The worst seen on the fold and cusp set was
+# 0.58 (working point) and 3.0 (any root): at most 1.6e-8 relative, at 1e-8
+# from the cusp, where cond reaches 5.3e8.
+ROOT_TOL = 8.0
+
+
+class TestIntensityReference:
+    """The intensity cubic's roots against a 60-digit ``polyroots``."""
+
+    def test_folds_and_cusp_match_60_digit_roots(self):
+        params = _fold_and_cusp_points()
+        cubic = _cubic(params)
+        reference = mp_intensity_roots(cubic)
+        count = np.array([len(r) for r in reference])
+        ref = np.array([r + [math.nan] * (3 - len(r)) for r in reference])
+        assert np.count_nonzero(count == 3) > len(count) // 3
+        cond = _root_condition(cubic, ref)
+        scale = ROOT_TOL * np.finfo(float).eps
+        for branch in _BRANCHES:
+            ss = solve_steady_state(params, branch)
+            np.testing.assert_array_equal(
+                (ss.all_roots == ss.all_roots).sum(axis=1), count)
+            tags = _tags(params, ref, branch)
+            assert ss.branch.tolist() == tags.tolist()
+            err = np.abs(ss.all_roots - ref)
+            admitted = ref == ref
+            assert (err <= scale * np.nanmax(cond, axis=1)[:, None] * ref)[admitted].all()
+            # the working point is the root its tag names
+            idx = [_BRANCHES.index(t) if t in _BRANCHES else 0 for t in tags]
+            rows = np.arange(len(ref))
+            assert (np.abs(ss.photon_number - ref[rows, idx])
+                    <= scale * cond[rows, idx] * ref[rows, idx]).all(), branch
+
+    def test_far_detuned_working_points_are_exact_to_rounding(self):
+        # bare detuning delta0 of 10 to 1000 kappa with an effective one
+        # Delta of 0.1 to 10 kappa: the closed form loses about
+        # eps delta0/kappa, and its Newton step leaves the error relative to
+        # sqrt(kappa^2 + Delta^2); without the step it reached 1.7e4 eps
+        rng = np.random.default_rng(5)
+        points = []
+        for _ in range(24):
+            kappa = OMEGA_M * 10.0 ** rng.uniform(-2.0, 0.0)
+            delta0 = kappa * 10.0 ** rng.uniform(1.0, 3.0)
+            delta = kappa * 10.0 ** rng.uniform(-1.0, 1.0) * rng.choice([-1.0, 1.0])
+            points.append(_bare_point(kappa, delta0, 1e3, (delta0 - delta) * (
+                kappa ** 2 + delta ** 2)))
+        params = SystemParams.stack(points)
+        reference = mp_intensity_roots(_cubic(params))
+        assert sum(len(r) == 3 for r in reference) > 12
+        for i, branch in enumerate(_BRANCHES):
+            ss = solve_steady_state(params, branch)
+            chosen = [r[i if len(r) == 3 else 0] for r in reference]
+            # the worst seen was 2.0 eps
+            np.testing.assert_allclose(ss.photon_number, chosen,
+                                       rtol=4.0 * np.finfo(float).eps, atol=0.0)
+
+    def test_exact_fold_takes_the_named_branch(self):
+        # a bare point at a fold: its effective-detuning cubic has one real
+        # root by R^2 >= Q^3, yet the intensity cubic's double root is a
+        # complex pair within the imaginary tolerance, so three roots are
+        # admitted and each branch gets the root it names
+        p = make_params(kappa=28995052.510445688, detuning=94844360.0387094,
+                        g0=1598.5692484572662, laser_power=0.008087250395447295,
+                        detuning_mode="bare")
+        cubic = _cubic(SystemParams.stack([p]))
+        beta, delta0, kappa_sq, _, e0_sq = cubic[:, 0]
+        q = (delta0 * delta0 - 3.0 * kappa_sq) / 9.0
+        r = (27.0 * beta * e0_sq - 2.0 * delta0 ** 3 - 18.0 * delta0 * kappa_sq) / 54.0
+        assert r * r >= q * q * q
+        assert len(mp_intensity_roots(cubic)[0]) == 1
+        reference = mp_intensity_roots(cubic, _IMAGINARY_TOL)[0]
+        assert len(reference) == 3
+        for i, branch in enumerate(_BRANCHES):
+            ss = solve_steady_state(p, branch)
+            assert len(ss.all_roots) == 3
+            assert ss.branch == branch
+            assert ss.photon_number == ss.all_roots[i]
+            # floats fix a double root to about sqrt(eps)
+            assert ss.photon_number == pytest.approx(reference[i], rel=1e-7)
 
 
 class TestPowerForCoupling:

@@ -540,18 +540,18 @@ class TestStackedPipeline:
         return orders
 
     def test_effective_steady_state_takes_no_eigvals(self, monkeypatch):
-        # the effective points of _MIXED deflate their cubic by the closed
-        # form; the bare ones share one companion eigvals call
+        # every coupled point of _MIXED deflates its cubic by a closed-form
+        # root, the bare ones by the root of their effective-detuning cubic
         params = SystemParams.stack(_MIXED)
         effective = params.take(np.flatnonzero(params.detuning_mode == "effective"))
         bare = params.take(np.flatnonzero(params.detuning_mode == "bare"))
+        assert len(effective) and len(bare)
         orders = self._count_eigvals(monkeypatch)
-        solve_steady_state(effective)
+        for stack in (effective, bare, params):
+            solve_steady_state(stack)
+            for branch in ("lower", "middle", "upper"):
+                solve_steady_state(stack.take([0]), branch)
         assert orders == []
-        solve_steady_state(bare)
-        assert orders == [3]
-        solve_steady_state(params)
-        assert orders == [3, 3]
 
     def test_noise_pair_verdict_once_per_stack(self, monkeypatch):
         # build_model takes the abscissa of the bandpass drifts blockwise,
