@@ -4,6 +4,10 @@ Built for spectra with a handful of very narrow Lorentzian features: the
 caller seeds breakpoints at the known feature locations and widths, and the
 (7, 15)-point rule refines whichever segments dominate the error until every
 component of the integral meets a combined absolute/relative tolerance.
+
+Each segment's Kronrod value and its |K - G| error estimate come from one
+product: the (2, 15) weight matrix [w_K; w_K - w_G] times the segment's
+(15, components) integrand values, scaled by its half width.
 """
 
 from __future__ import annotations
@@ -41,21 +45,28 @@ _WG[1::2] = [0.129484966168870, 0.279705391489277, 0.381830050505119,
              0.129484966168870]
 
 
-def _evaluate_segments(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod value and |K - G| error estimate for each [lo_i, hi_i]."""
+# rows: the Kronrod weights, and their excess over the embedded Gauss weights
+_WEIGHTS = np.array([_WGK, _WGK - _WG])
+
+
+def _evaluate_segments(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Kronrod value and |K - G| error estimate of each segment [lo_i, hi_i].
+
+    Returns a (segments, 2, *component_shape) array, value then error. Both
+    come from one (2, 15) @ (segments, 15, components) product of
+    ``_WEIGHTS`` with the integrand values at the Kronrod nodes, scaled by
+    each segment's half width.
+    """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _XGK[None, :]
     y = np.asarray(f(nodes.ravel()))
-    y = y.reshape(nodes.shape + y.shape[1:])
-    scale = half.reshape((-1,) + (1,) * (y.ndim - 2))
-    wk = _WGK.reshape((1, -1) + (1,) * (y.ndim - 2))
-    wg = _WG.reshape((1, -1) + (1,) * (y.ndim - 2))
     # a non-finite y gives a non-finite sum, which integrate_adaptive reports
     with np.errstate(invalid="ignore", over="ignore"):
-        val = scale * np.sum(wk * y, axis=1)
-        err = np.abs(val - scale * np.sum(wg * y, axis=1))
-    return val, err
+        sums = _WEIGHTS @ y.reshape(lo.size, _XGK.size, -1)
+        sums *= half[:, None, None]
+        np.abs(sums[:, 1], out=sums[:, 1])
+    return sums.reshape((lo.size, 2) + y.shape[1:])
 
 
 def integrate_adaptive(
@@ -76,16 +87,18 @@ def integrate_adaptive(
     with the achieved error if the budget of MAX_SEGMENTS segments runs out,
     and at once if the summed value or error estimate is not finite.
     """
-    pts = np.unique(np.asarray(breakpoints, dtype=float))
+    pts = np.asarray(breakpoints, dtype=float).ravel()
+    if not (pts[1:] > pts[:-1]).all():
+        pts = np.unique(pts)
     if pts.size < 2:
         raise ValueError("need at least two distinct breakpoints")
-    lo, hi = pts[:-1].copy(), pts[1:].copy()
-    vals, errs = _evaluate_segments(f, lo, hi)
+    lo, hi = pts[:-1], pts[1:]
+    sums = _evaluate_segments(f, lo, hi)
 
     while True:
-        total = vals.sum(axis=0)
-        toterr = errs.sum(axis=0)
-        if not (np.isfinite(total).all() and np.isfinite(toterr).all()):
+        both = sums.sum(axis=0)
+        total, toterr = both
+        if not np.isfinite(both).all():
             # bisection cannot mend a NaN or an infinity, only spend the budget
             raise QuadratureNotConverged(
                 "non-finite integrand (integral or error estimate not finite)",
@@ -101,18 +114,17 @@ def integrate_adaptive(
                 f"segment budget {MAX_SEGMENTS} exhausted",
                 achieved_error=float(toterr.max()))
         # bisect every segment contributing meaningfully to an offending component
-        seg_score = (errs / tol).reshape(errs.shape[0], -1).max(axis=1)
+        seg_score = (sums[:, 1] / tol).reshape(lo.size, -1).max(axis=1)
         order = np.argsort(seg_score)[::-1]
         n_split = max(1, min(int(np.sum(seg_score > 0.5 / lo.size)),
                              64, MAX_SEGMENTS - lo.size))
         split = order[:n_split]
         keep = np.ones(lo.size, bool)
         keep[split] = False
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[keep], lo[split], mid])
-        new_hi = np.concatenate([hi[keep], mid, hi[split]])
-        new_vals, new_errs = _evaluate_segments(f, np.concatenate([lo[split], mid]),
-                                                np.concatenate([mid, hi[split]]))
-        vals = np.concatenate([vals[keep], new_vals], axis=0)
-        errs = np.concatenate([errs[keep], new_errs], axis=0)
-        lo, hi = new_lo, new_hi
+        # the kept segments, then the left and the right halves of the split ones
+        split_lo, split_hi = lo[split], hi[split]
+        mid = 0.5 * (split_lo + split_hi)
+        lo = np.concatenate([lo[keep], split_lo, mid])
+        hi = np.concatenate([hi[keep], mid, split_hi])
+        sums = np.concatenate([sums[keep], _evaluate_segments(
+            f, lo[-2 * n_split:], hi[-2 * n_split:])])

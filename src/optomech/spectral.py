@@ -128,24 +128,34 @@ def _resolvent_integrand(a4: np.ndarray, d4: np.ndarray, photon_number: float,
     At s = i w the adjugate is N = (B_3 - w^2 B_1) + i w (B_2 - w^2 I) and
     the determinant (w^4 - c_2 w^2 + c_4) + i w (c_3 - c_1 w^2). |det| is
     the hypotenuse of those two parts: |det|^2 expanded as a polynomial in
-    w^2 would square the cancellation of det at a resonance. With
-    y = [Re N, Im N] sqrt(D)/|det| (4 x 8), the density is 2 y y^T. No
-    eigendecomposition is taken: at zero effective detuning the drift has
-    a defective double eigenvalue -kappa. Nothing here reads the Lyapunov
-    solution, so the oracle stays independent of it.
+    w^2 would square the cancellation of det at a resonance. D has no dq
+    entry (ValueError where ``d4[0]`` is not zero), so only the dp, dX and
+    dY columns of N enter: with y = [Re N, Im N] sqrt(D)/|det| over those
+    6 columns (4 x 6), the density is 2 y y^T. No eigendecomposition is
+    taken: at zero effective detuning the drift has a defective double
+    eigenvalue -kappa. Nothing here reads the Lyapunov solution, so the
+    oracle stays independent of it.
     """
+    if d4[0] != 0.0:
+        raise ValueError("the resolvent spectrum drops the dq column of D, "
+                         "so the dq diffusion must be zero")
     eye = np.eye(4)
-    b, c = [eye], []
-    for k in range(1, 5):
-        ab = a4 @ b[-1]
-        c.append(-ab.trace() / k)
-        b.append(ab + c[-1] * eye)
-    c1, c2, c3, c4 = c
-    # N[i, k] = coef[i, part, k] @ (1, w, w^2, w^3), part 0 real, 1 imaginary
-    coef = np.zeros((4, 2, 4, 4))
-    coef[:, 0, :, 0], coef[:, 0, :, 2] = b[3], -b[1]
-    coef[:, 1, :, 1], coef[:, 1, :, 3] = b[2], -b[0]
-    coef = coef.reshape(32, 4)
+    c1 = -a4.trace()
+    b1 = a4 + c1 * eye  # A B_0 = A
+    ab = a4 @ b1
+    c2 = -ab.trace() / 2.0
+    b2 = ab + c2 * eye
+    ab = a4 @ b2
+    c3 = -ab.trace() / 3.0
+    b3 = ab + c3 * eye
+    c4 = -(a4 @ b3).trace() / 4.0
+    # N[i, k] = coef[i, part, k - 1] @ (1, w, w^2, w^3) for k = dp, dX, dY,
+    # part 0 real, 1 imaginary
+    coef = np.zeros((4, 2, 3, 4))
+    coef[:, 0, :, 0], coef[:, 0, :, 2] = b3[:, 1:], -b1[:, 1:]
+    coef[:, 1, :, 1], coef[:, 1, :, 3] = b2[:, 1:], -eye[:, 1:]
+    coef = coef.reshape(24, 4)
+    d_cols = np.asarray(d4, dtype=float)[1:, None]
 
     def integrand(omega: np.ndarray) -> np.ndarray:
         powers = np.empty((4, omega.size))
@@ -154,14 +164,14 @@ def _resolvent_integrand(a4: np.ndarray, d4: np.ndarray, photon_number: float,
         np.multiply(w2, omega, out=powers[3])
         det_re = (w2 - c2) * w2 + c4
         det_im = omega * (c3 - c1 * w2)
-        root_d = np.empty((4, omega.size))
-        root_d[:] = d4[:, None]
-        root_d[3] += 2.0 * photon_number * spectrum_at(omega)
+        root_d = np.empty((3, omega.size))
+        root_d[:] = d_cols
+        root_d[2] += 2.0 * photon_number * spectrum_at(omega)
         np.sqrt(root_d, out=root_d)
         root_d /= np.hypot(det_re, det_im)
-        y = (coef @ powers).reshape(4, 2, 4, omega.size)
+        y = (coef @ powers).reshape(4, 2, 3, omega.size)
         y *= root_d
-        y = y.reshape(4, 8, omega.size)
+        y = y.reshape(4, 6, omega.size)
         return 2.0 * np.einsum("ikn,jkn->nij", y, y)
 
     return integrand
@@ -171,12 +181,14 @@ def _feature_breakpoints(params: SystemParams, drift_eigs: np.ndarray,
                          cutoff: float) -> np.ndarray:
     """Quadrature seeds: windows around every resonance at its own width.
 
-    ``drift_eigs`` are the eigenvalues of the 4x4 optomechanical drift.
+    ``drift_eigs`` are the eigenvalues of the 4x4 optomechanical drift; a
+    conjugate pair has one window, taken from its member with Im >= 0.
+    Returns the distinct seeds in [0, cutoff], sorted.
     """
     pts = {0.0, cutoff}
-    features = []
-    for lam in drift_eigs:
-        features.append((abs(lam.imag), max(abs(lam.real), 1e-9 * params.omega_m)))
+    floor = 1e-9 * params.omega_m
+    features = [(abs(lam.imag), max(abs(lam.real), floor))
+                for lam in drift_eigs.tolist() if lam.imag >= 0.0]
     spec = params.phase_noise
     if spec.kind == "bandpass":
         width = max(spec.gamma_tilde, 1e-9 * spec.omega_band)

@@ -653,6 +653,17 @@ class TestSpectralOracle:
         gap = np.abs(integrand(w) - expected).max(axis=(1, 2))
         assert np.all(gap <= 1e-12 * np.abs(expected).max(axis=(1, 2)))
 
+    def test_dq_diffusion_is_refused(self, paper_point):
+        # the integrand drops the dq column of sqrt(D): a dq diffusion
+        # entry would be lost without a word, so it is refused instead
+        ss = solve_steady_state(paper_point)
+        d4 = vacuum_diffusion(paper_point).copy()
+        d4[0] = 1e-3 * d4[1]
+        with pytest.raises(ValueError, match="dq diffusion"):
+            spectral._resolvent_integrand(
+                optomechanical_block(paper_point, ss), d4, ss.photon_number,
+                partial(phase_noise_spectrum, paper_point.phase_noise))
+
     def test_white_spectrum_makes_approximation_exact(self):
         p, ss = _point_with_coupling(
             0.5, phase_noise=NoiseSpec.white(2 * math.pi * 100))
@@ -739,6 +750,29 @@ class TestIntegrateAdaptive:
         f, calls = self._counted(pole)
         with pytest.raises(QuadratureNotConverged, match="non-finite integrand"):
             quadrature.integrate_adaptive(f, [0.0, 0.25, 0.75, 1.0])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape", [(), (2,), (4, 4)],
+                             ids=["scalar", "pair", "matrix"])
+    def test_polynomials_to_degree_13_are_exact(self, shape):
+        # the 7-point Gauss rule is exact to degree 13 and the 15-point
+        # Kronrod rule beyond: on every segment both weighted sums give the
+        # integral, so the value is exact and the K - G estimate is zero,
+        # both to rounding, in one pass and in the integrand's own shape
+        poly = np.polynomial.polynomial
+        coef = np.random.default_rng(25).uniform(-1.0, 1.0, (14,) + shape)
+        breakpoints = [-1.5, -0.4, 0.25, 1.0, 1.5]
+        f, calls = self._counted(
+            lambda x: np.moveaxis(poly.polyval(x, coef), -1, 0))
+        total, err = quadrature.integrate_adaptive(f, breakpoints)
+        antiderivative = poly.polyint(coef)
+        exact = poly.polyval(1.5, antiderivative) - poly.polyval(-1.5, antiderivative)
+        # the integral over [-1.5, 1.5] of sum |c_k| |x|^k bounds every partial sum
+        size = 2.0 * poly.polyval(1.5, poly.polyint(np.abs(coef)))
+        rounding = 64 * np.finfo(float).eps * size
+        assert np.shape(total) == np.shape(err) == shape
+        assert np.all(np.abs(total - exact) <= rounding)
+        assert np.all(err <= rounding)
         assert len(calls) == 1
 
 
