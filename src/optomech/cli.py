@@ -50,6 +50,8 @@ def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs: expected a count >= 1, got {args.jobs}")
     if args.recipe is not None:
+        if args.config is not None:
+            raise ConfigError("--config: a sweep runs --recipe or --config, not both")
         counts = (args.grid or "80x80").split("x")
         if len(counts) != 2 or not all(c.isdecimal() and int(c) >= 2 for c in counts):
             raise ConfigError(f"--grid: expected COUNTxCOUNT with counts >= 2, "
@@ -59,6 +61,8 @@ def _cmd_sweep(args) -> int:
         except ValueError as err:
             raise ConfigError(f"--recipe: {err}") from err
     elif args.config:
+        if args.grid is not None:
+            raise ConfigError("--grid: a --config sweep takes its grid from its file")
         doc, src = load_document(args.config)
         spec = sweep_from_config(doc, src)
     else:
@@ -195,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a 2-D parameter sweep")
     p.add_argument("--recipe", help="named recipe fig2a..fig9c")
     p.add_argument("--config", help="explicit sweep configuration")
-    p.add_argument("--grid", help="override recipe grid, e.g. 40x40")
+    p.add_argument("--grid", help="--recipe grid, e.g. 40x40; not with --config")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--stem", help="output file stem")

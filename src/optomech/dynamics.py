@@ -16,7 +16,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import NonpositiveDetuning
-from .parameters import NoiseSpec, SteadyState, SystemParams, _unchecked
+from .parameters import (NoiseSpec, SteadyState, SystemParams, _pair_drift,
+                         _unchecked)
 
 FULL_BASIS = ("dq", "dp", "dX", "dY", "psi", "theta")
 REDUCED_BASIS = ("dq", "dp", "dX", "dY")
@@ -173,30 +174,20 @@ def auxiliary_block(spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     if not np.all(spec.kind == "bandpass"):
         raise ValueError("auxiliary block exists only for bandpass noise")
-    band = spec.omega_band
-    a = np.zeros(np.shape(band) + (2, 2))
+    a = _pair_drift(spec)
     d = np.zeros_like(a)
-    a[..., 0, 1] = band
-    a[..., 1, 0] = -band
-    a[..., 1, 1] = -spec.gamma_tilde
-    d[..., 1, 1] = 2.0 * spec.gamma_l * (band * band)
+    d[..., 1, 1] = 2.0 * spec.gamma_l * (spec.omega_band * spec.omega_band)
     return a, d
 
 
-def _noise_pair_abscissa(spec: NoiseSpec) -> NDArray[np.float64]:
-    """Drift abscissa of the (psi, theta) pair of each bandpass noise spec."""
-    return drift_abscissa(auxiliary_block(spec)[0])
-
-
 def _undamped_band(spec: NoiseSpec) -> NDArray[np.bool_]:
-    """Whether the (psi, theta) drift of each bandpass noise spec is not Hurwitz.
+    """Whether each noise spec has a band whose (psi, theta) drift is not Hurwitz.
 
-    build_model's verdict on the noise pair: such a band has no stationary
-    state. It holds at gamma_tilde = 0 and wherever the band is so narrow
-    that the pair's drift abscissa rounds to zero (below about 1e-11 of its
-    center), where S(omega) overflows at the center.
+    The verdict the spec carries (``pair_abscissa``): such a band has no
+    stationary state. It holds at gamma_tilde = 0 and where gamma_tilde is
+    below about 1e-11 of the band center; never without a band.
     """
-    return _noise_pair_abscissa(spec) >= 0
+    return spec.pair_abscissa >= 0
 
 
 def vacuum_diffusion(params) -> np.ndarray:
@@ -204,13 +195,8 @@ def vacuum_diffusion(params) -> np.ndarray:
 
     ``params`` is one point (giving shape (4,)) or a stack (giving (N, 4)).
     """
-    return _vacuum_diagonal(params, params.thermal_phonons())
-
-
-def _vacuum_diagonal(params, n) -> np.ndarray:
-    """``vacuum_diffusion`` at the bath phonon number ``n`` of each point."""
     k2n1 = params.kappa * (2.0 * params.cavity_thermal_occupancy + 1.0)
-    return np.array([np.zeros_like(k2n1), params.gamma_m * (2.0 * n + 1.0),
+    return np.array([np.zeros_like(k2n1), params.gamma_m * (2.0 * params.n_th + 1.0),
                      k2n1, k2n1]).T
 
 
@@ -242,7 +228,7 @@ def optomechanical_block(params: SystemParams, ss: SteadyState) -> np.ndarray:
     return _optomechanical_drift(params, ss, 4)
 
 
-def build_model(params, ss, *, _phonons=None, _pair_abscissa=None) -> LinearModel:
+def build_model(params, ss) -> LinearModel:
     """Assemble the linear fluctuation model around a working point.
 
     (n, n) matrices for one point, (N, n, n) stacks for a stack, whose
@@ -252,10 +238,9 @@ def build_model(params, ss, *, _phonons=None, _pair_abscissa=None) -> LinearMode
     Y-quadrature diffusion as 2*|alpha_s|^2*S, where S = 2*gamma_l is the
     flat spectrum value. The eigenvalues of each drift give its abscissa,
     which decides stability: one solve of the 4x4, and for the 6x6, which
-    is block upper triangular, one of its leading 4x4 block and one of the
-    noise pair. ``_phonons`` is ``params.thermal_phonons()`` and
-    ``_pair_abscissa`` the noise pair's abscissa (``_noise_pair_abscissa``)
-    where the point pipeline has them already.
+    is block upper triangular, one of its leading 4x4 block, taken with the
+    noise pair's abscissa that the noise spec carries. The diffusion reads
+    the bath phonon number that each point carries.
     """
     kind = params.phase_noise.kind
     bands = np.count_nonzero(kind == "bandpass")
@@ -264,15 +249,13 @@ def build_model(params, ss, *, _phonons=None, _pair_abscissa=None) -> LinearMode
     order = 6 if bands else 4
     a = _optomechanical_drift(params, ss, order)
     d = np.zeros_like(a)
-    d[..., _DIAG4, _DIAG4] = _vacuum_diagonal(
-        params, params.thermal_phonons() if _phonons is None else _phonons)
+    d[..., _DIAG4, _DIAG4] = vacuum_diffusion(params)
     if order == 6:
         # the (psi, theta) pair, driving dY through psi
         a[..., 4:, 4:], d[..., 4:, 4:] = auxiliary_block(params.phase_noise)
         a[..., 3, 4] = math.sqrt(2.0) * ss.alpha_abs
-        if _pair_abscissa is None:
-            _pair_abscissa = drift_abscissa(a[..., 4:, 4:])
-        abscissa = np.maximum(drift_abscissa(a[..., :4, :4]), _pair_abscissa)
+        abscissa = np.maximum(drift_abscissa(a[..., :4, :4]),
+                              params.phase_noise.pair_abscissa)
     else:
         white = kind == "white"
         if np.any(white):

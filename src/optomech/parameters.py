@@ -28,6 +28,10 @@ class NoiseSpec:
     White noise of strength ``gamma_l`` has the flat spectrum 2*gamma_l.
     The bandpass variant is peaked at ``omega_band`` with width
     ``gamma_tilde`` and reduces to the white case as both grow large.
+
+    A spec carries the drift abscissa ``pair_abscissa`` of the (psi, theta)
+    pair realizing its band, NaN without one, taken when it is made and not
+    a field: the band has a stationary state only where it is negative.
     """
 
     kind: str  # "none" | "white" | "bandpass"
@@ -41,11 +45,14 @@ class NoiseSpec:
         # each check is written so that NaN and infinity fail it
         if not 0 <= self.gamma_l < math.inf:
             raise ValueError("noise strength gamma_l must be >= 0")
+        abscissa = math.nan
         if self.kind == "bandpass":
             if not 0 < self.omega_band < math.inf:
                 raise ValueError("bandpass noise requires omega_band > 0")
             if not 0 <= self.gamma_tilde < math.inf:
                 raise ValueError("bandpass noise requires gamma_tilde >= 0")
+            abscissa = np.linalg.eigvals(_pair_drift(self)).real.max().item()
+        object.__setattr__(self, "pair_abscissa", abscissa)
 
     @classmethod
     def none(cls) -> "NoiseSpec":
@@ -59,6 +66,19 @@ class NoiseSpec:
     def bandpass(cls, gamma_l: float, omega_band: float, gamma_tilde: float) -> "NoiseSpec":
         return cls(kind="bandpass", gamma_l=gamma_l, omega_band=omega_band,
                    gamma_tilde=gamma_tilde)
+
+
+def _pair_drift(spec: NoiseSpec) -> np.ndarray:
+    """Drift of the (psi, theta) pair realizing the band of ``spec``.
+
+    2x2 for one noise spec, (N, 2, 2) for the noise of a stack.
+    """
+    band = spec.omega_band
+    a = np.zeros(np.shape(band) + (2, 2))
+    a[..., 0, 1] = band
+    a[..., 1, 0] = -band
+    a[..., 1, 1] = -spec.gamma_tilde
+    return a
 
 
 _POSITIVE_FIELDS = ("omega_m", "quality_factor", "kappa", "laser_wavelength")
@@ -139,6 +159,10 @@ class SystemParams:
     the same record with one array item per point in every field, its
     noise spec included; every formula reads both alike.
 
+    A record carries the Bose occupancy ``n_th`` of its bath at ``omega_m``
+    (``thermal_phonons``), taken when it is made and not a field; a stack
+    holds it as a column, as its noise spec holds ``pair_abscissa``.
+
     Parameters
     ----------
     omega_m:
@@ -179,6 +203,7 @@ class SystemParams:
 
     def __post_init__(self):
         _check_fields(vars(self))
+        object.__setattr__(self, "n_th", _bose(self.omega_m, self.bath_temperature))
 
     @property
     def gamma_m(self) -> float:
@@ -192,39 +217,44 @@ class SystemParams:
 
     def thermal_phonons(self):
         """Mean bath phonon number at the mechanical frequency of each point."""
-        return thermal_occupancy(self.omega_m, self.bath_temperature)
+        return self.n_th
 
     def with_(self, **changes) -> "SystemParams":
         """Return a copy with the given fields replaced.
 
         On a stack each new value is one value or one per point; it is
-        broadcast over the stack and checked as a point's value is.
+        broadcast over the stack and checked as a point's value is, and
+        ``n_th`` is taken again from the new columns.
         """
         if not isinstance(self.omega_m, np.ndarray):
             return replace(self, **changes)
         shape = self.omega_m.shape
         columns = {name: _broadcast(value, shape) for name, value in changes.items()}
         _check_fields(columns)
-        return _unchecked(SystemParams, {**vars(self), **columns})
+        values = {**vars(self), **columns}
+        values["n_th"] = _bose(values["omega_m"], values["bath_temperature"])
+        return _unchecked(SystemParams, values)
 
     @classmethod
     def stack(cls, points) -> "SystemParams":
-        """The stack of a sequence of points, which are not checked again."""
+        """The stack of a sequence of points, not checked or derived again."""
         rows = [(p.omega_m, p.quality_factor, p.kappa, p.detuning, p.g0,
                  p.laser_power, p.laser_wavelength, p.bath_temperature,
-                 p.cavity_thermal_occupancy, p.phase_noise.gamma_l,
+                 p.cavity_thermal_occupancy, p.n_th, p.phase_noise.gamma_l,
                  p.phase_noise.omega_band, p.phase_noise.gamma_tilde,
-                 p.phase_noise.kind, p.detuning_mode) for p in points]
-        numbers = np.array([r[:12] for r in rows], dtype=float).reshape(-1, 12).T
+                 p.phase_noise.pair_abscissa, p.phase_noise.kind,
+                 p.detuning_mode) for p in points]
+        numbers = np.array([r[:14] for r in rows], dtype=float).reshape(-1, 14).T
         noise = _unchecked(NoiseSpec, dict(
-            kind=np.array([r[12] for r in rows], dtype="U8"),
-            gamma_l=numbers[9], omega_band=numbers[10], gamma_tilde=numbers[11]))
+            kind=np.array([r[14] for r in rows], dtype="U8"),
+            gamma_l=numbers[10], omega_band=numbers[11], gamma_tilde=numbers[12],
+            pair_abscissa=numbers[13]))
         return _unchecked(cls, dict(
             zip(("omega_m", "quality_factor", "kappa", "detuning", "g0",
                  "laser_power", "laser_wavelength", "bath_temperature",
-                 "cavity_thermal_occupancy"), numbers[:9]),
+                 "cavity_thermal_occupancy", "n_th"), numbers[:10]),
             phase_noise=noise,
-            detuning_mode=np.array([r[13] for r in rows], dtype="U9")))
+            detuning_mode=np.array([r[15] for r in rows], dtype="U9")))
 
     @classmethod
     def repeat(cls, point: "SystemParams", count: int) -> "SystemParams":
@@ -287,9 +317,14 @@ def thermal_occupancy(omega, temperature):
         raise ValueError("omega must be > 0")
     if not (np.isfinite(temperature) & (temperature >= 0)).all():
         raise ValueError("temperature must be >= 0")
+    return _bose(omega, temperature)
+
+
+def _bose(omega, temperature):
+    """``thermal_occupancy`` of arguments in its range, which it does not check."""
     # T = 0 makes the exponent inf, and 1/inf is the limit 0
     with np.errstate(divide="ignore", over="ignore"):
-        n = 1.0 / np.expm1(HBAR * omega / (K_B * temperature))
+        n = 1.0 / np.expm1(np.divide(HBAR * omega, K_B * temperature))
     return n if n.ndim else float(n)
 
 

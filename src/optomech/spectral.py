@@ -21,7 +21,7 @@ from .dynamics import (REDUCED_BASIS, ClosedForm, _undamped_band,
                        phase_noise_spectrum, vacuum_diffusion)
 from .errors import ImaginaryFrequency, UnstableDrift
 from .lyapunov import CovarianceMatrix
-from .parameters import NoiseSpec, SteadyState, SystemParams, _take
+from .parameters import NoiseSpec, SteadyState, SystemParams
 from .quadrature import integrate_adaptive
 from .simulate import _expm
 
@@ -215,7 +215,7 @@ def _integrate_cm(params: SystemParams, ss: SteadyState,
     if np.max(eigs.real) >= 0:
         raise UnstableDrift("spectral oracle needs a stable working point")
     spec = params.phase_noise
-    if spec.kind == "bandpass" and _undamped_band(spec):
+    if _undamped_band(spec):
         raise UnstableDrift(_UNDAMPED_BAND)
     scale = max(params.omega_m, abs(ss.delta_eff), params.kappa,
                 spec.omega_band, spec.gamma_tilde)
@@ -328,12 +328,9 @@ _RULES = {
 }
 
 
-def _static_heating(params, ss, terms: dict, undamped=None):
+def _static_heating(params, ss, terms: dict):
     """The value, flags and 1/chi0 of ``static_phase_noise_heating`` from
     the response terms, floating-point errors unchecked.
-
-    ``undamped`` is build_model's verdict on each point's noise pair, where
-    the caller has it; it is read only where the static channel applies.
     """
     spec = params.phase_noise
     applies = np.logical_and(spec.kind == "bandpass", ss.delta_eff != 0.0)
@@ -347,13 +344,7 @@ def _static_heating(params, ss, terms: dict, undamped=None):
         [ss.g_eff * delta * params.omega_m / stiffness, band, cavity])
     dn = ss.photon_number * shift2 * spec.gamma_l * band2 / (width * cavity2)
     scale = np.minimum(np.minimum(np.sqrt(stiffness), params.kappa), np.abs(delta))
-    if undamped is None:
-        # build_model's verdict, taken only where the static channel applies
-        undamped = np.zeros_like(applies)
-        undamped[applies] = _undamped_band(spec if applies.all()
-                                           else _take(spec, applies))
-    else:
-        undamped = applies & undamped
+    undamped = applies & _undamped_band(spec)
     valid = applies & ~undamped
     imaginary = valid & (stiffness < 0)
     flags = {"undamped_band": undamped, "imaginary_static": imaginary,
@@ -388,7 +379,7 @@ def static_phase_noise_heating(params, ss) -> ClosedForm:
     return ClosedForm(dn, flags, _RULES, {"imaginary_static": stiffness})
 
 
-def approx_n_eff(params, ss, *, _phonons=None, _undamped=None) -> ClosedForm:
+def approx_n_eff(params, ss) -> ClosedForm:
     """Weak-coupling occupancy including both frequency-noise heating channels.
 
     n_eff = [n*gamma_m + A_plus + |alpha|^2 * delta * Gamma_op *
@@ -403,17 +394,16 @@ def approx_n_eff(params, ss, *, _phonons=None, _undamped=None) -> ClosedForm:
     ``omega_m_regime`` (n*gamma_m > omega_m/10 or G > omega_m/2), and where
     the band is not that far below; it raises ImaginaryFrequency where
     omega_eff^2 < 0 (``imaginary_spring``) and where the static channel
-    raises, where the value is NaN. ``_phonons`` is
-    ``params.thermal_phonons()`` and ``_undamped`` build_model's verdict on
-    each point's noise pair (False without a band) where the point
-    pipeline has them already.
+    raises, where the value is NaN. The bath phonon number and the noise
+    pair's verdict are the ones each point carries (``n_th``,
+    ``pair_abscissa``).
     """
-    n = params.thermal_phonons() if _phonons is None else _phonons
+    n = params.n_th
     gm, wm, k, g = params.gamma_m, params.omega_m, params.kappa, ss.g_eff
     with np.errstate(all="ignore"):
         terms = _response_terms(params, ss)
         radicand, gamma_op = terms["omega_eff_sq"], terms["gamma_op"]
-        static, static_flags, stiffness = _static_heating(params, ss, terms, _undamped)
+        static, static_flags, stiffness = _static_heating(params, ss, terms)
         s_peak = phase_noise_spectrum(params.phase_noise, np.sqrt(radicand))
         heating = ss.photon_number * ss.delta_eff * gamma_op * s_peak / (2.0 * k * wm)
         n_eff = (n * gm + terms["a_plus"] + heating) / (gm + gamma_op) + static

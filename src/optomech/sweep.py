@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _noise_pair_abscissa, build_model, stability_margin
+from .dynamics import build_model, stability_margin
 from .errors import PointEvaluationError, field_error
 from .lyapunov import reduce_to_optomechanical, solve_lyapunov
 from .measures import log_negativity, occupancy
@@ -176,8 +176,8 @@ def run_pipeline(params) -> tuple:
     being one group where all points share one; each group's drifts,
     diffusions and covariances are (N, n, n) stacks, and each drift's
     abscissa decides stability and serves as the Hurwitz guard of the
-    Lyapunov solve. A bandpass group's noise-pair abscissa is computed
-    once, for build_model and for approx_n_eff's undamped-band verdict.
+    Lyapunov solve. The stages read the bath phonon number and the noise
+    pair's abscissa that each point carries, so neither is taken here.
     Unstable points carry stability data only, with null measures; a
     stable point whose weak-coupling closed form fails keeps its exact
     measures with a null ``n_eff_approx``. A failing stage raises
@@ -188,28 +188,17 @@ def run_pipeline(params) -> tuple:
         params = SystemParams.stack(params)
     count = len(params)
     ss = _stage("steady-state", solve_steady_state, params)
-    phonons = params.thermal_phonons()
     bandpass = params.phase_noise.kind == "bandpass"
     groups = ([np.arange(count)] if np.count_nonzero(bandpass) in (0, count)
               else [np.flatnonzero(bandpass), np.flatnonzero(~bandpass)])
     stable = np.zeros(count, dtype=bool)
-    undamped = np.zeros(count, dtype=bool)
     measured = np.full((len(_MEASURED), count), np.nan)
     models = []
     for idx in groups:
         if not idx.size:
             continue
-        whole = idx.size == count
-        group = (params, ss) if whole else (params.take(idx), ss.take(idx))
-        pair = None
-        if bandpass[idx[0]]:
-            # the noise pair's abscissa: part of build_model's and
-            # approx_n_eff's verdict on the band
-            pair = _stage("linear-model", _noise_pair_abscissa, group[0].phase_noise)
-            undamped[idx] = pair >= 0.0
-        model = _stage("linear-model", build_model, *group,
-                       _phonons=phonons if whole else phonons[idx],
-                       _pair_abscissa=pair)
+        group = (params, ss) if idx.size == count else (params.take(idx), ss.take(idx))
+        model = _stage("linear-model", build_model, *group)
         models.append((idx, model))
         group_stable = model.stable
         stable[idx] = group_stable
@@ -232,8 +221,7 @@ def run_pipeline(params) -> tuple:
     # error row
     approx = np.full(count, np.nan)
     if np.count_nonzero(stable):
-        approx = np.where(stable, approx_n_eff(params, ss, _phonons=phonons,
-                                               _undamped=undamped).value, np.nan)
+        approx = np.where(stable, approx_n_eff(params, ss).value, np.nan)
     # every field was just made here: the record takes them as they are
     results = _unchecked(PointResult, dict(
         stable=stable, stability_margin=stability_margin(params, ss).value,

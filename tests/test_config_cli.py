@@ -318,6 +318,10 @@ class TestCli:
                      None, "--jobs", id="jobs-0"),
         pytest.param(["sweep", "--recipe", "fig2b", "--grid", "2x2", "--jobs", "-3"],
                      None, "--jobs", id="jobs-neg"),
+        pytest.param(["sweep", "--config", "sweep.json", "--grid", "3x3"], None,
+                     "--grid", id="grid-with-config"),
+        pytest.param(["sweep", "--recipe", "fig2b", "--config", "sweep.json"], None,
+                     "--config", id="config-with-recipe"),
         pytest.param(["spectrum"], {"laser_power_mw": math.nan}, "laser_power_mw",
                      id="laser_power-nan"),
         pytest.param(["spectrum"], {"phase_noise": {

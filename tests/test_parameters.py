@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import types
 import warnings
 
@@ -13,11 +15,13 @@ from optomech import (NoiseSpec, SystemParams, default_fixed_params,
                       power_for_coupling, solve_steady_state, thermal_occupancy)
 from optomech.constants import HBAR, K_B
 from optomech.errors import NoPhysicalRoot
-from optomech.parameters import _BRANCH_TAGS, _BRANCHES, _IMAGINARY_TOL
+from optomech.dynamics import _undamped_band, auxiliary_block, drift_abscissa
+from optomech.parameters import (_BRANCH_TAGS, _BRANCHES, _IMAGINARY_TOL,
+                                 _concatenate, _take)
 from optomech.sweep import _FIGURES
 
-from conftest import (OMEGA_M, _admissible_intensities, grid_points,
-                      make_params, mp_intensity_roots)
+from conftest import (OMEGA_M, _admissible_intensities, bandpass_100hz,
+                      grid_points, make_params, mp_intensity_roots)
 
 # frozen with 40-digit arithmetic from the defining formulas
 N_THERMAL_04K = 832.96486542801101
@@ -630,6 +634,82 @@ class TestStack:
         np.testing.assert_array_equal(changed.phase_noise.gamma_l, [50.0] * 4)
         np.testing.assert_array_equal(changed.detuning, stack.detuning)
         np.testing.assert_array_equal(stack.laser_power, 20e-3)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _assert_carried(params):
+    """The derived values of a point or a stack are, to the bit, the ones
+    its fields give."""
+    assert _bits(params.thermal_phonons()) == _bits(
+        thermal_occupancy(params.omega_m, params.bath_temperature))
+    spec = params.phase_noise
+    band = spec.kind == "bandpass"
+    expected = np.full(np.shape(band), np.nan)
+    if np.any(band):
+        banded = spec if np.all(band) else _take(spec, band)
+        expected[band] = drift_abscissa(auxiliary_block(banded)[0])
+    assert _bits(spec.pair_abscissa) == _bits(expected)
+
+
+# band widths, rad/s, at and near the edge of damping at a 50 kHz center
+_EDGE_WIDTHS = (0.0, 1e-200, 1e-20, 1e-3)
+
+_bands = st.builds(
+    NoiseSpec.bandpass, st.floats(0.0, 1e5), st.floats(1.0, 1e8),
+    st.sampled_from(_EDGE_WIDTHS) | st.floats(0.0, 1e8))
+
+
+class TestCarriedValues:
+    """Each record takes its bath phonon number and its noise pair's
+    abscissa when it is made, and every way of making one keeps them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(band=_bands, omega=st.floats(1e3, 1e9),
+           temperature=st.floats(0.0, 300.0) | st.just(1e-8))
+    def test_every_record_carries_the_values_of_its_fields(self, band, omega,
+                                                           temperature):
+        points = [make_params(omega_m=omega, bath_temperature=temperature,
+                              phase_noise=band),
+                  make_params(phase_noise=NoiseSpec.white(600.0)),
+                  make_params(bath_temperature=0.0),
+                  make_params(phase_noise=bandpass_100hz())]
+        stack = SystemParams.stack(points)
+        records = [*points, stack, stack.take([3, 0, 0]), stack.take([0]),
+                   SystemParams.repeat(points[0], 3),
+                   _concatenate([stack, stack.take([2, 0])]),
+                   dataclasses.replace(points[1], phase_noise=band),
+                   points[0].with_(omega_m=2.0 * omega, bath_temperature=0.5),
+                   # a stack's with_ takes n_th again, never keeps a stale one
+                   stack.with_(omega_m=2.0 * stack.omega_m),
+                   stack.with_(bath_temperature=[0.1, temperature, 4.0, 0.0]),
+                   stack.with_(phase_noise=band, omega_m=3e6),
+                   pickle.loads(pickle.dumps(stack))]
+        for record in records:
+            _assert_carried(record)
+
+    @pytest.mark.parametrize("width", _EDGE_WIDTHS)
+    def test_edge_widths(self, width):
+        spec = NoiseSpec.bandpass(2.0 * math.pi * 100.0, 2.0 * math.pi * 5e4, width)
+        _assert_carried(make_params(phase_noise=spec))
+        _assert_carried(SystemParams.repeat(make_params(phase_noise=spec), 2))
+        # only the widest of them damps the noise pair
+        assert _undamped_band(spec) == (width != 1e-3)
+
+    def test_fields_and_documents_are_unchanged(self):
+        p = make_params(phase_noise=bandpass_100hz())
+        assert list(dataclasses.asdict(p)) == [
+            "omega_m", "quality_factor", "kappa", "detuning", "g0",
+            "laser_power", "laser_wavelength", "bath_temperature",
+            "phase_noise", "cavity_thermal_occupancy", "detuning_mode"]
+        assert list(dataclasses.asdict(p.phase_noise)) == [
+            "kind", "gamma_l", "omega_band", "gamma_tilde"]
+        assert list(dataclasses.asdict(p)["phase_noise"]) == [
+            "kind", "gamma_l", "omega_band", "gamma_tilde"]
+        assert "n_th" not in repr(p) and "pair_abscissa" not in repr(p)
+        assert p == make_params(phase_noise=bandpass_100hz())
 
 
 def test_package_exports_no_module():

@@ -515,16 +515,19 @@ class TestStackedPipeline:
         import optomech.parameters as parameters_mod
 
         calls = []
-        occupancy_of = parameters_mod.thermal_occupancy
 
-        def counted(omega, temperature):
-            calls.append(np.size(omega))
-            return occupancy_of(omega, temperature)
+        def counting(occupancy_of):
+            def counted(omega, temperature):
+                calls.append(np.size(omega))
+                return occupancy_of(omega, temperature)
+            return counted
 
-        monkeypatch.setattr(parameters_mod, "thermal_occupancy", counted)
+        for name in ("thermal_occupancy", "_bose"):
+            monkeypatch.setattr(parameters_mod, name,
+                                counting(getattr(parameters_mod, name)))
         run_pipeline(_MIXED)
-        # one call that holds every point of the stack
-        assert calls == [len(_MIXED)]
+        # each point took its bath phonon number when it was made
+        assert calls == []
 
     @staticmethod
     def _count_eigvals(monkeypatch):
@@ -555,13 +558,13 @@ class TestStackedPipeline:
 
     def test_noise_pair_verdict_once_per_stack(self, monkeypatch):
         # build_model takes the abscissa of the bandpass drifts blockwise,
-        # and approx_n_eff reuses the noise pair's verdict
+        # with the noise pair's abscissa that each spec took when it was made
         params = SystemParams.stack([p for p in _MIXED
                                      if p.phase_noise.kind == "bandpass"])
         orders = self._count_eigvals(monkeypatch)
         results = run_pipeline(params)[0]
         assert results.stable.any()
-        assert orders.count(2) == 1
+        assert orders.count(2) == 0
         assert orders.count(6) == 0
 
     def test_empty_stack(self):
