@@ -254,14 +254,14 @@ def build_model(params, ss) -> LinearModel:
         # the (psi, theta) pair, driving dY through psi
         a[..., 4:, 4:], d[..., 4:, 4:] = auxiliary_block(params.phase_noise)
         a[..., 3, 4] = math.sqrt(2.0) * ss.alpha_abs
-        abscissa = np.maximum(drift_abscissa(a[..., :4, :4]),
-                              params.phase_noise.pair_abscissa)
     else:
         white = kind == "white"
         if np.any(white):
             d[..., 3, 3] += np.where(
                 white, 2.0 * ss.photon_number * 2.0 * params.phase_noise.gamma_l, 0.0)
-        abscissa = drift_abscissa(a)
+    # the pair's abscissa is NaN without a band, which fmax passes over
+    abscissa = np.fmax(drift_abscissa(a[..., :4, :4]),
+                       params.phase_noise.pair_abscissa)
     a.setflags(write=False)
     d.setflags(write=False)
     # the matrices were just made here: the record takes them as they are

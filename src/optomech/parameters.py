@@ -45,12 +45,14 @@ class NoiseSpec:
         # each check is written so that NaN and infinity fail it
         if not 0 <= self.gamma_l < math.inf:
             raise ValueError("noise strength gamma_l must be >= 0")
+        if not 0 <= self.omega_band < math.inf:
+            raise ValueError("noise band center omega_band must be >= 0")
+        if not 0 <= self.gamma_tilde < math.inf:
+            raise ValueError("noise bandwidth gamma_tilde must be >= 0")
         abscissa = math.nan
         if self.kind == "bandpass":
-            if not 0 < self.omega_band < math.inf:
+            if not self.omega_band > 0:
                 raise ValueError("bandpass noise requires omega_band > 0")
-            if not 0 <= self.gamma_tilde < math.inf:
-                raise ValueError("bandpass noise requires gamma_tilde >= 0")
             abscissa = np.linalg.eigvals(_pair_drift(self)).real.max().item()
         object.__setattr__(self, "pair_abscissa", abscissa)
 
@@ -95,25 +97,6 @@ def _all(condition) -> bool:
 def _finite(value):
     """Whether a value, or each value of a column, is finite; NaN is not."""
     return abs(value) < math.inf
-
-
-def _check_fields(values: dict) -> None:
-    """ValueError for a SystemParams field (a value or a column) out of range.
-
-    Each range is checked as the condition that holds, finite included, so
-    NaN and infinity fail it.
-    """
-    for name in _POSITIVE_FIELDS:
-        if name in values and not _all(_finite(values[name]) & (values[name] > 0)):
-            raise ValueError(f"{name} must be > 0")
-    for name in _NONNEGATIVE_FIELDS:
-        if name in values and not _all(_finite(values[name]) & (values[name] >= 0)):
-            raise ValueError(f"{name} must be >= 0")
-    if "detuning" in values and not _all(_finite(values["detuning"])):
-        raise ValueError("detuning must be finite")
-    mode = values.get("detuning_mode", EFFECTIVE)
-    if not _all((mode == EFFECTIVE) | (mode == BARE)):
-        raise ValueError(f"detuning_mode must be '{EFFECTIVE}' or '{BARE}'")
 
 
 def _unchecked(cls, values: dict):
@@ -202,7 +185,20 @@ class SystemParams:
     detuning_mode: str = EFFECTIVE
 
     def __post_init__(self):
-        _check_fields(vars(self))
+        # each range is checked as the condition that holds, finite
+        # included, so NaN and infinity fail it; on a stack, in every column
+        values = vars(self)
+        for name in _POSITIVE_FIELDS:
+            if not _all(_finite(values[name]) & (values[name] > 0)):
+                raise ValueError(f"{name} must be > 0")
+        for name in _NONNEGATIVE_FIELDS:
+            if not _all(_finite(values[name]) & (values[name] >= 0)):
+                raise ValueError(f"{name} must be >= 0")
+        if not _all(_finite(self.detuning)):
+            raise ValueError("detuning must be finite")
+        mode = self.detuning_mode
+        if not _all((mode == EFFECTIVE) | (mode == BARE)):
+            raise ValueError(f"detuning_mode must be '{EFFECTIVE}' or '{BARE}'")
         object.__setattr__(self, "n_th", _bose(self.omega_m, self.bath_temperature))
 
     @property
@@ -220,20 +216,16 @@ class SystemParams:
         return self.n_th
 
     def with_(self, **changes) -> "SystemParams":
-        """Return a copy with the given fields replaced.
+        """Return a copy with the given fields replaced, checked and with
+        ``n_th`` taken again as a new record is.
 
-        On a stack each new value is one value or one per point; it is
-        broadcast over the stack and checked as a point's value is, and
-        ``n_th`` is taken again from the new columns.
+        On a stack each new value is one value or one per point, broadcast
+        over the stack first. A name that is not a field raises TypeError.
         """
-        if not isinstance(self.omega_m, np.ndarray):
-            return replace(self, **changes)
-        shape = self.omega_m.shape
-        columns = {name: _broadcast(value, shape) for name, value in changes.items()}
-        _check_fields(columns)
-        values = {**vars(self), **columns}
-        values["n_th"] = _bose(values["omega_m"], values["bath_temperature"])
-        return _unchecked(SystemParams, values)
+        if isinstance(self.omega_m, np.ndarray):
+            changes = {name: _broadcast(value, self.omega_m.shape)
+                       for name, value in changes.items()}
+        return replace(self, **changes)
 
     @classmethod
     def stack(cls, points) -> "SystemParams":

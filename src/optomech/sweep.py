@@ -28,9 +28,9 @@ from .spectral import approx_n_eff
 AXIS_NAMES = ("power_mw", "delta_over_omega_m", "kappa_over_omega_m")
 OUTPUT_NAMES = ("e_n", "n_eff", "eta_minus", "stability_margin", "g_eff",
                 "alpha_abs")
-# the most points a sweep sends through the pipeline as one stack: enough
-# for a 40x40 grid at once, few enough to keep a large grid's peak memory
-# at that of a column-by-column sweep
+# the most points a sweep sends through the pipeline as one slice of its
+# grid: enough for a 40x40 grid at once, few enough to bound a large
+# grid's peak memory whatever its shape
 STACK_POINTS = 4096
 
 
@@ -147,7 +147,7 @@ def apply_axis(params, name: str, value):
     """Return the parameters with one sweep knob applied.
 
     ``params`` is one point with a scalar ``value``, or a stack with a value
-    or one value per point.
+    or one value per point, broadcast over the stack by ``with_``.
     """
     if name == "power_mw":
         return params.with_(laser_power=value * 1e-3)
@@ -328,50 +328,46 @@ class SweepResult:
                     sep=" ", eol="\n", block=len(self.y_values))
 
 
-def _evaluate_block(args) -> PointResult:
-    """The x-columns ``start`` to ``stop`` of a sweep's grid, as one stack."""
+def _evaluate_slice(args) -> PointResult:
+    """The grid points ``start`` to ``stop`` of a sweep, as one stack."""
     spec, start, stop = args
-    xs = spec.axis_x.values()[start:stop]
     ys = spec.axis_y.values()
-    block = apply_axis(SystemParams.repeat(spec.fixed, xs.size * ys.size),
-                       spec.axis_x.name, np.repeat(xs, ys.size))
-    return evaluate_batch(apply_axis(block, spec.axis_y.name, np.tile(ys, xs.size)))
+    x_idx, y_idx = np.divmod(np.arange(start, stop), ys.size)
+    stack = apply_axis(SystemParams.repeat(spec.fixed, stop - start),
+                       spec.axis_x.name, spec.axis_x.values()[x_idx])
+    return evaluate_batch(apply_axis(stack, spec.axis_y.name, ys[y_idx]))
 
 
-def _column_blocks(count_x: int, count_y: int, n_jobs: int) -> list:
-    """The ``(start, stop)`` x-column ranges of a grid's stacks, in order.
-
-    As few as ``STACK_POINTS`` allows, and at least one per worker while
-    there are columns to share; sizes differ by one column at most. A
-    column longer than ``STACK_POINTS`` is a stack of its own.
-    """
-    columns = max(1, STACK_POINTS // count_y)  # per stack at most
-    blocks = max(min(n_jobs, count_x), -(-count_x // columns))
-    size, extra = divmod(count_x, blocks)
-    edges = [i * size + min(i, extra) for i in range(blocks + 1)]
+def _slices(count: int, n_jobs: int) -> list:
+    """The ``(start, stop)`` ranges of a grid's ``count`` points, in order:
+    ``max(min(n_jobs, count), ceil(count / STACK_POINTS))`` slices whose
+    sizes differ by one point at most."""
+    slices = max(min(n_jobs, count), -(-count // STACK_POINTS))
+    size, extra = divmod(count, slices)
+    edges = [i * size + min(i, extra) for i in range(slices + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
 
 def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
     """Evaluate the grid (optionally in parallel); row order is deterministic.
 
-    The grid goes through the point pipeline in stacks of whole x-columns,
-    each of at most ``STACK_POINTS`` points; ``n_jobs`` workers share the
-    stacks, and a point gets the same bits in any stack. Per-point
-    failures are recorded on the row and the run continues.
+    The grid's points, x outer and y inner, go through the point pipeline
+    in the slices of ``_slices``, each one stack; ``n_jobs`` workers share
+    them, and a point gets the same bits in any slice. Per-point failures
+    are recorded on the row and the run continues.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     xs = spec.axis_x.values()
     ys = spec.axis_y.values()
-    tasks = [(spec, *block) for block in _column_blocks(xs.size, ys.size, n_jobs)]
-    # a worker per stack at most: each worker process starts up front
+    tasks = [(spec, *s) for s in _slices(xs.size * ys.size, n_jobs)]
+    # a worker per slice at most: each worker process starts up front
     workers = min(n_jobs, len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            stacks = list(pool.map(_evaluate_block, tasks))
+            stacks = list(pool.map(_evaluate_slice, tasks))
     else:
-        stacks = [_evaluate_block(t) for t in tasks]
+        stacks = [_evaluate_slice(t) for t in tasks]
     metadata = tool_metadata(
         recipe=spec.recipe,
         branch_policy="lower",

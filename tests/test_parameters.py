@@ -532,9 +532,15 @@ class TestValidation:
         lambda bad: NoiseSpec.white(bad),
         lambda bad: NoiseSpec.bandpass(1.0, bad, 1.0),
         lambda bad: NoiseSpec.bandpass(1.0, 1.0, bad),
+        lambda bad: NoiseSpec("white", 1.0, omega_band=bad),
+        lambda bad: NoiseSpec("white", 1.0, gamma_tilde=bad),
+        lambda bad: NoiseSpec("none", omega_band=bad),
+        lambda bad: NoiseSpec("none", gamma_tilde=bad),
         lambda bad: thermal_occupancy(bad, 0.4),
         lambda bad: thermal_occupancy(OMEGA_M, bad)],
-        ids=["gamma_l", "omega_band", "gamma_tilde", "omega", "temperature"])
+        ids=["gamma_l", "omega_band", "gamma_tilde", "white-omega_band",
+             "white-gamma_tilde", "none-omega_band", "none-gamma_tilde", "omega",
+             "temperature"])
     def test_nan_fails_the_noise_and_occupancy_checks(self, make):
         with pytest.raises(ValueError) as negative:
             make(-1.0)
@@ -710,6 +716,55 @@ class TestCarriedValues:
             "kind", "gamma_l", "omega_band", "gamma_tilde"]
         assert "n_th" not in repr(p) and "pair_abscissa" not in repr(p)
         assert p == make_params(phase_noise=bandpass_100hz())
+
+
+# one value, or one per point of TestStack.points, for each drawn field
+_PER_POINT = {
+    "omega_m": st.floats(1e3, 1e9), "quality_factor": st.floats(1.0, 1e8),
+    "kappa": st.floats(1e3, 1e9), "detuning": st.floats(-1e9, 1e9),
+    "g0": st.floats(0.0, 1e5), "laser_power": st.floats(0.0, 1.0),
+    "laser_wavelength": st.floats(1e-7, 1e-5),
+    "bath_temperature": st.floats(0.0, 300.0) | st.just(1e-8),
+    "cavity_thermal_occupancy": st.floats(0.0, 10.0),
+    "detuning_mode": st.sampled_from(("effective", "bare"))}
+_changes = st.fixed_dictionaries({}, optional={
+    **{name: values | st.lists(values, min_size=4, max_size=4)
+       for name, values in _PER_POINT.items()},
+    "phase_noise": _bands | st.builds(NoiseSpec.white, st.floats(0.0, 1e5))
+    | st.just(NoiseSpec.none())})
+
+
+class TestWith:
+    """``with_`` is one path for a point and a stack: a stack broadcasts
+    each new value over its points, then both are replaced alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(changes=_changes)
+    def test_a_stack_changes_as_each_of_its_points(self, changes):
+        points = TestStack().points()
+        changed = SystemParams.stack(points).with_(**changes)
+        expected = SystemParams.stack([
+            p.with_(**{name: value[i] if isinstance(value, list) else value
+                       for name, value in changes.items()})
+            for i, p in enumerate(points)])
+        for name in [f.name for f in dataclasses.fields(SystemParams)
+                     if f.name not in ("phase_noise", "detuning_mode")] + ["n_th"]:
+            assert _bits(getattr(changed, name)) == _bits(getattr(expected, name)), name
+        np.testing.assert_array_equal(changed.detuning_mode, expected.detuning_mode)
+        np.testing.assert_array_equal(changed.phase_noise.kind,
+                                      expected.phase_noise.kind)
+        for name in ("gamma_l", "omega_band", "gamma_tilde", "pair_abscissa"):
+            assert _bits(getattr(changed.phase_noise, name)) == _bits(
+                getattr(expected.phase_noise, name)), name
+
+    @pytest.mark.parametrize("name", ["kapa", "n_th", "pair_abscissa"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["point", "stack"])
+    def test_a_name_that_is_not_a_field_fails(self, stacked, name):
+        params = make_params()
+        if stacked:
+            params = SystemParams.repeat(params, 2)
+        with pytest.raises(TypeError, match=name):
+            params.with_(**{name: 1.0})
 
 
 def test_package_exports_no_module():

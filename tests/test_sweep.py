@@ -178,7 +178,7 @@ class TestRunSweep:
             assert (tmp_path / f"serial{ext}").read_bytes() == \
                 (tmp_path / f"pooled{ext}").read_bytes()
 
-    def test_pool_has_a_worker_per_column_at_most(self, monkeypatch):
+    def test_pool_has_a_worker_per_slice_at_most(self, monkeypatch):
         import concurrent.futures
 
         asked = []
@@ -199,38 +199,49 @@ class TestRunSweep:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
-        spec = small_spec(axis_x=SweepAxis("power_mw", 5.0, 25.0, 2))
-        pooled = run_sweep(spec, n_jobs=4)
-        assert asked == [2]
+        spec = small_spec(axis_x=SweepAxis("power_mw", 5.0, 25.0, 2),
+                          axis_y=SweepAxis("delta_over_omega_m", 0.8, 1.2, 2))
+        pooled = run_sweep(spec, n_jobs=8)
+        assert asked == [4]  # one point per slice
         assert pooled.points == run_sweep(spec).points
-        run_sweep(small_spec(), n_jobs=2)
-        assert asked == [2, 2]
+        # two columns share three workers, each taking points of either
+        run_sweep(small_spec(axis_x=SweepAxis("power_mw", 5.0, 25.0, 2)), n_jobs=3)
+        assert asked == [4, 3]
 
     @pytest.mark.parametrize("count_x, count_y, n_jobs", [
         (40, 40, 1), (40, 40, 2), (200, 200, 1), (200, 200, 2), (3, 2, 4),
-        (9, 900, 1), (2, 5000, 1)])
+        (9, 900, 1), (2, 5000, 1), (1, 5, 2), (1, 9000, 2)])
     def test_stacks_are_whole_columns_within_the_cap(self, count_x, count_y,
                                                      n_jobs):
+        """The stacks may cut a column, the name notwithstanding: they are
+        slices that cover the grid's points in order, each within the cap."""
         import optomech.sweep as sweep_mod
 
-        blocks = sweep_mod._column_blocks(count_x, count_y, n_jobs)
-        starts, stops = zip(*blocks)
-        assert starts[0] == 0 and stops[-1] == count_x
+        count = count_x * count_y
+        slices = sweep_mod._slices(count, n_jobs)
+        starts, stops = zip(*slices)
+        assert starts[0] == 0 and stops[-1] == count
         assert starts[1:] == stops[:-1]
-        sizes = [stop - start for start, stop in blocks]
+        sizes = [stop - start for start, stop in slices]
         assert 1 <= min(sizes) and max(sizes) - min(sizes) <= 1
-        # a column longer than the cap is a stack of its own
-        assert max(sizes) * count_y <= max(sweep_mod.STACK_POINTS, count_y)
-        assert len(blocks) >= min(n_jobs, count_x)
+        # whatever the grid's shape, a long column included
+        assert max(sizes) <= sweep_mod.STACK_POINTS
+        assert len(slices) >= min(n_jobs, count)
 
     def test_stack_counts(self):
         import optomech.sweep as sweep_mod
 
         assert 1600 <= sweep_mod.STACK_POINTS
-        assert sweep_mod._column_blocks(40, 40, 1) == [(0, 40)]
-        assert sweep_mod._column_blocks(40, 40, 2) == [(0, 20), (20, 40)]
-        assert len(sweep_mod._column_blocks(200, 200, 1)) == -(
-            -200 // (sweep_mod.STACK_POINTS // 200))
+        assert sweep_mod._slices(40 * 40, 1) == [(0, 1600)]
+        assert sweep_mod._slices(40 * 40, 2) == [(0, 800), (800, 1600)]
+        assert sweep_mod._slices(80 * 80, 1) == [(0, 3200), (3200, 6400)]
+        assert len(sweep_mod._slices(200 * 200, 1)) == -(
+            -40000 // sweep_mod.STACK_POINTS)
+        # a 2x5000 grid is no longer two 5000-point stacks
+        assert sweep_mod._slices(2 * 5000, 1) == [(0, 3334), (3334, 6667),
+                                                  (6667, 10000)]
+        # nor a one-column grid one process
+        assert sweep_mod._slices(1 * 5, 2) == [(0, 3), (3, 5)]
 
     def test_jobs_give_the_same_bytes_over_several_stacks(self, tmp_path,
                                                           monkeypatch):
@@ -240,7 +251,10 @@ class TestRunSweep:
         argv = ["sweep", "--recipe", "fig2b", "--grid", "7x5"]
         assert cli.main([*argv, "--out-dir", str(tmp_path / "one")]) == 0
         monkeypatch.setattr(sweep_mod, "STACK_POINTS", 10)
-        assert len(sweep_mod._column_blocks(7, 5, 1)) == 4
+        # four slices, each but the first starting inside a column
+        slices = sweep_mod._slices(7 * 5, 1)
+        assert slices == [(0, 9), (9, 18), (18, 27), (27, 35)]
+        assert all(start % 5 for start, _ in slices[1:])
         for jobs in ("1", "2"):
             assert cli.main([*argv, "--jobs", jobs,
                              "--out-dir", str(tmp_path / jobs)]) == 0
