@@ -334,8 +334,9 @@ class TestPhysicality:
 
 # |nu - nu_ref| <= SYMPLECTIC_TOL (2n)^2 eps max|V|: the backward errors of
 # the Cholesky factor and the eigen-solve grow with the order 2n, and
-# ||V||_2 <= 2n max|V|. The worst seen over 1500 drawn states of each kind
-# was 3.8 (2n)^2 eps max|V|, at n = 1.
+# ||V||_2 <= 2n max|V|. With the extended-precision Rayleigh-Ritz step the
+# worst seen over 2000 states of each kind, drawn by the construction below,
+# was 0.46 (2n)^2 eps max|V|, and 0.0011 on the fig2b set.
 SYMPLECTIC_TOL = 8.0
 
 
