@@ -36,7 +36,8 @@ class SolverSingular(OptomechError):
 
 
 class UnphysicalState(OptomechError):
-    """Covariance matrix not positive definite, or below the Heisenberg bound beyond slack."""
+    """Covariance matrix not positive definite, below the Heisenberg bound beyond
+    slack, or squeezed past what a double-precision symplectic spectrum holds."""
 
 
 class NegativeDiscriminant(OptomechError):

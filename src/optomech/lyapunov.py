@@ -17,6 +17,10 @@ from .parameters import _unchecked
 # size of the terms that cancel
 RESIDUAL_TOL = 1e-10
 PHYSICALITY_SLACK = 1e-9  # allowed dip of symplectic eigenvalues below 1/2
+# on eps x^H x / x^H i Omega x, the condition of a symplectic eigenvalue: test
+# draws reach 2.4e-12, recipes 6.9e-14 and a pure two-mode state squeezed by
+# r = 6 1.8e-11 within the error bound; at r = 8 (9.9e-10) it is twice past it
+SPECTRUM_CONDITION_LIMIT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -59,19 +63,16 @@ def symplectic_eigenvalues(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
 
     By Williamson's theorem: with V = L L^T (Cholesky), the Hermitian
     i K, K = L^T Omega L, is similar to i Omega V, so its eigenvalues are
-    +/-nu_k. Every matrix must be positive definite, as a physical
-    covariance is (V >= i Omega / 2); where one is not, UnphysicalState is
-    raised. That solve is backward stable, but nu's condition number
-    ||S||^2 (V = S diag(nu) S^T, S symplectic) is at least
-    lambda_max(V)/nu_max, so a squeezed state lost digits (a 3-mode pure
-    state with max|V| 867 was 4.95 times past 8 (2n)^2 eps max|V|). So nu
-    is taken again by Rayleigh-Ritz on the positive eigenvectors X of the
-    pencil V x = nu i Omega x: X^H V X and X^H i Omega X are summed in
-    np.longdouble, where the cancellation that ||S||^2 measures is
-    resolved, and an error of X enters only squared. Over 4000 drawn states
-    of up to 3 modes (nu up to 1e8) every nu was within 0.46 (2n)^2 eps
-    max|V| of a 50-digit reference. Where np.longdouble is double, as on
-    some platforms, that gain is lost.
+    +/-nu_k; a matrix that is not positive definite, as a physical one is
+    (V >= i Omega / 2), raises UnphysicalState. That solve loses digits on
+    a squeezed state, so each nu is the Rayleigh quotient
+    x^H V x / x^H i Omega x of its eigenvector x = Omega L z (i K z = nu z),
+    summed in np.longdouble: an error of x enters only squared, but x mixes
+    the eigenvectors of nu closer than the solve resolves, and its quotient
+    lands between them. Over 4000 drawn states of each kind (up to 3 modes,
+    nu up to 1e8) every nu was within 0.79 (2n)^2 eps max|V| of a 50-digit
+    reference. A state squeezed past double, where eps x^H x / x^H i Omega x
+    exceeds SPECTRUM_CONDITION_LIMIT, raises UnphysicalState.
     """
     m = np.asarray(matrix, dtype=float)
     n = m.shape[-1] // 2
@@ -80,31 +81,34 @@ def symplectic_eigenvalues(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
     except np.linalg.LinAlgError as err:
         raise UnphysicalState("covariance is not positive definite") from err
     lift = symplectic_form(n) @ chol
-    nu, z = np.linalg.eigh(1j * (chol.swapaxes(-1, -2) @ lift))
-    # L^-T z = (i / nu) Omega L z for i K z = nu z; scaled by sqrt(nu) (the
-    # phase dropped), so that X^H i Omega X is near the identity
-    x = ((lift @ z[..., n:]) / np.sqrt(nu[..., None, n:])).astype(np.clongdouble)
-    xh = x.conj().swapaxes(-1, -2)
-    gram = (xh @ (m.astype(np.longdouble) @ x)).astype(complex)
-    cross = xh[..., 0::2] @ x[..., 1::2, :]  # X^H Omega X = cross - cross^H
-    metric = (1j * (cross - cross.conj().swapaxes(-1, -2))).astype(complex)
-    whiten = np.linalg.inv(np.linalg.cholesky(metric))
-    return np.linalg.eigvalsh(whiten @ gram @ whiten.conj().swapaxes(-1, -2))
+    _, z = np.linalg.eigh(1j * (chol.swapaxes(-1, -2) @ lift))
+    x = (lift @ z[..., n:]).astype(np.clongdouble)
+    gram = (x.conj() * (m.astype(np.longdouble) @ x)).real.sum(axis=-2)
+    metric = -2.0 * (x[..., 0::2, :].conj() * x[..., 1::2, :]).imag.sum(axis=-2)
+    worst = ((x.real ** 2 + x.imag ** 2).sum(axis=-2) / metric).max(initial=0.0)
+    if (worst := float(worst) * np.finfo(float).eps) > SPECTRUM_CONDITION_LIMIT:
+        raise UnphysicalState(f"symplectic spectrum ill-conditioned: eps times its "
+                              f"condition {worst:.3g} > {SPECTRUM_CONDITION_LIMIT:g}")
+    return np.sort((gram / metric).astype(float), axis=-1)
+
+
+def _physical_spectrum(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Symplectic spectrum of each covariance, with the Heisenberg check."""
+    nu = symplectic_eigenvalues(matrix)
+    if (bad := nu[..., 0] < 0.5 - PHYSICALITY_SLACK).any():
+        raise UnphysicalState(f"smallest symplectic eigenvalue "
+                              f"{nu[..., 0][bad].flat[0]:.12g} violates the 1/2 bound")
+    return nu
 
 
 def check_physical(cov: CovarianceMatrix):
     """Smallest symplectic eigenvalue of a covariance, or of each of a stack.
 
     A float for one covariance, an array for a stack. Raises
-    UnphysicalState if one of them is not positive definite or is below
-    1/2 - PHYSICALITY_SLACK.
+    UnphysicalState where ``symplectic_eigenvalues`` does, or where one is
+    below 1/2 - PHYSICALITY_SLACK.
     """
-    low = symplectic_eigenvalues(cov.matrix).min(axis=-1)
-    bad = np.flatnonzero(low < 0.5 - PHYSICALITY_SLACK)
-    if bad.size:
-        worst = np.ravel(low)[bad[0]]
-        raise UnphysicalState(
-            f"smallest symplectic eigenvalue {worst:.12g} violates the 1/2 bound")
+    low = _physical_spectrum(cov.matrix)[..., 0]
     return low if low.ndim else low.item()
 
 

@@ -1,4 +1,4 @@
-"""Entanglement and cooling figures of merit of a two-mode Gaussian state."""
+"""Entanglement (from one symplectic spectrum) and cooling figures of a two-mode state."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import NegativeDiscriminant
-from .lyapunov import CovarianceMatrix, check_physical, symplectic_eigenvalues
+from .lyapunov import CovarianceMatrix, _physical_spectrum, symplectic_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -40,25 +40,22 @@ class OccupancyResult:
     energy: float  # J
 
 
-def _eta_minus_formula(v4: np.ndarray) -> np.ndarray:
-    """Lowest partial-transpose symplectic eigenvalue of each (4 x 4) of a stack.
+def _eta_minus(nu: np.ndarray, det_c: np.ndarray) -> np.ndarray:
+    """Lowest partial-transpose symplectic eigenvalue of each spectrum (nu-, nu+).
 
-    Uses the block determinants; raises NegativeDiscriminant if any
-    discriminant is negative beyond slack.
+    The partial transpose keeps det V and flips det C, so
+    (eta+ +/- eta-)^2 = (nu+ +/- nu-)^2 - 4 det C and eta- = nu- nu+ / eta+,
+    with no difference of two large numbers. The gap term, (eta+ - eta-)^2,
+    is clamped at 0 or, negative beyond slack, raises NegativeDiscriminant.
     """
-    det_a, det_b, det_c = np.linalg.det(np.concatenate(
-        [v4[:, :2, :2], v4[:, 2:, 2:], v4[:, :2, 2:]])).reshape(3, -1)
-    det_v = np.linalg.det(v4)
-    sigma = det_a + det_b - 2.0 * det_c
-    sigma_sq = sigma * sigma
-    disc = sigma_sq - 4.0 * det_v
-    bad = disc < -1e-12 * np.maximum(sigma_sq, 1.0)
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        raise NegativeDiscriminant(
-            f"discriminant {disc[i]:.6e} < 0 for sigma^2 = {sigma_sq[i]:.6e}")
-    disc = np.maximum(disc, 0.0)
-    return np.sqrt(np.maximum(sigma - np.sqrt(disc), 0.0) / 2.0)
+    low, high = nu[..., 0], nu[..., 1]
+    total = np.square(low + high)
+    gap = np.square(high - low) - 4.0 * det_c
+    if (bad := gap < -1e-12 * total).any():
+        raise NegativeDiscriminant(f"gap term {gap[bad].flat[0]:.6e} < 0 for "
+                                   f"(nu+ + nu-)^2 = {total[bad].flat[0]:.6e}")
+    gap = np.maximum(gap, 0.0)  # (eta+ + eta-)^2 is gap + 4 nu- nu+ > 0
+    return 2.0 * low * high / (np.sqrt(gap + 4.0 * low * high) + np.sqrt(gap))
 
 
 def eta_minus_partial_transpose(v4: CovarianceMatrix | np.ndarray) -> float:
@@ -76,23 +73,20 @@ def eta_minus_partial_transpose(v4: CovarianceMatrix | np.ndarray) -> float:
 def log_negativity(v4: CovarianceMatrix) -> EntanglementResult:
     """Logarithmic negativity E_N = max(0, -ln(2*eta_minus)) of a 4x4 covariance.
 
-    Uses the determinant formula
-    eta_minus = sqrt((Sigma - sqrt(Sigma^2 - 4 det V)) / 2) with
-    Sigma = det V_A + det V_B - 2 det V_C. The input must satisfy the
-    Heisenberg bound (1/2 vacuum-variance convention) up to slack. One
-    covariance gives float fields; a stack gives one array item per
-    covariance in every field.
+    eta_minus follows from the spectrum of the Heisenberg check and
+    det C = V02 V13 - V03 V12 (Serafini et al., J. Phys. B 37, L21 (2004)).
+    One covariance gives float fields; a stack gives arrays.
     """
     if v4.order != 4:
         raise ValueError("log_negativity expects the reduced 4x4 covariance")
-    heisenberg_min = check_physical(v4)
     m = v4.matrix
-    eta = _eta_minus_formula(m if m.ndim == 3 else m[None])
+    nu = _physical_spectrum(m)
+    eta = _eta_minus(nu, m[..., 0, 2] * m[..., 1, 3] - m[..., 0, 3] * m[..., 1, 2])
     raw = -np.log(2.0 * eta)
-    fields = (eta, np.where(raw > 0.0, raw, 0.0), raw, eta < 0.5)
+    fields = (eta, np.where(raw > 0.0, raw, 0.0), raw, eta < 0.5, nu[..., 0])
     if m.ndim == 2:
         fields = (f.item() for f in fields)
-    return EntanglementResult(*fields, heisenberg_min)
+    return EntanglementResult(*fields)
 
 
 def occupancy(v4: CovarianceMatrix, omega_m) -> OccupancyResult:

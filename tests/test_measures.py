@@ -5,14 +5,17 @@ import pytest
 import scipy.linalg
 
 from optomech import (CovarianceMatrix, build_model,
-                      eta_minus_partial_transpose, log_negativity, occupancy,
+                      eta_minus_partial_transpose, figure_recipe,
+                      log_negativity, occupancy, reduce_to_optomechanical,
                       solve_lyapunov, solve_steady_state, symplectic_form,
                       thermal_occupancy)
 from optomech.constants import HBAR
 from optomech.errors import NegativeDiscriminant, UnphysicalState
-from optomech.measures import _eta_minus_formula
+from optomech.measures import _eta_minus
+from optomech.sweep import run_pipeline
 
-from conftest import OMEGA_M, make_params
+from conftest import (OMEGA_M, det_eta_minus, grid_points, make_params,
+                      mp_eta_minus)
 
 BASIS4 = ("dq", "dp", "dX", "dY")
 
@@ -66,14 +69,22 @@ class TestLogNegativity:
             log_negativity(_cm(0.3 * np.eye(4)))
 
     def test_negative_discriminant_rejected(self):
-        # an indefinite symmetric matrix has Sigma^2 < 4 det V; the symplectic
-        # check rejects it first, so the formula's guard is reached directly
+        # a spectrum and a det C whose gap term (nu+ - nu-)^2 - 4 det C is
+        # negative beyond slack belong to no covariance; the symplectic check
+        # rejects an indefinite matrix first, so the guard is reached directly
+        with pytest.raises(NegativeDiscriminant, match=r"gap term -4\.000000e\+00"
+                           r" < 0 for \(nu\+ \+ nu-\)\^2 = 1\.000000e\+00"):
+            _eta_minus(np.array([[0.5, 0.5]]), np.array([1.0]))
         m = np.random.default_rng(0).standard_normal((4, 4))
-        with pytest.raises(NegativeDiscriminant, match=r"discriminant -7\.081231e\+00"
-                           r" < 0 for sigma\^2 = 9\.885556e-04"):
-            _eta_minus_formula((m + m.T)[None])
         with pytest.raises(UnphysicalState, match="not positive definite"):
             log_negativity(_cm(m + m.T))
+
+    @pytest.mark.parametrize("n", [0.0, 1e-6, 1.0, 1e3, 1e9])
+    def test_product_state_raw_log_negativity_is_zero(self, n):
+        # diag(n + 1/2, n + 1/2, 1/2, 1/2): eta_minus is exactly 1/2
+        result = log_negativity(_cm(np.diag([n + 0.5, n + 0.5, 0.5, 0.5])))
+        assert abs(result.raw_log_negativity) <= 2.0 * np.finfo(float).eps
+        assert result.log_negativity <= 2.0 * np.finfo(float).eps
 
     def test_formula_agrees_with_partial_transpose_route(self):
         rng = np.random.default_rng(123)
@@ -82,6 +93,14 @@ class TestLogNegativity:
             eta_formula = log_negativity(cm).eta_minus
             eta_pt = eta_minus_partial_transpose(cm)
             assert abs(eta_formula - eta_pt) <= 1e-9 * max(1.0, eta_pt)
+
+    def test_agrees_with_determinant_formula(self):
+        # the four-determinant route, within its own accuracy on moderate
+        # states
+        rng = np.random.default_rng(321)
+        v = np.stack([random_physical_cm(rng).matrix for _ in range(1000)])
+        eta = log_negativity(_cm(v)).eta_minus
+        np.testing.assert_allclose(eta, det_eta_minus(v), rtol=1e-8)
 
     def test_local_symplectic_invariance(self):
         rng = np.random.default_rng(7)
@@ -108,6 +127,34 @@ class TestLogNegativity:
             noisy[2:, 2:] += w @ w.T
             e1 = log_negativity(_cm(noisy)).log_negativity
             assert e1 <= e0 + 1e-9
+
+
+def _stable_reduced(fig_id, grid):
+    """The reduced covariances of the stable points of a recipe's grid."""
+    _, _, models = run_pipeline(grid_points(figure_recipe(fig_id, grid)))
+    stacks = []
+    for _, model in models:
+        stable = model.stable
+        cov = solve_lyapunov(model.drift[stable], model.diffusion[stable],
+                             abscissa=model.abscissa[stable])
+        stacks.append((reduce_to_optomechanical(cov) if cov.order == 6 else cov).matrix)
+    return np.concatenate(stacks)
+
+
+# relative error of eta_minus against the 50-digit reference; the worst
+# seen on the two grids below was 2.7e-14 (the four-determinant formula
+# reaches 5.7e-11 on the fig7c one)
+ETA_MINUS_RTOL = 1e-11
+
+
+class TestEtaMinusAccuracy:
+    @pytest.mark.parametrize("fig_id", ["fig2b", "fig7c"])
+    def test_against_50_digit_reference(self, fig_id):
+        v = _stable_reduced(fig_id, (8, 8))
+        assert len(v) > 40
+        eta = log_negativity(_cm(v)).eta_minus
+        ref = np.array([mp_eta_minus(m) for m in v])
+        assert np.max(np.abs(eta - ref) / ref) <= ETA_MINUS_RTOL
 
 
 class TestOccupancy:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from optomech import (NoiseSpec, SweepAxis, SweepSpec, SystemParams,
                       apply_axis, approx_n_eff, build_model, check_physical,
-                      cm_spectral_oracle, emit_figure_data, evaluate_batch,
+                      cm_spectral_oracle, default_fixed_params,
+                      emit_figure_data, evaluate_batch,
                       evaluate_point, figure_recipe, log_negativity, occupancy,
                       power_for_coupling, reduce_to_optomechanical,
                       run_pipeline, run_sweep, solve_lyapunov,
@@ -20,7 +22,7 @@ from optomech.errors import ImaginaryFrequency, PointEvaluationError
 from optomech.output import format_column
 
 from conftest import (OMEGA_M, bandpass_100hz, grid_points, make_params,
-                      poison_nth, relative_gap)
+                      mp_eta_minus, poison_nth, relative_gap)
 
 G_THRESHOLD = math.sqrt(1.25) * OMEGA_M  # at delta = omega_m, kappa = omega_m/2
 # resonant drive: the terms A V and V A^T of the Lyapunov residual, which
@@ -61,6 +63,23 @@ class TestEvaluatePoint:
         assert result.heisenberg_min == float(
             np.min(symplectic_eigenvalues(cov.matrix)))
         assert result.heisenberg_min == log_negativity(cov).heisenberg_min
+
+    def test_high_occupancy_point_keeps_eta_minus(self):
+        # a 1e-4 rad/s noise band: max|V4| is 6.2e11 and the state is
+        # separable (eta_minus 1.87); the four-determinant formula cancelled
+        # to 0 here and reported e_n = inf
+        p = default_fixed_params().with_(phase_noise=NoiseSpec.bandpass(
+            2 * math.pi * 100, 2 * math.pi * 5e4, 1e-4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = evaluate_point(p)
+        _, _, ((_, model),) = run_pipeline([p])
+        v4 = reduce_to_optomechanical(solve_lyapunov(
+            model.drift, model.diffusion, abscissa=model.abscissa)).matrix[0]
+        assert np.abs(v4).max() > 1e11
+        assert result.eta_minus == pytest.approx(mp_eta_minus(v4), rel=1e-8)
+        assert result.e_n == 0.0
+        assert math.isfinite(result.raw_log_negativity)
 
     def test_unstable_point_has_null_measures(self):
         p = make_params()
