@@ -25,28 +25,38 @@ MODEL_DIMS = {6: FULL_BASIS, 4: REDUCED_BASIS}  # basis by model order
 _DIAG4 = np.arange(4)
 
 
+def state_basis(order: int) -> tuple[str, ...]:
+    """Basis tag of an order-n model or covariance: MODEL_DIMS, else x0..x{n-1}."""
+    return MODEL_DIMS.get(order) or tuple(f"x{i}" for i in range(order))
+
+
 @dataclass(frozen=True)
 class LinearModel:
-    """Drift/diffusion pair of a linear Langevin system, with basis tag.
+    """Drift/diffusion pair of a linear Langevin system; the rest follows from it.
 
     ``abscissa`` is the largest real part of the drift eigenvalues, the
-    Hurwitz margin: the model is stable iff it is negative. The models of
-    a stack sharing one order are the same record with (N, n, n) matrices
-    and one abscissa per model.
+    Hurwitz margin, taken when the record is made: the model is stable iff
+    it is negative. ``dims`` is the basis tag of the model's order. The
+    models of a stack sharing one order are the same record with (N, n, n)
+    matrices and one abscissa per model.
     """
 
     drift: NDArray[np.float64]
     diffusion: NDArray[np.float64]
-    abscissa: float
-    dims: tuple[str, ...]
+    abscissa: float | NDArray[np.float64] = field(init=False)
 
     def __post_init__(self):
         a = np.array(self.drift, dtype=float)
         d = np.array(self.diffusion, dtype=float)
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2] or d.shape != a.shape:
+            raise ValueError("drift and diffusion must be square and of one shape")
         a.setflags(write=False)
         d.setflags(write=False)
         object.__setattr__(self, "drift", a)
         object.__setattr__(self, "diffusion", d)
+        abscissa = drift_abscissa(a)
+        object.__setattr__(self, "abscissa",
+                           abscissa if abscissa.ndim else abscissa.item())
 
     @property
     def stable(self):
@@ -57,11 +67,15 @@ class LinearModel:
     def order(self) -> int:
         return self.drift.shape[-1]
 
+    @property
+    def dims(self) -> tuple[str, ...]:
+        return state_basis(self.order)
+
     def __getitem__(self, i: int) -> "LinearModel":
         """The model ``i`` of a stack."""
         return _unchecked(LinearModel, dict(
             drift=self.drift[i], diffusion=self.diffusion[i],
-            abscissa=self.abscissa[i].item(), dims=self.dims))
+            abscissa=self.abscissa[i].item()))
 
     def to_document(self) -> dict:
         """JSON-ready matrix document for inspection and regression fixtures."""
@@ -75,13 +89,17 @@ class LinearModel:
 
     @classmethod
     def from_document(cls, doc: dict) -> "LinearModel":
+        """The model of a document's matrices; its dims and stable must agree."""
         if doc.get("kind") != "linear_model":
             raise ValueError("not a linear_model document")
-        drift = np.array(doc["drift"], dtype=float)
-        return cls(drift=drift,
-                   diffusion=np.array(doc["diffusion"], dtype=float),
-                   abscissa=float(drift_abscissa(drift)),
-                   dims=tuple(doc["dims"]))
+        model = cls(drift=np.array(doc["drift"], dtype=float),
+                    diffusion=np.array(doc["diffusion"], dtype=float))
+        for key, value in (("dims", list(model.dims)),
+                           ("stable", bool(model.stable))):
+            if key in doc and doc[key] != value:
+                raise ValueError(f"document {key!r} is {doc[key]!r}, but its "
+                                 f"drift gives {value!r}")
+        return model
 
 
 @dataclass(frozen=True)
@@ -239,8 +257,10 @@ def build_model(params, ss) -> LinearModel:
     flat spectrum value. The eigenvalues of each drift give its abscissa,
     which decides stability: one solve of the 4x4, and for the 6x6, which
     is block upper triangular, one of its leading 4x4 block, taken with the
-    noise pair's abscissa that the noise spec carries. The diffusion reads
-    the bath phonon number that each point carries.
+    noise pair's abscissa that the noise spec carries. That is the value
+    LinearModel takes from the whole drift, bit for bit on the recipes'
+    grids. The diffusion reads the bath phonon number that each point
+    carries.
     """
     kind = params.phase_noise.kind
     bands = np.count_nonzero(kind == "bandpass")
@@ -264,7 +284,8 @@ def build_model(params, ss) -> LinearModel:
                        params.phase_noise.pair_abscissa)
     a.setflags(write=False)
     d.setflags(write=False)
-    # the matrices were just made here: the record takes them as they are
+    # the matrices were just made here and their abscissa taken blockwise:
+    # the record takes them as they are
     return _unchecked(LinearModel, dict(
-        drift=a, diffusion=d, dims=MODEL_DIMS[order],
+        drift=a, diffusion=d,
         abscissa=abscissa if a.ndim == 3 else abscissa.item()))

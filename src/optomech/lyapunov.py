@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import MODEL_DIMS, REDUCED_BASIS, drift_abscissa
+from .dynamics import drift_abscissa, state_basis
 from .errors import SolverSingular, UnphysicalState, UnstableDrift
 from .parameters import _unchecked
 
@@ -25,7 +25,7 @@ SPECTRUM_CONDITION_LIMIT = 1e-10
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Symmetric stationary covariance with its basis tag.
+    """Symmetric stationary covariance; its ``basis`` is the tag of its order.
 
     Vacuum variance is 1/2 in this convention ([q, p] = i), so a reduced
     two-mode block is physical iff both symplectic eigenvalues are >= 1/2.
@@ -34,10 +34,11 @@ class CovarianceMatrix:
     """
 
     matrix: NDArray[np.float64]
-    basis: tuple[str, ...]
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+            raise ValueError("a covariance must be a square matrix")
         m = 0.5 * (m + m.swapaxes(-1, -2))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -45,6 +46,10 @@ class CovarianceMatrix:
     @property
     def order(self) -> int:
         return self.matrix.shape[-1]
+
+    @property
+    def basis(self) -> tuple[str, ...]:
+        return state_basis(self.order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -72,9 +77,15 @@ def symplectic_eigenvalues(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
     lands between them. Over 4000 drawn states of each kind (up to 3 modes,
     nu up to 1e8) every nu was within 0.79 (2n)^2 eps max|V| of a 50-digit
     reference. A state squeezed past double, where eps x^H x / x^H i Omega x
-    exceeds SPECTRUM_CONDITION_LIMIT, raises UnphysicalState.
+    exceeds SPECTRUM_CONDITION_LIMIT, raises UnphysicalState, as a
+    non-finite matrix does; a shape that is not (..., 2n, 2n) raises
+    ValueError.
     """
     m = np.asarray(matrix, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2 or not m.size:
+        raise ValueError(f"a covariance must be (..., 2n, 2n), not {m.shape}")
+    if not np.isfinite(m).all():
+        raise UnphysicalState("covariance is not finite")
     n = m.shape[-1] // 2
     try:
         chol = np.linalg.cholesky(m)
@@ -230,7 +241,8 @@ def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
     """Solve A V + V A^T = -D for the stationary covariance V.
 
     ``a`` and ``d`` are one (n, n) pair, giving one covariance, or (N, n, n)
-    stacks, giving the stacked covariance of every pair. ``method`` is
+    stacks, giving the stacked covariance of every pair; a non-finite one
+    raises ValueError naming it. ``method`` is
     "vectorized" (dense solves of Kronecker systems, the default) or
     "schur" (Bartels-Stewart via scipy, the independent reference route).
     The vectorized route splits a point whose trailing pair of variables
@@ -244,7 +256,10 @@ def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
     a power of two where a term of the residual would overflow. A failed
     check raises SolverSingular with the condition estimate of the systems
     solved, inf where that estimate fails. ``abscissa`` is the largest
-    real part of each drift's eigenvalues when the caller has them already.
+    real part of each drift's eigenvalues, one value per drift, when the
+    caller has them already, as a LinearModel does: it spares a second
+    eigenvalue solve of the stack. A value that is not negative, NaN
+    included, raises UnstableDrift.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -255,6 +270,9 @@ def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
     point = a.ndim == 2
     if point:
         a, d = a[None], d[None]
+    for name, m in (("A", a), ("D", d)):
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name} must be finite")
     d_scale = np.maximum(np.abs(d).max(axis=(1, 2), initial=0.0), 1.0)
     if not (np.abs(d - d.transpose(0, 2, 1)) <= 1e-12 * d_scale[:, None, None]).all():
         raise ValueError("D must be symmetric")
@@ -262,12 +280,16 @@ def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
     if (np.linalg.eigvalsh(0.5 * d + 0.5 * d.transpose(0, 2, 1)).min(
             axis=-1, initial=np.inf) < -1e-12 * d_scale).any():
         raise ValueError("D must be positive semidefinite")
+    count, n, _ = a.shape
     abscissa = np.ravel(drift_abscissa(a) if abscissa is None else abscissa)
-    if (abscissa >= 0.0).any():
-        first = abscissa[np.flatnonzero(abscissa >= 0.0)[0]]
+    if abscissa.shape != (count,):
+        raise ValueError(f"abscissa must give one value per drift: "
+                         f"{abscissa.size} for {count}")
+    # NaN fails the test as a positive abscissa does
+    if (unstable := ~(abscissa < 0.0)).any():
+        first = abscissa[np.flatnonzero(unstable)[0]]
         raise UnstableDrift(f"drift is not Hurwitz (max Re eigenvalue {first:.3e})")
 
-    count, n, _ = a.shape
     if method == "vectorized":
         orders = _leading_orders(a)
         # one group of points per split, the whole stack where all share one
@@ -311,8 +333,7 @@ def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
     v = v[0] if point else v
     v.setflags(write=False)
     # symmetrized above: the record takes the matrices as they are
-    return _unchecked(CovarianceMatrix, dict(
-        matrix=v, basis=MODEL_DIMS.get(n) or tuple(f"x{i}" for i in range(n))))
+    return _unchecked(CovarianceMatrix, dict(matrix=v))
 
 
 def reduce_to_optomechanical(cov: CovarianceMatrix) -> CovarianceMatrix:
@@ -323,5 +344,4 @@ def reduce_to_optomechanical(cov: CovarianceMatrix) -> CovarianceMatrix:
     if cov.order != 6:
         raise ValueError("reduction expects the 6x6 covariance")
     # a principal block of a symmetric read-only matrix is one too
-    return _unchecked(CovarianceMatrix, dict(matrix=cov.matrix[..., :4, :4],
-                                             basis=REDUCED_BASIS))
+    return _unchecked(CovarianceMatrix, dict(matrix=cov.matrix[..., :4, :4]))

@@ -63,11 +63,14 @@ def eta_minus_partial_transpose(v4: CovarianceMatrix | np.ndarray) -> float:
 
     Partial transposition of the second mode flips the sign of its momentum
     quadrature; the symplectic spectrum of the transformed matrix certifies
-    entanglement when it dips below 1/2.
+    entanglement when it dips below 1/2. Takes a 4x4 covariance, as
+    ``log_negativity`` does.
     """
     m = v4.matrix if isinstance(v4, CovarianceMatrix) else np.asarray(v4, dtype=float)
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    return float(np.min(symplectic_eigenvalues(flip @ m @ flip)))
+    if m.shape[-2:] != (4, 4):
+        raise ValueError("eta_minus_partial_transpose expects a 4x4 covariance")
+    flip = np.array([1.0, 1.0, 1.0, -1.0])
+    return float(np.min(symplectic_eigenvalues(m * np.outer(flip, flip))))
 
 
 def log_negativity(v4: CovarianceMatrix) -> EntanglementResult:

@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (REDUCED_BASIS, ClosedForm, _undamped_band,
-                       auxiliary_block, optomechanical_block,
-                       phase_noise_spectrum, vacuum_diffusion)
+from .dynamics import (ClosedForm, _undamped_band, auxiliary_block,
+                       optomechanical_block, phase_noise_spectrum,
+                       vacuum_diffusion)
 from .errors import ImaginaryFrequency, UnstableDrift
 from .lyapunov import CovarianceMatrix
 from .parameters import NoiseSpec, SteadyState, SystemParams
@@ -249,7 +249,7 @@ def cm_spectral_oracle(params: SystemParams, ss: SteadyState) -> CovarianceMatri
     """
     value, _ = _integrate_cm(params, ss,
                              partial(phase_noise_spectrum, params.phase_noise))
-    return CovarianceMatrix(matrix=value, basis=REDUCED_BASIS)
+    return CovarianceMatrix(matrix=value)
 
 
 def approx_cm_phase_correction(params: SystemParams,
@@ -268,7 +268,7 @@ def approx_cm_phase_correction(params: SystemParams,
     omega_eff = effective_response(params, ss).omega_eff
     s_peak = phase_noise_spectrum(params.phase_noise, omega_eff)
     value, _ = _integrate_cm(params, ss, lambda w: np.full_like(w, s_peak))
-    return CovarianceMatrix(matrix=value, basis=REDUCED_BASIS)
+    return CovarianceMatrix(matrix=value)
 
 
 def threshold_eta_minus(params: SystemParams, ss_like: SteadyState,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,10 @@ STACK_POINTS = 4096
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """One sweep axis: which knob, its range, grid size, and spacing."""
+    """One sweep axis: which knob, its range, grid size, and spacing.
+
+    The bounds must be finite and the count an integer >= 2.
+    """
 
     name: str
     minimum: float
@@ -47,8 +51,12 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"axis name must be one of {AXIS_NAMES}")
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
+            raise ValueError(f"axis count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ValueError("axis count must be >= 2")
+        if not (math.isfinite(self.minimum) and math.isfinite(self.maximum)):
+            raise ValueError("axis bounds must be finite")
         if not self.minimum < self.maximum:
             raise ValueError("axis requires minimum < maximum")
         if self.scale not in ("linear", "log"):
@@ -174,10 +182,12 @@ def run_pipeline(params) -> tuple:
     and one ``(indices, LinearModel)`` stack per model order. Points are
     grouped by model order (6 with bandpass noise, else 4), the whole stack
     being one group where all points share one; each group's drifts,
-    diffusions and covariances are (N, n, n) stacks, and each drift's
-    abscissa decides stability and serves as the Hurwitz guard of the
-    Lyapunov solve. The stages read the bath phonon number and the noise
-    pair's abscissa that each point carries, so neither is taken here.
+    diffusions and covariances are (N, n, n) stacks. Each drift's
+    abscissa, which its LinearModel holds as its drift gives it, decides
+    stability and goes to ``solve_lyapunov(abscissa=)`` as the Hurwitz
+    guard, so the solve takes no second eigenvalues of the stack. The
+    stages read the bath phonon number and the noise pair's abscissa that
+    each point carries, so neither is taken here.
     Unstable points carry stability data only, with null measures; a
     stable point whose weak-coupling closed form fails keeps its exact
     measures with a null ``n_eff_approx``. A failing stage raises

@@ -323,7 +323,7 @@ def test_criterion_8_property_suites(fig2_trio, fig4_trio, fig7_trio):
         if rng.uniform() < 0.5:
             w = 0.3 * rng.standard_normal((4, 4))
             v = v + w @ w.T
-        cm = CovarianceMatrix(matrix=v, basis=("dq", "dp", "dX", "dY"))
+        cm = CovarianceMatrix(matrix=v)
         eta_formula = log_negativity(cm).eta_minus
         eta_pt = eta_minus_partial_transpose(cm)
         en_formula = max(0.0, -math.log(2 * eta_formula))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -5,14 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from optomech import (NoiseSpec, SystemParams, build_model, drift_abscissa,
-                      phase_noise_spectrum, power_for_coupling,
-                      reduce_to_optomechanical, solve_lyapunov,
-                      solve_steady_state, stability_margin)
-from optomech.dynamics import auxiliary_block, optomechanical_block
+from optomech import (LinearModel, NoiseSpec, SystemParams, build_model,
+                      drift_abscissa, figure_recipe, phase_noise_spectrum,
+                      power_for_coupling, reduce_to_optomechanical,
+                      solve_lyapunov, solve_steady_state, stability_margin)
+from optomech.dynamics import (FULL_BASIS, REDUCED_BASIS, auxiliary_block,
+                               optomechanical_block)
 from optomech.errors import NonpositiveDetuning
 
-from conftest import OMEGA_M, bandpass_100hz, make_params
+from conftest import OMEGA_M, bandpass_100hz, grid_points, make_params
 
 G_THRESHOLD_REF = 70248147.310407264  # sqrt(1.25)*omega_m, frozen
 
@@ -132,6 +134,70 @@ class TestMatrixDocument:
 
         with pytest.raises(ValueError):
             LinearModel.from_document({"kind": "covariance"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("dims", ["psi"]), ("dims", list(FULL_BASIS)), ("stable", False)])
+    def test_derived_keys_must_agree(self, paper_point, key, value):
+        model = build_model(paper_point.with_(phase_noise=NoiseSpec.none()),
+                            solve_steady_state(paper_point))
+        doc = {**model.to_document(), key: value}
+        with pytest.raises(ValueError, match=repr(key)):
+            LinearModel.from_document(doc)
+
+    def test_derived_keys_may_be_left_out(self, paper_point):
+        model = build_model(paper_point, solve_steady_state(paper_point))
+        doc = model.to_document()
+        del doc["dims"], doc["stable"]
+        back = LinearModel.from_document(doc)
+        assert back.dims == FULL_BASIS and back.stable
+
+
+class TestLinearModelRecord:
+    def test_stability_taken_from_the_drift(self):
+        model = LinearModel(drift=np.eye(2), diffusion=np.eye(2))
+        assert model.abscissa == 1.0 and not model.stable
+        assert model.dims == ("x0", "x1")
+
+    @pytest.mark.parametrize("name, value", [
+        ("abscissa", -1.0), ("dims", ("a", "b", "c"))])
+    def test_derived_values_are_not_arguments(self, name, value):
+        with pytest.raises(TypeError):
+            LinearModel(drift=np.eye(2), diffusion=np.eye(2), **{name: value})
+
+    def test_replace_takes_the_abscissa_again(self, paper_point):
+        model = build_model(paper_point, solve_steady_state(paper_point))
+        assert model.stable
+        flipped = dataclasses.replace(model, drift=-model.drift)
+        assert not flipped.stable
+        assert flipped.abscissa == drift_abscissa(-model.drift)
+        with pytest.raises(ValueError):
+            dataclasses.replace(model, abscissa=-1.0)
+
+    def test_dims_follow_the_order(self, paper_point):
+        ss = solve_steady_state(paper_point)
+        assert build_model(paper_point, ss).dims == FULL_BASIS
+        assert build_model(paper_point.with_(phase_noise=NoiseSpec.none()),
+                           ss).dims == REDUCED_BASIS
+
+    @pytest.mark.parametrize("drift, diffusion", [
+        (np.ones(3), np.ones(3)), (np.ones((2, 3)), np.ones((2, 3))),
+        (np.eye(2), np.eye(3))])
+    def test_not_square_rejected(self, drift, diffusion):
+        with pytest.raises(ValueError, match="square"):
+            LinearModel(drift=drift, diffusion=diffusion)
+
+    @pytest.mark.parametrize("fig_id", ["fig2a", "fig2b", "fig7c"])
+    def test_blockwise_abscissa_is_the_full_one(self, fig_id):
+        # build_model takes each abscissa from the leading 4x4 block and
+        # the noise pair; the record's own rule takes it from the whole drift
+        spec = figure_recipe(fig_id, grid=(12, 12))
+        p = grid_points(spec)
+        model = build_model(p, solve_steady_state(p))
+        again = LinearModel(drift=model.drift, diffusion=model.diffusion)
+        np.testing.assert_array_equal(again.abscissa, model.abscissa)
+        assert model.stable.any() and not model.stable.all()
+        assert model[5].abscissa == again.abscissa[5]
+        assert model[5].dims == again.dims
 
 
 class TestPhaseNoiseSpectrum:

@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from optomech import (CovarianceMatrix, SystemParams, build_model,
-                      check_physical, figure_recipe, log_negativity,
+                      check_physical, eta_minus_partial_transpose,
+                      figure_recipe, log_negativity,
                       reduce_to_optomechanical, run_pipeline, solve_lyapunov,
                       solve_steady_state, symplectic_eigenvalues,
                       symplectic_form, thermal_occupancy)
+from optomech.dynamics import FULL_BASIS, REDUCED_BASIS
 from optomech.errors import SolverSingular, UnphysicalState, UnstableDrift
 from optomech.lyapunov import _leading_orders
 
 from conftest import (OMEGA_M, bandpass_100hz, grid_points, make_params,
                       mp_symplectic_eigenvalues)
 
-BASIS4 = ("dq", "dp", "dX", "dY")
 
 
 def _random_stable_system(rng, n=6):
@@ -112,11 +113,39 @@ class TestSolverContract:
         np.testing.assert_array_equal(v, 5e307 * np.eye(3))
 
     def test_nan_drift_with_a_given_abscissa(self):
-        with pytest.raises(SolverSingular, match=r"Lyapunov residual nan exceeds "
-                           r"nan \(condition estimate inf\)") as err:
+        # rejected before the solve, whatever abscissa the caller gives
+        with pytest.raises(ValueError, match="A must be finite"):
             solve_lyapunov(np.array([[np.nan, 0.0], [0.0, -1.0]]), np.eye(2),
                            abscissa=[-1.0])
-        assert err.value.condition == np.inf
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_named(self, bad):
+        stable = np.array([[-1.0, 0.0], [0.0, -2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="A must be finite"):
+                solve_lyapunov(np.where(np.eye(2) == 0, bad, stable), np.eye(2))
+            with pytest.raises(ValueError, match="D must be finite"):
+                solve_lyapunov(stable, np.full((2, 2), bad))
+            # one bad member of a stack
+            with pytest.raises(ValueError, match="D must be finite"):
+                solve_lyapunov(np.stack([stable, stable]),
+                               np.stack([np.eye(2), np.diag([1.0, bad])]))
+
+    @pytest.mark.parametrize("abscissa", [[-1.0, -1.0, -1.0], [], [[-1.0, -1.0]]])
+    def test_one_abscissa_per_drift(self, abscissa):
+        with pytest.raises(ValueError, match="one value per drift"):
+            solve_lyapunov(-np.eye(2), np.eye(2), abscissa=abscissa)
+        with pytest.raises(ValueError, match="one value per drift"):
+            solve_lyapunov(np.stack([-np.eye(2)] * 2), np.stack([np.eye(2)] * 2),
+                           abscissa=[-1.0])
+
+    def test_nan_abscissa_is_not_hurwitz(self):
+        with pytest.raises(UnstableDrift, match="max Re eigenvalue nan"):
+            solve_lyapunov(np.eye(2), np.eye(2), abscissa=[np.nan])
+        with pytest.raises(UnstableDrift):
+            solve_lyapunov(np.stack([-np.eye(2)] * 2), np.stack([np.eye(2)] * 2),
+                           abscissa=[-1.0, np.nan])
 
     def test_two_solver_paths_agree(self):
         rng = np.random.default_rng(11)
@@ -247,10 +276,35 @@ class TestOrderStructure:
         np.testing.assert_allclose(v3, 3.0 * v1, rtol=1e-12)
 
 
+class TestRecord:
+    def test_basis_follows_the_order(self):
+        assert CovarianceMatrix(matrix=np.eye(4)).basis == REDUCED_BASIS
+        assert CovarianceMatrix(matrix=np.eye(6)).basis == FULL_BASIS
+        assert CovarianceMatrix(matrix=np.eye(2)).basis == ("x0", "x1")
+        assert CovarianceMatrix(matrix=np.zeros((3, 4, 4))).basis == REDUCED_BASIS
+
+    def test_basis_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            CovarianceMatrix(matrix=np.eye(4), basis=("psi",))
+
+    @pytest.mark.parametrize("matrix", [1.0, np.ones(4), np.ones((4, 3))])
+    def test_not_square_rejected(self, matrix):
+        with pytest.raises(ValueError, match="square"):
+            CovarianceMatrix(matrix=matrix)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_solver_and_reduction_tag_by_order(self, n):
+        rng = np.random.default_rng(n)
+        cov = solve_lyapunov(*_random_stable_system(rng, n))
+        assert cov.basis == CovarianceMatrix(matrix=cov.matrix).basis
+        if n == 6:
+            assert cov.basis == FULL_BASIS
+            assert reduce_to_optomechanical(cov).basis == REDUCED_BASIS
+
+
 class TestReduction:
     def test_identity(self):
-        v6 = CovarianceMatrix(matrix=np.eye(6),
-                              basis=("dq", "dp", "dX", "dY", "psi", "theta"))
+        v6 = CovarianceMatrix(matrix=np.eye(6))
         v4 = reduce_to_optomechanical(v6)
         np.testing.assert_array_equal(v4.matrix, np.eye(4))
         assert v4.order == 4
@@ -270,15 +324,14 @@ class TestReduction:
         np.testing.assert_allclose(v_reduced, v_direct, rtol=1e-10, atol=1e-10)
 
     def test_wrong_order_rejected(self):
-        v4 = CovarianceMatrix(matrix=np.eye(4), basis=("dq", "dp", "dX", "dY"))
+        v4 = CovarianceMatrix(matrix=np.eye(4))
         with pytest.raises(ValueError):
             reduce_to_optomechanical(v4)
 
     @pytest.mark.parametrize("count", [3, 6])
     def test_stack_symmetrises_and_reduces_each_matrix(self, count):
         m = np.random.default_rng(count).standard_normal((count, 6, 6))
-        v6 = CovarianceMatrix(matrix=m,
-                              basis=("dq", "dp", "dX", "dY", "psi", "theta"))
+        v6 = CovarianceMatrix(matrix=m)
         v4 = reduce_to_optomechanical(v6)
         assert v6.order == 6 and v4.order == 4
         for i in range(count):
@@ -296,7 +349,7 @@ class TestPhysicality:
         assert np.min(symplectic_eigenvalues(v4.matrix)) >= 0.5 - 1e-9
 
     def test_below_vacuum_rejected(self):
-        v = CovarianceMatrix(matrix=0.3 * np.eye(4), basis=BASIS4)
+        v = CovarianceMatrix(matrix=0.3 * np.eye(4))
         with pytest.raises(UnphysicalState):
             check_physical(v)
 
@@ -311,7 +364,7 @@ class TestPhysicality:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(UnphysicalState, match="not positive definite"):
-                measure(CovarianceMatrix(matrix=matrix, basis=BASIS4))
+                measure(CovarianceMatrix(matrix=matrix))
 
     def test_decoupled_thermal_pipeline_value(self):
         p = make_params(laser_power=0.0)
@@ -323,6 +376,28 @@ class TestPhysicality:
                                    rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(v[2:, 2:], 0.5 * np.eye(2),
                                    rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("measure", [symplectic_eigenvalues, check_physical,
+                                         log_negativity,
+                                         eta_minus_partial_transpose])
+    def test_non_finite_rejected(self, measure):
+        cases = [np.full((4, 4), np.nan), np.diag([1.0, 1.0, np.inf, 1.0]),
+                 np.stack([np.eye(4), np.diag([1.0, np.nan, 1.0, 1.0])])]
+        if measure in (symplectic_eigenvalues, check_physical):
+            # its spectrum was [nan], which the Heisenberg check passed
+            cases.append(np.full((2, 2), np.nan))
+        for matrix in cases:
+            arg = matrix if measure is symplectic_eigenvalues else CovarianceMatrix(
+                matrix=matrix)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(UnphysicalState, match="not finite"):
+                    measure(arg)
+
+    @pytest.mark.parametrize("shape", [(), (4,), (3, 3), (4, 2), (2, 4, 3), (0, 0)])
+    def test_shape_not_2n_by_2n_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"\(\.\.\., 2n, 2n\)"):
+            symplectic_eigenvalues(np.ones(shape))
 
     def test_symplectic_eigenvalues_of_squeezed_state(self):
         r = 0.7

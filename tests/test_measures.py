@@ -17,11 +17,8 @@ from optomech.sweep import run_pipeline
 from conftest import (OMEGA_M, det_eta_minus, grid_points, make_params,
                       mp_eta_minus)
 
-BASIS4 = ("dq", "dp", "dX", "dY")
-
-
 def _cm(matrix) -> CovarianceMatrix:
-    return CovarianceMatrix(matrix=np.asarray(matrix, float), basis=BASIS4)
+    return CovarianceMatrix(matrix=np.asarray(matrix, float))
 
 
 def two_mode_squeezed(r: float) -> CovarianceMatrix:
@@ -145,6 +142,15 @@ def _stable_reduced(fig_id, grid):
 # seen on the two grids below was 2.7e-14 (the four-determinant formula
 # reaches 5.7e-11 on the fig7c one)
 ETA_MINUS_RTOL = 1e-11
+
+
+class TestEtaMinusPartialTranspose:
+    @pytest.mark.parametrize("shape", [(2, 2), (6, 6), (3, 6, 6)])
+    def test_takes_a_4x4_covariance(self, shape):
+        with pytest.raises(ValueError, match="4x4"):
+            eta_minus_partial_transpose(np.eye(shape[-1]) * np.ones(shape))
+        with pytest.raises(ValueError, match="4x4"):
+            eta_minus_partial_transpose(CovarianceMatrix(matrix=np.ones(shape)))
 
 
 class TestEtaMinusAccuracy:

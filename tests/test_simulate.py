@@ -17,7 +17,7 @@ from optomech import (NoiseSpec, TrajectoryConfig, build_model,
                       estimate_stationary_covariance, exact_discretization,
                       phase_noise_spectrum, simulate_phase_noise,
                       solve_lyapunov, solve_steady_state, thermal_occupancy)
-from optomech.dynamics import auxiliary_block, drift_abscissa
+from optomech.dynamics import auxiliary_block
 from optomech.errors import UnstableTimestep
 from optomech.simulate import (BLOCK_STEPS, CHUNK_STEPS, _check_timestep,
                                _expm, _noise_factor, _propagate,
@@ -488,9 +488,7 @@ class TestAgainstAnalytics:
         p = make_params(quality_factor=50.0)
         ss = solve_steady_state(p)
         model = build_model(p, ss)
-        unstable = type(model)(drift=-model.drift, diffusion=model.diffusion,
-                               abscissa=float(drift_abscissa(-model.drift)),
-                               dims=model.dims)
+        unstable = type(model)(drift=-model.drift, diffusion=model.diffusion)
         assert not unstable.stable
         cfg = TrajectoryConfig(dt=1e-9, n_steps=1000, n_ensemble=2, seed=1)
         with pytest.raises(UnstableTimestep):

@@ -779,5 +779,5 @@ class TestIntegrateAdaptive:
 def log_negativity_of(matrix) -> float:
     from optomech import CovarianceMatrix
 
-    cm = CovarianceMatrix(matrix=matrix, basis=("dq", "dp", "dX", "dY"))
+    cm = CovarianceMatrix(matrix=matrix)
     return log_negativity(cm).log_negativity

@@ -145,6 +145,14 @@ class TestSweepSpecValidation:
             SweepAxis("power_mw", 0.0, 2.0, 4, scale="log")
         with pytest.raises(ValueError):
             SweepAxis("voltage", 1.0, 2.0, 4)
+        # rejected when the axis is made, not when a sweep reads its values
+        for minimum, maximum, count in [
+                (1.0, math.inf, 3), (-math.inf, 2.0, 3), (math.nan, 2.0, 3),
+                (1.0, math.nan, 3), (1.0, 2.0, 2.5), (1.0, 2.0, 3.0),
+                (1.0, 2.0, True), (1.0, 2.0, "3")]:
+            with pytest.raises(ValueError, match="finite|integer"):
+                SweepAxis("power_mw", minimum, maximum, count)
+        assert SweepAxis("power_mw", 1.0, 2.0, np.int64(3)).values().size == 3
 
     def test_outputs_validated_with_listing(self):
         with pytest.raises(ValueError, match="valid outputs"):
