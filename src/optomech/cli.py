@@ -93,7 +93,7 @@ def _cmd_spectrum(args) -> int:
     s_vals = phase_noise_spectrum(params.phase_noise, omegas)
     write_table(os.path.join(args.out_dir, "frequency_noise_spectrum.csv"),
                 meta, "omega_rad_s,s_phidot_rad_s",
-                [format_column(omegas), format_column(np.atleast_1d(s_vals))])
+                [format_column(omegas), format_column(s_vals)])
 
     ss = solve_steady_state(params)
     response = effective_response(params, ss)

@@ -78,24 +78,24 @@ class LinearModel:
             abscissa=self.abscissa[i].item()))
 
     def to_document(self) -> dict:
-        """JSON-ready matrix document for inspection and regression fixtures."""
+        """JSON-ready matrix document of a model or a stack, for inspection."""
         return {
             "kind": "linear_model",
             "dims": list(self.dims),
-            "stable": bool(self.stable),
+            "stable": np.array(self.stable).tolist(),
             "drift": self.drift.tolist(),
             "diffusion": self.diffusion.tolist(),
         }
 
     @classmethod
     def from_document(cls, doc: dict) -> "LinearModel":
-        """The model of a document's matrices; its dims and stable must agree."""
+        """The model or stack of a document's matrices; dims and stable must agree."""
         if doc.get("kind") != "linear_model":
             raise ValueError("not a linear_model document")
         model = cls(drift=np.array(doc["drift"], dtype=float),
                     diffusion=np.array(doc["diffusion"], dtype=float))
         for key, value in (("dims", list(model.dims)),
-                           ("stable", bool(model.stable))):
+                           ("stable", np.array(model.stable).tolist())):
             if key in doc and doc[key] != value:
                 raise ValueError(f"document {key!r} is {doc[key]!r}, but its "
                                  f"drift gives {value!r}")
@@ -265,7 +265,7 @@ def build_model(params, ss) -> LinearModel:
     kind = params.phase_noise.kind
     bands = np.count_nonzero(kind == "bandpass")
     if 0 < bands < np.size(kind):
-        raise ValueError("a model batch must share one noise model order")
+        raise ValueError("build_model takes a stack of one noise model order")
     order = 6 if bands else 4
     a = _optomechanical_drift(params, ss, order)
     d = np.zeros_like(a)

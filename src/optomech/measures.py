@@ -58,19 +58,19 @@ def _eta_minus(nu: np.ndarray, det_c: np.ndarray) -> np.ndarray:
     return 2.0 * low * high / (np.sqrt(gap + 4.0 * low * high) + np.sqrt(gap))
 
 
-def eta_minus_partial_transpose(v4: CovarianceMatrix | np.ndarray) -> float:
+def eta_minus_partial_transpose(v4: CovarianceMatrix | np.ndarray):
     """Independent route: smallest symplectic eigenvalue after momentum flip.
 
     Partial transposition of the second mode flips the sign of its momentum
     quadrature; the symplectic spectrum of the transformed matrix certifies
-    entanglement when it dips below 1/2. Takes a 4x4 covariance, as
-    ``log_negativity`` does.
+    entanglement when it dips below 1/2. Of a 4x4 covariance or a stack of
+    them, as ``log_negativity``: one value each.
     """
     m = v4.matrix if isinstance(v4, CovarianceMatrix) else np.asarray(v4, dtype=float)
     if m.shape[-2:] != (4, 4):
         raise ValueError("eta_minus_partial_transpose expects a 4x4 covariance")
     flip = np.array([1.0, 1.0, 1.0, -1.0])
-    return float(np.min(symplectic_eigenvalues(m * np.outer(flip, flip))))
+    return symplectic_eigenvalues(m * np.outer(flip, flip))[..., 0][()]
 
 
 def log_negativity(v4: CovarianceMatrix) -> EntanglementResult:

@@ -99,6 +99,12 @@ def _finite(value):
     return abs(value) < math.inf
 
 
+def _one_point(name: str, *values) -> None:
+    """Raise ValueError naming ``name`` where a value is a stack's column."""
+    if any(np.ndim(v) for v in values):
+        raise ValueError(f"{name} takes one point, not a stack")
+
+
 def _unchecked(cls, values: dict):
     """A record of the frozen dataclass ``cls`` holding ``values``, unchecked.
 
@@ -142,9 +148,9 @@ class SystemParams:
     the same record with one array item per point in every field, its
     noise spec included; every formula reads both alike.
 
-    A record carries the Bose occupancy ``n_th`` of its bath at ``omega_m``
-    (``thermal_phonons``), taken when it is made and not a field; a stack
-    holds it as a column, as its noise spec holds ``pair_abscissa``.
+    A record carries the Bose occupancy ``n_th`` of its bath at ``omega_m``,
+    taken when it is made and not a field; a stack holds it as a column, as
+    its noise spec holds ``pair_abscissa``.
 
     Parameters
     ----------
@@ -211,10 +217,6 @@ class SystemParams:
         """Drive angular frequency 2*pi*c / wavelength, rad/s."""
         return 2.0 * math.pi * C_LIGHT / self.laser_wavelength
 
-    def thermal_phonons(self):
-        """Mean bath phonon number at the mechanical frequency of each point."""
-        return self.n_th
-
     def with_(self, **changes) -> "SystemParams":
         """Return a copy with the given fields replaced, checked and with
         ``n_th`` taken again as a new record is.
@@ -229,13 +231,15 @@ class SystemParams:
 
     @classmethod
     def stack(cls, points) -> "SystemParams":
-        """The stack of a sequence of points, not checked or derived again."""
+        """The stack of points (not stacks), not checked or derived again."""
         rows = [(p.omega_m, p.quality_factor, p.kappa, p.detuning, p.g0,
                  p.laser_power, p.laser_wavelength, p.bath_temperature,
                  p.cavity_thermal_occupancy, p.n_th, p.phase_noise.gamma_l,
                  p.phase_noise.omega_band, p.phase_noise.gamma_tilde,
                  p.phase_noise.pair_abscissa, p.phase_noise.kind,
                  p.detuning_mode) for p in points]
+        if any(np.ndim(r[0]) for r in rows):
+            raise ValueError("SystemParams.stack takes points, not stacks")
         numbers = np.array([r[:14] for r in rows], dtype=float).reshape(-1, 14).T
         noise = _unchecked(NoiseSpec, dict(
             kind=np.array([r[14] for r in rows], dtype="U8"),
@@ -491,16 +495,19 @@ def solve_steady_state(params, branch: str = "lower") -> SteadyState:
     return ss[0] if point else ss
 
 
-def power_for_coupling(params: SystemParams, g_target: float) -> float:
+def power_for_coupling(params: SystemParams, g_target):
     """Input power that realizes a field-enhanced coupling ``g_target``.
 
-    Valid in effective-detuning mode, where |alpha_s| depends on power
-    in closed form.
+    Valid in effective-detuning mode, where |alpha_s| depends on power in
+    closed form, for targets finite and >= 0: one, or one per point of a stack.
     """
-    if params.detuning_mode != EFFECTIVE:
+    if np.any(params.detuning_mode != EFFECTIVE):
         raise ValueError("power_for_coupling requires effective detuning mode")
-    if params.g0 <= 0:
+    if np.any(params.g0 <= 0):
         raise ValueError("power_for_coupling requires g0 > 0")
+    if not np.all(_finite(g_target) & (g_target >= 0)):
+        raise ValueError("power_for_coupling requires a finite g_target >= 0")
     alpha_abs = g_target / (params.g0 * math.sqrt(2.0))
-    e0_sq = alpha_abs ** 2 * (params.kappa ** 2 + params.detuning ** 2)
+    e0_sq = alpha_abs * alpha_abs * (params.kappa * params.kappa
+                                     + params.detuning * params.detuning)
     return e0_sq * HBAR * params.omega_laser / (2.0 * params.kappa)

@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 
 from .dynamics import auxiliary_block
 from .errors import UnstableTimestep, field_error
-from .parameters import NoiseSpec
+from .parameters import NoiseSpec, _one_point
 
 DT_DEFAULT = 0.09  # default dt * max|eigenvalue|
 DT_EIGENVALUE_GUARD = 0.1  # dt * max|eigenvalue| must stay below this
@@ -54,8 +54,9 @@ class TrajectoryConfig:
                   dt: float | None = None, burn_in: int | None = None):
         """The run on drift ``a``, checked by the run rule ``_check_timestep``.
 
-        An omitted ``dt`` or ``burn_in`` takes the rule's default.
+        An omitted ``dt`` or ``burn_in`` takes the rule's default; one drift only.
         """
+        _one_drift("TrajectoryConfig.for_drift", a)
         dt, burn_in = _check_timestep(a, dt, burn_in)
         return cls(dt, n_steps, n_ensemble, seed, burn_in)
 
@@ -81,6 +82,12 @@ class SpectrumEstimate:
     values: NDArray[np.float64]
     standard_errors: NDArray[np.float64]
     covariance: CovarianceEstimate
+
+
+def _one_drift(name: str, a) -> None:
+    """Raise ValueError naming ``name`` where ``a`` is a stack of drifts."""
+    if np.ndim(a) > 2:
+        raise ValueError(f"{name} takes the drift of one point, not a stack")
 
 
 def _check_timestep(a, dt: float | None = None,
@@ -169,7 +176,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def exact_discretization(a: np.ndarray, d: np.ndarray,
                          dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One-step propagator and process-noise covariance of a linear SDE.
+    """One-step propagator and process-noise covariance of one linear SDE.
 
     For du = A u dt + noise with symmetrized strength D, returns
     (Phi, Q) with Phi = exp(A dt) and Q = int_0^dt exp(A s) D exp(A^T s) ds,
@@ -178,6 +185,7 @@ def exact_discretization(a: np.ndarray, d: np.ndarray,
     max|D| dt into [1/2, 1), and Q is divided by it: a large D would
     otherwise set the block's norm and with it the number of squarings.
     """
+    _one_drift("exact_discretization", a)
     n = a.shape[0]
     _, e = math.frexp(float(np.max(np.abs(d))) * dt)
     block = np.zeros((2 * n, 2 * n))
@@ -285,7 +293,8 @@ def _ensemble_mean(per_member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def estimate_stationary_covariance(a: np.ndarray, d: np.ndarray,
                                    cfg: TrajectoryConfig) -> CovarianceEstimate:
-    """Time/ensemble-averaged second moments with member-scatter errors."""
+    """Time/ensemble-averaged second moments of one drift, member-scatter errors."""
+    _one_drift("estimate_stationary_covariance", a)
     per_member, _ = _propagate(np.asarray(a, float), np.asarray(d, float), cfg)
     mean, se = _ensemble_mean(per_member)
     return CovarianceEstimate(matrix=mean, standard_errors=se,
@@ -352,8 +361,9 @@ def simulate_phase_noise(spec: NoiseSpec, cfg: TrajectoryConfig,
     periodogram of the frequency-noise variable, with standard errors from
     the independent-member scatter, and the stationary covariance of the
     pair from the same trajectories (as ``estimate_stationary_covariance``
-    gives it).
+    gives it). A stack's noise raises ValueError.
     """
+    _one_point("simulate_phase_noise", spec.omega_band)
     a, d = auxiliary_block(spec)  # a ValueError unless the noise is bandpass
     # checked before anything is propagated
     _segment_length(cfg.n_steps - cfg.burn_in, segments_per_member)

@@ -21,7 +21,7 @@ from .dynamics import (ClosedForm, _undamped_band, auxiliary_block,
                        vacuum_diffusion)
 from .errors import ImaginaryFrequency, UnstableDrift
 from .lyapunov import CovarianceMatrix
-from .parameters import NoiseSpec, SteadyState, SystemParams
+from .parameters import NoiseSpec, SteadyState, SystemParams, _one_point
 from .quadrature import integrate_adaptive
 from .simulate import _expm
 
@@ -72,35 +72,36 @@ def _response_terms(params, ss) -> dict:
 
 
 def scattering_rates(params: SystemParams, ss: SteadyState) -> ScatteringRates:
-    """Rates kappa*G^2/2 / (kappa^2 + (delta +/- omega_m)^2)."""
+    """Rates kappa*G^2/2 / (kappa^2 + (delta +/- omega_m)^2), per point of a stack."""
     with np.errstate(all="ignore"):
         terms = _response_terms(params, ss)
-    return ScatteringRates(**{name: float(terms[name])
+    return ScatteringRates(**{name: terms[name]
                               for name in ("a_plus", "a_minus", "gamma_op")})
 
 
 def effective_response(params: SystemParams, ss: SteadyState) -> EffectiveResponse:
     """Optical-spring frequency, effective damping, and chi_eff(omega).
 
-    Raises ImaginaryFrequency when the squared effective frequency turns
-    negative (working point at or past the static instability).
+    Per point of a stack too (``chi_eff`` then takes a frequency per point);
+    the first omega_eff^2 < 0 raises ImaginaryFrequency (static instability).
     """
     wm, gm, k = params.omega_m, params.gamma_m, params.kappa
     g, delta = ss.g_eff, ss.delta_eff
     with np.errstate(all="ignore"):
         terms = _response_terms(params, ss)
-    radicand = float(terms["omega_eff_sq"])
-    if radicand < 0:
-        raise ImaginaryFrequency(radicand)
+    radicand = terms["omega_eff_sq"]
+    if (radicand < 0).any():
+        raise ImaginaryFrequency(float(np.extract(radicand < 0, radicand)[0]))
 
     def chi_eff(omega):
-        w = np.asarray(omega, dtype=complex)
-        out = 1.0 / (wm ** 2 - w ** 2 - 1j * gm * w
-                     - g ** 2 * delta * wm / ((k - 1j * w) ** 2 + delta ** 2))
-        return out if out.ndim else complex(out)
+        # on arrays, as for a stack: numpy rounds complex scalar products apart
+        w = np.array(omega, dtype=complex, ndmin=1)
+        out = 1.0 / (wm * wm - w ** 2 - 1j * gm * w
+                     - g * g * delta * wm / ((k - 1j * w) ** 2 + delta * delta))
+        return out.reshape(np.broadcast_shapes(np.shape(omega), np.shape(wm)))[()]
 
-    gamma_eff = gm + 2.0 * float(terms["spring"]) * k / float(terms["sidebands"])
-    return EffectiveResponse(omega_eff=math.sqrt(radicand), gamma_eff=gamma_eff,
+    gamma_eff = gm + 2.0 * terms["spring"] * k / terms["sidebands"]
+    return EffectiveResponse(omega_eff=np.sqrt(radicand), gamma_eff=gamma_eff,
                              chi_eff=chi_eff)
 
 
@@ -245,8 +246,9 @@ def cm_spectral_oracle(params: SystemParams, ss: SteadyState) -> CovarianceMatri
     2 Re[T D T^dag]. Raises UnstableDrift for an unstable drift and for an
     undamped noise band (gamma_tilde = 0, or so small that the noise pair's
     drift is not Hurwitz, as build_model finds it), whose S(omega) is
-    infinite at the band center.
+    infinite at the band center; a stack raises ValueError.
     """
+    _one_point("cm_spectral_oracle", params.omega_m, ss.g_eff)
     value, _ = _integrate_cm(params, ss,
                              partial(phase_noise_spectrum, params.phase_noise))
     return CovarianceMatrix(matrix=value)
@@ -259,8 +261,9 @@ def approx_cm_phase_correction(params: SystemParams,
     Same integral as the oracle but with S(omega) replaced by the constant
     S(omega_eff); exact for flat spectra, accurate in the resolved-sideband
     regime (warns when kappa > omega_m). Raises UnstableDrift where the
-    oracle does, an undamped noise band included.
+    oracle does, an undamped noise band included; a stack raises ValueError.
     """
+    _one_point("approx_cm_phase_correction", params.omega_m, ss.g_eff)
     if params.kappa > params.omega_m:
         warnings.warn("peak-spectrum approximation is calibrated for the "
                       "resolved-sideband regime (kappa < omega_m)",
@@ -271,38 +274,37 @@ def approx_cm_phase_correction(params: SystemParams,
     return CovarianceMatrix(matrix=value)
 
 
-def threshold_eta_minus(params: SystemParams, ss_like: SteadyState,
-                        s_value: float) -> float:
+def threshold_eta_minus(params: SystemParams, ss_like: SteadyState, s_value):
     """Closed-form lowest symplectic eigenvalue at the instability threshold.
 
     Valid for a working point driven at the threshold coupling and with
     thermal noise neglected; ``s_value`` is the frequency-noise spectrum at
-    the effective mechanical resonance.
+    the effective mechanical resonance, one or one per point of a stack.
     """
     k, wm = params.kappa, params.omega_m
     delta = ss_like.delta_eff
     n_ph = ss_like.photon_number
     k2, d2, w2 = k * k, delta * delta, wm * wm
-    s = s_value
-    a = k ** 3 * (k2 + d2) * (4 * d2 * d2 + 4 * d2 * (k2 + w2) + w2 * w2)
+    k3, n2, s, s2 = k * k2, n_ph * n_ph, s_value, s_value * s_value
+    a = k3 * (k2 + d2) * (4 * d2 * d2 + 4 * d2 * (k2 + w2) + w2 * w2)
     b = 2 * n_ph * d2 * k2 * (4 * (d2 + k2) * (2 * d2 + k2)
                               + 6 * (d2 + k2) * w2 + w2 * w2)
-    c = 4 * n_ph ** 2 * d2 * d2 * k * (5 * (d2 + k2) + 2 * w2)
-    d = 8 * n_ph ** 3 * d2 ** 3
-    f = 8 * k ** 3 * d2 * (k2 + d2) * (d2 + k2 + 5 * w2)
+    c = 4 * n2 * d2 * d2 * k * (5 * (d2 + k2) + 2 * w2)
+    d = 8 * n2 * n_ph * d2 * d2 * d2
+    f = 8 * k3 * d2 * (k2 + d2) * (d2 + k2 + 5 * w2)
     g = 16 * n_ph * k2 * d2 * d2 * (d2 + k2 + w2)
-    return math.sqrt((a + b * s + c * s ** 2 + d * s ** 3) / (f + g * s) / 2.0)
+    return np.sqrt((a + b * s + c * s2 + d * (s2 * s)) / (f + g * s) / 2.0)
 
 
-def optimal_detuning_and_max_en(kappa_over_omega_m: float) -> tuple[float, float]:
+def optimal_detuning_and_max_en(kappa_over_omega_m):
     """Detuning that minimizes eta_minus at threshold, and the peak E_N.
 
     Noise-free closed forms; the peak log-negativity approaches ln(5/3)
-    deep in the resolved-sideband limit.
+    deep in the resolved-sideband limit. Elementwise in kappa/omega_m.
     """
-    k = kappa_over_omega_m
-    delta = 0.25 * math.sqrt(1.0 + math.sqrt((4.0 * k) ** 2 + 81.0))
-    e_n = -math.log(math.sqrt(9.0 + 128.0 * k ** 2 / (8.0 * k ** 2 + 45.0)) / 5.0)
+    k2 = kappa_over_omega_m * kappa_over_omega_m
+    delta = 0.25 * np.sqrt(1.0 + np.sqrt(16.0 * k2 + 81.0))
+    e_n = -np.log(np.sqrt(9.0 + 128.0 * k2 / (8.0 * k2 + 45.0)) / 5.0)
     return delta, e_n
 
 
@@ -431,8 +433,12 @@ def laser_correlation(spec: NoiseSpec, tau: float) -> float:
     the integral being the (0, 2) block of exp([[A, I, 0], [0, 0, I],
     [0, 0, 0]] |tau|) (Van Loan, IEEE Trans. Autom. Control 23, 395
     (1978)). Raises UnstableDrift for an undamped band (gt = 0, or so small
-    that the pair's drift is not Hurwitz, as build_model finds it).
+    that the pair's drift is not Hurwitz, as build_model finds it), and
+    ValueError for a stack's noise or a ``tau`` not one finite value.
     """
+    _one_point("laser_correlation", spec.gamma_l, tau)
+    if not abs(tau) < math.inf:
+        raise ValueError(f"laser_correlation needs a finite tau, got {tau!r}")
     if spec.kind == "none" or spec.gamma_l == 0.0 or tau == 0.0:
         return 1.0
     if spec.kind == "white":

@@ -23,7 +23,7 @@ from .measures import log_negativity, occupancy
 from .output import (Columns, format_column, tool_metadata, write_document,
                      write_table)
 from .parameters import (EFFECTIVE, NoiseSpec, SystemParams, _concatenate,
-                         _unchecked, solve_steady_state)
+                         _one_point, _unchecked, solve_steady_state)
 from .spectral import approx_n_eff
 
 AXIS_NAMES = ("power_mw", "delta_over_omega_m", "kappa_over_omega_m")
@@ -245,8 +245,9 @@ def evaluate_point(params: SystemParams) -> PointResult:
     """Full pipeline at one working point: a batch of one.
 
     Unstable points return stability data only, with null measures; a
-    failing stage raises PointEvaluationError naming it.
+    failing stage raises PointEvaluationError naming it, a stack ValueError.
     """
+    _one_point("evaluate_point", params.omega_m)
     return run_pipeline([params])[0][0]
 
 

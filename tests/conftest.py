@@ -36,6 +36,20 @@ def bandpass_100hz(omega_band=2.0 * math.pi * 5e4) -> NoiseSpec:
     return NoiseSpec.bandpass(2.0 * math.pi * 100.0, omega_band, omega_band / 2.0)
 
 
+# a bistable bare point on its lower branch, an unstable effective point,
+# and a decoupled one, mixed with stable points of every noise kind
+MIXED = [
+    make_params(detuning=2.5 * OMEGA_M, laser_power=45e-3,
+                detuning_mode="bare", phase_noise=bandpass_100hz()),
+    make_params(laser_power=0.1, phase_noise=NoiseSpec.white(600.0)),
+    make_params(phase_noise=bandpass_100hz()),
+    make_params(laser_power=0.0),
+    make_params(detuning=3.0 * OMEGA_M, laser_power=0.08,
+                detuning_mode="bare"),
+    make_params(kappa=0.2 * OMEGA_M, phase_noise=NoiseSpec.white(600.0)),
+]
+
+
 def relative_gap(a, b, floor=1e-6):
     """Largest entrywise gap of ``a`` to ``b``, relative to max(|b|, floor*max|b|).
 

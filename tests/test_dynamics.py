@@ -40,7 +40,7 @@ class TestDriftMatrix:
         ss = solve_steady_state(paper_point)
         model = build_model(paper_point, ss)
         d = model.diffusion
-        n = paper_point.thermal_phonons()
+        n = paper_point.n_th
         spec = paper_point.phase_noise
         expected = np.diag([
             0.0,
@@ -128,6 +128,20 @@ class TestMatrixDocument:
         assert back.stable is stable
         assert back.abscissa == model.abscissa
         assert (back.abscissa < 0.0) is stable
+
+    def test_stack_round_trip(self):
+        # a stack's stable is one bool per model; bool() of it raised
+        points = grid_points(figure_recipe("fig2b", grid=(2, 2)))
+        model = build_model(points, solve_steady_state(points))
+        doc = json.loads(json.dumps(model.to_document()))
+        assert doc["stable"] == model.stable.tolist()
+        back = LinearModel.from_document(doc)
+        np.testing.assert_array_equal(back.drift, model.drift)
+        np.testing.assert_array_equal(back.diffusion, model.diffusion)
+        np.testing.assert_array_equal(back.stable, model.stable)
+        assert back.dims == model.dims
+        with pytest.raises(ValueError, match="'stable'"):
+            LinearModel.from_document({**doc, "stable": [not s for s in doc["stable"]]})
 
     def test_kind_checked(self):
         from optomech.dynamics import LinearModel

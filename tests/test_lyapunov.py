@@ -194,7 +194,7 @@ class TestBlockSplit:
                           for a, d in zip(m.drift, m.diffusion)])
         # uncoupled, V is diag(n + 1/2, n + 1/2, 1/2, 1/2) exactly; at
         # Q = 2e6 the Schur route is itself 8e-11 of max|V| off it
-        n = uncoupled.thermal_phonons()
+        n = uncoupled.n_th
         reference = [np.diag([n + 0.5, n + 0.5, 0.5, 0.5]), schur[1]]
         for i in range(2):
             alone = solve_lyapunov(m.drift[i], m.diffusion[i]).matrix

@@ -152,6 +152,13 @@ class TestEtaMinusPartialTranspose:
         with pytest.raises(ValueError, match="4x4"):
             eta_minus_partial_transpose(CovarianceMatrix(matrix=np.ones(shape)))
 
+    def test_one_value_per_covariance(self):
+        # a stack gave one float, its minimum
+        stack = np.array([0.5 * np.eye(4), 2.0 * np.eye(4)])
+        assert eta_minus_partial_transpose(stack).tolist() == [0.5, 2.0]
+        one = eta_minus_partial_transpose(stack[1])
+        assert isinstance(one, float) and np.ndim(one) == 0 and one == 2.0
+
 
 class TestEtaMinusAccuracy:
     @pytest.mark.parametrize("fig_id", ["fig2b", "fig7c"])

@@ -492,6 +492,14 @@ class TestPowerForCoupling:
         ss = solve_steady_state(p.with_(laser_power=power))
         assert ss.g_eff == pytest.approx(target, rel=1e-12)
 
+    @pytest.mark.parametrize("target", [-1e6, -1e-300, math.nan, math.inf,
+                                        np.array([1e6, -1e6])])
+    def test_target_must_be_finite_and_nonnegative(self, target):
+        # a negative target gave the power of +|target|, a NaN one NaN
+        with pytest.raises(ValueError, match="finite g_target >= 0"):
+            power_for_coupling(SystemParams.repeat(make_params(), 2)
+                               if np.ndim(target) else make_params(), target)
+
 
 class TestValidation:
     def test_rejects_nonpositive_rates(self):
@@ -600,6 +608,15 @@ class TestStack:
                 make_params(phase_noise=NoiseSpec.white(600.0)),
                 make_params(phase_noise=NoiseSpec.bandpass(600.0, 3e5, 1.5e5))]
 
+    def test_stack_of_a_stack_refused(self):
+        # reshaping the (1, 14, N) rows of a stacked record scrambled its
+        # fields across the record; a point beside a stack met numpy's
+        # inhomogeneous-shape error
+        stack = SystemParams.stack(self.points())
+        for items in ([stack], [self.points()[0], stack]):
+            with pytest.raises(ValueError, match="SystemParams.stack takes points"):
+                SystemParams.stack(items)
+
     def test_take_gives_back_each_point(self):
         points = self.points()
         stack = SystemParams.stack(points)
@@ -611,7 +628,7 @@ class TestStack:
                 assert getattr(row, name)[0] == getattr(p, name)
             for name in ("kind", "gamma_l", "omega_band", "gamma_tilde"):
                 assert getattr(row.phase_noise, name)[0] == getattr(p.phase_noise, name)
-            assert row.thermal_phonons()[0] == p.thermal_phonons()
+            assert row.n_th[0] == p.n_th
             assert row.gamma_m[0] == p.gamma_m
             assert row.omega_laser[0] == p.omega_laser
 
@@ -649,7 +666,7 @@ def _bits(value) -> bytes:
 def _assert_carried(params):
     """The derived values of a point or a stack are, to the bit, the ones
     its fields give."""
-    assert _bits(params.thermal_phonons()) == _bits(
+    assert _bits(params.n_th) == _bits(
         thermal_occupancy(params.omega_m, params.bath_temperature))
     spec = params.phase_noise
     band = spec.kind == "bandpass"

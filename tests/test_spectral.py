@@ -174,7 +174,7 @@ class TestOptimalDetuning:
 class TestApproxOccupancy:
     def test_no_coupling_returns_bath_occupancy(self):
         p, ss = _point_with_coupling(0.0)
-        assert approx_n_eff(p, ss).checked() == pytest.approx(p.thermal_phonons(),
+        assert approx_n_eff(p, ss).checked() == pytest.approx(p.n_th,
                                                               rel=1e-12)
 
     def test_sideband_cooling_limit(self):
@@ -279,7 +279,7 @@ def _scalar_conditions(p, ss) -> dict:
     These are the conditions approx_n_eff and static_phase_noise_heating
     tested point by point before they became batches of one.
     """
-    n, gm, wm, k = p.thermal_phonons(), p.gamma_m, p.omega_m, p.kappa
+    n, gm, wm, k = p.n_th, p.gamma_m, p.omega_m, p.kappa
     g, delta, spec = ss.g_eff, ss.delta_eff, p.phase_noise
     sidebands = (k ** 2 + (delta - wm) ** 2) * (k ** 2 + (delta + wm) ** 2)
     spring = wm ** 2 - g ** 2 * delta * wm * (k ** 2 - wm ** 2 + delta ** 2) / sidebands
@@ -445,6 +445,14 @@ class TestLaserCorrelation:
             assert math.isfinite(value)
             assert abs(value - mp_laser_correlation(spec, tau)) <= 1e-6
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("spec", [NoiseSpec.none(), NoiseSpec.white(600.0),
+                                      bandpass_100hz()], ids=lambda s: s.kind)
+    def test_tau_must_be_finite(self, spec, tau):
+        # white noise gave NaN, bandpass noise the matrix exponential's error
+        with pytest.raises(ValueError, match="laser_correlation needs a finite tau"):
+            laser_correlation(spec, tau)
+
     @pytest.mark.parametrize("width", [0.0, 1e-20])
     def test_undamped_band_raises(self, width):
         spec = NoiseSpec.bandpass(2 * math.pi * 100, 2 * math.pi * 5e4, width)
@@ -463,6 +471,25 @@ class TestLaserCorrelation:
 
 
 class TestSpectralOracle:
+    @pytest.mark.parametrize("points", [
+        [make_params(), make_params(phase_noise=NoiseSpec.white(600.0))],
+        [make_params()],
+        [make_params(), make_params(laser_power=0.1)]],
+        ids=["stable", "one", "with-unstable"])
+    def test_a_stack_is_refused_by_name(self, points):
+        # a stack met numpy's truth-value error, or UnstableDrift for all of
+        # it once one point was unstable
+        params = SystemParams.stack(points)
+        ss = solve_steady_state(params)
+        with pytest.raises(ValueError, match="cm_spectral_oracle takes one point"):
+            cm_spectral_oracle(params, ss)
+        # refused before the regime warning that kappa > omega_m raises
+        wide = params.with_(kappa=2.0 * OMEGA_M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="approx_cm_phase_correction takes"):
+                approx_cm_phase_correction(wide, solve_steady_state(wide))
+
     def test_no_noise_reproduces_lyapunov(self):
         p, ss = _point_with_coupling(0.5)
         model = build_model(p, ss)

@@ -21,8 +21,8 @@ from optomech import (NoiseSpec, SweepAxis, SweepSpec, SystemParams,
 from optomech.errors import ImaginaryFrequency, PointEvaluationError
 from optomech.output import format_column
 
-from conftest import (OMEGA_M, bandpass_100hz, grid_points, make_params,
-                      mp_eta_minus, poison_nth, relative_gap)
+from conftest import (MIXED, OMEGA_M, bandpass_100hz, grid_points,
+                      make_params, mp_eta_minus, poison_nth, relative_gap)
 
 G_THRESHOLD = math.sqrt(1.25) * OMEGA_M  # at delta = omega_m, kappa = omega_m/2
 # resonant drive: the terms A V and V A^T of the Lyapunov residual, which
@@ -519,23 +519,9 @@ class TestCrossRoutes:
         assert relative_gap(_reduced(v).matrix, oracle.matrix) <= 1e-6
 
 
-# a bistable bare point on its lower branch, an unstable effective point,
-# and a decoupled one, mixed with stable points of every noise kind
-_MIXED = [
-    make_params(detuning=2.5 * OMEGA_M, laser_power=45e-3,
-                detuning_mode="bare", phase_noise=bandpass_100hz()),
-    make_params(laser_power=0.1, phase_noise=NoiseSpec.white(600.0)),
-    make_params(phase_noise=bandpass_100hz()),
-    make_params(laser_power=0.0),
-    make_params(detuning=3.0 * OMEGA_M, laser_power=0.08,
-                detuning_mode="bare"),
-    make_params(kappa=0.2 * OMEGA_M, phase_noise=NoiseSpec.white(600.0)),
-]
-
-
 class TestStackedPipeline:
     @settings(max_examples=40, deadline=None)
-    @example(points=_MIXED)
+    @example(points=MIXED)
     @given(points=st.lists(working_points(), min_size=1, max_size=8))
     def test_batch_equals_batches_of_one(self, points):
         batch = _run_or_none(points)
@@ -547,7 +533,7 @@ class TestStackedPipeline:
             assert batch == [s[0] for s in singles]
 
     def test_mixed_example_covers_its_cases(self):
-        results = list(run_pipeline(_MIXED)[0])
+        results = list(run_pipeline(MIXED)[0])
         assert results[0].branch == "lower"
         assert any(not r.stable for r in results)
         assert {r.branch for r in results} >= {"lower", "monostable"}
@@ -566,7 +552,7 @@ class TestStackedPipeline:
         for name in ("thermal_occupancy", "_bose"):
             monkeypatch.setattr(parameters_mod, name,
                                 counting(getattr(parameters_mod, name)))
-        run_pipeline(_MIXED)
+        run_pipeline(MIXED)
         # each point took its bath phonon number when it was made
         assert calls == []
 
@@ -584,9 +570,9 @@ class TestStackedPipeline:
         return orders
 
     def test_effective_steady_state_takes_no_eigvals(self, monkeypatch):
-        # every coupled point of _MIXED deflates its cubic by a closed-form
+        # every coupled point of MIXED deflates its cubic by a closed-form
         # root, the bare ones by the root of their effective-detuning cubic
-        params = SystemParams.stack(_MIXED)
+        params = SystemParams.stack(MIXED)
         effective = params.take(np.flatnonzero(params.detuning_mode == "effective"))
         bare = params.take(np.flatnonzero(params.detuning_mode == "bare"))
         assert len(effective) and len(bare)
@@ -600,7 +586,7 @@ class TestStackedPipeline:
     def test_noise_pair_verdict_once_per_stack(self, monkeypatch):
         # build_model takes the abscissa of the bandpass drifts blockwise,
         # with the noise pair's abscissa that each spec took when it was made
-        params = SystemParams.stack([p for p in _MIXED
+        params = SystemParams.stack([p for p in MIXED
                                      if p.phase_noise.kind == "bandpass"])
         orders = self._count_eigvals(monkeypatch)
         results = run_pipeline(params)[0]
@@ -630,10 +616,10 @@ class TestStackedPipeline:
     def test_evaluate_batch_isolates_failures(self, monkeypatch):
         import optomech.sweep as sweep_mod
 
-        clean = evaluate_batch(_MIXED)
+        clean = evaluate_batch(MIXED)
         monkeypatch.setattr(sweep_mod, "log_negativity",
                             poison_nth(sweep_mod.log_negativity, 2))
-        res = evaluate_batch(_MIXED)
+        res = evaluate_batch(MIXED)
         failed = [i for i, r in enumerate(res) if r.error]
         assert len(failed) == 1
         assert "stage 'log-negativity' failed" in res[failed[0]].error
@@ -651,7 +637,7 @@ class TestBlockSolveAgainstSchur:
     and |d(eta^2)|/max|V|^2 at most 1e-9, every mask identical."""
 
     @pytest.mark.parametrize("points", [
-        pytest.param(lambda: SystemParams.stack(_MIXED), id="mixed"),
+        pytest.param(lambda: SystemParams.stack(MIXED), id="mixed"),
         pytest.param(lambda: grid_points(figure_recipe("fig2b", grid=(30, 30))),
                      id="fig2b-30x30"),
         pytest.param(lambda: grid_points(figure_recipe("fig7b", grid=(30, 30))),
@@ -697,19 +683,19 @@ def _same_bits(stacked, alone):
 class TestEachStageTakesAPointOrAStack:
     """Each stage gives every point of a stack the bits it gives it alone.
 
-    ``_MIXED`` mixes none, white and bandpass noise, effective and bare
+    ``MIXED`` mixes none, white and bandpass noise, effective and bare
     detuning, and stable and unstable points.
     """
 
     @pytest.fixture(scope="class")
     def stages(self):
-        params = SystemParams.stack(_MIXED)
+        params = SystemParams.stack(MIXED)
         ss = solve_steady_state(params)
         bandpass = params.phase_noise.kind == "bandpass"
         groups = [(idx, build_model(params.take(idx), ss.take(idx)))
                   for idx in (np.flatnonzero(bandpass), np.flatnonzero(~bandpass))]
         alone = []
-        for p in _MIXED:
+        for p in MIXED:
             point_ss = solve_steady_state(p)
             alone.append((point_ss, build_model(p, point_ss)))
         return ss, groups, alone
@@ -724,7 +710,7 @@ class TestEachStageTakesAPointOrAStack:
                 np.array(point_ss.all_roots).tobytes()
             assert np.isnan(roots[len(point_ss.all_roots):]).all()
         assert set(ss.branch) >= {"lower", "monostable"}
-        assert solve_steady_state(_MIXED).all_roots.tobytes() == ss.all_roots.tobytes()
+        assert solve_steady_state(MIXED).all_roots.tobytes() == ss.all_roots.tobytes()
 
     def test_build_model(self, stages):
         _, groups, alone = stages
@@ -734,7 +720,7 @@ class TestEachStageTakesAPointOrAStack:
                 _same_bits(models[j], alone[i][1])
                 assert models.stable[j] == alone[i][1].stable
         assert {model.stable for _, model in alone} == {True, False}
-        params = SystemParams.stack(_MIXED)
+        params = SystemParams.stack(MIXED)
         with pytest.raises(ValueError, match="one noise model order"):
             build_model(params, solve_steady_state(params))
 
@@ -758,7 +744,7 @@ class TestEachStageTakesAPointOrAStack:
             stable = models.stable
             v4 = _reduced(solve_lyapunov(models.drift[stable],
                                          models.diffusion[stable]))
-            omega_m = SystemParams.stack(_MIXED).take(idx[stable]).omega_m
+            omega_m = SystemParams.stack(MIXED).take(idx[stable]).omega_m
             lows = check_physical(v4)
             ent = log_negativity(v4)
             occ = occupancy(v4, omega_m)
@@ -770,17 +756,17 @@ class TestEachStageTakesAPointOrAStack:
                 _same_bits(type(ent)(*(f[k] for f in dataclasses.astuple(ent))),
                            log_negativity(cov))
                 _same_bits(type(occ)(*(f[k] for f in dataclasses.astuple(occ))),
-                           occupancy(cov, _MIXED[i].omega_m))
+                           occupancy(cov, MIXED[i].omega_m))
                 assert isinstance(log_negativity(cov).entangled, bool)
 
     @pytest.mark.parametrize("form", [stability_margin,
                                       static_phase_noise_heating, approx_n_eff])
     def test_closed_form(self, stages, form):
         ss, _, alone = stages
-        stacked = form(SystemParams.stack(_MIXED), ss)
+        stacked = form(SystemParams.stack(MIXED), ss)
         with pytest.raises(ValueError, match="closed form of one point"):
             stacked.checked()
-        for i, (p, (point_ss, _)) in enumerate(zip(_MIXED, alone)):
+        for i, (p, (point_ss, _)) in enumerate(zip(MIXED, alone)):
             point = form(p, point_ss)
             assert np.ndim(point.value) == 0
             assert stacked.value[i].tobytes() == np.asarray(point.value).tobytes()
