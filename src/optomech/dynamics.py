@@ -34,16 +34,18 @@ def state_basis(order: int) -> tuple[str, ...]:
 class LinearModel:
     """Drift/diffusion pair of a linear Langevin system; the rest follows from it.
 
-    ``abscissa`` is the largest real part of the drift eigenvalues, the
-    Hurwitz margin, taken when the record is made: the model is stable iff
-    it is negative. ``dims`` is the basis tag of the model's order. The
-    models of a stack sharing one order are the same record with (N, n, n)
-    matrices and one abscissa per model.
+    ``stable`` is the verdict that the drift is Hurwitz (every eigenvalue
+    in the open left half-plane), taken when the record is made, from the
+    largest real part of its eigenvalues (``drift_abscissa``), at any
+    order: the fluctuations then relax to a stationary state. ``dims`` is
+    the basis tag of the model's order. The models of a stack sharing one
+    order are the same record with (N, n, n) matrices and one verdict per
+    model.
     """
 
     drift: NDArray[np.float64]
     diffusion: NDArray[np.float64]
-    abscissa: float | NDArray[np.float64] = field(init=False)
+    stable: bool | NDArray[np.bool_] = field(init=False)
 
     def __post_init__(self):
         a = np.array(self.drift, dtype=float)
@@ -54,14 +56,8 @@ class LinearModel:
         d.setflags(write=False)
         object.__setattr__(self, "drift", a)
         object.__setattr__(self, "diffusion", d)
-        abscissa = drift_abscissa(a)
-        object.__setattr__(self, "abscissa",
-                           abscissa if abscissa.ndim else abscissa.item())
-
-    @property
-    def stable(self):
-        """Whether the drift is Hurwitz, for one model or each of a stack."""
-        return self.abscissa < 0.0
+        stable = drift_abscissa(a) < 0.0
+        object.__setattr__(self, "stable", stable if stable.ndim else stable.item())
 
     @property
     def order(self) -> int:
@@ -75,7 +71,7 @@ class LinearModel:
         """The model ``i`` of a stack."""
         return _unchecked(LinearModel, dict(
             drift=self.drift[i], diffusion=self.diffusion[i],
-            abscissa=self.abscissa[i].item()))
+            stable=self.stable[i].item()))
 
     def to_document(self) -> dict:
         """JSON-ready matrix document of a model or a stack, for inspection."""
@@ -160,6 +156,42 @@ def drift_abscissa(drift: NDArray[np.float64]) -> NDArray[np.float64]:
     Negative means Hurwitz: the fluctuations relax to a stationary state.
     """
     return np.linalg.eigvals(np.asarray(drift)).real.max(axis=-1)
+
+
+def _characteristic(a4: NDArray[np.float64]) -> tuple:
+    """Characteristic polynomial and adjugate of each 4x4 of an (..., 4, 4) stack.
+
+    det(sI - A) = s^4 + c1 s^3 + c2 s^2 + c3 s + c4 and
+    adj(sI - A) = s^3 I + s^2 B1 + s B2 + B3, by the Faddeev-LeVerrier
+    recursion (S.-H. Hou, SIAM Rev. 40, 706 (1998)): B0 = I,
+    c_k = -tr(A B_(k-1))/k, B_k = A B_(k-1) + c_k I. Returns
+    ``(c1, c2, c3, c4), (B1, B2, B3)``, a value or an (...,) array each c.
+    No eigendecomposition is taken.
+    """
+    eye = np.eye(4)
+    # x / -k is -(x / k) bit for bit
+    c1 = -a4.trace(axis1=-2, axis2=-1)
+    b1 = a4 + c1[..., None, None] * eye  # A B0 = A
+    ab = a4 @ b1
+    c2 = ab.trace(axis1=-2, axis2=-1) / -2.0
+    b2 = ab + c2[..., None, None] * eye
+    ab = a4 @ b2
+    c3 = ab.trace(axis1=-2, axis2=-1) / -3.0
+    b3 = ab + c3[..., None, None] * eye
+    c4 = (a4 @ b3).trace(axis1=-2, axis2=-1) / -4.0
+    return (c1, c2, c3, c4), (b1, b2, b3)
+
+
+def _hurwitz(a4: NDArray[np.float64]) -> NDArray[np.bool_]:
+    """Whether each 4x4 drift of an (..., 4, 4) stack is Hurwitz, by Routh-Hurwitz.
+
+    The Lienard-Chipart form for a monic quartic (DeJesus & Kaufman, Phys.
+    Rev. A 35, 5288 (1987)): c1 > 0, c4 > 0, c1 c2 - c3 > 0 and
+    c3 (c1 c2 - c3) - c1^2 c4 > 0. NaN fails each test.
+    """
+    (c1, c2, c3, c4), _ = _characteristic(a4)
+    lead = c1 * c2 - c3
+    return (c1 > 0) & (c4 > 0) & (lead > 0) & (c3 * lead - c1 * c1 * c4 > 0)
 
 
 # what ClosedForm.checked does where a flag of stability_margin is set
@@ -254,13 +286,14 @@ def build_model(params, ss) -> LinearModel:
     system with the auxiliary pair attached; white or absent noise yields
     the 4x4 system, with the flat frequency noise folded into the
     Y-quadrature diffusion as 2*|alpha_s|^2*S, where S = 2*gamma_l is the
-    flat spectrum value. The eigenvalues of each drift give its abscissa,
-    which decides stability: one solve of the 4x4, and for the 6x6, which
-    is block upper triangular, one of its leading 4x4 block, taken with the
-    noise pair's abscissa that the noise spec carries. That is the value
-    LinearModel takes from the whole drift, bit for bit on the recipes'
-    grids. The diffusion reads the bath phonon number that each point
-    carries.
+    flat spectrum value. Each model's ``stable`` verdict is taken by
+    Routh-Hurwitz from the characteristic polynomial of the leading 4x4
+    block, with no eigenvalue solve; for the 6x6, which is block upper
+    triangular, together with the verdict on the noise pair that its noise
+    spec carries (``pair_abscissa`` negative). LinearModel takes the same
+    verdict from the whole drift's eigenvalues, the independent route; the
+    two agree on every drift of the recipes' grids. The diffusion reads the
+    bath phonon number that each point carries.
     """
     kind = params.phase_noise.kind
     bands = np.count_nonzero(kind == "bandpass")
@@ -279,13 +312,11 @@ def build_model(params, ss) -> LinearModel:
         if np.any(white):
             d[..., 3, 3] += np.where(
                 white, 2.0 * ss.photon_number * 2.0 * params.phase_noise.gamma_l, 0.0)
-    # the pair's abscissa is NaN without a band, which fmax passes over
-    abscissa = np.fmax(drift_abscissa(a[..., :4, :4]),
-                       params.phase_noise.pair_abscissa)
+    # a spec without a band has no undamped one
+    stable = _hurwitz(a[..., :4, :4]) & np.logical_not(_undamped_band(params.phase_noise))
     a.setflags(write=False)
     d.setflags(write=False)
-    # the matrices were just made here and their abscissa taken blockwise:
+    # the matrices were just made here and their verdict taken blockwise:
     # the record takes them as they are
     return _unchecked(LinearModel, dict(
-        drift=a, diffusion=d,
-        abscissa=abscissa if a.ndim == 3 else abscissa.item()))
+        drift=a, diffusion=d, stable=stable if a.ndim == 3 else stable.item()))

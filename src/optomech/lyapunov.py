@@ -127,22 +127,42 @@ def _sylvester_operator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """kron(I, A) + kron(B, I) of each pair of (N, m, m) and (N, p, p) stacks.
 
     As (N, m p, m p): acting on column-stacked X (m x p), it gives the
-    column-stacked A X + X B^T.
+    column-stacked A X + X B^T. Entry (i m + k, j m + l) is the sum
+    I_ij A_kl + B_ij I_kl: each product is gathered from the point's row
+    [0 A, A, 0 B, B] (0 A is zero times A, a zero of each entry's sign)
+    by a cached index, and the two are summed, so every bit, a zero's sign
+    included, is that of the products themselves.
     """
     count, m, _ = a.shape
     p = b.shape[-1]
-    # axes (point, i, k, j, l) address row i*m + k, column j*m + l
-    system = (_identity(p)[:, None, :, None] * a[:, None, :, None, :]
-              + b[:, :, None, :, None] * _identity(m)[:, None, :])
-    return system.reshape(count, m * p, m * p)
+    mm, pp = m * m, p * p
+    row = np.empty((count, 2 * (mm + pp)))
+    flat_a, flat_b = a.reshape(count, mm), b.reshape(count, pp)
+    np.multiply(flat_a, 0.0, out=row[:, :mm])
+    row[:, mm:2 * mm] = flat_a
+    np.multiply(flat_b, 0.0, out=row[:, 2 * mm:2 * mm + pp])
+    row[:, 2 * mm + pp:] = flat_b
+    index = _operator_index(m, p)
+    system = row.take(index[0], axis=1)
+    system += row.take(index[1], axis=1)
+    return system
 
 
 @functools.lru_cache(maxsize=None)
-def _identity(n: int) -> NDArray[np.float64]:
-    """The n x n identity (read-only)."""
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
+def _operator_index(m: int, p: int) -> NDArray[np.intp]:
+    """Where each term of ``_sylvester_operator``'s entries sits in its row.
+
+    (2, m p, m p): the I_ij A_kl terms, then the B_ij I_kl terms, on the
+    row [0 A, A, 0 B, B] of an (m, m) A and a (p, p) B (read-only).
+    """
+    # axes (i, k, j, l) address row i*m + k, column j*m + l
+    i, k, j, l = np.ix_(range(p), range(m), range(p), range(m))
+    index = np.stack(np.broadcast_arrays(
+        np.where(i == j, m * m, 0) + k * m + l,
+        2 * m * m + np.where(k == l, p * p, 0) + i * p + j))
+    index = index.reshape(2, m * p, m * p)
+    index.setflags(write=False)
+    return index
 
 
 def _solve_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -236,7 +256,7 @@ def _overflow_exponent(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarra
 
 def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
                    method: str = "vectorized",
-                   abscissa: NDArray[np.float64] | None = None
+                   stable: NDArray[np.bool_] | None = None
                    ) -> CovarianceMatrix:
     """Solve A V + V A^T = -D for the stationary covariance V.
 
@@ -255,11 +275,12 @@ def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
     residual is required to satisfy ``RESIDUAL_TOL``, on V and D scaled by
     a power of two where a term of the residual would overflow. A failed
     check raises SolverSingular with the condition estimate of the systems
-    solved, inf where that estimate fails. ``abscissa`` is the largest
-    real part of each drift's eigenvalues, one value per drift, when the
-    caller has them already, as a LinearModel does: it spares a second
-    eigenvalue solve of the stack. A value that is not negative, NaN
-    included, raises UnstableDrift.
+    solved, inf where that estimate fails. ``stable`` is the verdict that
+    each drift is Hurwitz, one bool per drift, when the caller has it
+    already, as a LinearModel does: it spares the eigenvalue solve of the
+    stack that otherwise decides it (``drift_abscissa`` negative, NaN
+    failing). A drift that is not Hurwitz raises UnstableDrift, worded
+    from that drift's own eigenvalues.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -281,13 +302,13 @@ def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
             axis=-1, initial=np.inf) < -1e-12 * d_scale).any():
         raise ValueError("D must be positive semidefinite")
     count, n, _ = a.shape
-    abscissa = np.ravel(drift_abscissa(a) if abscissa is None else abscissa)
-    if abscissa.shape != (count,):
-        raise ValueError(f"abscissa must give one value per drift: "
-                         f"{abscissa.size} for {count}")
     # NaN fails the test as a positive abscissa does
-    if (unstable := ~(abscissa < 0.0)).any():
-        first = abscissa[np.flatnonzero(unstable)[0]]
+    stable = np.ravel(drift_abscissa(a) < 0.0 if stable is None else stable)
+    if stable.dtype != bool or stable.shape != (count,):
+        raise ValueError(f"stable must give one bool per drift: "
+                         f"{stable.size} of {stable.dtype} for {count}")
+    if not stable.all():
+        first = drift_abscissa(a[np.argmin(stable)])
         raise UnstableDrift(f"drift is not Hurwitz (max Re eigenvalue {first:.3e})")
 
     if method == "vectorized":

@@ -40,6 +40,10 @@ class NoiseSpec:
     gamma_tilde: float = 0.0  # bandwidth, rad/s
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray) and value.ndim:
+                raise ValueError(f"NoiseSpec field {name} must be one value, not a "
+                                 f"stack; SystemParams.stack stacks the noise of points")
         if self.kind not in ("none", "white", "bandpass"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         # each check is written so that NaN and infinity fail it

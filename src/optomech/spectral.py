@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (ClosedForm, _undamped_band, auxiliary_block,
-                       optomechanical_block, phase_noise_spectrum,
-                       vacuum_diffusion)
+from .dynamics import (ClosedForm, _characteristic, _undamped_band,
+                       auxiliary_block, optomechanical_block,
+                       phase_noise_spectrum, vacuum_diffusion)
 from .errors import ImaginaryFrequency, UnstableDrift
 from .lyapunov import CovarianceMatrix
 from .parameters import NoiseSpec, SteadyState, SystemParams, _one_point
@@ -123,9 +123,8 @@ def _resolvent_integrand(a4: np.ndarray, d4: np.ndarray, photon_number: float,
 
     T is adj(sI - A)/det(sI - A) at s = i w, with no inverse per frequency.
     A is fixed, so both are polynomials in s whose coefficients the
-    Faddeev-LeVerrier recursion gives once (S.-H. Hou, SIAM Rev. 40, 706
-    (1998)): B_0 = I, c_k = -tr(A B_(k-1))/k, B_k = A B_(k-1) + c_k I, and
-    adj = s^3 B_0 + s^2 B_1 + s B_2 + B_3, det = s^4 + c_1 s^3 + ... + c_4.
+    Faddeev-LeVerrier recursion (``dynamics._characteristic``) gives once:
+    adj = s^3 I + s^2 B_1 + s B_2 + B_3, det = s^4 + c_1 s^3 + ... + c_4.
     At s = i w the adjugate is N = (B_3 - w^2 B_1) + i w (B_2 - w^2 I) and
     the determinant (w^4 - c_2 w^2 + c_4) + i w (c_3 - c_1 w^2). |det| is
     the hypotenuse of those two parts: |det|^2 expanded as a polynomial in
@@ -141,15 +140,7 @@ def _resolvent_integrand(a4: np.ndarray, d4: np.ndarray, photon_number: float,
         raise ValueError("the resolvent spectrum drops the dq column of D, "
                          "so the dq diffusion must be zero")
     eye = np.eye(4)
-    c1 = -a4.trace()
-    b1 = a4 + c1 * eye  # A B_0 = A
-    ab = a4 @ b1
-    c2 = -ab.trace() / 2.0
-    b2 = ab + c2 * eye
-    ab = a4 @ b2
-    c3 = -ab.trace() / 3.0
-    b3 = ab + c3 * eye
-    c4 = -(a4 @ b3).trace() / 4.0
+    (c1, c2, c3, c4), (b1, b2, b3) = _characteristic(a4)
     # N[i, k] = coef[i, part, k - 1] @ (1, w, w^2, w^3) for k = dp, dX, dY,
     # part 0 real, 1 imaginary
     coef = np.zeros((4, 2, 3, 4))

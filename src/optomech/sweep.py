@@ -174,6 +174,18 @@ def _stage(name: str, func, *args, **kwargs):
         raise PointEvaluationError(name, str(err)) from err
 
 
+def _stacked(name: str, params) -> SystemParams:
+    """A stack as it is, or the stack of a sequence of points.
+
+    One point raises ValueError naming ``name``.
+    """
+    if not isinstance(params, SystemParams):
+        return SystemParams.stack(params)
+    if not np.ndim(params.omega_m):
+        raise ValueError(f"{name} takes a stack or a sequence of points, not one point")
+    return params
+
+
 def run_pipeline(params) -> tuple:
     """The point pipeline over many points, each stage run once on the stack.
 
@@ -182,10 +194,10 @@ def run_pipeline(params) -> tuple:
     and one ``(indices, LinearModel)`` stack per model order. Points are
     grouped by model order (6 with bandpass noise, else 4), the whole stack
     being one group where all points share one; each group's drifts,
-    diffusions and covariances are (N, n, n) stacks. Each drift's
-    abscissa, which its LinearModel holds as its drift gives it, decides
-    stability and goes to ``solve_lyapunov(abscissa=)`` as the Hurwitz
-    guard, so the solve takes no second eigenvalues of the stack. The
+    diffusions and covariances are (N, n, n) stacks. Each model's
+    ``stable`` verdict, which ``build_model`` takes by Routh-Hurwitz,
+    decides stability and goes to ``solve_lyapunov(stable=)`` as the
+    Hurwitz guard, so no stage solves for eigenvalues of a drift. The
     stages read the bath phonon number and the noise pair's abscissa that
     each point carries, so neither is taken here.
     Unstable points carry stability data only, with null measures; a
@@ -194,8 +206,7 @@ def run_pipeline(params) -> tuple:
     PointEvaluationError for the whole stack; ``evaluate_batch`` isolates
     the failing point.
     """
-    if not isinstance(params, SystemParams):
-        params = SystemParams.stack(params)
+    params = _stacked("run_pipeline", params)
     count = len(params)
     ss = _stage("steady-state", solve_steady_state, params)
     bandpass = params.phase_noise.kind == "bandpass"
@@ -218,7 +229,7 @@ def run_pipeline(params) -> tuple:
         # the stable points, taken as a view where the group is all stable
         keep = slice(None) if settled == idx.size else group_stable
         cov = _stage("lyapunov", solve_lyapunov, model.drift[keep],
-                     model.diffusion[keep], abscissa=model.abscissa[keep])
+                     model.diffusion[keep], stable=group_stable[keep])
         v4 = reduce_to_optomechanical(cov) if cov.order == 6 else cov
         ent = _stage("log-negativity", log_negativity, v4)
         occ = _stage("occupancy", occupancy, v4, group[0].omega_m[keep])
@@ -260,8 +271,7 @@ def evaluate_batch(params) -> PointResult:
     error row, which names the failing stage; one failing point among N
     costs 2 ceil(log2 N) + 1 pipeline runs.
     """
-    if not isinstance(params, SystemParams):
-        params = SystemParams.stack(params)
+    params = _stacked("evaluate_batch", params)
     try:
         return run_pipeline(params)[0]
     except PointEvaluationError as err:

@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,11 +11,11 @@ from optomech import (LinearModel, NoiseSpec, SystemParams, build_model,
                       drift_abscissa, figure_recipe, phase_noise_spectrum,
                       power_for_coupling, reduce_to_optomechanical,
                       solve_lyapunov, solve_steady_state, stability_margin)
-from optomech.dynamics import (FULL_BASIS, REDUCED_BASIS, auxiliary_block,
-                               optomechanical_block)
+from optomech.dynamics import (FULL_BASIS, REDUCED_BASIS, _characteristic,
+                               auxiliary_block, optomechanical_block)
 from optomech.errors import NonpositiveDetuning
 
-from conftest import OMEGA_M, bandpass_100hz, grid_points, make_params
+from conftest import MIXED, OMEGA_M, bandpass_100hz, grid_points, make_params
 
 G_THRESHOLD_REF = 70248147.310407264  # sqrt(1.25)*omega_m, frozen
 
@@ -126,8 +127,9 @@ class TestMatrixDocument:
         back = LinearModel.from_document(doc)
         assert doc["stable"] is stable and model.stable is stable
         assert back.stable is stable
-        assert back.abscissa == model.abscissa
-        assert (back.abscissa < 0.0) is stable
+        # the record's verdict is the sign of its drift's abscissa
+        assert drift_abscissa(back.drift) == drift_abscissa(model.drift)
+        assert (drift_abscissa(back.drift) < 0.0) == stable
 
     def test_stack_round_trip(self):
         # a stack's stable is one bool per model; bool() of it raised
@@ -169,11 +171,12 @@ class TestMatrixDocument:
 class TestLinearModelRecord:
     def test_stability_taken_from_the_drift(self):
         model = LinearModel(drift=np.eye(2), diffusion=np.eye(2))
-        assert model.abscissa == 1.0 and not model.stable
+        assert model.stable is False
+        assert LinearModel(drift=-np.eye(2), diffusion=np.eye(2)).stable is True
         assert model.dims == ("x0", "x1")
 
     @pytest.mark.parametrize("name, value", [
-        ("abscissa", -1.0), ("dims", ("a", "b", "c"))])
+        ("abscissa", -1.0), ("dims", ("a", "b", "c")), ("stable", True)])
     def test_derived_values_are_not_arguments(self, name, value):
         with pytest.raises(TypeError):
             LinearModel(drift=np.eye(2), diffusion=np.eye(2), **{name: value})
@@ -182,10 +185,9 @@ class TestLinearModelRecord:
         model = build_model(paper_point, solve_steady_state(paper_point))
         assert model.stable
         flipped = dataclasses.replace(model, drift=-model.drift)
-        assert not flipped.stable
-        assert flipped.abscissa == drift_abscissa(-model.drift)
+        assert drift_abscissa(-model.drift) > 0.0 and flipped.stable is False
         with pytest.raises(ValueError):
-            dataclasses.replace(model, abscissa=-1.0)
+            dataclasses.replace(model, stable=True)
 
     def test_dims_follow_the_order(self, paper_point):
         ss = solve_steady_state(paper_point)
@@ -202,15 +204,20 @@ class TestLinearModelRecord:
 
     @pytest.mark.parametrize("fig_id", ["fig2a", "fig2b", "fig7c"])
     def test_blockwise_abscissa_is_the_full_one(self, fig_id):
-        # build_model takes each abscissa from the leading 4x4 block and
-        # the noise pair; the record's own rule takes it from the whole drift
+        # build_model's verdict rests on the leading 4x4 block and the noise
+        # pair: the whole drift's abscissa is the larger of theirs, and the
+        # record's own rule, which reads the whole drift, gives its verdict
         spec = figure_recipe(fig_id, grid=(12, 12))
         p = grid_points(spec)
         model = build_model(p, solve_steady_state(p))
+        np.testing.assert_array_equal(
+            drift_abscissa(model.drift),
+            np.fmax(drift_abscissa(model.drift[:, :4, :4]),
+                    p.phase_noise.pair_abscissa))
         again = LinearModel(drift=model.drift, diffusion=model.diffusion)
-        np.testing.assert_array_equal(again.abscissa, model.abscissa)
+        np.testing.assert_array_equal(again.stable, model.stable)
         assert model.stable.any() and not model.stable.all()
-        assert model[5].abscissa == again.abscissa[5]
+        assert model[5].stable is again.stable[5].item()
         assert model[5].dims == again.dims
 
 
@@ -285,6 +292,80 @@ class TestPhaseNoiseSpectrum:
         flat1 = np.trapezoid(phase_noise_spectrum(white, w1), w1)
         flat2 = np.trapezoid(phase_noise_spectrum(white, w2), w2)
         assert flat2 == pytest.approx(2.0 * flat1, rel=1e-12)
+
+
+def _mp_stable(a4) -> bool:
+    """Whether a float drift is Hurwitz, from its eigenvalues to 40 digits."""
+    with mpmath.workdps(40):
+        eigs = mpmath.eig(mpmath.matrix(a4.tolist()), left=False, right=False)
+        return max(mpmath.re(x) for x in eigs) < 0
+
+
+def _boundary_set():
+    """Working points at and around the stability boundary, with their names.
+
+    fig2b's fixed point at delta = omega_m/4, omega_m and 2 omega_m, driven
+    at G = G_threshold (1 +/- e) of its static threshold
+    sqrt((delta^2 + kappa^2) omega_m/delta) for e = 1e-4 ... 1e-12; at
+    delta_eff = 0, where the cavity eigenvalue -kappa is defective, at 1,
+    20 and 50 mW; and the three branches of a bistable bare point.
+    """
+    fixed = figure_recipe("fig2b", grid=(2, 2)).fixed
+    for ratio in (0.25, 1.0, 2.0):
+        p = fixed.with_(detuning=ratio * OMEGA_M)
+        g_threshold = math.sqrt((p.detuning ** 2 + p.kappa ** 2) * p.omega_m / p.detuning)
+        for e in (1e-4, 1e-6, 1e-8, 1e-10, 1e-11, 1e-12):
+            for side in (-1.0, 1.0):
+                q = p.with_(laser_power=power_for_coupling(p, g_threshold * (1 + side * e)))
+                yield f"delta {ratio} omega_m, G/G_th - 1 = {side * e:+.0e}", q, "lower"
+    for power in (1e-3, 20e-3, 50e-3):
+        yield f"delta_eff 0 at {power} W", fixed.with_(detuning=0.0, laser_power=power), "lower"
+    for branch in ("lower", "middle", "upper"):
+        yield f"bare bistable, {branch} branch", MIXED[0], branch
+
+
+class TestRouthHurwitz:
+    """build_model's verdict, from the characteristic polynomial of the 4x4
+    block, against the eigenvalues of the whole drift."""
+
+    def test_verdict_is_the_eigenvalue_one_on_every_recipe(self):
+        # all 24 recipes at 80x80: 153600 drifts, 143454 of them stable
+        stable = 0
+        for fig_id in [f"fig{n}{c}" for n in range(2, 10) for c in "abc"]:
+            p = grid_points(figure_recipe(fig_id, grid=(80, 80)))
+            model = build_model(p, solve_steady_state(p))
+            np.testing.assert_array_equal(model.stable, drift_abscissa(model.drift) < 0,
+                                          err_msg=fig_id)
+            stable += np.count_nonzero(model.stable)
+        assert stable == 143454
+
+    def test_boundary_set_against_40_digits(self):
+        # the verdict must be right wherever the eigenvalues are; on this
+        # set both are right everywhere
+        wrong, truths = [], []
+        for name, p, branch in _boundary_set():
+            model = build_model(p, solve_steady_state(p, branch))
+            truths.append(truth := _mp_stable(model.drift[:4, :4]))
+            by_eigenvalues = bool(drift_abscissa(model.drift) < 0)
+            if by_eigenvalues == truth and model.stable != truth:
+                wrong.append(name)
+        assert wrong == []
+        # 18 stable sides of the threshold, 3 points at delta_eff = 0 and
+        # the lower branch, of 42
+        assert len(truths) == 42 and sum(truths) == 18 + 3 + 1
+
+    def test_characteristic_polynomial_of_a_stack(self):
+        # each drift of a stack gets the bits it gets alone, and the
+        # coefficients are those of its eigenvalues
+        p = grid_points(figure_recipe("fig2a", grid=(4, 4)))
+        a4 = build_model(p, solve_steady_state(p)).drift
+        coefs, adj = _characteristic(a4)
+        for i in range(len(a4)):
+            alone = _characteristic(a4[i])
+            for stacked, one in zip(coefs + adj, alone[0] + alone[1]):
+                assert stacked[i].tobytes() == np.asarray(one).tobytes()
+            np.testing.assert_allclose(np.poly(np.linalg.eigvals(a4[i]))[1:],
+                                       [c[i] for c in coefs], rtol=1e-9)
 
 
 class TestStability:

@@ -16,7 +16,7 @@ from optomech import (CovarianceMatrix, SystemParams, build_model,
                       symplectic_form, thermal_occupancy)
 from optomech.dynamics import FULL_BASIS, REDUCED_BASIS
 from optomech.errors import SolverSingular, UnphysicalState, UnstableDrift
-from optomech.lyapunov import _leading_orders
+from optomech.lyapunov import _leading_orders, _sylvester_operator
 
 from conftest import (OMEGA_M, bandpass_100hz, grid_points, make_params,
                       mp_symplectic_eigenvalues)
@@ -69,10 +69,10 @@ class TestSolverContract:
             solve_lyapunov(a, -np.eye(2))  # not PSD
 
     def test_singular_system_rejected(self):
-        # A = 0 with a claimed abscissa: kron(I, A) + kron(A, I) is zero
+        # A = 0 with a claimed verdict: kron(I, A) + kron(A, I) is zero
         with pytest.raises(SolverSingular, match="vectorized Lyapunov system "
                            r"is singular \(condition estimate inf\)") as err:
-            solve_lyapunov(np.zeros((2, 2)), np.eye(2), abscissa=np.array([-1.0]))
+            solve_lyapunov(np.zeros((2, 2)), np.eye(2), stable=np.array([True]))
         assert err.value.condition == np.inf
 
     @pytest.mark.filterwarnings("ignore:Input \"a\" has an eigenvalue pair")
@@ -82,7 +82,7 @@ class TestSolverContract:
         with pytest.raises(SolverSingular, match=r"Lyapunov residual 1\.414e\+00 "
                            r"exceeds 1\.414e-10 \(condition estimate inf\)"):
             solve_lyapunov(np.zeros((2, 2)), np.eye(2), method="schur",
-                           abscissa=np.array([-1.0]))
+                           stable=np.array([True]))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -113,10 +113,10 @@ class TestSolverContract:
         np.testing.assert_array_equal(v, 5e307 * np.eye(3))
 
     def test_nan_drift_with_a_given_abscissa(self):
-        # rejected before the solve, whatever abscissa the caller gives
+        # rejected before the solve, whatever verdict the caller gives
         with pytest.raises(ValueError, match="A must be finite"):
             solve_lyapunov(np.array([[np.nan, 0.0], [0.0, -1.0]]), np.eye(2),
-                           abscissa=[-1.0])
+                           stable=[True])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_named(self, bad):
@@ -132,20 +132,30 @@ class TestSolverContract:
                 solve_lyapunov(np.stack([stable, stable]),
                                np.stack([np.eye(2), np.diag([1.0, bad])]))
 
-    @pytest.mark.parametrize("abscissa", [[-1.0, -1.0, -1.0], [], [[-1.0, -1.0]]])
-    def test_one_abscissa_per_drift(self, abscissa):
-        with pytest.raises(ValueError, match="one value per drift"):
-            solve_lyapunov(-np.eye(2), np.eye(2), abscissa=abscissa)
-        with pytest.raises(ValueError, match="one value per drift"):
+    @pytest.mark.parametrize("stable", [[True, True, True], [], [[True, True]]])
+    def test_one_verdict_per_drift(self, stable):
+        with pytest.raises(ValueError, match="one bool per drift"):
+            solve_lyapunov(-np.eye(2), np.eye(2), stable=stable)
+        with pytest.raises(ValueError, match="one bool per drift"):
             solve_lyapunov(np.stack([-np.eye(2)] * 2), np.stack([np.eye(2)] * 2),
-                           abscissa=[-1.0])
+                           stable=[True])
 
     def test_nan_abscissa_is_not_hurwitz(self):
-        with pytest.raises(UnstableDrift, match="max Re eigenvalue nan"):
-            solve_lyapunov(np.eye(2), np.eye(2), abscissa=[np.nan])
-        with pytest.raises(UnstableDrift):
-            solve_lyapunov(np.stack([-np.eye(2)] * 2), np.stack([np.eye(2)] * 2),
-                           abscissa=[-1.0, np.nan])
+        # an abscissa in place of the verdict is refused, NaN included,
+        # which as a bool would read True
+        for value in ([np.nan], [-1.0]):
+            with pytest.raises(ValueError, match="one bool per drift"):
+                solve_lyapunov(-np.eye(2), np.eye(2), stable=value)
+
+    def test_a_false_verdict_names_the_drifts_eigenvalues(self):
+        # the message is worded from the refused drift's own eigenvalues: a
+        # False verdict on a Hurwitz drift reports its negative abscissa, and
+        # without the keyword the first drift that is not Hurwitz is named
+        with pytest.raises(UnstableDrift, match=r"max Re eigenvalue -1\.000e\+00"):
+            solve_lyapunov(-np.eye(2), np.eye(2), stable=[False])
+        with pytest.raises(UnstableDrift, match=r"max Re eigenvalue 5\.000e-02"):
+            solve_lyapunov(np.stack([-np.eye(2), np.diag([-1.0, 0.05])]),
+                           np.stack([np.eye(2)] * 2))
 
     def test_two_solver_paths_agree(self):
         rng = np.random.default_rng(11)
@@ -160,6 +170,46 @@ class TestSolverContract:
         a, d = _random_stable_system(rng)
         v = solve_lyapunov(a, d).matrix
         assert np.max(np.abs(v - v.T)) == 0.0
+
+
+def _broadcast_operator(a, b):
+    """kron(I, A) + kron(B, I) of each pair of (N, m, m) and (N, p, p) stacks,
+    by two broadcasts: the reference for the gathered operator."""
+    count, m, _ = a.shape
+    p = b.shape[-1]
+    # axes (point, i, k, j, l) address row i*m + k, column j*m + l
+    system = (np.eye(p)[:, None, :, None] * a[:, None, :, None, :]
+              + b[:, :, None, :, None] * np.eye(m)[:, None, :])
+    return system.reshape(count, m * p, m * p)
+
+
+class TestSylvesterOperator:
+    @pytest.mark.parametrize("m, p", [(6, 2), (4, 4), (6, 6), (2, 6), (1, 3), (3, 1)])
+    def test_gather_is_the_broadcast_bit_for_bit(self, m, p):
+        # signed zeros included: 0 A_kl + B_ij 0 is -0 only where both
+        # factors are negative, and A_kl + 0 B_ii is +0 for A_kl = -0 and
+        # B_ii > 0, so one shared zero in the row would not do
+        rng = np.random.default_rng(10 * m + p)
+
+        def draw(n):
+            x = rng.standard_normal((64, n, n))
+            x[rng.random(x.shape) < 0.4] = 0.0
+            return np.where(rng.random(x.shape) < 0.5, -x, x)
+
+        a, b = draw(m), draw(p)
+        assert np.signbit(a[a == 0.0]).any() and not np.signbit(a[a == 0.0]).all()
+        found, expected = _sylvester_operator(a, b), _broadcast_operator(a, b)
+        assert np.signbit(expected[expected == 0.0]).any()
+        assert found.shape == expected.shape
+        assert found.tobytes() == expected.tobytes()
+
+    def test_gather_on_the_drifts_of_a_grid(self):
+        _, _, ((_, model),) = run_pipeline(grid_points(figure_recipe("fig2b", (12, 12))))
+        a = model.drift
+        # the pairs of one dense solve and of the split's two solves
+        for lead, trail in ((a, a), (a, a[:, 4:, 4:]), (a[:, :4, :4], a[:, :4, :4])):
+            assert (_sylvester_operator(lead, trail).tobytes()
+                    == _broadcast_operator(lead, trail).tobytes())
 
 
 def _bandpass_model():
@@ -445,7 +495,7 @@ def _fig2b_extremes():
     stable = model.stable
     v = reduce_to_optomechanical(solve_lyapunov(
         model.drift[stable], model.diffusion[stable],
-        abscissa=model.abscissa[stable])).matrix
+        stable=stable[stable])).matrix
     return v[np.argsort(np.abs(v).max(axis=(1, 2)))[-12:]]
 
 

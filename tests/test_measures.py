@@ -133,7 +133,7 @@ def _stable_reduced(fig_id, grid):
     for _, model in models:
         stable = model.stable
         cov = solve_lyapunov(model.drift[stable], model.diffusion[stable],
-                             abscissa=model.abscissa[stable])
+                             stable=stable[stable])
         stacks.append((reduce_to_optomechanical(cov) if cov.order == 6 else cov).matrix)
     return np.concatenate(stacks)
 

@@ -518,6 +518,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             NoiseSpec(kind="pink")
 
+    @pytest.mark.parametrize("name, value", [
+        ("gamma_l", np.array([1.0, 2.0])), ("omega_band", np.array([1e5, 2e5])),
+        ("gamma_tilde", np.array([1.0])), ("kind", np.array(["white", "none"]))])
+    def test_noise_spec_field_must_be_one_value(self, name, value):
+        # named before the range checks, which met numpy's truth-value
+        # error; the noise of a stack comes from SystemParams.stack
+        fields = {"kind": "bandpass", "gamma_l": 1.0, "omega_band": 1e5,
+                  "gamma_tilde": 1e4, name: value}
+        with pytest.raises(ValueError, match=f"NoiseSpec field {name} must be one value"):
+            NoiseSpec(**fields)
+
     def test_gamma_m_definition(self):
         p = make_params()
         assert p.gamma_m == p.omega_m / p.quality_factor

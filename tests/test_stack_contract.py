@@ -219,6 +219,15 @@ def test_every_public_function_has_a_case():
     assert functions - NOT_OF_A_POINT <= covered
 
 
+@pytest.mark.parametrize("name", ["run_pipeline", "evaluate_batch"])
+def test_one_point_is_refused_by_name_where_a_stack_is_taken(name):
+    # the stack functions take a stack or a sequence of points; one point
+    # read its len() from a float
+    with pytest.raises(ValueError, match=f"{name} takes a stack or a sequence "
+                       "of points, not one point"):
+        getattr(optomech, name)(MIXED[2])
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_stack_maps_or_is_refused_by_name(case):
     indices, outcome, call = CASES[case]

@@ -75,7 +75,7 @@ class TestEvaluatePoint:
             result = evaluate_point(p)
         _, _, ((_, model),) = run_pipeline([p])
         v4 = reduce_to_optomechanical(solve_lyapunov(
-            model.drift, model.diffusion, abscissa=model.abscissa)).matrix[0]
+            model.drift, model.diffusion, stable=model.stable)).matrix[0]
         assert np.abs(v4).max() > 1e11
         assert result.eta_minus == pytest.approx(mp_eta_minus(v4), rel=1e-8)
         assert result.e_n == 0.0
@@ -584,15 +584,24 @@ class TestStackedPipeline:
         assert orders == []
 
     def test_noise_pair_verdict_once_per_stack(self, monkeypatch):
-        # build_model takes the abscissa of the bandpass drifts blockwise,
-        # with the noise pair's abscissa that each spec took when it was made
+        # build_model takes the verdict of the bandpass drifts from the 4x4
+        # block's characteristic polynomial, with the noise pair's abscissa
+        # that each spec took when it was made
         params = SystemParams.stack([p for p in MIXED
                                      if p.phase_noise.kind == "bandpass"])
         orders = self._count_eigvals(monkeypatch)
         results = run_pipeline(params)[0]
         assert results.stable.any()
-        assert orders.count(2) == 0
-        assert orders.count(6) == 0
+        assert orders == []
+
+    def test_sweep_solves_for_no_eigenvalues(self, monkeypatch):
+        # the recipe's noise spec takes its pair's abscissa when it is made,
+        # before the count starts; the sweep's verdicts are Routh-Hurwitz
+        spec = figure_recipe("fig2b", grid=(10, 10))
+        orders = self._count_eigvals(monkeypatch)
+        result = run_sweep(spec)
+        assert result.results.stable.any() and not result.results.stable.all()
+        assert orders == []
 
     def test_empty_stack(self):
         results, ss, models = run_pipeline([])
@@ -730,7 +739,7 @@ class TestEachStageTakesAPointOrAStack:
         for idx, models in groups:
             stable = models.stable
             covs = solve_lyapunov(models.drift[stable], models.diffusion[stable],
-                                  method=method, abscissa=models.abscissa[stable])
+                                  method=method, stable=stable[stable])
             assert covs.basis == models.dims
             for k, i in enumerate(idx[stable]):
                 model = alone[i][1]
