@@ -181,8 +181,15 @@ def _band_average(spectrum, spec, lo: float, hi: float):
     return est, se, ref
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors (exit 1)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="optomech",
         description="Stationary entanglement and cooling of a noisy-laser "
                     "optomechanical cavity")
@@ -220,17 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except OptomechError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except OSError as err:
+    except (OptomechError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 

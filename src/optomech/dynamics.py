@@ -35,12 +35,12 @@ class LinearModel:
     """Drift/diffusion pair of a linear Langevin system; the rest follows from it.
 
     ``stable`` is the verdict that the drift is Hurwitz (every eigenvalue
-    in the open left half-plane), taken when the record is made, from the
-    largest real part of its eigenvalues (``drift_abscissa``), at any
-    order: the fluctuations then relax to a stationary state. ``dims`` is
-    the basis tag of the model's order. The models of a stack sharing one
-    order are the same record with (N, n, n) matrices and one verdict per
-    model.
+    in the open left half-plane), taken when the record is made by the
+    model's one stability rule, ``_hurwitz``: the fluctuations then relax
+    to a stationary state. A non-finite drift or diffusion raises
+    ValueError naming it. ``dims`` is the basis tag of the model's order.
+    The models of a stack sharing one order are the same record with
+    (N, n, n) matrices and one verdict per model.
     """
 
     drift: NDArray[np.float64]
@@ -52,11 +52,14 @@ class LinearModel:
         d = np.array(self.diffusion, dtype=float)
         if a.ndim < 2 or a.shape[-1] != a.shape[-2] or d.shape != a.shape:
             raise ValueError("drift and diffusion must be square and of one shape")
+        for name, m in (("drift", a), ("diffusion", d)):
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} must be finite")
         a.setflags(write=False)
         d.setflags(write=False)
         object.__setattr__(self, "drift", a)
         object.__setattr__(self, "diffusion", d)
-        stable = drift_abscissa(a) < 0.0
+        stable = _hurwitz(a)
         object.__setattr__(self, "stable", stable if stable.ndim else stable.item())
 
     @property
@@ -182,16 +185,30 @@ def _characteristic(a4: NDArray[np.float64]) -> tuple:
     return (c1, c2, c3, c4), (b1, b2, b3)
 
 
-def _hurwitz(a4: NDArray[np.float64]) -> NDArray[np.bool_]:
-    """Whether each 4x4 drift of an (..., 4, 4) stack is Hurwitz, by Routh-Hurwitz.
+def _hurwitz(a: NDArray[np.float64], pair_stable=None) -> NDArray[np.bool_]:
+    """Whether each drift of an (..., n, n) stack is Hurwitz: the one stability rule.
 
-    The Lienard-Chipart form for a monic quartic (DeJesus & Kaufman, Phys.
-    Rev. A 35, 5288 (1987)): c1 > 0, c4 > 0, c1 c2 - c3 > 0 and
-    c3 (c1 c2 - c3) - c1^2 c4 > 0. NaN fails each test.
+    A 4x4 drift by the Lienard-Chipart form of Routh-Hurwitz for a monic
+    quartic (DeJesus & Kaufman, Phys. Rev. A 35, 5288 (1987)): c1 > 0,
+    c4 > 0, c1 c2 - c3 > 0 and c3 (c1 c2 - c3) - c1^2 c4 > 0, NaN failing
+    each test. A 6x6 drift whose trailing pair is autonomous (A[4:, :4]
+    exactly zero), as the bandpass model's is, by those conditions on its
+    4x4 block and the pair's own verdict: ``pair_stable`` where the caller
+    has it, else ``drift_abscissa`` of the 2x2 block negative. Any other
+    drift by ``drift_abscissa`` negative.
     """
-    (c1, c2, c3, c4), _ = _characteristic(a4)
-    lead = c1 * c2 - c3
-    return (c1 > 0) & (c4 > 0) & (lead > 0) & (c3 * lead - c1 * c1 * c4 > 0)
+    n = a.shape[-1]
+    if n == 4:
+        (c1, c2, c3, c4), _ = _characteristic(a)
+        lead = c1 * c2 - c3
+        return (c1 > 0) & (c4 > 0) & (lead > 0) & (c3 * lead - c1 * c1 * c4 > 0)
+    if n != 6:
+        return drift_abscissa(a) < 0.0
+    if pair_stable is None:
+        pair_stable = drift_abscissa(a[..., 4:, 4:]) < 0.0
+    stable = _hurwitz(a[..., :4, :4]) & pair_stable
+    split = ~a[..., 4:, :4].any(axis=(-2, -1))
+    return stable if split.all() else np.where(split, stable, drift_abscissa(a) < 0.0)
 
 
 # what ClosedForm.checked does where a flag of stability_margin is set
@@ -286,14 +303,10 @@ def build_model(params, ss) -> LinearModel:
     system with the auxiliary pair attached; white or absent noise yields
     the 4x4 system, with the flat frequency noise folded into the
     Y-quadrature diffusion as 2*|alpha_s|^2*S, where S = 2*gamma_l is the
-    flat spectrum value. Each model's ``stable`` verdict is taken by
-    Routh-Hurwitz from the characteristic polynomial of the leading 4x4
-    block, with no eigenvalue solve; for the 6x6, which is block upper
-    triangular, together with the verdict on the noise pair that its noise
-    spec carries (``pair_abscissa`` negative). LinearModel takes the same
-    verdict from the whole drift's eigenvalues, the independent route; the
-    two agree on every drift of the recipes' grids. The diffusion reads the
-    bath phonon number that each point carries.
+    flat spectrum value. Each model's ``stable`` verdict is the one rule
+    ``_hurwitz``, given the noise pair's verdict that each noise spec
+    carries (``pair_abscissa`` negative), so no eigenvalue is solved for.
+    The diffusion reads the bath phonon number that each point carries.
     """
     kind = params.phase_noise.kind
     bands = np.count_nonzero(kind == "bandpass")
@@ -312,11 +325,10 @@ def build_model(params, ss) -> LinearModel:
         if np.any(white):
             d[..., 3, 3] += np.where(
                 white, 2.0 * ss.photon_number * 2.0 * params.phase_noise.gamma_l, 0.0)
-    # a spec without a band has no undamped one
-    stable = _hurwitz(a[..., :4, :4]) & np.logical_not(_undamped_band(params.phase_noise))
+    stable = _hurwitz(a, params.phase_noise.pair_abscissa < 0)
     a.setflags(write=False)
     d.setflags(write=False)
-    # the matrices were just made here and their verdict taken blockwise:
-    # the record takes them as they are
+    # the matrices were just made here and their verdict taken: the record
+    # takes them as they are
     return _unchecked(LinearModel, dict(
         drift=a, diffusion=d, stable=stable if a.ndim == 3 else stable.item()))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import drift_abscissa, state_basis
+from .dynamics import _hurwitz, drift_abscissa, state_basis
 from .errors import SolverSingular, UnphysicalState, UnstableDrift
 from .parameters import _unchecked
 
@@ -78,11 +78,11 @@ def symplectic_eigenvalues(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
     nu up to 1e8) every nu was within 0.79 (2n)^2 eps max|V| of a 50-digit
     reference. A state squeezed past double, where eps x^H x / x^H i Omega x
     exceeds SPECTRUM_CONDITION_LIMIT, raises UnphysicalState, as a
-    non-finite matrix does; a shape that is not (..., 2n, 2n) raises
-    ValueError.
+    non-finite matrix does; a shape that is not (..., 2n, 2n) with n >= 1
+    raises ValueError. An empty stack gives an empty stack.
     """
     m = np.asarray(matrix, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2 or not m.size:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2 or not m.shape[-1]:
         raise ValueError(f"a covariance must be (..., 2n, 2n), not {m.shape}")
     if not np.isfinite(m).all():
         raise UnphysicalState("covariance is not finite")
@@ -277,10 +277,10 @@ def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
     check raises SolverSingular with the condition estimate of the systems
     solved, inf where that estimate fails. ``stable`` is the verdict that
     each drift is Hurwitz, one bool per drift, when the caller has it
-    already, as a LinearModel does: it spares the eigenvalue solve of the
-    stack that otherwise decides it (``drift_abscissa`` negative, NaN
-    failing). A drift that is not Hurwitz raises UnstableDrift, worded
-    from that drift's own eigenvalues.
+    already, as a LinearModel does; otherwise the model's one stability
+    rule, ``dynamics._hurwitz``, takes it. A drift that is not Hurwitz
+    raises UnstableDrift, worded from that drift's own eigenvalues. An
+    empty stack gives an empty stack.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -302,8 +302,7 @@ def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
             axis=-1, initial=np.inf) < -1e-12 * d_scale).any():
         raise ValueError("D must be positive semidefinite")
     count, n, _ = a.shape
-    # NaN fails the test as a positive abscissa does
-    stable = np.ravel(drift_abscissa(a) < 0.0 if stable is None else stable)
+    stable = np.ravel(_hurwitz(a) if stable is None else stable)
     if stable.dtype != bool or stable.shape != (count,):
         raise ValueError(f"stable must give one bool per drift: "
                          f"{stable.size} of {stable.dtype} for {count}")
@@ -313,8 +312,10 @@ def solve_lyapunov(a: NDArray[np.float64], d: NDArray[np.float64],
 
     if method == "vectorized":
         orders = _leading_orders(a)
-        # one group of points per split, the whole stack where all share one
-        groups = ([(slice(None), orders[0])] if (orders == orders[0]).all()
+        # one group of points per split, the whole stack where all share
+        # one, none for an empty stack
+        groups = ([(slice(None), k) for k in orders[:1]]
+                  if (orders == orders[:1]).all()
                   else [(orders == k, k) for k in np.unique(orders)])
         v = np.empty(a.shape)
         for group, k in groups:

@@ -118,56 +118,36 @@ def _check_timestep(a, dt: float | None = None,
     return dt, burn_in
 
 
-# degree m: (largest 1-norm at which the [m/m] Pade approximant of exp meets
-# double precision, its coefficients b_0..b_m), from Higham 2005
-_PADE = {
-    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    7: (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
-                               25200.0, 1512.0, 56.0, 1.0)),
-    9: (2.097847961257068, (17643225600.0, 8821612800.0, 2075673600.0,
-                            302702400.0, 30270240.0, 2162160.0, 110880.0,
-                            3960.0, 90.0, 1.0)),
-    13: (5.371920351148152, (64764752532480000.0, 32382376266240000.0,
-                             7771770303897600.0, 1187353796428800.0,
-                             129060195264000.0, 10559470521600.0,
-                             670442572800.0, 33522128640.0, 1323241920.0,
-                             40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
-}
+# the largest 1-norm at which the [13/13] Pade approximant of exp meets
+# double precision, and its coefficients b_0..b_13, from Higham 2005
+_THETA_13 = 5.371920351148152
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0,
+            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+            16380.0, 182.0, 1.0)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a) by Pade scaling and squaring (Higham, SIAM J. Matrix Anal.
     Appl. 26, 1179 (2005)).
 
-    The lowest degree whose bound the 1-norm of ``a`` meets; past the
-    degree-13 bound, degree 13 on a / 2^s, squared s times.
+    The [13/13] approximant on a / 2^s, squared s times, with
+    s = max(0, ceil(log2(||a||_1 / theta_13))).
     """
     norm = np.max(np.sum(np.abs(a), axis=0))
     if not np.isfinite(norm):
         raise ValueError("matrix exponential needs finite entries")
+    squarings = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+    a = a / 2.0 ** squarings
+    b = _PADE_13
     eye = np.eye(len(a))
-    squarings = 0
-    for degree, (theta, b) in _PADE.items():
-        if norm <= theta:
-            break
-    else:
-        squarings = math.ceil(math.log2(norm / theta))
-        a = a / 2.0 ** squarings
     a2 = a @ a
-    if degree < 13:
-        powers = [eye, a2]  # a^0, a^2, ..., a^(degree - 1)
-        while len(powers) <= degree // 2:
-            powers.append(powers[-1] @ a2)
-        u = a @ sum(b[2 * k + 1] * pw for k, pw in enumerate(powers))
-        v = sum(b[2 * k] * pw for k, pw in enumerate(powers))
-    else:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     r = np.linalg.solve(v - u, v + u)
     for _ in range(squarings):
         r = r @ r

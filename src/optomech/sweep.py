@@ -193,11 +193,11 @@ def run_pipeline(params) -> tuple:
     results (a PointResult), the stacked working points (a SteadyState)
     and one ``(indices, LinearModel)`` stack per model order. Points are
     grouped by model order (6 with bandpass noise, else 4), the whole stack
-    being one group where all points share one; each group's drifts,
-    diffusions and covariances are (N, n, n) stacks. Each model's
-    ``stable`` verdict, which ``build_model`` takes by Routh-Hurwitz,
-    decides stability and goes to ``solve_lyapunov(stable=)`` as the
-    Hurwitz guard, so no stage solves for eigenvalues of a drift. The
+    being one group where all points share one and an empty stack none;
+    each group's drifts, diffusions and covariances are (N, n, n) stacks.
+    Each model's ``stable`` verdict, which ``build_model`` takes by
+    Routh-Hurwitz, decides stability and goes to ``solve_lyapunov(stable=)``
+    as the Hurwitz guard, so no stage solves for eigenvalues of a drift. The
     stages read the bath phonon number and the noise pair's abscissa that
     each point carries, so neither is taken here.
     Unstable points carry stability data only, with null measures; a
@@ -210,14 +210,12 @@ def run_pipeline(params) -> tuple:
     count = len(params)
     ss = _stage("steady-state", solve_steady_state, params)
     bandpass = params.phase_noise.kind == "bandpass"
-    groups = ([np.arange(count)] if np.count_nonzero(bandpass) in (0, count)
-              else [np.flatnonzero(bandpass), np.flatnonzero(~bandpass)])
+    groups = [idx for idx in (np.flatnonzero(bandpass), np.flatnonzero(~bandpass))
+              if idx.size]
     stable = np.zeros(count, dtype=bool)
     measured = np.full((len(_MEASURED), count), np.nan)
     models = []
     for idx in groups:
-        if not idx.size:
-            continue
         group = (params, ss) if idx.size == count else (params.take(idx), ss.take(idx))
         model = _stage("linear-model", build_model, *group)
         models.append((idx, model))

@@ -270,6 +270,13 @@ class TestCli:
         assert cli.main(["point", "--config", str(path)]) == 1
         assert "unknown_knob" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["sweep", "--help"]],
+                             ids=["version", "help", "sweep-help"])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        assert stop.value.code == 0 and capsys.readouterr().out
+
     @pytest.mark.parametrize("argv, fields, name", [
         pytest.param(["sweep", "--recipe", "fig2z"], None, "--recipe",
                      id="recipe-fig2z"),
@@ -318,6 +325,10 @@ class TestCli:
                      None, "--jobs", id="jobs-0"),
         pytest.param(["sweep", "--recipe", "fig2b", "--grid", "2x2", "--jobs", "-3"],
                      None, "--jobs", id="jobs-neg"),
+        # usage errors of the argument parser
+        pytest.param(["sweep", "--recipe", "fig2b", "--jobs", "x"], None, "--jobs",
+                     id="jobs-x"),
+        pytest.param(["point"], None, "--config", id="point-without-config"),
         pytest.param(["sweep", "--config", "sweep.json", "--grid", "3x3"], None,
                      "--grid", id="grid-with-config"),
         pytest.param(["sweep", "--recipe", "fig2b", "--config", "sweep.json"], None,

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from optomech import (LinearModel, NoiseSpec, SystemParams, build_model,
-                      drift_abscissa, figure_recipe, phase_noise_spectrum,
-                      power_for_coupling, reduce_to_optomechanical,
-                      solve_lyapunov, solve_steady_state, stability_margin)
+                      default_fixed_params, drift_abscissa, figure_recipe,
+                      phase_noise_spectrum, power_for_coupling,
+                      reduce_to_optomechanical, solve_lyapunov,
+                      solve_steady_state, stability_margin)
 from optomech.dynamics import (FULL_BASIS, REDUCED_BASIS, _characteristic,
                                auxiliary_block, optomechanical_block)
-from optomech.errors import NonpositiveDetuning
+from optomech.errors import NonpositiveDetuning, UnstableDrift
 
 from conftest import MIXED, OMEGA_M, bandpass_100hz, grid_points, make_params
 
@@ -366,6 +367,70 @@ class TestRouthHurwitz:
                 assert stacked[i].tobytes() == np.asarray(one).tobytes()
             np.testing.assert_allclose(np.poly(np.linalg.eigvals(a4[i]))[1:],
                                        [c[i] for c in coefs], rtol=1e-9)
+
+
+def _assert_one_verdict(model):
+    """A model's record, its document read back and the default guard of
+    solve_lyapunov each give every model of a stack the verdict it has."""
+    np.testing.assert_array_equal(
+        LinearModel(model.drift, model.diffusion).stable, model.stable)
+    back = LinearModel.from_document(model.to_document())
+    np.testing.assert_array_equal(back.stable, model.stable)
+    stable = np.atleast_1d(model.stable)
+    drifts, diffusions = (np.reshape(m, (-1,) + m.shape[-2:])
+                          for m in (model.drift, model.diffusion))
+    if stable.any():
+        solve_lyapunov(drifts[stable], diffusions[stable])
+    refused = 0
+    for a, d in zip(drifts[~stable], diffusions[~stable]):
+        try:
+            solve_lyapunov(a, d)
+        except UnstableDrift:
+            refused += 1
+    assert refused == np.count_nonzero(~stable)
+
+
+class TestOneStabilityRule:
+    """A model's verdict is taken by one rule: where build_model takes it,
+    where a LinearModel or its document takes it from the matrices, and
+    where solve_lyapunov guards its solve."""
+
+    def test_every_recipe_drift(self):
+        for fig_id in [f"fig{n}{c}" for n in range(2, 10) for c in "abc"]:
+            p = grid_points(figure_recipe(fig_id, grid=(80, 80)))
+            _assert_one_verdict(build_model(p, solve_steady_state(p)))
+
+    def test_blue_detuned_hopf_window(self):
+        # the eigenvalues' abscissa decides the boundary G_H only to about
+        # 1e-10 of it: bisected on [1e3, 1e7] rad/s it lands at
+        # 45796.190434586504, where 7 of these 21 points had two verdicts
+        # when a record took its own from the eigenvalues
+        p = default_fixed_params()
+        p = p.with_(detuning=-p.omega_m)
+
+        def model(g):
+            q = p.with_(laser_power=power_for_coupling(p, g))
+            return build_model(q, solve_steady_state(q))
+
+        lo, hi = 1e3, 1e7
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if drift_abscissa(model(mid).drift) < 0 else (lo, mid)
+        verdicts = []
+        for e in np.linspace(-3e-10, 3e-10, 21):
+            m = model(lo * (1 + e))
+            _assert_one_verdict(m)
+            # as ``optomech point --dump-model`` writes it
+            doc = json.loads(json.dumps(m.to_document()))
+            assert LinearModel.from_document(doc).stable is m.stable
+            verdicts.append(m.stable)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("drift, name", [
+        (np.array([[np.nan]]), "drift"), (np.array([[-1.0]]), "diffusion")])
+    def test_non_finite_matrix_named(self, drift, name):
+        diffusion = np.array([[np.inf if name == "diffusion" else 1.0]])
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LinearModel(drift=drift, diffusion=diffusion)
 
 
 class TestStability:

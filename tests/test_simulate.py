@@ -132,10 +132,11 @@ class TestExactDiscretization:
                                    atol=1e-12 * np.max(np.abs(ref_q)))
 
     @pytest.mark.parametrize("norm, tol_eps", [
-        (0.01, 4), (0.2, 4), (0.9, 4), (2.0, 4), (5.0, 4), (60.0, 32)])
+        (0.0, 4), (1e-6, 4), (0.01, 4), (0.2, 4), (0.9, 4), (2.0, 4), (5.0, 4),
+        (60.0, 32)])
     def test_pade_degrees_match_40_digits(self, norm, tol_eps):
-        # 1-norms inside the bounds of degrees 3, 5, 7, 9 and 13, and one
-        # that takes four squarings of degree 13
+        # the one degree, 13: the zero matrix, 1-norms from 1e-6 to its
+        # bound unscaled, and one that takes four squarings
         a = np.random.default_rng(3).standard_normal((4, 4))
         a *= norm / np.max(np.sum(np.abs(a), axis=0))
         with mpmath.workdps(40):

@@ -252,3 +252,37 @@ def test_stack_maps_or_is_refused_by_name(case):
         for path, value in expected.items():
             if not callable(value):
                 assert _same_bits(found[path], value), (case, k, path)
+
+
+EMPTY = np.zeros((0, 4, 4))
+
+# name, call on an empty stack
+EMPTY_CASES = {
+    "solve_steady_state": lambda: optomech.solve_steady_state([]),
+    "run_pipeline": lambda: optomech.run_pipeline([])[:2],
+    "evaluate_batch": lambda: optomech.evaluate_batch([]),
+    "drift_abscissa": lambda: optomech.drift_abscissa(EMPTY),
+    "LinearModel": lambda: LinearModel(drift=EMPTY, diffusion=EMPTY),
+    "solve_lyapunov": lambda: optomech.solve_lyapunov(EMPTY, EMPTY),
+    "solve_lyapunov[6x6]": lambda: optomech.solve_lyapunov(
+        np.zeros((0, 6, 6)), np.zeros((0, 6, 6))),
+    "symplectic_eigenvalues": lambda: optomech.symplectic_eigenvalues(EMPTY),
+    "check_physical": lambda: optomech.check_physical(CovarianceMatrix(EMPTY)),
+    "log_negativity": lambda: optomech.log_negativity(CovarianceMatrix(EMPTY)),
+    "eta_minus_partial_transpose": lambda: optomech.eta_minus_partial_transpose(
+        CovarianceMatrix(EMPTY)),
+    "occupancy": lambda: optomech.occupancy(CovarianceMatrix(EMPTY), np.zeros(0)),
+}
+
+
+@pytest.mark.parametrize("name", list(EMPTY_CASES))
+def test_empty_stack_maps_to_an_empty_result(name):
+    leaves = _leaves(EMPTY_CASES[name]())
+    assert leaves and all(np.shape(leaf)[:1] == (0,) for leaf in leaves.values())
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)], ids=["0x0", "3x0x0"])
+def test_empty_covariance_is_refused(shape):
+    # a stack of no covariances maps; a covariance of no modes does not
+    with pytest.raises(ValueError, match="2n, 2n"):
+        optomech.symplectic_eigenvalues(np.zeros(shape))
