@@ -145,6 +145,28 @@ def mp_exact_discretization(a, d, dt):
                 np.array(q.tolist(), dtype=float))
 
 
+def mp_lyapunov(a, d):
+    """V of A V + V A^T = -D for one (n, n) pair, in 40-digit arithmetic.
+
+    The reference route on the float entries as given: the Kronecker
+    system kron(I, A) + kron(A, I) on the column-stacked V, all n^2
+    unknowns, solved by mpmath's LU; each entry rounded once to a float.
+    """
+    n = a.shape[0]
+    with mpmath.workdps(40):
+        system = mpmath.zeros(n * n, n * n)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    # (A V)_ij = A_ik V_kj and (V A^T)_ij = V_ik A_jk, with
+                    # V_ij at i + n j
+                    system[i + n * j, k + n * j] += mpmath.mpf(a[i, k])
+                    system[i + n * j, i + n * k] += mpmath.mpf(a[j, k])
+        rhs = mpmath.matrix([-mpmath.mpf(d[i, j]) for j in range(n) for i in range(n)])
+        v = mpmath.lu_solve(system, rhs)
+        return np.array([[float(v[i + n * j]) for j in range(n)] for i in range(n)])
+
+
 def mp_resolvent_spectrum(a, d, omega):
     """2 Re[T D T^dag], T = (i omega I - A)^-1, in 40-digit arithmetic.
 
