@@ -120,7 +120,8 @@ def _cmd_validate(args) -> int:
                           "noise generator; set phase_noise.kind = 'bandpass'")
     run = dict(dt=fields.number("dt_s"),
                n_steps=fields.number("n_steps", 500_000, integer=True),
-               n_ensemble=fields.number("n_ensemble", 16, integer=True),
+               # the standard errors are the scatter of two members or more
+               n_ensemble=fields.number("n_ensemble", 16, integer=True, minimum=2),
                seed=fields.number("seed", 20240811, integer=True, minimum=0),
                burn_in=fields.number("burn_in", integer=True))
     segments = fields.number("segments_per_member", 8, integer=True)

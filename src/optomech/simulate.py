@@ -6,11 +6,18 @@ covariance exactly, which is all the stationary measures consume. The
 integrator is the exact one-step Gaussian propagator (matrix exponential plus
 the exact process-noise covariance), so discretization bias is zero and the
 timestep only limits spectral resolution.
+
+Trajectories are never stored whole: each block of steps is handed to a
+consumer as it is propagated, and the Welch estimate of a spectrum keeps
+only the two latest half-segments per member. A run's memory is therefore
+about 1.5 x 8 x n_ensemble x segment length bytes, not 8 x n_ensemble x
+n_steps.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,15 +192,16 @@ def _noise_factor(q: np.ndarray) -> np.ndarray:
 
 
 def _propagate(a: np.ndarray, d: np.ndarray, cfg: TrajectoryConfig,
-               record: int | None = None):
-    """Run the ensemble; returns (second moments per member, recordings).
+               consume: Callable[[np.ndarray], object] | None = None) -> np.ndarray:
+    """Run the ensemble; returns the second moments per member.
 
-    ``record`` selects one state component to store post-burn-in for
-    spectral estimation (None stores nothing). Members evolve side by side
-    from the zero state with per-member spawned generators; states are rows,
-    x_t = x_(t-1) Phi^T + z_t L^T with L L^T = Q and z_t the member's
-    normals. Each block of BLOCK_STEPS steps is cut into chunks of
-    C = CHUNK_STEPS steps and propagated in three products:
+    ``consume`` (None for no consumer) receives the post-burn-in states of
+    each block in time order, as an (n_ensemble, steps, n) view that the
+    next block overwrites; nothing is kept across blocks. Members evolve
+    side by side from the zero state with per-member spawned generators;
+    states are rows, x_t = x_(t-1) Phi^T + z_t L^T with L L^T = Q and z_t
+    the member's normals. Each block of BLOCK_STEPS steps is cut into
+    chunks of C = CHUNK_STEPS steps and propagated in three products:
 
     - the chunk response: with the chunk's normals as one row
       [z_0 ... z_(C-1)], its states from a zero entering state are that row
@@ -224,8 +232,6 @@ def _propagate(a: np.ndarray, d: np.ndarray, cfg: TrajectoryConfig,
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_ensemble)]
     state = np.zeros((cfg.n_ensemble, n))
-    kept = cfg.n_steps - cfg.burn_in
-    recording = (np.empty((cfg.n_ensemble, kept)) if record is not None else None)
     moments = np.zeros((cfg.n_ensemble, n, n))
     normals = x = None
 
@@ -254,11 +260,10 @@ def _propagate(a: np.ndarray, d: np.ndarray, cfg: TrajectoryConfig,
         if lo < m:
             kept_block = path[:, lo:]
             moments += kept_block.transpose(0, 2, 1) @ kept_block
-            if recording is not None:
-                pos = step + lo - cfg.burn_in
-                recording[:, pos:pos + m - lo] = kept_block[:, :, record]
+            if consume is not None:
+                consume(kept_block)
 
-    return moments / kept, recording
+    return moments / (cfg.n_steps - cfg.burn_in)
 
 
 def _ensemble_mean(per_member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,7 +280,7 @@ def estimate_stationary_covariance(a: np.ndarray, d: np.ndarray,
                                    cfg: TrajectoryConfig) -> CovarianceEstimate:
     """Time/ensemble-averaged second moments of one drift, member-scatter errors."""
     _one_drift("estimate_stationary_covariance", a)
-    per_member, _ = _propagate(np.asarray(a, float), np.asarray(d, float), cfg)
+    per_member = _propagate(np.asarray(a, float), np.asarray(d, float), cfg)
     mean, se = _ensemble_mean(per_member)
     return CovarianceEstimate(matrix=mean, standard_errors=se,
                               n_ensemble=cfg.n_ensemble)
@@ -308,28 +313,76 @@ def _segment_length(n_kept: int, segments_per_member: int) -> int:
     return 2 * smooth
 
 
+class _Welch:
+    """Hann-windowed averaged periodograms per member, fed in time order.
+
+    50% overlap; the estimate is the two-sided density reported on the
+    nonnegative grid. Samples go into two (n_members, hop) half buffers
+    that swap roles: once a half fills, each member's segment [previous
+    half, this half] is copied into one scratch row and its periodogram is
+    added, in place, to the member's sum; the next half overwrites the
+    previous one. Samples after the last whole half belong to no segment.
+    """
+
+    def __init__(self, n_members: int, n_kept: int, dt: float,
+                 segments_per_member: int):
+        seg_len = _segment_length(n_kept, segments_per_member)
+        self.hop = seg_len // 2
+        self.window = np.hanning(seg_len)
+        self.norm = dt / np.sum(self.window ** 2)
+        self.omega = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)
+        self.halves = np.empty((2, n_members, self.hop))
+        self.whole = 0  # halves filled so far
+        self.filled = 0  # samples in the half being filled
+        self.segment = np.empty(seg_len)
+        self.transform = np.empty(seg_len // 2 + 1, complex)
+        self.power = np.empty(seg_len // 2 + 1)
+        self.sums = np.zeros((n_members, seg_len // 2 + 1))
+
+    def feed(self, block: np.ndarray) -> None:
+        """Take the next (n_members, steps) samples of every member."""
+        pos = 0
+        while pos < block.shape[1]:
+            half = self.halves[self.whole % 2]
+            take = min(self.hop - self.filled, block.shape[1] - pos)
+            half[:, self.filled:self.filled + take] = block[:, pos:pos + take]
+            pos += take
+            self.filled += take
+            if self.filled == self.hop:
+                if self.whole:
+                    self._add_segments(self.halves[(self.whole - 1) % 2], half)
+                self.whole += 1
+                self.filled = 0
+
+    def _add_segments(self, first: np.ndarray, second: np.ndarray) -> None:
+        seg, power = self.segment, self.power
+        for first_half, second_half, total in zip(first, second, self.sums):
+            seg[:self.hop] = first_half
+            seg[self.hop:] = second_half
+            seg -= seg.mean()
+            seg *= self.window
+            np.fft.rfft(seg, out=self.transform)
+            np.abs(self.transform, out=power)
+            np.square(power, out=power)
+            power *= self.norm
+            total += power
+
+    def mean_spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """(omega grid, per-member mean spectra); ends the accumulation."""
+        self.sums /= self.whole - 1
+        return self.omega, self.sums
+
+
 def _welch_segments(series: np.ndarray, dt: float,
                     segments_per_member: int) -> tuple[np.ndarray, np.ndarray]:
     """Hann-windowed averaged periodograms per ensemble member.
 
-    Returns (omega grid, per-member mean spectra). 50% overlap; the estimate
-    is the two-sided density reported on the nonnegative grid.
+    Returns (omega grid, per-member mean spectra) of the (n_members, n_kept)
+    ``series``, fed to the streaming estimator ``_Welch`` as one block.
     """
-    n_members, n_kept = series.shape
-    seg_len = _segment_length(n_kept, segments_per_member)
-    hop = seg_len // 2
-    window = np.hanning(seg_len)
-    norm = dt / np.sum(window ** 2)
-    starts = range(0, n_kept - seg_len + 1, hop)
-    member_means = np.zeros((n_members, seg_len // 2 + 1))
-    for i in range(n_members):
-        for s in starts:
-            chunk = series[i, s:s + seg_len]
-            chunk = (chunk - chunk.mean()) * window
-            member_means[i] += norm * np.abs(np.fft.rfft(chunk)) ** 2
-    member_means /= len(starts)
-    omega = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)
-    return omega, member_means
+    welch = _Welch(*series.shape, dt, segments_per_member)
+    welch.feed(series)
+    return welch.mean_spectra()
 
 
 def simulate_phase_noise(spec: NoiseSpec, cfg: TrajectoryConfig,
@@ -342,14 +395,19 @@ def simulate_phase_noise(spec: NoiseSpec, cfg: TrajectoryConfig,
     the independent-member scatter, and the stationary covariance of the
     pair from the same trajectories (as ``estimate_stationary_covariance``
     gives it). A stack's noise raises ValueError.
+
+    psi is fed block by block into the Welch estimator as it is propagated,
+    so the trajectories are never stored: the run holds about 1.5 x 8 x
+    n_ensemble x segment length bytes.
     """
     _one_point("simulate_phase_noise", spec.omega_band)
     a, d = auxiliary_block(spec)  # a ValueError unless the noise is bandpass
-    # checked before anything is propagated
-    _segment_length(cfg.n_steps - cfg.burn_in, segments_per_member)
-    per_member, recording = _propagate(a, d, cfg, record=0)
-    omega, member_spectra = _welch_segments(recording, cfg.dt,
-                                            segments_per_member)
+    # the segment length is checked before anything is propagated
+    welch = _Welch(cfg.n_ensemble, cfg.n_steps - cfg.burn_in, cfg.dt,
+                   segments_per_member)
+    per_member = _propagate(a, d, cfg, lambda kept: welch.feed(kept[:, :, 0]))
+    omega, member_spectra = welch.mean_spectra()
+    del welch  # its buffers go before the member scatter takes its temporaries
     values, se = _ensemble_mean(member_spectra)
     mean, mean_se = _ensemble_mean(per_member)
     return SpectrumEstimate(

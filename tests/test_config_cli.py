@@ -368,6 +368,8 @@ class TestCli:
                      id="n_steps-below-burn-in"),
         pytest.param(["validate"], {"n_ensemble": 0}, "n_ensemble",
                      id="n_ensemble-0"),
+        pytest.param(["validate"], {"n_ensemble": 1}, "n_ensemble",
+                     id="n_ensemble-1"),
         pytest.param(["validate"], {"segments_per_member": 0},
                      "segments_per_member", id="segments-0"),
     ])

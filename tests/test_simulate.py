@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -21,7 +22,7 @@ from optomech.dynamics import auxiliary_block
 from optomech.errors import UnstableTimestep
 from optomech.simulate import (BLOCK_STEPS, CHUNK_STEPS, _check_timestep,
                                _expm, _noise_factor, _propagate,
-                               _segment_length)
+                               _segment_length, _Welch, _welch_segments)
 
 from conftest import (OMEGA_M, bandpass_100hz, make_params,
                       mp_exact_discretization)
@@ -78,6 +79,35 @@ def per_step_reference(a, d, cfg, record):
     return moments, kept[:, :, record].T
 
 
+def streamed(a, d, cfg, component):
+    """(second moments, post-burn-in series of ``component``) from the blocks
+    ``_propagate`` streams to its consumer, collected in order."""
+    blocks = []
+    moments = _propagate(a, d, cfg,
+                         lambda kept: blocks.append(kept[:, :, component].copy()))
+    return moments, np.concatenate(blocks, axis=1)
+
+
+def welch_reference(series, dt, segments_per_member):
+    """The Welch estimate one whole-series segment at a time: each member's
+    Hann-windowed, mean-removed periodograms at 50% overlap, averaged."""
+    n_members, n_kept = series.shape
+    seg_len = _segment_length(n_kept, segments_per_member)
+    hop = seg_len // 2
+    window = np.hanning(seg_len)
+    norm = dt / np.sum(window ** 2)
+    starts = range(0, n_kept - seg_len + 1, hop)
+    member_means = np.zeros((n_members, seg_len // 2 + 1))
+    for i in range(n_members):
+        for s in starts:
+            chunk = series[i, s:s + seg_len]
+            chunk = (chunk - chunk.mean()) * window
+            member_means[i] += norm * np.abs(np.fft.rfft(chunk)) ** 2
+    member_means /= len(starts)
+    omega = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)
+    return omega, member_means
+
+
 class TestBlockScan:
     @pytest.mark.parametrize("layout", ["ragged-last-block", "one-short-block",
                                         "whole-blocks", "last-block-under-a-chunk",
@@ -98,7 +128,7 @@ class TestBlockScan:
         cfg = TrajectoryConfig.for_drift(a, n_steps=n_steps, n_ensemble=3,
                                          seed=97, dt=dt, burn_in=burn_in)
         record = a.shape[0] - 1
-        moments, recording = _propagate(a, d, cfg, record=record)
+        moments, recording = streamed(a, d, cfg, record)
         ref_moments, ref_recording = per_step_reference(a, d, cfg, record)
         assert recording.shape == (3, n_steps - burn_in)
         assert (np.max(np.abs(moments - ref_moments))
@@ -406,6 +436,68 @@ class TestSegmentLength:
         assert _segment_length(cfg.n_steps - cfg.burn_in, 8) == seg_len
 
 
+class TestStreamedWelch:
+    # 1100 samples at 3 segments per member: segments of 540 samples, halves
+    # of 270, four whole halves (three segments) and a tail of 20 samples
+    # that belongs to no segment
+    @pytest.mark.parametrize("blocks", [
+        [1100],
+        [97] * 11 + [33],
+        [541, 559],
+        [5, 0, 600, 1, 264, 230],
+        [270, 270, 540, 20],
+        [1080, 7, 13],
+    ], ids=["whole-series", "blocks-shorter-than-a-half",
+            "blocks-longer-than-a-segment", "ragged-with-an-empty-block",
+            "halves-end-on-block-edges", "tail-in-blocks-of-its-own"])
+    def test_equals_the_whole_series_loop(self, blocks):
+        series = np.random.default_rng(5).standard_normal((3, 1100)).cumsum(axis=1)
+        assert _segment_length(1100, 3) == 540
+        welch = _Welch(3, 1100, 0.1, 3)
+        edges = np.cumsum([0] + blocks)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            welch.feed(series[:, lo:hi])
+        omega, spectra = welch.mean_spectra()
+        ref_omega, ref_spectra = welch_reference(series, 0.1, 3)
+        np.testing.assert_array_equal(omega, ref_omega)
+        np.testing.assert_array_equal(spectra, ref_spectra)
+        np.testing.assert_array_equal(_welch_segments(series, 0.1, 3)[1],
+                                      ref_spectra)
+
+    @pytest.mark.parametrize("segments", [8, 20])
+    def test_simulation_equals_record_then_welch(self, segments):
+        # the default burn-in ends inside the first block, the last block is
+        # short and the kept series ends in a tail; at 8 segments a segment
+        # is longer than the first kept block, at 20 shorter
+        spec = bandpass_100hz()
+        cfg = aux_config(spec, n_steps=6 * BLOCK_STEPS + 123, n_ensemble=3)
+        assert 0 < cfg.burn_in < BLOCK_STEPS
+        est = simulate_phase_noise(spec, cfg, segments_per_member=segments)
+        a, d = auxiliary_block(spec)
+        moments, series = streamed(a, d, cfg, 0)
+        omega, spectra = welch_reference(series, cfg.dt, segments)
+        np.testing.assert_array_equal(est.frequencies, omega)
+        np.testing.assert_array_equal(est.values, spectra.mean(axis=0))
+        np.testing.assert_array_equal(
+            est.standard_errors, spectra.std(axis=0, ddof=1) / math.sqrt(3))
+        np.testing.assert_array_equal(est.covariance.matrix, moments.mean(axis=0))
+
+    def test_traced_peak_stays_below_the_recording(self):
+        # storing psi for every kept step of every member would take
+        # 8 * n_ensemble * n_kept bytes (64 MB here); the streamed estimate
+        # holds two half-segments per member instead
+        spec = bandpass_100hz()
+        cfg = aux_config(spec, n_steps=2_000_000, n_ensemble=4)
+        recording = 8 * cfg.n_ensemble * (cfg.n_steps - cfg.burn_in)
+        tracemalloc.start()
+        try:
+            simulate_phase_noise(spec, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < recording
+
+
 class TestAgainstAnalytics:
     def test_auxiliary_pair_variance(self):
         spec = bandpass_100hz()
@@ -424,9 +516,7 @@ class TestAgainstAnalytics:
         d = np.array([[d_val]])
         cfg = TrajectoryConfig(dt=0.05, n_steps=200_000, n_ensemble=8,
                                seed=31415, burn_in=2000)
-        from optomech.simulate import _propagate, _welch_segments
-
-        _, rec = _propagate(a, d, cfg, record=0)
+        _, rec = streamed(a, d, cfg, 0)
         omega, member_spectra = _welch_segments(rec, cfg.dt, 8)
         values = member_spectra.mean(axis=0)
         se = member_spectra.std(axis=0, ddof=1) / math.sqrt(cfg.n_ensemble)
