@@ -7,16 +7,28 @@ integrator is the exact one-step Gaussian propagator (matrix exponential plus
 the exact process-noise covariance), so discretization bias is zero and the
 timestep only limits spectral resolution.
 
+The ensemble runs as contiguous member shards side by side, one per
+usable CPU: min(n_ensemble, CPUs this process may run on) of them, the
+first on the calling thread and the others on a thread pool. Each shard
+draws from its members' own spawned generators and writes their moments
+and periodograms into its rows of the run's arrays, so every output has
+the same bits for any shard count.
+
 Trajectories are never stored whole: each block of steps is handed to a
 consumer as it is propagated, and the Welch estimate of a spectrum keeps
 only the two latest half-segments per member. A run's memory is therefore
-about 1.5 x 8 x n_ensemble x segment length bytes, not 8 x n_ensemble x
-n_steps.
+about 1.5 x 8 x n_ensemble x segment length bytes, plus a scratch segment
+and its transform, about 16 x segment length bytes, per shard; not
+8 x n_ensemble x n_steps.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import functools
 import math
+import numbers
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -48,6 +60,15 @@ class TrajectoryConfig:
     burn_in: int = 0
 
     def __post_init__(self):
+        # a float or bool count fails deep in numpy, and a seed of None
+        # draws fresh OS entropy: a run that cannot be repeated
+        for name in ("n_steps", "n_ensemble", "burn_in", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise field_error(ValueError, name,
+                                  f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise field_error(ValueError, "seed", f"seed must be >= 0, got {self.seed}")
         for name in ("dt", "n_steps", "n_ensemble"):
             if not getattr(self, name) > 0:
                 raise field_error(ValueError, name, f"{name} must be positive")
@@ -191,32 +212,13 @@ def _noise_factor(q: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def _propagate(a: np.ndarray, d: np.ndarray, cfg: TrajectoryConfig,
-               consume: Callable[[np.ndarray], object] | None = None) -> np.ndarray:
-    """Run the ensemble; returns the second moments per member.
-
-    ``consume`` (None for no consumer) receives the post-burn-in states of
-    each block in time order, as an (n_ensemble, steps, n) view that the
-    next block overwrites; nothing is kept across blocks. Members evolve
-    side by side from the zero state with per-member spawned generators;
-    states are rows, x_t = x_(t-1) Phi^T + z_t L^T with L L^T = Q and z_t
-    the member's normals. Each block of BLOCK_STEPS steps is cut into
-    chunks of C = CHUNK_STEPS steps and propagated in three products:
-
-    - the chunk response: with the chunk's normals as one row
-      [z_0 ... z_(C-1)], its states from a zero entering state are that row
-      times the block upper-triangular ``resp``, whose (k, j) block is
-      L^T (Phi^T)^(j-k) for k <= j;
-    - the chunk-end scan: the state e_k entering chunk k obeys
-      e_k = y_(k-1) + e_(k-1) (Phi^T)^C, with y the last zero-entry state of
-      a chunk and e_0 the state carried into the block; a log-step scan with
-      the powers of (Phi^T)^C solves it over the chunk ends only;
-    - the carry: each chunk adds e_k [(Phi^T)^1 ... (Phi^T)^C].
-    """
-    _check_timestep(a, cfg.dt, cfg.burn_in)
+def _block_operators(a: np.ndarray, d: np.ndarray,
+                     dt: float) -> tuple[np.ndarray, np.ndarray, list]:
+    """(resp, carry, chunk powers) of the block scan ``_propagate`` runs;
+    see there."""
     n = a.shape[0]
     width = CHUNK_STEPS * n
-    phi, q = exact_discretization(a, d, cfg.dt)
+    phi, q = exact_discretization(a, d, dt)
     noise_l_t = _noise_factor(q).T
     powers = [np.eye(n)]  # (Phi^T)^j for j = 0..CHUNK_STEPS
     for _ in range(CHUNK_STEPS):
@@ -229,23 +231,56 @@ def _propagate(a: np.ndarray, d: np.ndarray, cfg: TrajectoryConfig,
     chunk_powers = [powers[-1]]  # ((Phi^T)^C)^(2^p) for shifts below a block's chunks
     while 2 ** len(chunk_powers) < BLOCK_STEPS // CHUNK_STEPS:
         chunk_powers.append(chunk_powers[-1] @ chunk_powers[-1])
-    rngs = [np.random.default_rng(s)
-            for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_ensemble)]
-    state = np.zeros((cfg.n_ensemble, n))
-    moments = np.zeros((cfg.n_ensemble, n, n))
+    return resp, carry, chunk_powers
+
+
+def _propagate(operators: tuple, cfg: TrajectoryConfig, rngs: list,
+               moments: np.ndarray,
+               consume: Callable[[np.ndarray], object] | None = None) -> None:
+    """Run one shard of the ensemble: the members of ``rngs``, one generator
+    each; adds each member's summed post-burn-in second moments to its row
+    of ``moments``.
+
+    ``consume`` (None for no consumer) receives the post-burn-in states of
+    each block in time order, as an (n_members, steps, n) view that the
+    next block overwrites; nothing is kept across blocks. Members evolve
+    side by side from the zero state; states are rows,
+    x_t = x_(t-1) Phi^T + z_t L^T with L L^T = Q and z_t the member's
+    normals. Each block of BLOCK_STEPS steps is cut into chunks of
+    C = CHUNK_STEPS steps and propagated in three products, with the
+    ``operators`` of ``_block_operators``:
+
+    - the chunk response: with the chunk's normals as one row
+      [z_0 ... z_(C-1)], its states from a zero entering state are that row
+      times the block upper-triangular ``resp``, whose (k, j) block is
+      L^T (Phi^T)^(j-k) for k <= j;
+    - the chunk-end scan: the state e_k entering chunk k obeys
+      e_k = y_(k-1) + e_(k-1) (Phi^T)^C, with y the last zero-entry state of
+      a chunk and e_0 the state carried into the block; a log-step scan with
+      the powers of (Phi^T)^C solves it over the chunk ends only;
+    - the carry: each chunk adds e_k [(Phi^T)^1 ... (Phi^T)^C].
+
+    Every product, draw and moment acts on each member's own rows, so a
+    member's bits do not depend on which others share its shard.
+    """
+    resp, carry, chunk_powers = operators
+    n = carry.shape[0]
+    width = resp.shape[0]
+    members = len(rngs)
+    state = np.zeros((members, n))
     normals = x = None
 
     for step in range(0, cfg.n_steps, BLOCK_STEPS):
         m = min(BLOCK_STEPS, cfg.n_steps - step)
         chunks = -(-m // CHUNK_STEPS)
         if normals is None or normals.shape[1] != chunks:
-            normals = np.empty((cfg.n_ensemble, chunks, width))
+            normals = np.empty((members, chunks, width))
             x = np.empty_like(normals)
         for member, r in zip(normals, rngs):
             r.standard_normal(out=member.reshape(-1)[:m * n])
-        normals.reshape(cfg.n_ensemble, -1)[:, m * n:] = 0.0  # a short block's tail
+        normals.reshape(members, -1)[:, m * n:] = 0.0  # a short block's tail
         np.matmul(normals, resp, out=x)
-        entering = np.empty((cfg.n_ensemble, chunks, n))
+        entering = np.empty((members, chunks, n))
         entering[:, 0] = state
         entering[:, 1:] = x[:, :-1, -n:]
         for p, power in enumerate(chunk_powers):
@@ -254,7 +289,7 @@ def _propagate(a: np.ndarray, d: np.ndarray, cfg: TrajectoryConfig,
                 break
             entering[:, shift:] += entering[:, :-shift] @ power
         x += entering @ carry
-        path = x.reshape(cfg.n_ensemble, -1, n)[:, :m]
+        path = x.reshape(members, -1, n)[:, :m]
         state = path[:, -1].copy()  # x is overwritten by the next block
         lo = max(cfg.burn_in - step, 0)
         if lo < m:
@@ -263,6 +298,53 @@ def _propagate(a: np.ndarray, d: np.ndarray, cfg: TrajectoryConfig,
             if consume is not None:
                 consume(kept_block)
 
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shards(n_members: int) -> list[slice]:
+    """Contiguous member rows, min(n_members, usable CPUs) of them, whose
+    sizes differ by one at most."""
+    count = min(n_members, _usable_cpus())
+    edges = [n_members * k // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _run_ensemble(a: np.ndarray, d: np.ndarray, cfg: TrajectoryConfig,
+                  consumer_for: Callable[[slice], Callable] | None = None
+                  ) -> np.ndarray:
+    """Run the ensemble as member shards side by side; returns the second
+    moments per member.
+
+    The run rule is checked first. Then each shard of ``_shards`` gets its
+    members' generators, from the one ``SeedSequence(cfg.seed)`` spawned
+    per member, its rows of one moments array, and ``consumer_for(rows)``,
+    the consumer of its kept blocks (``_propagate``); all of it is built
+    here before any thread starts. The calling thread runs the first shard
+    and a pool of threads the others, whose numpy calls release the GIL.
+    An error of any shard is raised here once every shard has ended: the
+    first shard's, else the first in shard order.
+    """
+    _check_timestep(a, cfg.dt, cfg.burn_in)
+    operators = _block_operators(a, d, cfg.dt)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_ensemble)
+    moments = np.zeros((cfg.n_ensemble, a.shape[0], a.shape[0]))
+    shards = [functools.partial(
+        _propagate, operators, cfg, [np.random.default_rng(s) for s in seeds[rows]],
+        moments[rows], None if consumer_for is None else consumer_for(rows))
+        for rows in _shards(cfg.n_ensemble)]
+    if len(shards) == 1:
+        shards[0]()
+    else:
+        with concurrent.futures.ThreadPoolExecutor(len(shards) - 1) as pool:
+            others = [pool.submit(shard) for shard in shards[1:]]
+            shards[0]()  # an error here leaves the pool once the others end
+        for other in others:
+            other.result()
     return moments / (cfg.n_steps - cfg.burn_in)
 
 
@@ -280,7 +362,7 @@ def estimate_stationary_covariance(a: np.ndarray, d: np.ndarray,
                                    cfg: TrajectoryConfig) -> CovarianceEstimate:
     """Time/ensemble-averaged second moments of one drift, member-scatter errors."""
     _one_drift("estimate_stationary_covariance", a)
-    per_member = _propagate(np.asarray(a, float), np.asarray(d, float), cfg)
+    per_member = _run_ensemble(np.asarray(a, float), np.asarray(d, float), cfg)
     mean, se = _ensemble_mean(per_member)
     return CovarianceEstimate(matrix=mean, standard_errors=se,
                               n_ensemble=cfg.n_ensemble)
@@ -316,28 +398,30 @@ def _segment_length(n_kept: int, segments_per_member: int) -> int:
 class _Welch:
     """Hann-windowed averaged periodograms per member, fed in time order.
 
-    50% overlap; the estimate is the two-sided density reported on the
-    nonnegative grid. Samples go into two (n_members, hop) half buffers
-    that swap roles: once a half fills, each member's segment [previous
-    half, this half] is copied into one scratch row and its periodogram is
-    added, in place, to the member's sum; the next half overwrites the
-    previous one. Samples after the last whole half belong to no segment.
+    50% overlap over segments as long as ``window``, the Hann window of
+    ``_segment_length`` samples, which estimators may share; the estimate
+    is the two-sided density reported on the nonnegative grid.
+    Each member's periodograms are added, in place, to its row of ``sums``
+    (n_members, segment length // 2 + 1 zeros, which may be rows of a
+    larger array). Samples go into two (n_members, hop) half buffers that
+    swap roles: once a half fills, each member's segment [previous half,
+    this half] is copied into one scratch row and its periodogram is added
+    to the member's sum; the next half overwrites the previous one. Samples
+    after the last whole half belong to no segment.
     """
 
-    def __init__(self, n_members: int, n_kept: int, dt: float,
-                 segments_per_member: int):
-        seg_len = _segment_length(n_kept, segments_per_member)
+    def __init__(self, sums: np.ndarray, window: np.ndarray, dt: float):
+        seg_len = len(window)
         self.hop = seg_len // 2
-        self.window = np.hanning(seg_len)
-        self.norm = dt / np.sum(self.window ** 2)
-        self.omega = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)
-        self.halves = np.empty((2, n_members, self.hop))
+        self.window = window
+        self.dt = dt
+        self.norm = dt / np.sum(window ** 2)
+        self.halves = np.empty((2, len(sums), self.hop))
         self.whole = 0  # halves filled so far
         self.filled = 0  # samples in the half being filled
         self.segment = np.empty(seg_len)
         self.transform = np.empty(seg_len // 2 + 1, complex)
-        self.power = np.empty(seg_len // 2 + 1)
-        self.sums = np.zeros((n_members, seg_len // 2 + 1))
+        self.sums = sums
 
     def feed(self, block: np.ndarray) -> None:
         """Take the next (n_members, steps) samples of every member."""
@@ -355,7 +439,9 @@ class _Welch:
                 self.filled = 0
 
     def _add_segments(self, first: np.ndarray, second: np.ndarray) -> None:
-        seg, power = self.segment, self.power
+        # the power spectrum takes the front of the segment row once the
+        # transform has read it
+        seg, power = self.segment, self.segment[:len(self.transform)]
         for first_half, second_half, total in zip(first, second, self.sums):
             seg[:self.hop] = first_half
             seg[self.hop:] = second_half
@@ -367,10 +453,14 @@ class _Welch:
             power *= self.norm
             total += power
 
-    def mean_spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """(omega grid, per-member mean spectra); ends the accumulation."""
+    def grid(self) -> np.ndarray:
+        """The omega grid of the spectra, rad/s."""
+        return 2.0 * math.pi * np.fft.rfftfreq(len(self.window), d=self.dt)
+
+    def mean_spectra(self) -> np.ndarray:
+        """The per-member mean spectra, ``sums``; ends the accumulation."""
         self.sums /= self.whole - 1
-        return self.omega, self.sums
+        return self.sums
 
 
 def _welch_segments(series: np.ndarray, dt: float,
@@ -380,9 +470,11 @@ def _welch_segments(series: np.ndarray, dt: float,
     Returns (omega grid, per-member mean spectra) of the (n_members, n_kept)
     ``series``, fed to the streaming estimator ``_Welch`` as one block.
     """
-    welch = _Welch(*series.shape, dt, segments_per_member)
+    seg_len = _segment_length(series.shape[1], segments_per_member)
+    welch = _Welch(np.zeros((len(series), seg_len // 2 + 1)),
+                   np.hanning(seg_len), dt)
     welch.feed(series)
-    return welch.mean_spectra()
+    return welch.grid(), welch.mean_spectra()
 
 
 def simulate_phase_noise(spec: NoiseSpec, cfg: TrajectoryConfig,
@@ -396,18 +488,29 @@ def simulate_phase_noise(spec: NoiseSpec, cfg: TrajectoryConfig,
     pair from the same trajectories (as ``estimate_stationary_covariance``
     gives it). A stack's noise raises ValueError.
 
-    psi is fed block by block into the Welch estimator as it is propagated,
-    so the trajectories are never stored: the run holds about 1.5 x 8 x
-    n_ensemble x segment length bytes.
+    psi is fed block by block into each shard's Welch estimator as it is
+    propagated, so the trajectories are never stored: the run holds about
+    1.5 x 8 x n_ensemble x segment length bytes, plus about 16 x segment
+    length bytes per shard (module docstring).
     """
     _one_point("simulate_phase_noise", spec.omega_band)
     a, d = auxiliary_block(spec)  # a ValueError unless the noise is bandpass
     # the segment length is checked before anything is propagated
-    welch = _Welch(cfg.n_ensemble, cfg.n_steps - cfg.burn_in, cfg.dt,
-                   segments_per_member)
-    per_member = _propagate(a, d, cfg, lambda kept: welch.feed(kept[:, :, 0]))
-    omega, member_spectra = welch.mean_spectra()
-    del welch  # its buffers go before the member scatter takes its temporaries
+    seg_len = _segment_length(cfg.n_steps - cfg.burn_in, segments_per_member)
+    member_spectra = np.zeros((cfg.n_ensemble, seg_len // 2 + 1))
+    window = np.hanning(seg_len)
+    welches = []
+
+    def feed_psi(rows):  # a shard's own estimator, on its rows of the spectra
+        welch = _Welch(member_spectra[rows], window, cfg.dt)
+        welches.append(welch)
+        return lambda kept: welch.feed(kept[:, :, 0])
+
+    per_member = _run_ensemble(a, d, cfg, feed_psi)
+    for welch in welches:
+        welch.mean_spectra()
+    omega = welch.grid()
+    del welches, welch  # their buffers go before the member scatter's temporaries
     values, se = _ensemble_mean(member_spectra)
     mean, mean_se = _ensemble_mean(per_member)
     return SpectrumEstimate(

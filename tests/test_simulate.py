@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -21,7 +22,7 @@ from optomech import (NoiseSpec, TrajectoryConfig, build_model,
 from optomech.dynamics import auxiliary_block
 from optomech.errors import UnstableTimestep
 from optomech.simulate import (BLOCK_STEPS, CHUNK_STEPS, _check_timestep,
-                               _expm, _noise_factor, _propagate,
+                               _expm, _noise_factor, _run_ensemble,
                                _segment_length, _Welch, _welch_segments)
 
 from conftest import (OMEGA_M, bandpass_100hz, make_params,
@@ -81,11 +82,17 @@ def per_step_reference(a, d, cfg, record):
 
 def streamed(a, d, cfg, component):
     """(second moments, post-burn-in series of ``component``) from the blocks
-    ``_propagate`` streams to its consumer, collected in order."""
+    each shard's ``_propagate`` streams to its consumer, collected in order."""
     blocks = []
-    moments = _propagate(a, d, cfg,
-                         lambda kept: blocks.append(kept[:, :, component].copy()))
-    return moments, np.concatenate(blocks, axis=1)
+
+    def collect(rows):
+        shard = []
+        blocks.append(shard)
+        return lambda kept: shard.append(kept[:, :, component].copy())
+
+    moments = _run_ensemble(a, d, cfg, collect)
+    return moments, np.concatenate([np.concatenate(shard, axis=1)
+                                    for shard in blocks])
 
 
 def welch_reference(series, dt, segments_per_member):
@@ -392,6 +399,133 @@ class TestTrajectoryContract:
             TrajectoryConfig(dt=1.0, n_steps=10, n_ensemble=1, seed=0,
                              burn_in=10)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_steps", 1000.0), ("n_steps", True), ("n_ensemble", 2.0),
+        ("n_ensemble", True), ("burn_in", 10.0), ("burn_in", False),
+        ("seed", -1), ("seed", 1.5), ("seed", None), ("seed", True),
+    ])
+    def test_config_refuses_a_non_integer_count_or_seed(self, field, value):
+        # each would fail deep in numpy with an unnamed TypeError, or (a
+        # seed of None) draw fresh OS entropy: a run that cannot be repeated
+        run = {"dt": 1e-6, "n_steps": 1000, "n_ensemble": 2, "seed": 1,
+               "burn_in": 10, field: value}
+        with pytest.raises(ValueError, match=field) as info:
+            TrajectoryConfig(**run)
+        assert info.value.field == field
+
+    def test_config_takes_numpy_integers(self):
+        cfg = TrajectoryConfig(dt=1e-6, n_steps=np.int64(1000),
+                               n_ensemble=np.int32(2), seed=np.uint64(7),
+                               burn_in=np.int16(10))
+        assert cfg.n_ensemble == 2 and cfg.seed == 7
+
+
+def forced_shards(monkeypatch, count):
+    """Make every run split its ensemble as if ``count`` CPUs were usable."""
+    import optomech.simulate as simulate
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: count)
+
+
+def shard_spy(monkeypatch):
+    """Wrap ``_propagate``; returns the list of (first member, members) that
+    each shard's call ran, appended as the calls end."""
+    import optomech.simulate as simulate
+
+    ran, propagate = [], simulate._propagate
+
+    def spy(operators, cfg, rngs, moments, consume=None):
+        propagate(operators, cfg, rngs, moments, consume)
+        ran.append((rngs[0].bit_generator.seed_seq.spawn_key[0], len(rngs)))
+
+    monkeypatch.setattr(simulate, "_propagate", spy)
+    return ran
+
+
+class TestShards:
+    @pytest.mark.parametrize("usable, n_ensemble, sizes", [
+        (1, 5, [5]), (2, 5, [2, 3]), (3, 5, [1, 2, 2]), (8, 5, [1] * 5),
+        (2, 2, [1, 1]), (4, 16, [4] * 4)])
+    def test_contiguous_and_even(self, monkeypatch, usable, n_ensemble, sizes):
+        import optomech.simulate as simulate
+
+        forced_shards(monkeypatch, usable)
+        shards = simulate._shards(n_ensemble)
+        assert [s.stop - s.start for s in shards] == sizes
+        assert shards[0].start == 0 and shards[-1].stop == n_ensemble
+        assert all(a.stop == b.start for a, b in zip(shards, shards[1:]))
+
+    def test_one_shard_per_usable_cpu(self):
+        import optomech.simulate as simulate
+
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count())
+        assert simulate._usable_cpus() == usable
+        assert len(simulate._shards(64)) == min(64, usable)
+
+    def test_same_bits_for_any_shard_count(self, monkeypatch):
+        # five members, so three shards are ragged; the default burn-in ends
+        # inside the first block and the last block is short
+        spec = bandpass_100hz()
+        cfg = aux_config(spec, n_steps=3 * BLOCK_STEPS + 123, n_ensemble=5)
+        assert 0 < cfg.burn_in < BLOCK_STEPS
+        a, d = auxiliary_block(spec)
+        runs, ran = {}, shard_spy(monkeypatch)
+        for count in (1, 2, 3, 5):
+            forced_shards(monkeypatch, count)
+            ran.clear()
+            runs[count] = (simulate_phase_noise(spec, cfg),
+                           estimate_stationary_covariance(a, d, cfg))
+            # each call ran ``count`` shards of contiguous members
+            edges = [5 * k // count for k in range(count + 1)]
+            shards = [(lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
+            assert sorted(ran) == sorted(2 * shards)
+        spectrum, covariance = runs[1]
+        for count in (2, 3, 5):
+            other_spectrum, other_covariance = runs[count]
+            np.testing.assert_array_equal(other_spectrum.frequencies,
+                                          spectrum.frequencies)
+            np.testing.assert_array_equal(other_spectrum.values, spectrum.values)
+            np.testing.assert_array_equal(other_spectrum.standard_errors,
+                                          spectrum.standard_errors)
+            for got, want in ((other_spectrum.covariance, spectrum.covariance),
+                              (other_covariance, covariance)):
+                np.testing.assert_array_equal(got.matrix, want.matrix)
+                np.testing.assert_array_equal(got.standard_errors,
+                                              want.standard_errors)
+        # the spectrum run and the covariance run draw the same trajectories
+        np.testing.assert_array_equal(spectrum.covariance.matrix,
+                                      covariance.matrix)
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["calling-thread", "worker"])
+    def test_error_of_a_shard_reaches_the_caller(self, monkeypatch, failing):
+        # shards of members [0], [1, 2], [3, 4]: shard 0 runs on the calling
+        # thread; the failing shard raises at once, while the others run on
+        import optomech.simulate as simulate
+
+        forced_shards(monkeypatch, 3)
+        ran = shard_spy(monkeypatch)
+        spy = simulate._propagate
+        failure = RuntimeError("shard failed")
+
+        def propagate(operators, cfg, rngs, moments, consume=None):
+            if rngs[0].bit_generator.seed_seq.spawn_key == (failing,):
+                raise failure
+            spy(operators, cfg, rngs, moments, consume)
+
+        monkeypatch.setattr(simulate, "_propagate", propagate)
+        spec = bandpass_100hz()
+        a, d = auxiliary_block(spec)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            estimate_stationary_covariance(
+                a, d, aux_config(spec, n_steps=40_000, n_ensemble=5))
+        assert info.value is failure
+        # raised once every other shard had ended, and no thread is left
+        assert sorted(ran) == [(k, n) for k, n in [(0, 1), (1, 2), (3, 2)]
+                               if k != failing]
+        assert threading.active_count() == threads
+
 
 # every even 5-smooth length up to 2e6 samples, built from its factors
 SMOOTH_EVEN = sorted(2 ** i * 3 ** j * 5 ** k for i in range(1, 21)
@@ -453,11 +587,11 @@ class TestStreamedWelch:
     def test_equals_the_whole_series_loop(self, blocks):
         series = np.random.default_rng(5).standard_normal((3, 1100)).cumsum(axis=1)
         assert _segment_length(1100, 3) == 540
-        welch = _Welch(3, 1100, 0.1, 3)
+        welch = _Welch(np.zeros((3, 271)), np.hanning(540), 0.1)
         edges = np.cumsum([0] + blocks)
         for lo, hi in zip(edges[:-1], edges[1:]):
             welch.feed(series[:, lo:hi])
-        omega, spectra = welch.mean_spectra()
+        omega, spectra = welch.grid(), welch.mean_spectra()
         ref_omega, ref_spectra = welch_reference(series, 0.1, 3)
         np.testing.assert_array_equal(omega, ref_omega)
         np.testing.assert_array_equal(spectra, ref_spectra)
@@ -485,17 +619,31 @@ class TestStreamedWelch:
     def test_traced_peak_stays_below_the_recording(self):
         # storing psi for every kept step of every member would take
         # 8 * n_ensemble * n_kept bytes (64 MB here); the streamed estimate
-        # holds two half-segments per member instead
-        spec = bandpass_100hz()
-        cfg = aux_config(spec, n_steps=2_000_000, n_ensemble=4)
-        recording = 8 * cfg.n_ensemble * (cfg.n_steps - cfg.burn_in)
-        tracemalloc.start()
-        try:
-            simulate_phase_noise(spec, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # holds two half-segments per member instead, and a scratch segment
+        # per shard
+        peak, recording = traced_peak_and_recording()
         assert peak < recording
+
+    def test_traced_peak_at_one_shard_per_member(self, monkeypatch):
+        # the most shards a run can have, so the most scratch segments
+        forced_shards(monkeypatch, 4)
+        peak, recording = traced_peak_and_recording()
+        assert peak < recording
+
+
+def traced_peak_and_recording():
+    """(tracemalloc peak of a 2M-step, 4-member spectrum run, bytes of the
+    psi recording it does not keep)."""
+    spec = bandpass_100hz()
+    cfg = aux_config(spec, n_steps=2_000_000, n_ensemble=4)
+    recording = 8 * cfg.n_ensemble * (cfg.n_steps - cfg.burn_in)
+    tracemalloc.start()
+    try:
+        simulate_phase_noise(spec, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, recording
 
 
 class TestAgainstAnalytics:
